@@ -84,7 +84,7 @@ def cmd_solve_hqc(cfg, args) -> int:
     mesh = uniform_mesh(grid, nodes)
     F = ForceFunctional(cfg.functional_kind, f)
     cs = solve_coarse(law, mesh, F, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    uc = corrector(law, cs.u)
+    uc = corrector(law, cs)
     out = _out_dir(args)
     hio.save_coarse_fn(out / "hqc_nodal.txt", cs.u)
     hio.save_lattice_fn(out / "hqc_corrected.txt", uc)
@@ -129,8 +129,7 @@ def cmd_estimate(cfg, args) -> int:
 
 def cmd_study(cfg, args) -> int:
     rows = run_study(
-        cfg, out_dir=_out_dir(args), threads=args.threads,
-        use_cache=not args.no_cache, timing=args.timing,
+        cfg, out_dir=_out_dir(args), use_cache=not args.no_cache, timing=args.timing,
     )
     for row in rows:
         print(f"nodes={row.dof:5d}  h={row.h_max:.6g}  err_1inf={row.err_1inf:.6g}  "
@@ -183,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         cp = sub.add_parser(name)
         cp.add_argument("--config", required=True, help="key-value config file")
         cp.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or ./out)")
-        cp.add_argument("--threads", type=int, default=1)
         cp.add_argument("--no-cache", action="store_true", help="ignore cached reference solutions")
         cp.add_argument("--timing", action="store_true", help="record wall-clock times in CSV rows")
     return parser

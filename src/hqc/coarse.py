@@ -25,7 +25,8 @@ import numpy as np
 
 from .exceptions import DomainError, SolverFailure
 from .lattice import LatticeFn, LatticeGrid
-from .atomistic import EquilibriumSolution, _dual_residual, solve_homogenized_full
+from .atomistic import EquilibriumSolution, solve_homogenized_full
+from .linsolve import solve_cyclic_banded
 from .microhom import HomogenizedLaw
 
 
@@ -206,7 +207,32 @@ class CoarseSolution:
     u: CoarseFn
     residual_dual: float
     iterations: int
+    #: (M, p) cell fields of the last accepted residual evaluation, i.e. at
+    #: the element strains of ``u``
+    chi: np.ndarray = field(repr=False)
     trace: tuple = field(default=(), repr=False)
+
+
+def coarse_newton_step(d2, h, mw, R) -> np.ndarray:
+    """Newton step s with J s + R in span(mw) and mw @ s = 0, in O(M).
+
+    J is the cyclic tridiagonal coarse Jacobian with element stiffnesses
+    d2 / h.  It annihilates constants, so J s = -R + c mw is solvable only
+    for c = sum(R) / sum(mw); the mean-regularized banded solve returns its
+    zero-sum solution, which is then shifted along the constants.
+    """
+    dh = d2 / h
+    dh_prev = np.roll(dh, 1)
+    diags = np.array([-dh_prev, dh_prev + dh, -dh])
+    alpha = 1.0 + float(np.abs(diags[1]).mean())
+    try:
+        s = solve_cyclic_banded(diags, -R + (R.sum() / mw.sum()) * mw, mean_reg=alpha)
+    except SolverFailure as exc:
+        raise SolverFailure("singular coarse Jacobian") from exc
+    s -= (mw @ s) / mw.sum()
+    if not np.isfinite(s).all():
+        raise SolverFailure("singular coarse Jacobian")
+    return s
 
 
 def solve_coarse(
@@ -220,12 +246,13 @@ def solve_coarse(
 ) -> CoarseSolution:
     """Newton solve of the coarse-grained homogenized problem.
 
-    Unknowns are nodal values with one node eliminated through the
-    zero-mean constraint; the homogenized law is evaluated at the constant
-    strain of each element (one vectorized cell solve per iteration).
-    Termination uses the coarse dual norm of the nodal residual.
+    Unknowns are nodal values with zero lattice mean; the homogenized law
+    is evaluated at the constant strain of each element (one vectorized
+    cell solve per iteration).  The Jacobian is cyclic tridiagonal, so each
+    Newton step is an O(M) mean-regularized cyclic banded solve followed by
+    a projection onto zero lattice mean.  Termination uses the coarse dual
+    norm of the nodal residual.
     """
-    M = mesh.n_elements
     h = mesh.element_sizes()
     mw = mesh.mean_weights()
     b = F.node_values(mesh)
@@ -234,9 +261,7 @@ def solve_coarse(
         U = init.nodal_values.copy()
         U = U - mw @ U  # constants only shift the lattice mean
     else:
-        U = np.zeros(M)
-
-    chi_warm = None
+        U = np.zeros(mesh.n_elements)
 
     def residual(U_vals, warm):
         z = (np.roll(U_vals, -1) - U_vals) / h
@@ -244,10 +269,7 @@ def solve_coarse(
         R = np.roll(dphi0, 1) - dphi0 - b
         return R, d2phi0, chi
 
-    def reduced(vec):
-        return vec[:-1] - vec[-1] * mw[:-1] / mw[-1]
-
-    R, d2, chi_warm = residual(U, None)
+    R, d2, chi = residual(U, None)
     res = coarse_dual_norm(R)
     trace = [(0, res, 0.0)]
     it = 0
@@ -257,35 +279,21 @@ def solve_coarse(
                 f"coarse Newton: residual {res:.3e} after {max_iter} iterations", trace
             )
         it += 1
-        J = np.zeros((M, M))
-        j = np.arange(M)
-        dh = d2 / h
-        J[j, (j - 1) % M] += -np.roll(dh, 1)
-        J[j, j] += np.roll(dh, 1) + dh
-        J[j, (j + 1) % M] += -dh
-        B = np.zeros((M, M - 1))
-        B[: M - 1] = np.eye(M - 1)
-        B[M - 1] = -mw[:-1] / mw[-1]
-        Jr = B.T @ J @ B
-        try:
-            dc = np.linalg.solve(Jr, -reduced(R))
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure("singular coarse Jacobian") from exc
-        step = B @ dc
+        step = coarse_newton_step(d2, h, mw, R)
         t = 1.0
         accepted = False
         last_domain_error = None
         for _ in range(damping_max + 1):
             trial = U + t * step
             try:
-                R_t, d2_t, chi_t = residual(trial, chi_warm)
+                R_t, d2_t, chi_t = residual(trial, chi)
             except DomainError as exc:
                 last_domain_error = exc
                 t *= 0.5
                 continue
             res_t = coarse_dual_norm(R_t)
             if res_t < res:
-                U, R, d2, chi_warm, res = trial, R_t, d2_t, chi_t, res_t
+                U, R, d2, chi, res = trial, R_t, d2_t, chi_t, res_t
                 accepted = True
                 break
             t *= 0.5
@@ -296,17 +304,24 @@ def solve_coarse(
                 ) from last_domain_error
             raise SolverFailure(f"coarse Newton stalled at residual {res:.3e}", trace)
         trace.append((it, res, t))
-    return CoarseSolution(CoarseFn(mesh, U), res, it, tuple(trace))
+    return CoarseSolution(CoarseFn(mesh, U), res, it, chi, tuple(trace))
 
 
 def corrector(law: HomogenizedLaw, u0h) -> LatticeFn:
     """Zero-mean reconstruction u + eps * chi(D u; x/eps) of a coarse or
-    full-lattice homogenized solution."""
+    full-lattice homogenized solution.
+
+    A :class:`CoarseSolution` carries the cell fields at its element
+    strains, so no cell problem is solved for it; a bare ``CoarseFn`` or
+    ``LatticeFn`` has its cell problems solved from cold.
+    """
+    if isinstance(u0h, CoarseSolution):
+        u0h, chi = u0h.u, u0h.chi
+    elif isinstance(u0h, CoarseFn):
+        chi = law.eval_strains(u0h.strains())[3]
     if isinstance(u0h, CoarseFn):
         mesh = u0h.mesh
         grid = mesh.grid
-        z = u0h.strains()
-        _p0, _d1, _d2, chi = law.eval_strains(z)
         site_elem, _ = mesh.site_maps()
         base = u0h.to_lattice().values
         add = chi[site_elem, grid.species()]
@@ -318,7 +333,7 @@ def corrector(law: HomogenizedLaw, u0h) -> LatticeFn:
         base = u0h.values
         add = chi[np.arange(grid.N), grid.species()]
     else:
-        raise TypeError("corrector expects a CoarseFn or LatticeFn")
+        raise TypeError("corrector expects a CoarseSolution, CoarseFn or LatticeFn")
     vals = base + grid.eps * add
     return LatticeFn(grid, vals - vals.mean())
 

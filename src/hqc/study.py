@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,7 +150,7 @@ def _reference_solution(cfg, grid, family, micro, out_dir, use_cache):
 def _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock) -> StudyRow:
     t0 = clock() if clock else 0.0
     cs = solve_coarse(law, mesh, F, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    uc = corrector(law, cs.u)
+    uc = corrector(law, cs)
     diff = LatticeFn(mesh.grid, uc.values - u_ref.values)
     report = indicator_terms(cs.u, mesh, f, F, cfg.calibration, c0_inv)
     wall = (clock() - t0) * 1e3 if clock else 0.0
@@ -172,7 +171,6 @@ def _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock) -> StudyRow:
 def run_study(
     cfg: ExperimentConfig,
     out_dir=None,
-    threads: int = 1,
     use_cache: bool = True,
     timing: bool = False,
 ):
@@ -206,15 +204,10 @@ def run_study(
             rows.append(row)
             mesh = adapt_mesh(mesh, report, cfg.theta)
     else:
-        meshes = [uniform_mesh(grid, m) for m in cfg.mesh_schedule]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(lambda mesh: _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock), meshes)
-                )
-        else:
-            results = [_study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock) for mesh in meshes]
-        rows = [row for row, _ in results]
+        rows = [
+            _study_row(law, uniform_mesh(grid, m), F, f, u_ref, cfg, c0_inv, clock)[0]
+            for m in cfg.mesh_schedule
+        ]
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -238,7 +231,7 @@ def run_study_2d(cfg: ExperimentConfig, out_dir=None, timing: bool = False):
     model = SpringModel2D(cfg.k1, cfg.k2, cfg.k3)
     f = exp_sin_force(cfg.N1, cfg.N2, cfg.force_amplitude)
     clock = time.perf_counter if timing else None
-    u_ref, ref_info = solve2d(model, f, "atomistic", rtol=cfg.solver_tol)
+    u_ref, _ = solve2d(model, f, "atomistic", rtol=cfg.solver_tol)
     rows = []
     for t in cfg.t_schedule:
         t0 = clock() if clock else 0.0
@@ -254,7 +247,7 @@ def run_study_2d(cfg: ExperimentConfig, out_dir=None, timing: bool = False):
                 eta_force=0.0,
                 eta_quad=0.0,
                 eta_total=0.0,
-                newton_iters=ref_info["iterations"],
+                newton_iters=0,  # the P1 coarse solve is direct
                 wall_ms=wall,
             )
         )

@@ -67,3 +67,22 @@ def coarse_dual_lp(q: np.ndarray) -> float:
 
 def central_diff(fun, x: float, step: float) -> float:
     return (fun(x + step) - fun(x - step)) / (2.0 * step)
+
+
+def coarse_step_dense(d2: np.ndarray, h: np.ndarray, mw: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Coarse Newton step from the dense reduced system B^T J B dc = -B^T R.
+
+    J is the cyclic tridiagonal Jacobian with element stiffnesses d2 / h;
+    B eliminates the last node through the constraint mw @ s = 0.
+    """
+    M = R.size
+    dh = d2 / h
+    J = np.zeros((M, M))
+    j = np.arange(M)
+    J[j, (j - 1) % M] -= np.roll(dh, 1)
+    J[j, j] += np.roll(dh, 1) + dh
+    J[j, (j + 1) % M] -= dh
+    B = np.zeros((M, M - 1))
+    B[: M - 1] = np.eye(M - 1)
+    B[M - 1] = -mw[:-1] / mw[-1]
+    return B @ np.linalg.solve(B.T @ J @ B, -B.T @ R)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqc import (
     CoarseFn,
     ForceFunctional,
+    SolverFailure,
     HomogenizedLaw,
     LatticeFn,
     LatticeGrid,
@@ -20,7 +23,10 @@ from hqc import (
     solve_homogenized_full,
     uniform_mesh,
 )
+from hqc.coarse import coarse_newton_step
 from hqc.study import sin_force
+
+from oracles import coarse_step_dense
 
 
 def rand_mesh(rng, grid, m):
@@ -305,6 +311,44 @@ class TestSolveCoarse:
         assert abs(cs.u.lattice_mean()) < 1e-13
 
 
+class TestCoarseNewtonStep:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_reduced_solve(self, m, seed):
+        # M from 2 to 12 crosses the dense cut-off n <= 4R + 2 = 6 of the
+        # banded solver; sum(R) != 0 exercises the span(mw) component
+        rng = np.random.default_rng(seed)
+        mesh = rand_mesh(rng, LatticeGrid(64), m)
+        h, mw = mesh.element_sizes(), mesh.mean_weights()
+        d2 = rng.uniform(0.1, 10.0, m)
+        R = rng.standard_normal(m) + rng.uniform(-1.0, 1.0)
+        step = coarse_newton_step(d2, h, mw, R)
+        ref = coarse_step_dense(d2, h, mw, R)
+        assert np.abs(step - ref).max() <= 1e-9 * np.abs(ref).max()
+        assert abs(mw @ step) <= 1e-12 * np.abs(ref).max()
+
+
+class FlatLaw:
+    """Stub law with zero stiffness: every coarse Jacobian is singular."""
+
+    def eval_strains(self, z, warm=None):
+        z = np.atleast_1d(z)
+        zeros = np.zeros(z.size)
+        return zeros, zeros, zeros, np.zeros((z.size, 2))
+
+
+class TestSingularJacobian:
+    # M <= 6 takes the dense path of the banded solver, M > 6 the banded
+    # path and its sparse fallback (which returns NaN on a singular matrix)
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 16])
+    def test_raises_solver_failure(self, m):
+        grid = LatticeGrid(96, 2)
+        F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
+        with pytest.raises(SolverFailure, match="singular coarse Jacobian"):
+            solve_coarse(FlatLaw(), uniform_mesh(grid, m), F)
+
+
 class TestCorrector:
     def test_single_species_identity(self):
         rng = np.random.default_rng(76)
@@ -318,6 +362,14 @@ class TestCorrector:
         law, grid, f = lj_setup
         cs = solve_coarse(law, uniform_mesh(grid, 8), ForceFunctional("exact_summation", f))
         assert abs(corrector(law, cs.u).values.mean()) < 1e-13
+
+    def test_solution_fields_match_cold_cell_solves(self, lj_setup):
+        law, grid, f = lj_setup
+        for m in (4, 32):
+            cs = solve_coarse(law, uniform_mesh(grid, m), ForceFunctional("exact_summation", f))
+            reused = corrector(law, cs).values
+            cold = corrector(law, cs.u).values
+            assert np.abs(reused - cold).max() <= 1e-13 * np.abs(cold).max()
 
     def test_rejects_other_types(self, lj_setup):
         law, _, _ = lj_setup

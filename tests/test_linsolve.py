@@ -1,5 +1,6 @@
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqc.linsolve import cyclic_matvec, cyclic_to_dense, solve_cyclic_banded
 
@@ -59,3 +60,21 @@ class TestCyclicBanded:
         b[3] = 1.0
         x = solve_cyclic_banded(diags, b)
         assert np.abs(cyclic_matvec(diags, x) - b).max() < 1e-8
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        R=st.integers(1, 4),
+        offset=st.integers(-3, 3),
+        mean_reg=st.sampled_from([0.0, 1.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_solve_around_cutoff(self, R, offset, mean_reg, seed):
+        # N on both sides of the dense cut-off N <= 4R + 2
+        N = 4 * R + 2 + offset
+        rng = np.random.default_rng(seed)
+        diags = rng.standard_normal((2 * R + 1, N))
+        diags[R] += 2 * R + 4  # diagonally dominant, so nonsingular
+        b = rng.standard_normal(N)
+        x = solve_cyclic_banded(diags, b, mean_reg=mean_reg)
+        x_ref = np.linalg.solve(cyclic_to_dense(diags) + mean_reg / N, b)
+        assert np.abs(x - x_ref).max() <= 1e-10 * max(1.0, np.abs(x_ref).max())
