@@ -32,7 +32,7 @@ from .potentials import (
     nn_dominance_margin,
     quadratic_family,
 )
-from .microhom import HomogenizedLaw, MicroSolution, homogenized_eval, solve_cell
+from .microhom import HomogenizedLaw
 from .atomistic import (
     AtomisticProblem,
     EquilibriumSolution,

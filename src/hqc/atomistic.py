@@ -13,6 +13,10 @@ functional, matching the error topology of the coarse-graining analysis.
 homogenized nearest-neighbor density phi0 on the full lattice; there the
 strong form -D[dphi0(D u)] = T f exists and termination uses its max norm
 (which dominates the dual norm).
+
+``damped_newton`` is the residual-backtracking Newton loop shared by both
+solvers and by :func:`hqc.coarse.solve_coarse`; each solver supplies only
+its residual evaluation, termination norm and Newton step.
 """
 
 from __future__ import annotations
@@ -115,6 +119,62 @@ def _dual_residual(grid, rho_vals):
     return 0.5 * float(w.max() - w.min())
 
 
+def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
+    """Newton iteration with residual backtracking, shared by the outer solvers.
+
+    ``evaluate(x, prev_state)`` returns ``(x, state, norm, trace_value)``:
+    the possibly projected iterate, whatever ``step`` needs (including any
+    warm start for the next evaluation), the termination norm and the value
+    recorded in the trace.  ``step(x, state)`` returns the Newton direction.
+    A trial point is accepted when its norm drops below the current one;
+    otherwise, or when evaluating it raises DomainError or SolverFailure,
+    the step is halved; when no halving is accepted, the last such error is
+    re-raised as its own class.  Returns ``(x, state, trace)`` with trace
+    rows (iteration, trace_value, step_damping); every SolverFailure raised
+    here carries the trace so far.
+    """
+    x, state, res, value = evaluate(x, None)
+    trace = [(0, value, 0.0)]
+    it = 0
+    while res > tol:
+        if it >= max_iter:
+            raise SolverFailure(
+                f"{name} Newton: residual {res:.3e} after {max_iter} iterations", trace
+            )
+        it += 1
+        direction = step(x, state)
+        t = 1.0
+        last_error = None
+        for _ in range(damping_max + 1):
+            try:
+                trial = evaluate(x + t * direction, state)
+            except (DomainError, SolverFailure) as exc:
+                last_error = exc
+                t *= 0.5
+                continue
+            if trial[2] < res:
+                x, state, res, value = trial
+                break
+            t *= 0.5
+        else:
+            unrecoverable = f"{name} Newton step not recoverable by damping: {last_error}"
+            if isinstance(last_error, DomainError):
+                raise DomainError(unrecoverable) from last_error
+            if last_error is not None:
+                raise SolverFailure(unrecoverable, trace) from last_error
+            raise SolverFailure(f"{name} Newton stalled at residual {res:.3e}", trace)
+        trace.append((it, value, t))
+    return x, state, trace
+
+
+def _banded_newton_step(diags, rho):
+    """Zero-mean Newton step of a cyclic banded Jacobian that annihilates
+    constants (mean-regularized, then projected)."""
+    alpha = 1.0 + float(np.abs(diags[diags.shape[0] // 2]).mean())
+    step = solve_cyclic_banded(diags, -rho, mean_reg=alpha)
+    return step - step.mean()
+
+
 def solve_atomistic(
     prob: AtomisticProblem,
     rhs: LatticeFn | None = None,
@@ -132,49 +192,21 @@ def solve_atomistic(
     grid = prob.grid
     f = (rhs or prob.force).values
     f = f - f.mean()
-    u = np.zeros(grid.N) if u_init is None else u_init.values - u_init.values.mean()
 
-    def residual(u_vals):
+    def evaluate(u_vals, _prev):
+        u_vals = u_vals - u_vals.mean()
         _, g, diags = energy_grad_hess(prob, LatticeFn(grid, u_vals))
         rho = g.values - f
-        return rho, diags, _dual_residual(grid, rho)
+        res = _dual_residual(grid, rho)
+        return u_vals, (rho, diags), res, res
 
-    rho, diags, res = residual(u)
-    trace = [(0, res, 0.0)]
-    it = 0
-    while res > tol:
-        if it >= max_iter:
-            raise SolverFailure(
-                f"atomistic Newton: residual {res:.3e} after {max_iter} iterations", trace
-            )
-        it += 1
-        alpha = 1.0 + float(np.abs(diags[diags.shape[0] // 2]).mean())
-        step = solve_cyclic_banded(diags, -rho, mean_reg=alpha)
-        step -= step.mean()
-        t = 1.0
-        accepted = False
-        last_domain_error = None
-        for _ in range(damping_max + 1):
-            trial = u + t * step
-            trial -= trial.mean()
-            try:
-                rho_t, diags_t, res_t = residual(trial)
-            except DomainError as exc:
-                last_domain_error = exc
-                t *= 0.5
-                continue
-            if res_t < res:
-                u, rho, diags, res = trial, rho_t, diags_t, res_t
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            if last_domain_error is not None:
-                raise DomainError(
-                    f"Newton step not recoverable by damping: {last_domain_error}"
-                ) from last_domain_error
-            raise SolverFailure(f"atomistic Newton stalled at residual {res:.3e}", trace)
-        trace.append((it, res, t))
+    def step(_u, state):
+        rho, diags = state
+        return _banded_newton_step(diags, rho)
+
+    u0 = np.zeros(grid.N) if u_init is None else u_init.values
+    u, _, trace = damped_newton(evaluate, step, u0, tol, max_iter, damping_max, "atomistic")
+    it, res, _ = trace[-1]
     return EquilibriumSolution(LatticeFn(grid, u), res, it, tuple(trace))
 
 
@@ -200,58 +232,23 @@ def solve_homogenized_full(
     """
     eps = grid.eps
     fv = f.values - f.values.mean()
-    u = np.zeros(grid.N)
-    chi_warm = None
 
-    def residual(u_vals, warm):
+    def evaluate(u_vals, prev):
+        u_vals = u_vals - u_vals.mean()
         z = (np.roll(u_vals, -1) - u_vals) / eps
+        warm = None if prev is None else prev[2]
         _phi0, dphi0, d2phi0, chi = law.eval_strains(z, warm=warm)
         rho = (np.roll(dphi0, 1) - dphi0) / eps - fv
-        return rho, d2phi0, chi
+        return u_vals, (rho, d2phi0, chi), float(np.abs(rho).max()), _dual_residual(grid, rho)
 
-    rho, d2, chi_warm = residual(u, None)
-    res = float(np.abs(rho).max())
-    trace = [(0, _dual_residual(grid, rho), 0.0)]
-    it = 0
-    while res > tol:
-        if it >= max_iter:
-            raise SolverFailure(
-                f"homogenized Newton: residual {res:.3e} after {max_iter} iterations", trace
-            )
-        it += 1
-        diags = np.zeros((3, grid.N))
+    def step(_u, state):
+        rho, d2, _chi = state
         d_shift = np.roll(d2, 1)
-        diags[1] = (d2 + d_shift) / eps**2
-        diags[2] = -d2 / eps**2
-        diags[0] = -d_shift / eps**2
-        alpha = 1.0 + float(np.abs(diags[1]).mean())
-        step = solve_cyclic_banded(diags, -rho, mean_reg=alpha)
-        step -= step.mean()
-        t = 1.0
-        accepted = False
-        last_domain_error = None
-        for _ in range(damping_max + 1):
-            trial = u + t * step
-            trial -= trial.mean()
-            try:
-                rho_t, d2_t, chi_t = residual(trial, chi_warm)
-            except DomainError as exc:
-                last_domain_error = exc
-                t *= 0.5
-                continue
-            res_t = float(np.abs(rho_t).max())
-            if res_t < res:
-                u, rho, d2, chi_warm, res = trial, rho_t, d2_t, chi_t, res_t
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            if last_domain_error is not None:
-                raise DomainError(
-                    f"homogenized Newton step not recoverable by damping: {last_domain_error}"
-                ) from last_domain_error
-            raise SolverFailure(f"homogenized Newton stalled at residual {res:.3e}", trace)
-        trace.append((it, _dual_residual(grid, rho), t))
-    return EquilibriumSolution(
-        LatticeFn(grid, u), _dual_residual(grid, rho), it, tuple(trace)
+        diags = np.array([-d_shift, d2 + d_shift, -d2]) / eps**2
+        return _banded_newton_step(diags, rho)
+
+    u, _, trace = damped_newton(
+        evaluate, step, np.zeros(grid.N), tol, max_iter, damping_max, "homogenized"
     )
+    it, res, _ = trace[-1]
+    return EquilibriumSolution(LatticeFn(grid, u), res, it, tuple(trace))

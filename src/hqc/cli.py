@@ -145,14 +145,14 @@ def cmd_study2d(cfg, args) -> int:
 
 
 def cmd_check(cfg, args) -> int:
-    _grid, family, micro, law, _f = _setup_1d(cfg)
+    _grid, family, micro, _law, _f = _setup_1d(cfg)
     chi = micro.chi_star.values
     print(f"ground microstructure: chi_* = {np.array2string(chi, precision=8)}")
     print(f"  micro deformation strictly increasing: min(1 + D chi) = "
           f"{float((1 + np.roll(chi, -1) - chi).min()):.6g}")
     print(f"  ||chi_*||_inf = {np.abs(chi).max():.6g} <= (p-1)/2 = {(family.p - 1) / 2}")
     margin = nn_dominance_margin(family, micro)
-    c11, c0_lower = estimate_constants(law, family, micro)
+    c11, c0_lower = estimate_constants(family, micro)
     print(f"nearest-neighbor dominance margin: {margin:.6g}")
     print(f"sampled Lipschitz surrogate C11 = {c11:.6g}, c0 lower bound = {c0_lower:.6g}")
     if margin <= 0:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DomainError, SolverFailure
+from .exceptions import SolverFailure
 from .lattice import LatticeFn, LatticeGrid
-from .atomistic import EquilibriumSolution, solve_homogenized_full
+from .atomistic import EquilibriumSolution, damped_newton, solve_homogenized_full
 from .linsolve import solve_cyclic_banded
 from .microhom import HomogenizedLaw
 
@@ -263,47 +263,22 @@ def solve_coarse(
     else:
         U = np.zeros(mesh.n_elements)
 
-    def residual(U_vals, warm):
+    def evaluate(U_vals, prev):
         z = (np.roll(U_vals, -1) - U_vals) / h
+        warm = None if prev is None else prev[2]
         _phi0, dphi0, d2phi0, chi = law.eval_strains(z, warm=warm)
         R = np.roll(dphi0, 1) - dphi0 - b
-        return R, d2phi0, chi
+        res = coarse_dual_norm(R)
+        return U_vals, (R, d2phi0, chi), res, res
 
-    R, d2, chi = residual(U, None)
-    res = coarse_dual_norm(R)
-    trace = [(0, res, 0.0)]
-    it = 0
-    while res > tol:
-        if it >= max_iter:
-            raise SolverFailure(
-                f"coarse Newton: residual {res:.3e} after {max_iter} iterations", trace
-            )
-        it += 1
-        step = coarse_newton_step(d2, h, mw, R)
-        t = 1.0
-        accepted = False
-        last_domain_error = None
-        for _ in range(damping_max + 1):
-            trial = U + t * step
-            try:
-                R_t, d2_t, chi_t = residual(trial, chi)
-            except DomainError as exc:
-                last_domain_error = exc
-                t *= 0.5
-                continue
-            res_t = coarse_dual_norm(R_t)
-            if res_t < res:
-                U, R, d2, chi, res = trial, R_t, d2_t, chi_t, res_t
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            if last_domain_error is not None:
-                raise DomainError(
-                    f"coarse Newton step not recoverable by damping: {last_domain_error}"
-                ) from last_domain_error
-            raise SolverFailure(f"coarse Newton stalled at residual {res:.3e}", trace)
-        trace.append((it, res, t))
+    def step(_U, state):
+        R, d2, _chi = state
+        return coarse_newton_step(d2, h, mw, R)
+
+    U, (_R, _d2, chi), trace = damped_newton(
+        evaluate, step, U, tol, max_iter, damping_max, "coarse"
+    )
+    it, res, _ = trace[-1]
     return CoarseSolution(CoarseFn(mesh, U), res, it, chi, tuple(trace))
 
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .coarse import CoarseFn, ForceFunctional, Mesh1D, coarse_dual_norm
 from .lattice import LatticeFn
-from .microhom import HomogenizedLaw
 from .potentials import Microstructure, PotentialFamily
 
 
@@ -83,7 +82,6 @@ def calibrate_constant(report: ErrorReport, reference_error: float) -> float:
 
 
 def estimate_constants(
-    law: HomogenizedLaw,
     family: PotentialFamily,
     micro: Microstructure,
     z_lo: float = -0.1,

@@ -15,28 +15,27 @@ and its derivatives follow as
 where the strain sensitivity chi'(z) solves the cell system linearized at
 chi(z); the corrector term drops from dphi0 because chi(z) is stationary.
 
-The zero-mean constraint is enforced by eliminating the last micro value,
-which keeps the reduced cell Hessian symmetric positive definite whenever
-nearest-neighbor dominance holds.  Newton steps are damped by residual
-backtracking (halving) and, once the tolerance is met, polished with a few
-more full steps so that results are independent of the starting guess down
-to the attainable floor; this is what makes cached and fresh evaluations
-agree to ~1e-14 relative.
+``newton_cells`` solves a batch of cell problems, one per strain, in
+vectorized form; ``HomogenizedLaw.eval_strains`` evaluates phi0 and its
+derivatives from one such batch.  The zero-mean constraint is enforced by
+eliminating the last micro value, which keeps the reduced cell Hessian
+symmetric positive definite whenever nearest-neighbor dominance holds.
+Newton steps are damped by residual backtracking (halving) and, once the
+tolerance is met, polished with a few more full steps so that results are
+independent of the starting guess down to the attainable floor; this is
+what makes warm-started and cold evaluations agree to ~1e-14 relative.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError, SolverFailure, StabilityError
-from .lattice import MicroFn
 from .potentials import PotentialFamily, ramp_guess
 
 _POLISH_ROUNDS = 6
-_CACHE_DIGITS = 12
 
 
 def _bond_arguments(family, z, chi):
@@ -203,83 +202,20 @@ def newton_cells(family, z, chi0, tol, max_iter, damping_max):
     return chi, res, iters
 
 
-def solve_cell_raw(family, z, chi0, tol, max_iter, damping_max):
-    """Single cell problem; returns (chi (p,), residual, iterations)."""
-    chi, res, iters = newton_cells(
-        family, np.array([z]), np.asarray(chi0, dtype=float)[None, :], tol, max_iter, damping_max
-    )
-    return chi[0], float(res[0]), int(iters[0])
-
-
-@dataclass(frozen=True)
-class MicroSolution:
-    """Converged cell problem at one macroscopic strain."""
-
-    z: float
-    chi: MicroFn
-    residual: float
-    iterations: int
-
-
 @dataclass
 class HomogenizedLaw:
-    """Potential family plus micro-solver settings and a strain-keyed cache.
+    """Potential family plus the micro-solver settings of its cell problems.
 
-    The cache maps strains (rounded to 12 digits) to MicroSolutions; a
-    lookup never alters the returned values, and nearest cached strains
-    seed Newton as warm starts.  Safe for concurrent evaluation: cache
-    mutation is guarded by a lock and converged values do not depend on
-    which warm start was used (see module docstring).
+    Every evaluation solves its cell problems afresh, from ``warm`` when
+    given and otherwise from zero (or the equilibrium-spacing ramp when
+    zero is inadmissible); converged values do not depend on the start
+    (see module docstring).
     """
 
     family: PotentialFamily
     tol: float = 1e-12
     max_iter: int = 60
     damping_max: int = 30
-    cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._lock = threading.Lock()
-
-    def clear_cache(self):
-        with self._lock:
-            self.cache.clear()
-
-    def _default_guess(self, z: float) -> np.ndarray:
-        p = self.family.p
-        guess = np.zeros(p)
-        y = np.arange(p)
-        ok = all(
-            bool(np.all(self.family.admissible(r, z + (np.roll(guess, -r) - guess) / r, y)))
-            for r in range(1, self.family.R + 1)
-        )
-        return guess if ok else ramp_guess(self.family)
-
-    def _warm_guess(self, z: float) -> np.ndarray:
-        with self._lock:
-            if not self.cache:
-                return self._default_guess(z)
-            zc = min(self.cache, key=lambda key: abs(key - z))
-            return self.cache[zc].chi.values.copy()
-
-    def solve_cell(self, z: float, warm_start: MicroFn | None = None) -> MicroSolution:
-        """Solve the cell problem at strain z (warm-started from the cache)."""
-        key = round(float(z), _CACHE_DIGITS)
-        with self._lock:
-            hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        if warm_start is not None:
-            guess = warm_start.values.copy()
-        else:
-            guess = self._warm_guess(z)
-        chi, res, iters = solve_cell_raw(
-            self.family, z, guess, self.tol, self.max_iter, self.damping_max
-        )
-        sol = MicroSolution(float(z), MicroFn(self.family.p, chi), res, iters)
-        with self._lock:
-            self.cache.setdefault(key, sol)
-        return sol
 
     def eval_strains(self, z, warm: np.ndarray | None = None):
         """Vectorized law evaluation at a batch of strains.
@@ -331,25 +267,12 @@ class HomogenizedLaw:
         return phi0, dphi0, d2phi0, chi
 
     def eval(self, z: float):
-        """(phi0, dphi0, d2phi0) at one strain, via the cached cell solve."""
-        sol = self.solve_cell(float(z))
-        phi0, dphi0, d2phi0, _chi = self.eval_strains(
-            np.array([z], dtype=float), warm=sol.chi.values[None, :]
-        )
+        """(phi0, dphi0, d2phi0) at one strain, from a cold cell solve."""
+        phi0, dphi0, d2phi0, _chi = self.eval_strains(float(z))
         return float(phi0[0]), float(dphi0[0]), float(d2phi0[0])
 
     def tabulate(self, z_grid):
         """Array of rows (z, phi0, dphi0, d2phi0) over a strain grid."""
-        rows = []
-        for z in np.asarray(z_grid, dtype=float):
-            phi0, dphi0, d2phi0 = self.eval(float(z))
-            rows.append((float(z), phi0, dphi0, d2phi0))
-        return np.array(rows)
-
-
-def solve_cell(law: HomogenizedLaw, z: float, warm_start: MicroFn | None = None) -> MicroSolution:
-    return law.solve_cell(z, warm_start)
-
-
-def homogenized_eval(law: HomogenizedLaw, z: float):
-    return law.eval(z)
+        z = np.asarray(z_grid, dtype=float)
+        phi0, dphi0, d2phi0, _chi = self.eval_strains(z)
+        return np.column_stack([z, phi0, dphi0, d2phi0])

@@ -200,7 +200,7 @@ def ground_microstructure(
     increasing and ||chi_*||_inf <= (p-1)/2; violations raise
     :class:`StabilityError`.
     """
-    from .microhom import solve_cell_raw
+    from .microhom import newton_cells
 
     p = family.p
     if p == 1:
@@ -212,9 +212,11 @@ def ground_microstructure(
     )
     if not ok:
         guess = ramp_guess(family)
-    chi, _res, _iters = solve_cell_raw(family, 0.0, guess, tol, max_iter, damping_max)
-    validate_microstructure(chi, "ground microstructure")
-    return Microstructure(MicroFn(p, chi))
+    chi, _res, _iters = newton_cells(
+        family, np.zeros(1), guess[None, :], tol, max_iter, damping_max
+    )
+    validate_microstructure(chi[0], "ground microstructure")
+    return Microstructure(MicroFn(p, chi[0]))
 
 
 def nn_dominance_margin(family: PotentialFamily, micro: Microstructure) -> float:

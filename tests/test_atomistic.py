@@ -17,6 +17,7 @@ from hqc import (
     solve_homogenized_full,
     translate,
 )
+from hqc.atomistic import damped_newton
 from hqc.exceptions import SolverFailure
 from hqc.linsolve import cyclic_to_dense
 from hqc.study import microstructure_start, sin_force
@@ -102,6 +103,48 @@ class TestEnergyGradHess:
         )
         assert prob.subtracted_mean == pytest.approx(1.0)
         assert abs(prob.force.values.mean()) < 1e-15
+
+
+def abs_norm(x, _prev):
+    """Stub evaluation for a scalar iterate: terminate and trace on |x|."""
+    return x, None, abs(x), abs(x)
+
+
+class TestDampedNewton:
+    def test_max_iter_reached(self):
+        # each full step only halves |x|
+        with pytest.raises(SolverFailure, match="stub Newton: .* after 3 iterations") as err:
+            damped_newton(abs_norm, lambda x, _s: -0.5 * x, 1.0, 1e-12, 3, 5, "stub")
+        assert [row[0] for row in err.value.trace] == [0, 1, 2, 3]
+
+    def test_no_decrease_stalls(self):
+        # an ascent direction: every trial, however damped, raises |x|
+        with pytest.raises(SolverFailure, match="stub Newton stalled") as err:
+            damped_newton(abs_norm, lambda x, _s: x, 1.0, 1e-12, 60, 5, "stub")
+        assert err.value.trace == [(0, 1.0, 0.0)]
+
+    @pytest.mark.parametrize("exc", [DomainError, SolverFailure])
+    def test_failing_trials_reraise_their_class(self, exc):
+        def evaluate(x, prev):
+            if prev is not None:
+                raise exc("inadmissible trial")
+            return x, "state", abs(x), abs(x)
+
+        with pytest.raises(exc, match="stub Newton step not recoverable by damping") as err:
+            damped_newton(evaluate, lambda x, _s: -x, 1.0, 1e-12, 60, 5, "stub")
+        assert isinstance(err.value.__cause__, exc)
+        if exc is SolverFailure:
+            assert err.value.trace == [(0, 1.0, 0.0)]
+
+    def test_step_failure_is_not_damped(self):
+        failure = SolverFailure("singular Jacobian")
+
+        def step(_x, _s):
+            raise failure
+
+        with pytest.raises(SolverFailure) as err:
+            damped_newton(abs_norm, step, 1.0, 1e-12, 60, 5, "stub")
+        assert err.value is failure
 
 
 class TestSolveAtomistic:

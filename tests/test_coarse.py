@@ -349,6 +349,33 @@ class TestSingularJacobian:
             solve_coarse(FlatLaw(), uniform_mesh(grid, m), F)
 
 
+class FailingOnceLaw:
+    """Wraps a law; the cell solve at the first trial point of the first
+    Newton step (the second evaluation) raises SolverFailure."""
+
+    def __init__(self, law):
+        self.law = law
+        self.calls = 0
+
+    def eval_strains(self, z, warm=None):
+        self.calls += 1
+        if self.calls == 2:
+            raise SolverFailure("micro damping stalled")
+        return self.law.eval_strains(z, warm=warm)
+
+
+class TestCellFailureAtTrialPoint:
+    def test_step_is_halved(self, lj_setup):
+        law, grid, f = lj_setup
+        mesh = uniform_mesh(grid, 16)
+        F = ForceFunctional("exact_summation", f)
+        cs = solve_coarse(FailingOnceLaw(law), mesh, F)
+        assert cs.trace[1][2] == 0.5
+        assert cs.residual_dual <= 1e-10
+        ref = solve_coarse(law, mesh, F)
+        assert np.abs(cs.u.nodal_values - ref.u.nodal_values).max() <= 1e-10
+
+
 class TestCorrector:
     def test_single_species_identity(self):
         rng = np.random.default_rng(76)

@@ -94,27 +94,25 @@ class TestEstimateConstants:
         for _ in range(10):
             k1, k2 = rng.uniform(0.2, 4.0, size=2)
             fam = quadratic_family([k1, k2], [0.0, 0.0])
-            law = HomogenizedLaw(fam)
             micro = ground_microstructure(fam)
-            c11, c0 = estimate_constants(law, fam, micro)
+            c11, c0 = estimate_constants(fam, micro)
             assert c11 == pytest.approx(max(k1, k2), rel=1e-13)
             assert c0 == pytest.approx(0.5 * min(k1, k2), rel=1e-13)
 
     def test_single_species_harmonic(self):
         fam = quadratic_family([1.0], [0.0])
-        law = HomogenizedLaw(fam)
-        c11, c0 = estimate_constants(law, fam, ground_microstructure(fam))
+        c11, c0 = estimate_constants(fam, ground_microstructure(fam))
         assert (c11, c0) == (1.0, 0.5)
 
     def test_lj_positive_finite(self, lj_setup):
-        lj, law, _, _ = lj_setup
-        c11, c0 = estimate_constants(law, lj, ground_microstructure(lj))
+        lj, _, _, _ = lj_setup
+        c11, c0 = estimate_constants(lj, ground_microstructure(lj))
         assert 0 < c0 < c11 < np.inf
 
     def test_empty_range_rejected(self, lj_setup):
-        lj, law, _, _ = lj_setup
+        lj, _, _, _ = lj_setup
         with pytest.raises(ValueError):
-            estimate_constants(law, lj, ground_microstructure(lj), z_lo=0.1, z_hi=-0.1)
+            estimate_constants(lj, ground_microstructure(lj), z_lo=0.1, z_hi=-0.1)
 
 
 class TestAdaptMesh:

@@ -4,13 +4,12 @@ import pytest
 from hqc import (
     DomainError,
     HomogenizedLaw,
-    MicroFn,
     ground_microstructure,
     lj_family,
     quadratic_family,
 )
 from hqc.exceptions import SolverFailure
-from hqc.microhom import _bond_arguments, _cell_gradient
+from hqc.microhom import _bond_arguments, _cell_gradient, newton_cells
 
 
 @pytest.fixture(scope="module")
@@ -18,49 +17,53 @@ def lj_law():
     return HomogenizedLaw(lj_family([1.0, 9.0 / 8.0], R=3))
 
 
+def solve_cells(law, z, chi0):
+    """Batched cell solve with the law's settings: (chi, residual, iterations)."""
+    return newton_cells(
+        law.family, np.atleast_1d(z), chi0, law.tol, law.max_iter, law.damping_max
+    )
+
+
 class TestSolveCell:
     def test_single_species_trivial(self):
         law = HomogenizedLaw(quadratic_family([1.3], [0.0]))
-        sol = law.solve_cell(0.2)
-        assert sol.chi.values[0] == 0.0
-        assert sol.iterations == 0
-        assert sol.residual == 0.0
+        chi, res, iters = solve_cells(law, 0.2, np.zeros((1, 1)))
+        assert chi[0, 0] == 0.0
+        assert iters[0] == 0
+        assert res[0] == 0.0
+        assert law.eval_strains(0.2)[3][0, 0] == 0.0
 
     def test_quadratic_alternating_strain(self):
         # D chi alternates +-d with d = (k2 - k1) z / (k1 + k2)
         k1, k2, z = 1.0, 2.0, 0.3
         law = HomogenizedLaw(quadratic_family([k1, k2], [0.0, 0.0]))
-        sol = law.solve_cell(z)
+        chi, res, _ = solve_cells(law, z, np.zeros((1, 2)))
         d = (k2 - k1) * z / (k1 + k2)
-        chi = sol.chi.values
-        assert np.allclose(np.roll(chi, -1) - chi, [d, -d], atol=1e-13)
-        assert abs(chi.mean()) < 1e-13
-        assert sol.residual <= law.tol
+        assert np.allclose(np.roll(chi[0], -1) - chi[0], [d, -d], atol=1e-13)
+        assert abs(chi[0].mean()) < 1e-13
+        assert res[0] <= law.tol
+        assert np.abs(law.eval_strains(z)[3] - chi).max() <= 1e-13
 
     def test_ground_state_is_fixed_point(self, lj_law):
-        chi_star = ground_microstructure(lj_law.family).chi_star
-        sol = lj_law.solve_cell(0.0, warm_start=chi_star)
-        assert np.abs(sol.chi.values - chi_star.values).max() < 1e-12
-        assert sol.iterations <= 2
+        chi_star = ground_microstructure(lj_law.family).chi_star.values
+        chi, _, iters = solve_cells(lj_law, 0.0, chi_star[None, :])
+        assert np.abs(chi[0] - chi_star).max() < 1e-12
+        assert iters[0] <= 2
 
     def test_residual_contract(self, lj_law):
-        for z in (-0.05, 0.0, 0.08):
-            sol = lj_law.solve_cell(z)
-            g = _cell_gradient(
-                lj_law.family,
-                _bond_arguments(lj_law.family, np.array([z]), sol.chi.values[None, :]),
-                np.arange(2),
-            )
-            assert np.abs(g).max() <= lj_law.tol
+        z = np.array([-0.05, 0.0, 0.08])
+        chi = lj_law.eval_strains(z)[3]
+        g = _cell_gradient(lj_law.family, _bond_arguments(lj_law.family, z, chi), np.arange(2))
+        assert np.abs(g).max() <= lj_law.tol
 
     def test_inadmissible_strain(self, lj_law):
         with pytest.raises(DomainError):
-            lj_law.solve_cell(-1.2)
+            lj_law.eval_strains(-1.2)
 
     def test_nonconvergence_reported(self):
         law = HomogenizedLaw(lj_family([1.0, 9.0 / 8.0], R=3), max_iter=1)
         with pytest.raises(SolverFailure):
-            law.solve_cell(0.3)
+            law.eval_strains(0.3)
 
 
 class TestHomogenizedEval:
@@ -102,23 +105,6 @@ class TestHomogenizedEval:
         assert nn_dominance_margin(lj_law.family, micro) > 0
         assert lj_law.eval(0.0)[2] > 0
 
-    def test_cache_transparency(self):
-        fam = lj_family([1.0, 9.0 / 8.0], R=3)
-        warm_law = HomogenizedLaw(fam)
-        # populate the cache with nearby strains so the query is warm-started
-        for z in (-0.021, -0.019, 0.018, 0.023):
-            warm_law.solve_cell(z)
-        cold_law = HomogenizedLaw(fam)
-        for z in (-0.02, 0.02):
-            a = np.array(warm_law.eval(z))
-            b = np.array(cold_law.eval(z))
-            assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
-
-    def test_cache_lookup_returns_stored_solution(self, lj_law):
-        sol1 = lj_law.solve_cell(0.04)
-        sol2 = lj_law.solve_cell(0.04)
-        assert sol2 is sol1
-
 
 class TestEvalStrains:
     def test_matches_scalar_path(self, lj_law):
@@ -147,7 +133,11 @@ class TestEvalStrains:
 
 class TestWarmStartInterface:
     def test_explicit_micro_warm_start(self, lj_law):
-        sol = lj_law.solve_cell(0.05)
+        chi = lj_law.eval_strains(0.05)[3]
         law2 = HomogenizedLaw(lj_law.family)
-        sol2 = law2.solve_cell(0.0501, warm_start=MicroFn(2, sol.chi.values))
-        assert sol2.residual <= law2.tol
+        warm = law2.eval_strains(0.0501, warm=chi)
+        _, res, _ = solve_cells(law2, 0.0501, chi)
+        assert res[0] <= law2.tol
+        cold = law2.eval_strains(0.0501)
+        for a, b in zip(warm[:3], cold[:3]):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
