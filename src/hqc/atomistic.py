@@ -128,8 +128,9 @@ def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
     recorded in the trace.  ``step(x, state)`` returns the Newton direction.
     A trial point is accepted when its norm drops below the current one;
     otherwise, or when evaluating it raises DomainError or SolverFailure,
-    the step is halved; when no halving is accepted, the last such error is
-    re-raised as its own class.  Returns ``(x, state, trace)`` with trace
+    the step is halved.  When no halving is accepted, an error from the
+    final (smallest) trial is re-raised as its own class; if that trial
+    evaluated, the solve has stalled.  Returns ``(x, state, trace)`` with trace
     rows (iteration, trace_value, step_damping); every SolverFailure raised
     here carries the trace so far.
     """
@@ -152,6 +153,7 @@ def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
                 last_error = exc
                 t *= 0.5
                 continue
+            last_error = None
             if trial[2] < res:
                 x, state, res, value = trial
                 break

@@ -19,6 +19,11 @@ construction.  The (2,2)-cell solve below verifies the staggered pattern
 for a macroscopic strain vector g, and builds the homogenized quadratic
 form used by the P1 coarse solver on the structured triangulation (t^2
 nodes, 2 t^2 right triangles, every square split along the same diagonal).
+
+Both linear systems are exactly periodic: the bond operator repeats on the
+(2,2) cell and the P1 stiffness with the constant form Q on every node.
+``linsolve.solve_periodic_2d`` inverts each with one FFT solve, without
+iteration or tolerance.
 """
 
 from __future__ import annotations
@@ -26,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .exceptions import SolverFailure, StabilityError
+from .exceptions import StabilityError
+from .linsolve import solve_periodic_2d
 
 #: neighbor directions; reflections are implied
 DIRECTIONS = ((1, 0), (1, 1), (0, 1), (-1, 1))
@@ -113,48 +117,17 @@ def energy2d(model: SpringModel2D, u: Displacement2D):
     return E, Displacement2D(u.N1, u.N2, g)
 
 
-def solve_atomistic_2d(
-    model: SpringModel2D,
-    f: Displacement2D,
-    rtol: float = 1e-10,
-    max_iter: int = 200_000,
-):
-    """Conjugate-gradient equilibrium solve, one component at a time.
+def solve_atomistic_2d(model: SpringModel2D, f: Displacement2D):
+    """Exact equilibrium solve: A u_c = eps^2 f_c on the zero-mean subspace.
 
-    Solves A u_c = eps^2 f_c on the zero-mean subspace to relative
-    residual rtol.  Returns (Displacement2D, iterations).
+    The bond operator repeats on the (2,2) cell, so one FFT solve
+    (``solve_periodic_2d``) inverts it for both components.  Returns
+    (Displacement2D, 0); the 0 counts iterations, and the solve has none.
     """
     _check_even(f.N1, f.N2)
     eps2 = 1.0 / (f.N1 * f.N2)
-    out = np.zeros_like(f.values)
-    total_iters = 0
-    for c in range(2):
-        b = eps2 * (f.values[c] - f.values[c].mean())
-        bnorm = float(np.linalg.norm(b))
-        if bnorm == 0.0:
-            continue
-        x = np.zeros_like(b)
-        r = b.copy()
-        d = r.copy()
-        rs = float((r * r).sum())
-        it = 0
-        while np.sqrt(rs) > rtol * bnorm:
-            if it >= max_iter:
-                raise SolverFailure(f"CG did not converge (component {c})")
-            Ad = _apply_scalar(model, d)
-            alpha = rs / float((d * Ad).sum())
-            x += alpha * d
-            r -= alpha * Ad
-            rs_new = float((r * r).sum())
-            d = r + (rs_new / rs) * d
-            rs = rs_new
-            it += 1
-            if it % 64 == 0:  # remove roundoff drift along the constant mode
-                r -= r.mean()
-                x -= x.mean()
-        out[c] = x - x.mean()
-        total_iters += it
-    return Displacement2D(f.N1, f.N2, out), total_iters
+    u = solve_periodic_2d(lambda v: _apply_scalar(model, v), eps2 * f.values, (2, 2))
+    return Displacement2D(f.N1, f.N2, u), 0
 
 
 @dataclass(frozen=True)
@@ -257,12 +230,6 @@ class Homogenized2D:
     def corrector_matrix(self) -> np.ndarray:
         return self.corrector_scale * np.eye(2)
 
-    def sampling_form(self, triangle_index: int) -> np.ndarray:
-        """Effective form of a triangle's sampling domain.  The model is
-        homogeneous-periodic, so every sampling domain resolves to the one
-        shared cell solve."""
-        return self.Q
-
 
 def homogenize2d(model: SpringModel2D) -> Homogenized2D:
     """Solve the (2,2) cell for both unit strains and assemble the
@@ -281,41 +248,27 @@ def homogenize2d(model: SpringModel2D) -> Homogenized2D:
     return Homogenized2D(model, chi_unit, Q, scale, dev, gap)
 
 
-def _p1_assemble(Q: np.ndarray, t: int) -> scipy.sparse.csc_matrix:
-    """Periodic P1 stiffness on the structured triangulation (t^2 nodes)."""
-    h = 1.0 / t
-    # gradients of the three nodal values on the two triangle shapes
-    G1 = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]) / h  # (n00, n10, n11)
-    G2 = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]]) / h  # (n00, n11, n01)
-    area = 0.5 * h * h
-    K1 = area * G1.T @ Q @ G1
-    K2 = area * G2.T @ Q @ G2
-    I, J = np.meshgrid(np.arange(t), np.arange(t), indexing="ij")
-    n00 = (I * t + J).ravel()
-    n10 = (((I + 1) % t) * t + J).ravel()
-    n01 = (I * t + (J + 1) % t).ravel()
-    n11 = (((I + 1) % t) * t + (J + 1) % t).ravel()
-    rows, cols, vals = [], [], []
-    for K, tri in ((K1, (n00, n10, n11)), (K2, (n00, n11, n01))):
-        for a in range(3):
-            for bb in range(3):
-                rows.append(tri[a])
-                cols.append(tri[bb])
-                vals.append(np.full(t * t, K[a, bb]))
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(t * t, t * t),
-    ).tocsc()
+#: nodal gradients of the two triangle shapes of a square, times h:
+#: (n00, n10, n11) below the main diagonal, (n00, n11, n01) above it
+_P1_TRIANGLES = (
+    (np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]), ((0, 0), (1, 0), (1, 1))),
+    (np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]]), ((0, 0), (1, 1), (0, 1))),
+)
 
 
-def _p1_solve(Q, t, load):
-    """Zero-mean nodal solution of the periodic P1 system (KKT bordering)."""
-    A = _p1_assemble(Q, t)
-    c = scipy.sparse.csc_matrix(np.ones((t * t, 1)) / (t * t))
-    K = scipy.sparse.bmat([[A, c], [c.T, None]], format="csc")
-    b = load.ravel() - load.mean()
-    sol = scipy.sparse.linalg.spsolve(K, np.concatenate([b, [0.0]]))
-    return sol[:-1].reshape(t, t)
+def _p1_apply(Q: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Periodic P1 stiffness of the form Q applied to a nodal grid (t, t).
+
+    The element matrix 0.5 G^T Q G does not depend on h (gradients scale
+    with 1/h, areas with h^2).
+    """
+    out = np.zeros_like(U)
+    for G, nodes in _P1_TRIANGLES:
+        K = 0.5 * G.T @ Q @ G
+        at = [np.roll(U, (-o[0], -o[1]), (0, 1)) for o in nodes]  # U at each node of the square
+        for a, o in enumerate(nodes):
+            out += np.roll(sum(K[a, b] * at[b] for b in range(3)), o, (0, 1))
+    return out
 
 
 def _p1_on_atoms(U: np.ndarray, N: int):
@@ -363,10 +316,10 @@ def solve_coarse_2d(hom: Homogenized2D, f: Displacement2D, t: int) -> Displaceme
     # sign pattern is already contained in the cell fields chi_unit
     cell = ((m1 + 1) % 2, (m2 + 1) % 2)
     eps = 1.0 / N1
+    loads = f.values[:, nodes[:, None], nodes] / (t * t)
+    Us = solve_periodic_2d(lambda U: _p1_apply(hom.Q, U), loads, (1, 1))
     for comp in range(2):
-        load = f.values[comp][np.ix_(nodes, nodes)] / (t * t)
-        U = _p1_solve(hom.Q, t, load)
-        vals, grad = _p1_on_atoms(U, N1)
+        vals, grad = _p1_on_atoms(Us[comp], N1)
         add = np.zeros_like(vals)
         for beta in range(2):
             add += grad[beta] * hom.chi_unit[beta][cell]
@@ -409,16 +362,16 @@ def solve2d(
     f: Displacement2D,
     mode="atomistic",
     reference: Displacement2D | None = None,
-    rtol: float = 1e-10,
 ):
-    """Solve in ``"atomistic"`` mode (CG) or ``("coarse", t)`` mode
-    (P1 + corrector); with a reference, gradient/value errors are reported.
+    """Solve in ``"atomistic"`` mode (exact FFT solve) or ``("coarse", t)``
+    mode (P1 + corrector); with a reference, gradient/value errors are
+    reported.
 
     Returns (Displacement2D, info dict).
     """
     if mode == "atomistic":
-        u, iters = solve_atomistic_2d(model, f, rtol=rtol)
-        info = {"mode": "atomistic", "iterations": iters}
+        u, _ = solve_atomistic_2d(model, f)
+        info = {"mode": "atomistic"}
     else:
         kind, t = mode
         if kind != "coarse":

@@ -1,4 +1,4 @@
-"""Linear solves with cyclic (periodic) banded matrices.
+"""Linear solves with periodic operators: cyclic banded in 1D, block circulant in 2D.
 
 A cyclic band of halfwidth R is stored as ``diags`` of shape (2R+1, N)
 with ``diags[R + d, i] = A[i, (i + d) % N]`` for offsets d = -R..R.
@@ -14,6 +14,11 @@ The mean regularization replaces A by A + (alpha/N) * ones * ones^T.  When
 the constants span ker(A) and the right-hand side has zero mean, the
 regularized solve returns exactly the zero-mean solution, independent of
 alpha > 0.
+
+``solve_periodic_2d`` inverts a periodic 2D operator that repeats on a
+cell of sites exactly: probing the operator with one impulse per cell site
+gives its block symbol, which ``np.fft.fft2`` over the cell indices turns
+into one small dense system per frequency.
 """
 
 from __future__ import annotations
@@ -133,3 +138,41 @@ def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray, mean_reg: float = 0.
     if not np.isfinite(x).all() or np.abs(resid).max() > 1e-8 * scale:
         return _solve_kkt_sparse(diags, rhs, mean_reg)
     return x
+
+
+def solve_periodic_2d(apply, rhs: np.ndarray, cell: tuple[int, int]) -> np.ndarray:
+    """Zero-mean x with apply(x) = rhs - mean(rhs) on a periodic N1 x N2 grid.
+
+    ``apply`` maps an (N1, N2) array to an (N1, N2) array.  It must be
+    linear and symmetric, commute with shifts by ``cell`` = (c1, c2) and
+    have the constants as its kernel.  ``rhs`` has shape (..., N1, N2);
+    all leading entries are solved with one symbol.  The singular
+    zero-frequency block is mean-regularized as in ``solve_cyclic_banded``;
+    the result does not depend on the regularization weight.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    N1, N2 = rhs.shape[-2:]
+    c1, c2 = cell
+    if N1 % c1 or N2 % c2:
+        raise ValueError(f"grid {N1}x{N2} is not a multiple of the cell {c1}x{c2}")
+    n1, n2, m = N1 // c1, N2 // c2, c1 * c2
+
+    def blocks(v):  # (B, N1, N2) -> (n1, n2, m, B), sites ordered (a, b) within a cell
+        return v.reshape(-1, n1, c1, n2, c2).transpose(1, 3, 2, 4, 0).reshape(n1, n2, m, -1)
+
+    impulses = np.zeros((m, N1, N2))
+    for k in range(m):
+        impulses[k, k // c2, k % c2] = 1.0
+    # column k of the symbol is the response to an impulse at cell site k
+    symbol = np.fft.fft2(blocks(np.stack([apply(e) for e in impulses])), axes=(0, 1))
+    symbol[0, 0] += float(np.abs(symbol).max()) / m
+    b = rhs.reshape(-1, N1, N2)
+    b = b - b[:, :1, :1]  # removes a constant rhs exactly, so that it gives x = 0
+    b -= b.mean(axis=(1, 2), keepdims=True)
+    try:
+        xhat = np.linalg.solve(symbol, np.fft.fft2(blocks(b), axes=(0, 1)))
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure("singular periodic symbol") from exc
+    x = np.fft.ifft2(xhat, axes=(0, 1)).real
+    x = x.reshape(n1, n2, c1, c2, -1).transpose(4, 0, 2, 1, 3).reshape(rhs.shape)
+    return x - x.mean(axis=(-2, -1), keepdims=True)

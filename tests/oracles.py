@@ -86,3 +86,54 @@ def coarse_step_dense(d2: np.ndarray, h: np.ndarray, mw: np.ndarray, R: np.ndarr
     B[: M - 1] = np.eye(M - 1)
     B[M - 1] = -mw[:-1] / mw[-1]
     return B @ np.linalg.solve(B.T @ J @ B, -B.T @ R)
+
+
+def probe_matrix(apply, shape) -> np.ndarray:
+    """Dense matrix of a linear grid operator, probed column by column."""
+    n = int(np.prod(shape))
+    columns = []
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        columns.append(apply(e.reshape(shape)).ravel())
+    return np.stack(columns, axis=1)
+
+
+def zero_mean_dense_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Zero-mean x with A x = rhs - mean(rhs), from the dense system
+    bordered by the mean constraint (a Lagrange multiplier)."""
+    n = rhs.size
+    K = np.zeros((n + 1, n + 1))
+    K[:n, :n] = A
+    K[:n, n] = 1.0
+    K[n, :n] = 1.0
+    b = np.concatenate([rhs.ravel() - rhs.mean(), [0.0]])
+    return np.linalg.solve(K, b)[:n].reshape(rhs.shape)
+
+
+def p1_stiffness_dense(Q: np.ndarray, t: int) -> np.ndarray:
+    """Periodic P1 stiffness of the form Q on the structured t x t
+    triangulation, assembled element by element.
+
+    Node (i, j) has index i * t + j; every square is split along its main
+    diagonal into (n00, n10, n11) and (n00, n11, n01).
+    """
+    h = 1.0 / t
+    G_lower = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]) / h
+    G_upper = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]]) / h
+    area = 0.5 * h * h
+
+    def node(i, j):
+        return (i % t) * t + (j % t)
+
+    A = np.zeros((t * t, t * t))
+    for i in range(t):
+        for j in range(t):
+            lower = (node(i, j), node(i + 1, j), node(i + 1, j + 1))
+            upper = (node(i, j), node(i + 1, j + 1), node(i, j + 1))
+            for G, tri in ((G_lower, lower), (G_upper, upper)):
+                K = area * G.T @ Q @ G
+                for a in range(3):
+                    for b in range(3):
+                        A[tri[a], tri[b]] += K[a, b]
+    return A

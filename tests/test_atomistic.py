@@ -136,6 +136,23 @@ class TestDampedNewton:
         if exc is SolverFailure:
             assert err.value.trace == [(0, 1.0, 0.0)]
 
+    def test_early_trial_failure_then_stall_reports_stall(self):
+        # only the full-length trial fails; every halving evaluates but
+        # raises |x|, so the solve stalled and the old error is not re-raised
+        trials = []
+
+        def evaluate(x, prev):
+            if prev is not None:
+                trials.append(x)
+                if len(trials) == 1:
+                    raise SolverFailure("cell failure at the full step")
+            return x, "state", abs(x), abs(x)
+
+        with pytest.raises(SolverFailure, match="stub Newton stalled") as err:
+            damped_newton(evaluate, lambda x, _s: x, 1.0, 1e-12, 60, 5, "stub")
+        assert err.value.__cause__ is None
+        assert len(trials) == 6
+
     def test_step_failure_is_not_damped(self):
         failure = SolverFailure("singular Jacobian")
 

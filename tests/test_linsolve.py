@@ -1,8 +1,13 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqc.linsolve import cyclic_matvec, cyclic_to_dense, solve_cyclic_banded
+from hqc.exceptions import SolverFailure
+from hqc.lattice2d import SpringModel2D, _apply_scalar, _p1_apply
+from hqc.linsolve import cyclic_matvec, cyclic_to_dense, solve_cyclic_banded, solve_periodic_2d
+
+from oracles import p1_stiffness_dense, probe_matrix, zero_mean_dense_solve
 
 
 def random_cyclic_spd(rng, N, R):
@@ -78,3 +83,79 @@ class TestCyclicBanded:
         x = solve_cyclic_banded(diags, b, mean_reg=mean_reg)
         x_ref = np.linalg.solve(cyclic_to_dense(diags) + mean_reg / N, b)
         assert np.abs(x - x_ref).max() <= 1e-10 * max(1.0, np.abs(x_ref).max())
+
+
+stiffness = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # log-uniform in [1e-3, 1e3]
+even_size = st.integers(1, 6).map(lambda n: 2 * n)
+
+
+def condition_number(A):
+    """lambda_max / lambda_2 of a symmetric matrix whose kernel is the constants."""
+    ev = np.linalg.eigvalsh(A)
+    return ev[-1] / ev[1]
+
+
+class TestPeriodic2D:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.tuples(stiffness, stiffness, stiffness),
+        N1=even_size,
+        N2=even_size,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spring_operator_matches_dense_solve(self, k, N1, N2, seed):
+        model = SpringModel2D(*k)
+
+        def apply(v):
+            return _apply_scalar(model, v)
+
+        rng = np.random.default_rng(seed)
+        rhs = rng.standard_normal((2, N1, N2))
+        x = solve_periodic_2d(apply, rhs, (2, 2))
+        A = probe_matrix(apply, (N1, N2))
+        tol = 1e-13 * condition_number(A)
+        for c in range(2):
+            x_ref = zero_mean_dense_solve(A, rhs[c])
+            assert abs(x[c].mean()) <= 1e-14 * np.abs(x_ref).max()
+            assert np.abs(x[c] - x_ref).max() <= tol * np.abs(x_ref).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+    def test_p1_stiffness_matches_element_assembly(self, t, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((2, 2))
+        Q = B @ B.T + 0.1 * np.eye(2)
+        U = rng.standard_normal((t, t))
+        A = p1_stiffness_dense(Q, t)
+        assert np.abs(_p1_apply(Q, U).ravel() - A @ U.ravel()).max() <= 1e-14 * (
+            np.abs(A).max() * np.abs(U).max()
+        )
+        x = solve_periodic_2d(lambda V: _p1_apply(Q, V), U, (1, 1))
+        x_ref = zero_mean_dense_solve(A, U)
+        assert np.abs(x - x_ref).max() <= 1e-13 * condition_number(A) * np.abs(x_ref).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        value=st.floats(-1e6, 1e6),
+        N1=even_size,
+        N2=even_size,
+        cell=st.sampled_from([(1, 1), (2, 2)]),
+    )
+    def test_constant_rhs_gives_zero(self, value, N1, N2, cell):
+        model = SpringModel2D(1.0, 2.0, 0.25)
+        operators = {
+            (2, 2): lambda v: _apply_scalar(model, v),
+            (1, 1): lambda v: _p1_apply(np.array([[2.0, -0.5], [-0.5, 1.0]]), v),
+        }
+        x = solve_periodic_2d(operators[cell], np.full((N1, N2), value), cell)
+        assert not x.any()
+
+    def test_grid_must_tile_the_cell(self):
+        with pytest.raises(ValueError):
+            solve_periodic_2d(lambda v: v, np.zeros((4, 6)), (4, 4))
+
+    def test_singular_symbol_raises(self):
+        # the zero operator has every field in its kernel, not only constants
+        rhs = np.arange(16.0).reshape(4, 4)
+        with pytest.raises(SolverFailure, match="singular periodic symbol"):
+            solve_periodic_2d(lambda v: 0.0 * v, rhs, (1, 1))
