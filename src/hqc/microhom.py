@@ -15,19 +15,33 @@ and its derivatives follow as
 where the strain sensitivity chi'(z) solves the cell system linearized at
 chi(z); the corrector term drops from dphi0 because chi(z) is stationary.
 
-``newton_cells`` solves a batch of cell problems, one per strain, in
-vectorized form; ``HomogenizedLaw.eval_strains`` evaluates phi0 and its
-derivatives from one such batch.  The zero-mean constraint is enforced by
-eliminating the last micro value, which keeps the reduced cell Hessian
-symmetric positive definite whenever nearest-neighbor dominance holds.
-Newton steps are damped by residual backtracking (halving) and, once the
-tolerance is met, polished with a few more full steps so that results are
-independent of the starting guess down to the attainable floor; this is
-what makes warm-started and cold evaluations agree to ~1e-14 relative.
+The cell kernel stacks the shells.  A batch of m cells holds its bond
+arguments in one (m, R p) array whose column (r - 1) p + y is
+z + D_{y,r} chi, computed as z + chi D^T with the (R p) x p difference
+matrix D; the bond derivatives d1, d2 are stacked the same way, one
+``PotentialFamily`` call per shell, and the cell gradient is d1 D / p.
+The zero-mean constraint is enforced by eliminating the last micro value,
+chi = E c, which keeps the reduced cell Hessian symmetric positive
+definite whenever nearest-neighbor dominance holds: with G = D E the
+reduced gradient is d1 G / p and the reduced Hessian G^T diag(d2) G / p,
+one batched matrix product.  D, E and G depend only on (p, R).
+
+``newton_cells`` solves a batch of cell problems, one per strain.  Every
+iterate carries its bond arguments, gradient and residual, and an
+accepted trial hands over its own, so each iterate's gradient is
+evaluated once.  Newton steps are damped by residual backtracking
+(halving) and, once the tolerance is met, polished with a few more full
+steps so that results are independent of the starting guess down to the
+attainable floor; this is what makes warm-started and cold evaluations
+agree to ~1e-14 relative.  ``HomogenizedLaw.eval_strains`` evaluates phi0
+and its derivatives from one such batch; d2phi0 = <d2> + b . c, where
+b = d2 G / p is the strain derivative of the reduced gradient and the
+reduced sensitivity c solves H c = -b.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,64 +52,80 @@ from .potentials import PotentialFamily, ramp_guess
 _POLISH_ROUNDS = 6
 
 
-def _bond_arguments(family, z, chi):
-    """args[r] (m, p): strain z plus the r-step micro difference."""
-    return {
-        r: z[:, None] + (np.roll(chi, -r, axis=1) - chi) / r
-        for r in range(1, family.R + 1)
-    }
+@dataclass(frozen=True)
+class _CellMaps:
+    """Shell-stacked linear maps of a p-site cell with R shells."""
+
+    y: np.ndarray  # (p,) species
+    DT: np.ndarray  # (p, R p) micro field -> bond differences
+    Dp: np.ndarray  # (R p, p) D / p: stacked d1 -> cell gradient
+    E: np.ndarray  # (p, p - 1) reduced -> zero-sum field
+    Gp: np.ndarray  # (R p, p - 1) G / p
+    GT: np.ndarray  # (p - 1, R p)
 
 
-def _admissible_rows(family, args, y):
-    ok = np.ones(args[1].shape[0], dtype=bool)
-    for r, a in args.items():
-        ok &= np.asarray(family.admissible(r, a, y)).all(axis=1)
-    return ok
+@functools.lru_cache(maxsize=None)
+def _cell_maps(p: int, R: int) -> _CellMaps:
+    y = np.arange(p)
+    r = np.arange(1, R + 1)
+    nbr = (y + r[:, None]) % p  # (R, p): the shell-r neighbour of site y
+    eye = np.eye(p)
+    D = ((eye[nbr] - eye) / r[:, None, None]).reshape(R * p, p)
+    E = np.vstack([np.eye(p - 1), -np.ones((1, p - 1))])
+    G = D @ E
+    return _CellMaps(y, D.T.copy(), D / p, E, G / p, G.T.copy())
 
 
-def _cell_gradient(family, args, y):
-    p = y.size
-    g = np.zeros_like(args[1])
-    for r, a in args.items():
-        w = family.d1(r, a, y) / r
-        g += (np.roll(w, r, axis=1) - w) / p
-    return g
+def _shells(fn, maps, a):
+    """fn(r, a_r, y) for every shell r of stacked bond arguments a, stacked."""
+    p = maps.y.size
+    return np.concatenate(
+        [fn(r, a[:, (r - 1) * p : r * p], maps.y) for r in range(1, a.shape[1] // p + 1)],
+        axis=1,
+    )
 
 
-def _cell_hessian(family, args, y):
-    m, p = args[1].shape
-    H = np.zeros((m, p, p))
-    for r, a in args.items():
-        v = family.d2(r, a, y) / (r * r * p)
-        for j in range(p):
-            jr = (j + r) % p
-            vj = v[:, j]
-            H[:, jr, jr] += vj
-            H[:, j, j] += vj
-            H[:, jr, j] -= vj
-            H[:, j, jr] -= vj
-    return H
+def _evaluate(family, maps, z, chi):
+    """Iterate state (chi, bond arguments, cell gradient, residual) of the
+    fields chi (m, p) at strains z, and which rows are admissible; an
+    inadmissible row has gradient 0 and residual inf."""
+    a = z[:, None] + chi @ maps.DT
+    ok = _shells(family.admissible, maps, a).all(axis=1)
+    g = np.zeros_like(chi)
+    res = np.full(z.size, np.inf)
+    if ok.any():
+        rows = slice(None) if ok.all() else ok
+        g[rows] = _shells(family.d1, maps, a[rows]) @ maps.Dp
+        res[rows] = np.abs(g[rows]).max(axis=1)
+    return (chi, a, g, res), ok
 
 
-def _reduce_vec(g):
-    return g[:, :-1] - g[:, -1:]
+def _reduced_hessian(maps, d2):
+    """(m, p-1, p-1) reduced cell Hessians G^T diag(d2) G / p."""
+    return (maps.GT * d2[:, None, :]) @ maps.Gp
 
 
-def _reduce_mat(H):
-    return H[:, :-1, :-1] - H[:, :-1, -1:] - H[:, -1:, :-1] + H[:, -1:, -1:]
-
-
-def _expand(c):
-    return np.concatenate([c, -c.sum(axis=1, keepdims=True)], axis=1)
-
-
-def _newton_step(family, args, y, g_rows, rows):
-    H = _reduce_mat(_cell_hessian(family, {r: a[rows] for r, a in args.items()}, y))
+def _reduced_solve(maps, d2, rhs, what):
+    """Reduced c with H c = rhs per row, H the reduced Hessian of d2."""
     try:
-        c = np.linalg.solve(H, -_reduce_vec(g_rows)[..., None])[..., 0]
+        return np.linalg.solve(_reduced_hessian(maps, d2), rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise StabilityError("singular cell Hessian in micro Newton step") from exc
-    return _expand(c)
+        raise StabilityError(f"singular {what}") from exc
+
+
+def _newton_direction(family, maps, a, g):
+    """Full-field Newton step of cells with bond arguments a, gradient g."""
+    d2 = _shells(family.d2, maps, a)
+    c = _reduced_solve(maps, d2, -g @ maps.E, "cell Hessian in micro Newton step")
+    return c @ maps.E.T
+
+
+def _accept(state, iters, trial, rows, accept):
+    """Hand the accepted trials' state over to their rows of the iterate."""
+    done = rows[accept]
+    for cur, new in zip(state, trial):
+        cur[done] = new[accept]
+    iters[done] += 1
 
 
 def newton_cells(family, z, chi0, tol, max_iter, damping_max):
@@ -109,19 +139,16 @@ def newton_cells(family, z, chi0, tol, max_iter, damping_max):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     m = z.size
     p = family.p
-    y = np.arange(p)
-    chi = np.array(chi0, dtype=float).reshape(m, p).copy()
+    maps = _cell_maps(p, family.R)
     iters = np.zeros(m, dtype=int)
+    state, ok = _evaluate(family, maps, z, np.array(chi0, dtype=float).reshape(m, p).copy())
+    chi, a, g, res = state
     if p == 1:
-        args = _bond_arguments(family, z, chi)
-        if not _admissible_rows(family, args, y).all():
+        if not ok.all():
             raise DomainError("inadmissible strain in single-species cell")
         return chi, np.zeros(m), iters
-
-    args = _bond_arguments(family, z, chi)
-    if not _admissible_rows(family, args, y).all():
+    if not ok.all():
         raise DomainError("inadmissible micro starting guess")
-    res = np.abs(_cell_gradient(family, args, y)).max(axis=1)
 
     it = 0
     while True:
@@ -134,69 +161,43 @@ def newton_cells(family, z, chi0, tol, max_iter, damping_max):
                 f"(worst residual {res.max():.3e})"
             )
         it += 1
-        rows = np.where(active)[0]
-        g = _cell_gradient(family, {r: a[rows] for r, a in args.items()}, y)
-        step = np.zeros_like(chi)
-        step[rows] = _newton_step(family, args, y, g, rows)
-
-        t = np.where(active, 1.0, 0.0)
-        pending = active.copy()
-        last_ok = np.ones(m, dtype=bool)
+        rows = np.flatnonzero(active)
+        step = _newton_direction(family, maps, a[rows], g[rows])
+        # every row still pending has been halved equally often
+        t = 1.0
+        pending = np.arange(rows.size)
+        ok = np.ones(rows.size, dtype=bool)
         for _ in range(damping_max + 1):
-            if not pending.any():
+            if not pending.size:
                 break
-            trial = chi + t[:, None] * step
-            targs = _bond_arguments(family, z, trial)
-            ok = _admissible_rows(family, targs, y)
-            last_ok = ok
-            tres = np.full(m, np.inf)
-            good = pending & ok
-            if good.any():
-                tg = _cell_gradient(family, {r: a[good] for r, a in targs.items()}, y)
-                tres[good] = np.abs(tg).max(axis=1)
-            accept = pending & (tres < res)
-            if accept.any():
-                chi[accept] = trial[accept]
-                res[accept] = tres[accept]
-                iters[accept] += 1
-                pending &= ~accept
-            t[pending] *= 0.5
-        if pending.any():
-            if not last_ok[pending].all():
-                bad = np.where(pending & ~last_ok)[0][0]
+            idx = rows[pending]
+            trial, ok = _evaluate(family, maps, z[idx], chi[idx] + t * step[pending])
+            accept = trial[3] < res[idx]
+            _accept(state, iters, trial, idx, accept)
+            pending, ok = pending[~accept], ok[~accept]
+            t *= 0.5
+        if pending.size:
+            stuck = rows[pending]
+            if not ok.all():
                 raise DomainError(
-                    f"micro step at strain z={z[bad]:.6g} left the admissible "
+                    f"micro step at strain z={z[stuck[~ok][0]]:.6g} left the admissible "
                     f"domain and damping could not recover"
                 )
-            raise SolverFailure(
-                f"micro damping stalled at strain z={z[np.where(pending)[0][0]]:.6g}"
-            )
-        args = _bond_arguments(family, z, chi)
-        res = np.abs(_cell_gradient(family, args, y)).max(axis=1)
+            raise SolverFailure(f"micro damping stalled at strain z={z[stuck[0]]:.6g}")
 
     # polish: extra full steps while they sharply reduce the residual, so the
     # converged field does not depend on the starting guess
+    every = np.arange(m)
     for _ in range(_POLISH_ROUNDS):
-        rows = np.arange(m)
-        g = _cell_gradient(family, args, y)
         try:
-            step = _newton_step(family, args, y, g, rows)
+            step = _newton_direction(family, maps, a, g)
         except StabilityError:
             break
-        trial = chi + step
-        targs = _bond_arguments(family, z, trial)
-        ok = _admissible_rows(family, targs, y)
-        tres = np.full(m, np.inf)
-        if ok.any():
-            tg = _cell_gradient(family, {r: a[ok] for r, a in targs.items()}, y)
-            tres[ok] = np.abs(tg).max(axis=1)
-        accept = tres < 0.5 * res
+        trial, _ok = _evaluate(family, maps, z, chi + step)
+        accept = trial[3] < 0.5 * res
         if not accept.any():
             break
-        chi[accept] = trial[accept]
-        res[accept] = tres[accept]
-        iters[accept] += 1
-        args = _bond_arguments(family, z, chi)
+        _accept(state, iters, trial, every, accept)
 
     chi -= chi.mean(axis=1, keepdims=True)
     return chi, res, iters
@@ -226,44 +227,31 @@ class HomogenizedLaw:
         """
         z = np.atleast_1d(np.asarray(z, dtype=float))
         m = z.size
-        p = self.family.p
+        family = self.family
+        p = family.p
+        maps = _cell_maps(p, family.R)
         if warm is not None:
             chi0 = np.asarray(warm, dtype=float).reshape(m, p).copy()
         else:
             chi0 = np.zeros((m, p))
             if p > 1:
-                bad = ~_admissible_rows(
-                    self.family, _bond_arguments(self.family, z, chi0), np.arange(p)
-                )
+                a0 = z[:, None] + chi0 @ maps.DT
+                bad = ~_shells(family.admissible, maps, a0).all(axis=1)
                 if bad.any():
-                    chi0[bad] = ramp_guess(self.family)
+                    chi0[bad] = ramp_guess(family)
         chi, _res, _iters = newton_cells(
-            self.family, z, chi0, self.tol, self.max_iter, self.damping_max
+            family, z, chi0, self.tol, self.max_iter, self.damping_max
         )
-        y = np.arange(p)
-        args = _bond_arguments(self.family, z, chi)
-        phi0 = np.zeros(m)
-        dphi0 = np.zeros(m)
-        d2 = {}
-        for r, a in args.items():
-            phi0 += self.family.eval(r, a, y).mean(axis=1)
-            dphi0 += self.family.d1(r, a, y).mean(axis=1)
-            d2[r] = self.family.d2(r, a, y)
+        a = z[:, None] + chi @ maps.DT
+        d2 = _shells(family.d2, maps, a)
+        phi0 = _shells(family.eval, maps, a).sum(axis=1) / p
+        dphi0 = _shells(family.d1, maps, a).sum(axis=1) / p
+        d2phi0 = d2.sum(axis=1) / p
         if p > 1:
-            b = np.zeros((m, p))
-            for r, v in d2.items():
-                b += (np.roll(v, r, axis=1) - v) / (r * p)
-            H = _reduce_mat(_cell_hessian(self.family, args, y))
-            try:
-                c = np.linalg.solve(H, -_reduce_vec(b)[..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise StabilityError("singular linearized cell Hessian") from exc
-            dchi = _expand(c)
-        else:
-            dchi = np.zeros((m, 1))
-        d2phi0 = np.zeros(m)
-        for r, v in d2.items():
-            d2phi0 += (v * (1.0 + (np.roll(dchi, -r, axis=1) - dchi) / r)).mean(axis=1)
+            # b: strain derivative of the reduced gradient; c: reduced sensitivity
+            b = d2 @ maps.Gp
+            c = _reduced_solve(maps, d2, -b, "linearized cell Hessian")
+            d2phi0 += (b * c).sum(axis=1)
         return phi0, dphi0, d2phi0, chi
 
     def eval(self, z: float):

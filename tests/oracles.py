@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: dual norms come from a
 linear program over the constraint polytope, derivatives from central
-finite differences, micro ground states from scalar minimization.
+finite differences, micro ground states from scalar minimization, cell
+gradients and Hessians from the shell-by-shell loop assembly.
 """
 
 import numpy as np
@@ -137,3 +138,47 @@ def p1_stiffness_dense(Q: np.ndarray, t: int) -> np.ndarray:
                     for b in range(3):
                         A[tri[a], tri[b]] += K[a, b]
     return A
+
+
+def cell_bond_arguments(family, z: np.ndarray, chi: np.ndarray) -> dict:
+    """args[r] (m, p): strain z plus the r-step micro difference, shell by shell."""
+    return {
+        r: z[:, None] + (np.roll(chi, -r, axis=1) - chi) / r
+        for r in range(1, family.R + 1)
+    }
+
+
+def cell_gradient(family, args: dict, y: np.ndarray) -> np.ndarray:
+    """(m, p) gradient of the cell energy, assembled shell by shell."""
+    p = y.size
+    g = np.zeros_like(args[1])
+    for r, a in args.items():
+        w = family.d1(r, a, y) / r
+        g += (np.roll(w, r, axis=1) - w) / p
+    return g
+
+
+def cell_hessian(family, args: dict, y: np.ndarray) -> np.ndarray:
+    """(m, p, p) Hessian of the cell energy, assembled bond by bond."""
+    m, p = args[1].shape
+    H = np.zeros((m, p, p))
+    for r, a in args.items():
+        v = family.d2(r, a, y) / (r * r * p)
+        for j in range(p):
+            jr = (j + r) % p
+            vj = v[:, j]
+            H[:, jr, jr] += vj
+            H[:, j, j] += vj
+            H[:, jr, j] -= vj
+            H[:, j, jr] -= vj
+    return H
+
+
+def reduce_vec(g: np.ndarray) -> np.ndarray:
+    """Gradient on the zero-mean space with the last micro value eliminated."""
+    return g[:, :-1] - g[:, -1:]
+
+
+def reduce_mat(H: np.ndarray) -> np.ndarray:
+    """Hessian on the zero-mean space with the last micro value eliminated."""
+    return H[:, :-1, :-1] - H[:, :-1, -1:] - H[:, -1:, :-1] + H[:, -1:, -1:]

@@ -23,10 +23,10 @@ from hqc import (
     solve_homogenized_full,
     uniform_mesh,
 )
-from hqc.coarse import coarse_newton_step
+from hqc.coarse import coarse_dual_norm, coarse_newton_step
 from hqc.study import sin_force
 
-from oracles import coarse_step_dense
+from oracles import coarse_dual_lp, coarse_step_dense
 
 
 def rand_mesh(rng, grid, m):
@@ -326,6 +326,16 @@ class TestCoarseNewtonStep:
         ref = coarse_step_dense(d2, h, mw, R)
         assert np.abs(step - ref).max() <= 1e-9 * np.abs(ref).max()
         assert abs(mw @ step) <= 1e-12 * np.abs(ref).max()
+
+
+class TestCoarseDualNorm:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_lp_oracle(self, m, seed):
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal(m)
+        q -= q.mean()
+        assert coarse_dual_norm(q) == pytest.approx(coarse_dual_lp(q), rel=1e-9)
 
 
 class FlatLaw:

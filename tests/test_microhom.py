@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqc import (
     DomainError,
@@ -9,7 +11,9 @@ from hqc import (
     quadratic_family,
 )
 from hqc.exceptions import SolverFailure
-from hqc.microhom import _bond_arguments, _cell_gradient, newton_cells
+from hqc.microhom import _cell_maps, _evaluate, _reduced_hessian, _shells, newton_cells
+
+from oracles import cell_bond_arguments, cell_gradient, cell_hessian, reduce_mat
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +57,7 @@ class TestSolveCell:
     def test_residual_contract(self, lj_law):
         z = np.array([-0.05, 0.0, 0.08])
         chi = lj_law.eval_strains(z)[3]
-        g = _cell_gradient(lj_law.family, _bond_arguments(lj_law.family, z, chi), np.arange(2))
+        g = cell_gradient(lj_law.family, cell_bond_arguments(lj_law.family, z, chi), np.arange(2))
         assert np.abs(g).max() <= lj_law.tol
 
     def test_inadmissible_strain(self, lj_law):
@@ -64,6 +68,66 @@ class TestSolveCell:
         law = HomogenizedLaw(lj_family([1.0, 9.0 / 8.0], R=3), max_iter=1)
         with pytest.raises(SolverFailure):
             law.eval_strains(0.3)
+
+
+class TestCellKernel:
+    """The shell-stacked kernel against the shell-by-shell loop assembly."""
+
+    @staticmethod
+    def cells(p, R, lj, seed):
+        rng = np.random.default_rng(seed)
+        if lj:
+            family = lj_family(rng.uniform(0.8, 1.25, size=p), R)
+        else:
+            k, a = rng.uniform(0.5, 3.0, size=p), rng.uniform(-0.2, 0.2, size=p)
+            family = quadratic_family(k, a, R)
+        m = 3
+        chi = rng.uniform(-0.1, 0.1, size=(m, p))
+        chi -= chi.mean(axis=1, keepdims=True)
+        # every bond argument stays >= -0.5, admissible for both families
+        z = rng.uniform(-0.3, 0.3, size=m)
+        return family, z, chi
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(2, 5), R=st.integers(1, 4), lj=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_assembly(self, p, R, lj, seed):
+        family, z, chi = self.cells(p, R, lj, seed)
+        y = np.arange(p)
+        maps = _cell_maps(p, R)
+        (_chi, a, g, res), ok = _evaluate(family, maps, z, chi)
+        assert ok.all()
+        args = cell_bond_arguments(family, z, chi)
+        stacked = np.concatenate([args[r] for r in range(1, R + 1)], axis=1)
+        assert np.abs(a - stacked).max() <= 1e-13 * max(1.0, np.abs(stacked).max())
+
+        g_ref = cell_gradient(family, args, y)
+        scale = max(np.abs(family.d1(r, v, y)).max() for r, v in args.items())
+        assert np.abs(g - g_ref).max() <= 1e-13 * scale
+        assert np.array_equal(res, np.abs(g).max(axis=1))
+
+        H = _reduced_hessian(maps, _shells(family.d2, maps, a))
+        H_ref = reduce_mat(cell_hessian(family, args, y))
+        scale = max(np.abs(family.d2(r, v, y)).max() for r, v in args.items())
+        assert np.abs(H - H_ref).max() <= 1e-13 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(2, 5), R=st.integers(1, 4), lj=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_hessian_is_derivative_of_gradient(self, p, R, lj, seed):
+        family, z, chi = self.cells(p, R, lj, seed)
+        maps = _cell_maps(p, R)
+        (_chi, a, _g, _res), _ok = _evaluate(family, maps, z, chi)
+        H = _reduced_hessian(maps, _shells(family.d2, maps, a))
+
+        def reduced_gradient(field):
+            return _evaluate(family, maps, z, field)[0][2] @ maps.E
+
+        step = 1e-5
+        for k in range(p - 1):
+            fd = (reduced_gradient(chi + step * maps.E[:, k])
+                  - reduced_gradient(chi - step * maps.E[:, k])) / (2 * step)
+            assert np.abs(fd - H[:, :, k]).max() <= 1e-6 * np.abs(H).max()
 
 
 class TestHomogenizedEval:
@@ -78,14 +142,15 @@ class TestHomogenizedEval:
 
     def test_harmonic_mean_modulus(self):
         rng = np.random.default_rng(31)
-        for _ in range(20):
-            k1, k2 = rng.uniform(0.2, 5.0, size=2)
-            law = HomogenizedLaw(quadratic_family([k1, k2], [0.0, 0.0]))
-            z = rng.uniform(-0.5, 0.5)
-            phi0, dphi0, d2phi0 = law.eval(z)
-            hm = 2.0 * k1 * k2 / (k1 + k2)
-            assert d2phi0 == pytest.approx(hm, abs=1e-10)
-            assert phi0 == pytest.approx(0.5 * hm * z * z, abs=1e-12)
+        for p in (2, 3, 5):
+            for _ in range(20):
+                k = rng.uniform(0.2, 5.0, size=p)
+                law = HomogenizedLaw(quadratic_family(k, np.zeros(p)))
+                z = rng.uniform(-0.5, 0.5)
+                phi0, dphi0, d2phi0 = law.eval(z)
+                hm = 1.0 / np.mean(1.0 / k)
+                assert d2phi0 == pytest.approx(hm, abs=1e-10)
+                assert phi0 == pytest.approx(0.5 * hm * z * z, abs=1e-12)
 
     def test_derivatives_match_finite_differences(self, lj_law):
         rng = np.random.default_rng(32)

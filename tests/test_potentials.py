@@ -156,10 +156,10 @@ class TestGroundMicrostructure:
         assert m.chi_star.values[0] == pytest.approx(res.x, abs=1e-9)
 
     def test_residual_tolerance(self, lj):
-        from hqc.microhom import _bond_arguments, _cell_gradient
+        from oracles import cell_bond_arguments, cell_gradient
 
         chi = ground_microstructure(lj).chi_star.values[None, :]
-        g = _cell_gradient(lj, _bond_arguments(lj, np.zeros(1), chi), np.arange(2))
+        g = cell_gradient(lj, cell_bond_arguments(lj, np.zeros(1), chi), np.arange(2))
         assert np.abs(g).max() <= 1e-12
 
     def test_lemma_bound_random_families(self):
