@@ -98,9 +98,7 @@ def cmd_solve_hqc(cfg, args) -> int:
 def cmd_micro(cfg, args) -> int:
     _grid, family, micro, law, _f = _setup_1d(cfg)
     _require_margin(family, micro)
-    z_lo = float(cfg.raw.get("micro.z_lo", "-0.05"))
-    z_hi = float(cfg.raw.get("micro.z_hi", "0.05"))
-    count = int(cfg.raw.get("micro.z_count", "21"))
+    z_lo, z_hi, count = cfg.micro_z_lo, cfg.micro_z_hi, cfg.micro_z_count
     table = law.tabulate(np.linspace(z_lo, z_hi, count))
     out = _out_dir(args)
     lines = ["z,phi0,dphi0,d2phi0"]

@@ -20,6 +20,9 @@ _DEFAULTS = {
     "micro.tol": "1e-12",
     "micro.max_iter": "60",
     "micro.damping_max": "30",
+    "micro.z_lo": "-0.05",
+    "micro.z_hi": "0.05",
+    "micro.z_count": "21",
     "solver.tol": "1e-10",
     "solver.max_iter": "60",
     "estimator.calibration": "1.0",
@@ -88,6 +91,9 @@ class ExperimentConfig:
     micro_tol: float = 1e-12
     micro_max_iter: int = 60
     micro_damping_max: int = 30
+    micro_z_lo: float = -0.05
+    micro_z_hi: float = 0.05
+    micro_z_count: int = 21
     solver_tol: float = 1e-10
     solver_max_iter: int = 60
     calibration: float = 1.0
@@ -115,6 +121,9 @@ def build_config(mapping: dict) -> ExperimentConfig:
         cfg.micro_tol = float(m["micro.tol"])
         cfg.micro_max_iter = int(m["micro.max_iter"])
         cfg.micro_damping_max = int(m["micro.damping_max"])
+        cfg.micro_z_lo = float(m["micro.z_lo"])
+        cfg.micro_z_hi = float(m["micro.z_hi"])
+        cfg.micro_z_count = int(m["micro.z_count"])
         cfg.solver_tol = float(m["solver.tol"])
         cfg.solver_max_iter = int(m["solver.max_iter"])
         cfg.calibration = float(m["estimator.calibration"])
@@ -135,15 +144,20 @@ def build_config(mapping: dict) -> ExperimentConfig:
 def _build_1d(cfg: ExperimentConfig, m: dict) -> None:
     cfg.N = int(m["grid.N"])
     cfg.potential_kind = m.get("potential.kind", "lj")
+    cfg.R = int(m.get("potential.R", "1"))
+    if cfg.R < 1:
+        raise ConfigError(f"potential.R must be >= 1, got {cfg.R}")
     if cfg.potential_kind == "lj":
         cfg.l = _floats(m["potential.l"])
-        cfg.R = int(m.get("potential.R", "1"))
+        if any(v <= 0 for v in cfg.l):
+            raise ConfigError("potential.l entries must be positive")
     elif cfg.potential_kind == "quadratic":
         cfg.k = _floats(m["potential.k"])
         cfg.a = _floats(m.get("potential.a", ",".join("0" for _ in cfg.k)))
-        cfg.R = int(m.get("potential.R", "1"))
         if len(cfg.a) != len(cfg.k):
             raise ConfigError("potential.k and potential.a lengths differ")
+        if any(v <= 0 for v in cfg.k):
+            raise ConfigError("potential.k entries must be positive")
     else:
         raise ConfigError(f"unknown potential.kind {cfg.potential_kind!r}")
     if m["force.preset"] != "sin_1d":

@@ -95,24 +95,26 @@ def estimate_constants(
     admissible samples contribute); c0_lower is the nearest-neighbor
     dominance margin.
     """
+    from .microhom import _cell_maps
     from .potentials import nn_dominance_margin
 
     if samples < 1 or not z_hi >= z_lo:
         raise ValueError("empty sampling range")
-    zs = np.linspace(z_lo, z_hi, samples)
-    p = family.p
-    chi = micro.chi_star.values
+    R, p = family.R, family.p
+    d = (micro.chi_star.values @ _cell_maps(p, R).DT).reshape(R, p)
+    args = np.linspace(z_lo, z_hi, samples)[:, None, None] + d
+    ok = family.admissible(args)
+    empty = ~ok.any(axis=0)
+    if empty.any():
+        r, j = np.argwhere(empty)[0]
+        raise ValueError(f"no admissible sample for shell r={r + 1}, species {j}")
+    # inadmissible samples are evaluated at their column's first admissible one
+    first = args[ok.argmax(axis=0), np.arange(R)[:, None], np.arange(p)]
+    d2 = family.bonds(np.where(ok, args, first), 2)
+    worst = np.abs(d2).max(axis=0, where=ok, initial=0.0)
     per_y = np.zeros(p)
-    for r in range(1, family.R + 1):
-        d = (np.roll(chi, -r) - chi) / r
-        worst = np.zeros(p)
-        for j in range(p):
-            args = zs + d[j]
-            ok = np.asarray(family.admissible(r, args, j))
-            if not ok.any():
-                raise ValueError(f"no admissible sample for shell r={r}, species {j}")
-            worst[j] = np.abs(family.d2(r, args[ok], j)).max()
-        per_y += r * worst
+    for r, worst_r in enumerate(worst, 1):
+        per_y += r * worst_r
     c11 = float(per_y.max())
     return c11, nn_dominance_margin(family, micro)
 

@@ -18,8 +18,10 @@ chi(z); the corrector term drops from dphi0 because chi(z) is stationary.
 The cell kernel stacks the shells.  A batch of m cells holds its bond
 arguments in one (m, R p) array whose column (r - 1) p + y is
 z + D_{y,r} chi, computed as z + chi D^T with the (R p) x p difference
-matrix D; the bond derivatives d1, d2 are stacked the same way, one
-``PotentialFamily`` call per shell, and the cell gradient is d1 D / p.
+matrix D; its (m, R, p) view is the stacked layout of
+:class:`~hqc.potentials.PotentialFamily`, so the bond derivatives d1, d2
+of a whole batch come from one ``family.bonds`` call each, and the cell
+gradient is d1 D / p.
 The zero-mean constraint is enforced by eliminating the last micro value,
 chi = E c, which keeps the reduced cell Hessian symmetric positive
 definite whenever nearest-neighbor dominance holds: with G = D E the
@@ -56,7 +58,7 @@ _POLISH_ROUNDS = 6
 class _CellMaps:
     """Shell-stacked linear maps of a p-site cell with R shells."""
 
-    y: np.ndarray  # (p,) species
+    layout: tuple  # (R, p): trailing axes of a batch's bond arguments
     DT: np.ndarray  # (p, R p) micro field -> bond differences
     Dp: np.ndarray  # (R p, p) D / p: stacked d1 -> cell gradient
     E: np.ndarray  # (p, p - 1) reduced -> zero-sum field
@@ -73,29 +75,25 @@ def _cell_maps(p: int, R: int) -> _CellMaps:
     D = ((eye[nbr] - eye) / r[:, None, None]).reshape(R * p, p)
     E = np.vstack([np.eye(p - 1), -np.ones((1, p - 1))])
     G = D @ E
-    return _CellMaps(y, D.T.copy(), D / p, E, G / p, G.T.copy())
+    return _CellMaps((R, p), D.T.copy(), D / p, E, G / p, G.T.copy())
 
 
-def _shells(fn, maps, a):
-    """fn(r, a_r, y) for every shell r of stacked bond arguments a, stacked."""
-    p = maps.y.size
-    return np.concatenate(
-        [fn(r, a[:, (r - 1) * p : r * p], maps.y) for r in range(1, a.shape[1] // p + 1)],
-        axis=1,
-    )
+def _flat(b):
+    """(m, R p) view of stacked (m, R, p) bond values."""
+    return b.reshape(len(b), -1)
 
 
 def _evaluate(family, maps, z, chi):
-    """Iterate state (chi, bond arguments, cell gradient, residual) of the
-    fields chi (m, p) at strains z, and which rows are admissible; an
-    inadmissible row has gradient 0 and residual inf."""
-    a = z[:, None] + chi @ maps.DT
-    ok = _shells(family.admissible, maps, a).all(axis=1)
+    """Iterate state (chi, bond arguments (m, R, p), cell gradient,
+    residual) of the fields chi (m, p) at strains z, and which rows are
+    admissible; an inadmissible row has gradient 0 and residual inf."""
+    a = (z[:, None] + chi @ maps.DT).reshape(z.size, *maps.layout)
+    ok = family.admissible(a).all(axis=(1, 2))
     g = np.zeros_like(chi)
     res = np.full(z.size, np.inf)
     if ok.any():
         rows = slice(None) if ok.all() else ok
-        g[rows] = _shells(family.d1, maps, a[rows]) @ maps.Dp
+        g[rows] = _flat(family.bonds(a[rows], 1)) @ maps.Dp
         res[rows] = np.abs(g[rows]).max(axis=1)
     return (chi, a, g, res), ok
 
@@ -115,7 +113,7 @@ def _reduced_solve(maps, d2, rhs, what):
 
 def _newton_direction(family, maps, a, g):
     """Full-field Newton step of cells with bond arguments a, gradient g."""
-    d2 = _shells(family.d2, maps, a)
+    d2 = _flat(family.bonds(a, 2))
     c = _reduced_solve(maps, d2, -g @ maps.E, "cell Hessian in micro Newton step")
     return c @ maps.E.T
 
@@ -126,6 +124,16 @@ def _accept(state, iters, trial, rows, accept):
     for cur, new in zip(state, trial):
         cur[done] = new[accept]
     iters[done] += 1
+
+
+def cold_start(family, z):
+    """Cold starting fields (m, p) of the cells at strains z: zero, or the
+    equilibrium-spacing ramp where the zero field is inadmissible."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    chi0 = np.zeros((z.size, family.p))
+    at_zero = np.broadcast_to(z[:, None, None], (z.size, family.R, family.p))
+    chi0[~family.admissible(at_zero).all(axis=(1, 2))] = ramp_guess(family)
+    return chi0
 
 
 def newton_cells(family, z, chi0, tol, max_iter, damping_max):
@@ -233,19 +241,14 @@ class HomogenizedLaw:
         if warm is not None:
             chi0 = np.asarray(warm, dtype=float).reshape(m, p).copy()
         else:
-            chi0 = np.zeros((m, p))
-            if p > 1:
-                a0 = z[:, None] + chi0 @ maps.DT
-                bad = ~_shells(family.admissible, maps, a0).all(axis=1)
-                if bad.any():
-                    chi0[bad] = ramp_guess(family)
+            chi0 = cold_start(family, z)
         chi, _res, _iters = newton_cells(
             family, z, chi0, self.tol, self.max_iter, self.damping_max
         )
-        a = z[:, None] + chi @ maps.DT
-        d2 = _shells(family.d2, maps, a)
-        phi0 = _shells(family.eval, maps, a).sum(axis=1) / p
-        dphi0 = _shells(family.d1, maps, a).sum(axis=1) / p
+        a = (z[:, None] + chi @ maps.DT).reshape(m, *maps.layout)
+        phi, d1, d2 = (_flat(b) for b in family.bonds(a, 0, 1, 2))
+        phi0 = phi.sum(axis=1) / p
+        dphi0 = d1.sum(axis=1) / p
         d2phi0 = d2.sum(axis=1) / p
         if p > 1:
             # b: strain derivative of the reduced gradient; c: reduced sensitivity

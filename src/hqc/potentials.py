@@ -1,9 +1,20 @@
 """Interaction laws for multilattice chains.
 
 A potential family assigns to every neighbor shell r = 1..R and species
-y (0-based index, p-periodic) a scalar bond law.  All evaluation methods
-are vectorized: ``z`` may be any float array and ``y`` an integer array
-broadcasting against it.
+y = 0..p-1 a scalar bond law phi_r(.; y), and evaluates all of them in one
+stacked call over the (R, p) layout: ``a`` is any float array whose
+trailing axes are (R, p), ``a[..., r-1, y]`` the shell-r bond argument of
+species y, and
+
+    family.admissible(a)       -> bool mask of a's shape
+    family.bonds(a, *orders)   -> phi, phi' or phi'' (orders 0, 1, 2) at a,
+
+one array per requested order, each of a's shape (a single array when one
+order is asked for).  Leading axes are free: a batch of m cells passes
+(m, R, p), the lattice of N sites the (N/p, R, p) view of its (R, N)
+strain stack.  ``bonds`` raises :class:`DomainError` when any entry is
+inadmissible.  The per-column constants of a law are built once, at
+construction.
 
 The bond argument is the deformation gradient g = 1 + z, where z is the
 discrete strain D_{x,r} u; the identity part is absorbed into the
@@ -24,26 +35,27 @@ GROUND_TOL = 1e-12
 
 
 class PotentialFamily:
-    """Base class: R-neighbor, p-periodic bond laws with two derivatives.
+    """Base class: R-neighbor, p-periodic bond laws with two derivatives,
+    evaluated over the stacked (R, p) layout (see module docstring).
 
-    Subclasses implement ``eval``, ``d1``, ``d2`` and ``admissible``;
-    species indices are reduced mod p so the laws are p-periodic in y.
+    Subclasses implement ``admissible`` and ``_laws(a)``, which checks the
+    float array a and returns the three orders as deferred callables.
     """
 
-    R: int
-    p: int
+    def __init__(self, R: int, p: int):
+        if R < 1:
+            raise ValueError("interaction range R must be >= 1")
+        self.R = int(R)
+        self.p = p
 
-    def eval(self, r: int, z, y) -> np.ndarray:
+    def admissible(self, a) -> np.ndarray:
         raise NotImplementedError
 
-    def d1(self, r: int, z, y) -> np.ndarray:
-        raise NotImplementedError
-
-    def d2(self, r: int, z, y) -> np.ndarray:
-        raise NotImplementedError
-
-    def admissible(self, r: int, z, y) -> np.ndarray:
-        raise NotImplementedError
+    def bonds(self, a, *orders):
+        """phi, phi', phi'' (orders 0, 1, 2) at bond arguments a, as asked."""
+        laws = self._laws(np.asarray(a, dtype=float))
+        out = [laws[order]() for order in orders]
+        return out[0] if len(out) == 1 else tuple(out)
 
 
 class LennardJonesFamily(PotentialFamily):
@@ -53,6 +65,8 @@ class LennardJonesFamily(PotentialFamily):
     scaled deformed distance r (1 + z); one equilibrium-distance pattern l
     serves every shell, and farther shells land in the weak tail of the
     same law (which is what keeps the nearest-neighbor bonds dominant).
+    With k = r / l_y (an (R, p) constant) and s6 = (k g)^-6 the derivatives
+    in z are phi' = 12 s6 (1 - s6) / g and phi'' = 12 s6 (13 s6 - 7) / g^2.
     Evaluation with g <= 0 raises :class:`DomainError`.
     """
 
@@ -62,41 +76,35 @@ class LennardJonesFamily(PotentialFamily):
             raise ValueError("l must be a nonempty 1-d sequence")
         if np.any(l <= 0):
             raise ValueError("equilibrium distances must be positive")
-        if R < 1:
-            raise ValueError("interaction range R must be >= 1")
+        super().__init__(R, l.size)
         self.l = l
-        self.p = l.size
-        self.R = int(R)
+        self.k = np.arange(1, self.R + 1)[:, None] / l
 
-    def _s(self, r, z, y):
-        g = 1.0 + np.asarray(z, dtype=float)
-        if np.any(g <= 0):
+    def admissible(self, a):
+        return 1.0 + np.asarray(a, dtype=float) > 0
+
+    def _laws(self, a):
+        g = 1.0 + a
+        if not (g > 0).all():
             raise DomainError("deformation gradient g = 1 + z must be positive")
-        return r * g / self.l[np.asarray(y) % self.p]
-
-    def eval(self, r, z, y):
-        s = self._s(r, z, y)
-        s6 = s ** -6
-        return -2.0 * s6 + s6 * s6
-
-    def d1(self, r, z, y):
-        ly = self.l[np.asarray(y) % self.p]
-        s = self._s(r, z, y)
-        return (12.0 * r / ly) * (s ** -7 - s ** -13)
-
-    def d2(self, r, z, y):
-        ly = self.l[np.asarray(y) % self.p]
-        s = self._s(r, z, y)
-        return (r / ly) ** 2 * (-84.0 * s ** -8 + 156.0 * s ** -14)
-
-    def admissible(self, r, z, y):
-        return np.asarray(1.0 + np.asarray(z, dtype=float) > 0)
+        s6 = self.k * g
+        s6 *= s6 * s6
+        s6 *= s6
+        np.reciprocal(s6, out=s6)
+        # one temporary per order; numpy elides the others in place
+        return (
+            lambda: s6 * (s6 - 2.0),
+            lambda: s6 * (12.0 - 12.0 * s6) / g,
+            lambda: s6 * (156.0 * s6 - 84.0) / g / g,
+        )
 
 
 class QuadraticFamily(PotentialFamily):
     """Nearest-neighbor harmonic law 0.5 k_y (z - a_y)^2, zero for r >= 2.
 
-    Everywhere admissible; an analytic fixture for the nonlinear machinery.
+    ``k`` and ``a`` are (R, p) columns: k_y and a_y in row r = 1, zeros
+    below.  Everywhere admissible; an analytic fixture for the nonlinear
+    machinery.
     """
 
     def __init__(self, k, a, R: int = 1):
@@ -106,33 +114,21 @@ class QuadraticFamily(PotentialFamily):
             raise ValueError("k and a must be 1-d sequences of equal length")
         if np.any(k <= 0):
             raise ValueError("stiffnesses must be positive")
-        self.k = k
-        self.a = a
-        self.p = k.size
-        self.R = int(R)
+        super().__init__(R, k.size)
+        self.k = np.zeros((self.R, self.p))
+        self.a = np.zeros((self.R, self.p))
+        self.k[0], self.a[0] = k, a
 
-    def eval(self, r, z, y):
-        z = np.asarray(z, dtype=float)
-        if r != 1:
-            return np.zeros(np.broadcast(z, np.asarray(y)).shape)
-        yy = np.asarray(y) % self.p
-        return 0.5 * self.k[yy] * (z - self.a[yy]) ** 2
+    def admissible(self, a):
+        return np.ones(np.shape(a), dtype=bool)
 
-    def d1(self, r, z, y):
-        z = np.asarray(z, dtype=float)
-        if r != 1:
-            return np.zeros(np.broadcast(z, np.asarray(y)).shape)
-        yy = np.asarray(y) % self.p
-        return self.k[yy] * (z - self.a[yy])
-
-    def d2(self, r, z, y):
-        z = np.asarray(z, dtype=float)
-        if r != 1:
-            return np.zeros(np.broadcast(z, np.asarray(y)).shape)
-        return self.k[np.asarray(y) % self.p] * np.ones_like(z)
-
-    def admissible(self, r, z, y):
-        return np.ones(np.broadcast(np.asarray(z), np.asarray(y)).shape, dtype=bool)
+    def _laws(self, a):
+        d = a - self.a
+        return (
+            lambda: 0.5 * self.k * d ** 2,
+            lambda: self.k * d,
+            lambda: self.k * np.ones_like(d),
+        )
 
 
 def lj_family(l, R: int) -> LennardJonesFamily:
@@ -173,7 +169,7 @@ def ramp_guess(family: PotentialFamily) -> np.ndarray:
 def validate_microstructure(chi: np.ndarray, where: str = "microstructure") -> None:
     """Check that y + chi(y) is strictly increasing and |chi| <= (p-1)/2."""
     p = chi.size
-    d = np.roll(chi, -1) - chi  # unit-spacing forward difference
+    d = np.diff(chi, append=chi[:1])  # cyclic unit-spacing forward difference
     if np.any(1.0 + d <= 0.0):
         raise StabilityError(
             f"{where}: y + chi(y) is not strictly increasing "
@@ -200,23 +196,14 @@ def ground_microstructure(
     increasing and ||chi_*||_inf <= (p-1)/2; violations raise
     :class:`StabilityError`.
     """
-    from .microhom import newton_cells
+    from .microhom import cold_start, newton_cells
 
-    p = family.p
-    if p == 1:
-        return Microstructure(MicroFn(1, np.zeros(1)))
-    guess = np.zeros(p)
-    ok = all(
-        bool(np.all(family.admissible(r, (np.roll(guess, -r) - guess) / r, np.arange(p))))
-        for r in range(1, family.R + 1)
-    )
-    if not ok:
-        guess = ramp_guess(family)
+    z = np.zeros(1)
     chi, _res, _iters = newton_cells(
-        family, np.zeros(1), guess[None, :], tol, max_iter, damping_max
+        family, z, cold_start(family, z), tol, max_iter, damping_max
     )
     validate_microstructure(chi[0], "ground microstructure")
-    return Microstructure(MicroFn(p, chi[0]))
+    return Microstructure(MicroFn(family.p, chi[0]))
 
 
 def nn_dominance_margin(family: PotentialFamily, micro: Microstructure) -> float:
@@ -224,14 +211,15 @@ def nn_dominance_margin(family: PotentialFamily, micro: Microstructure) -> float
     summed worst-case curvature magnitudes of all farther shells, evaluated
     at the ground microstructure.  A positive value certifies dominance of
     the nearest-neighbor interaction."""
-    p = micro.p
-    y = np.arange(p)
-    chi = micro.chi_star.values
-    args = {r: (np.roll(chi, -r) - chi) / r for r in range(1, family.R + 1)}
-    for r, a in args.items():
-        if not np.all(family.admissible(r, a, y)):
-            raise DomainError(f"inadmissible micro argument for shell r={r}")
-    margin = 0.5 * float(family.d2(1, args[1], y).min())
-    for r in range(2, family.R + 1):
-        margin -= float(np.abs(family.d2(r, args[r], y)).max())
+    from .microhom import _cell_maps
+
+    a = (micro.chi_star.values @ _cell_maps(family.p, family.R).DT).reshape(family.R, -1)
+    bad = ~family.admissible(a)
+    if bad.any():
+        r = int(np.flatnonzero(bad.any(axis=1))[0]) + 1
+        raise DomainError(f"inadmissible micro argument for shell r={r}")
+    d2 = family.bonds(a, 2)
+    margin = 0.5 * float(d2[0].min())
+    for d2_r in d2[1:]:
+        margin -= float(np.abs(d2_r).max())
     return margin

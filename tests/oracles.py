@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: dual norms come from a
 linear program over the constraint polytope, derivatives from central
 finite differences, micro ground states from scalar minimization, cell
-gradients and Hessians from the shell-by-shell loop assembly.
+gradients and Hessians from the shell-by-shell loop assembly, and bond
+values from the closed-form laws written out per shell and species.
 """
 
 import numpy as np
@@ -140,6 +141,47 @@ def p1_stiffness_dense(Q: np.ndarray, t: int) -> np.ndarray:
     return A
 
 
+def shell_terms(family, order, r: int, z, y) -> tuple:
+    """Terms of the closed-form order-th z-derivative of the shell-r bond
+    law of species y (reduced mod p), for the Lennard-Jones (an ``l``
+    pattern) and the quadratic family (``k``, ``a`` in shell row 1)."""
+    z = np.asarray(z, dtype=float)
+    y = np.asarray(y) % family.p
+    if hasattr(family, "l"):
+        ly = family.l[y]
+        s = r * (1.0 + z) / ly
+        if order == 0:
+            return -2.0 * s ** -6, s ** -12
+        if order == 1:
+            return (12.0 * r / ly) * s ** -7, -(12.0 * r / ly) * s ** -13
+        return -84.0 * (r / ly) ** 2 * s ** -8, 156.0 * (r / ly) ** 2 * s ** -14
+    if r != 1:
+        return (np.zeros(np.broadcast(z, y).shape),)
+    k, a = family.k[0][y], family.a[0][y]
+    if order == 0:
+        return (0.5 * k * (z - a) ** 2,)
+    if order == 1:
+        return (k * (z - a),)
+    return (k * np.ones_like(z),)
+
+
+def shell_law(family, order, r: int, z, y) -> np.ndarray:
+    """Closed-form order-th z-derivative of the shell-r law of species y."""
+    return sum(shell_terms(family, order, r, z, y))
+
+
+def stacked_law(family, a: np.ndarray, order: int):
+    """(value, largest term magnitude) of the order-th derivative at bond
+    arguments a with trailing axes (R, p), shell by shell."""
+    value, scale = np.zeros_like(a), np.zeros_like(a)
+    y = np.arange(family.p)
+    for r in range(1, family.R + 1):
+        terms = shell_terms(family, order, r, a[..., r - 1, :], y)
+        value[..., r - 1, :] = sum(terms)
+        scale[..., r - 1, :] = np.max(np.abs(terms), axis=0)
+    return value, scale
+
+
 def cell_bond_arguments(family, z: np.ndarray, chi: np.ndarray) -> dict:
     """args[r] (m, p): strain z plus the r-step micro difference, shell by shell."""
     return {
@@ -153,7 +195,7 @@ def cell_gradient(family, args: dict, y: np.ndarray) -> np.ndarray:
     p = y.size
     g = np.zeros_like(args[1])
     for r, a in args.items():
-        w = family.d1(r, a, y) / r
+        w = shell_law(family, 1, r, a, y) / r
         g += (np.roll(w, r, axis=1) - w) / p
     return g
 
@@ -163,7 +205,7 @@ def cell_hessian(family, args: dict, y: np.ndarray) -> np.ndarray:
     m, p = args[1].shape
     H = np.zeros((m, p, p))
     for r, a in args.items():
-        v = family.d2(r, a, y) / (r * r * p)
+        v = shell_law(family, 2, r, a, y) / (r * r * p)
         for j in range(p):
             jr = (j + r) % p
             vj = v[:, j]

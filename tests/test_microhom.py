@@ -11,9 +11,9 @@ from hqc import (
     quadratic_family,
 )
 from hqc.exceptions import SolverFailure
-from hqc.microhom import _cell_maps, _evaluate, _reduced_hessian, _shells, newton_cells
+from hqc.microhom import _cell_maps, _evaluate, _flat, _reduced_hessian, newton_cells
 
-from oracles import cell_bond_arguments, cell_gradient, cell_hessian, reduce_mat
+from oracles import cell_bond_arguments, cell_gradient, cell_hessian, reduce_mat, shell_law
 
 
 @pytest.fixture(scope="module")
@@ -98,17 +98,18 @@ class TestCellKernel:
         (_chi, a, g, res), ok = _evaluate(family, maps, z, chi)
         assert ok.all()
         args = cell_bond_arguments(family, z, chi)
-        stacked = np.concatenate([args[r] for r in range(1, R + 1)], axis=1)
+        stacked = np.stack([args[r] for r in range(1, R + 1)], axis=1)
+        assert a.shape == (z.size, R, p)
         assert np.abs(a - stacked).max() <= 1e-13 * max(1.0, np.abs(stacked).max())
 
         g_ref = cell_gradient(family, args, y)
-        scale = max(np.abs(family.d1(r, v, y)).max() for r, v in args.items())
+        scale = max(np.abs(shell_law(family, 1, r, v, y)).max() for r, v in args.items())
         assert np.abs(g - g_ref).max() <= 1e-13 * scale
         assert np.array_equal(res, np.abs(g).max(axis=1))
 
-        H = _reduced_hessian(maps, _shells(family.d2, maps, a))
+        H = _reduced_hessian(maps, _flat(family.bonds(a, 2)))
         H_ref = reduce_mat(cell_hessian(family, args, y))
-        scale = max(np.abs(family.d2(r, v, y)).max() for r, v in args.items())
+        scale = max(np.abs(shell_law(family, 2, r, v, y)).max() for r, v in args.items())
         assert np.abs(H - H_ref).max() <= 1e-13 * scale
 
     @settings(max_examples=40, deadline=None)
@@ -118,7 +119,7 @@ class TestCellKernel:
         family, z, chi = self.cells(p, R, lj, seed)
         maps = _cell_maps(p, R)
         (_chi, a, _g, _res), _ok = _evaluate(family, maps, z, chi)
-        H = _reduced_hessian(maps, _shells(family.d2, maps, a))
+        H = _reduced_hessian(maps, _flat(family.bonds(a, 2)))
 
         def reduced_gradient(field):
             return _evaluate(family, maps, z, field)[0][2] @ maps.E
@@ -136,9 +137,9 @@ class TestHomogenizedEval:
         law = HomogenizedLaw(fam)
         z = 0.02
         phi0, dphi0, d2phi0 = law.eval(z)
-        assert phi0 == pytest.approx(sum(float(fam.eval(r, z, 0)) for r in (1, 2, 3)), rel=1e-14)
-        assert dphi0 == pytest.approx(sum(float(fam.d1(r, z, 0)) for r in (1, 2, 3)), rel=1e-14)
-        assert d2phi0 == pytest.approx(sum(float(fam.d2(r, z, 0)) for r in (1, 2, 3)), rel=1e-14)
+        for value, order in ((phi0, 0), (dphi0, 1), (d2phi0, 2)):
+            expected = sum(float(shell_law(fam, order, r, z, 0)) for r in (1, 2, 3))
+            assert value == pytest.approx(expected, rel=1e-14)
 
     def test_harmonic_mean_modulus(self):
         rng = np.random.default_rng(31)

@@ -149,6 +149,27 @@ class TestCli:
         cfgfile = self.write_cfg(tmp_path, "problem.kind = 7d\n")
         assert main(["check", "--config", cfgfile]) == 2
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("potential.R = 3", "potential.R = 0"),
+            ("potential.l = 1, 1.125", "potential.l = 1, 0"),
+            ("potential.kind = lj\npotential.R = 3\npotential.l = 1, 1.125",
+             "potential.kind = quadratic\npotential.R = 0\npotential.k = 1, 2"),
+            ("potential.kind = lj\npotential.R = 3\npotential.l = 1, 1.125",
+             "potential.kind = quadratic\npotential.R = 1\npotential.k = 1, -2"),
+        ],
+        ids=["lj_R0", "lj_l_nonpositive", "quadratic_R0", "quadratic_k_nonpositive"],
+    )
+    def test_invalid_potential_exit_2(self, tmp_path, old, new):
+        assert old in BASE_1D
+        cfgfile = self.write_cfg(tmp_path, BASE_1D.replace(old, new))
+        assert main(["solve-hqc", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 2
+
+    def test_invalid_micro_grid_exit_2(self, tmp_path):
+        cfgfile = self.write_cfg(tmp_path, BASE_1D + "micro.z_lo = abc\n")
+        assert main(["micro", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 2
+
     def test_missing_file_exit_2(self):
         assert main(["study", "--config", "/nonexistent.cfg"]) == 2
 
