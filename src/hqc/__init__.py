@@ -50,6 +50,7 @@ from .coarse import (
     equivalence_check,
     interpolate,
     istar,
+    prolong,
     solve_coarse,
     uniform_mesh,
 )

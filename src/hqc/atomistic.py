@@ -67,19 +67,17 @@ class EquilibriumSolution:
     trace: tuple = field(default=(), repr=False)
 
 
-def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
-    """Energy, gradient (as a LatticeFn), and cyclic banded Hessian.
+def _grad_hess(prob: AtomisticProblem, u_vals, energy=False):
+    """(energy or None, gradient values, cyclic banded Hessian) at u; the
+    bond law's phi is evaluated only when the energy is asked for.
 
-    The gradient g represents the first variation through <g, v>_L; the
-    Hessian is returned as cyclic diagonals of shape (2R+1, N) with
-    halfwidth R (see :mod:`hqc.linsolve`).  The bond law is evaluated once
-    over the (R, N) stack of the strains D_{x,r} u, viewed in the stacked
-    (N/p, R, p) layout of :class:`~hqc.potentials.PotentialFamily`.
+    The law is evaluated once over the (R, N) stack of the strains
+    D_{x,r} u, viewed in the stacked (N/p, R, p) layout of
+    :class:`~hqc.potentials.PotentialFamily`.
     """
     grid, family = prob.grid, prob.family
     eps = grid.eps
     N, R, p = grid.N, family.R, family.p
-    u_vals = u.values
     # row r of the window view is u(x + r eps)
     ahead = np.lib.stride_tricks.sliding_window_view(np.concatenate([u_vals, u_vals[:R]]), N)
     Z = ahead[1:] - u_vals
@@ -89,10 +87,11 @@ def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
     if bad.any():
         shell, site = np.argwhere(bad.transpose(1, 0, 2).reshape(R, N))[0]
         raise DomainError(f"inadmissible bond at site {site + 1}, shell r={shell + 1}")
-    phi, d1, d2 = (b.transpose(1, 0, 2).reshape(R, N) for b in family.bonds(cells, 0, 1, 2))
-
-    E = float(phi.mean(axis=1).sum())
-    del Z, cells, phi  # lowers the transient memory peak at large N
+    orders = (0, 1, 2) if energy else (1, 2)
+    stacks = [b.transpose(1, 0, 2).reshape(R, N) for b in family.bonds(cells, *orders)]
+    E = float(stacks.pop(0).mean(axis=1).sum()) if energy else None
+    del Z, cells  # lowers the transient memory peak at large N
+    d1, d2 = stacks
     g = np.zeros(N)
     diags = np.zeros((2 * R + 1, N))
     for r, w, d in zip(range(1, R + 1), d1, d2):
@@ -102,6 +101,17 @@ def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
         diags[R] += d + d_shift
         diags[R + r] += -d
         diags[R - r] += -d_shift
+    return E, g, diags
+
+
+def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
+    """Energy, gradient (as a LatticeFn), and cyclic banded Hessian.
+
+    The gradient g represents the first variation through <g, v>_L; the
+    Hessian is returned as cyclic diagonals of shape (2R+1, N) with
+    halfwidth R (see :mod:`hqc.linsolve`).
+    """
+    E, g, diags = _grad_hess(prob, u.values, energy=True)
     return E, u.with_values(g), diags
 
 
@@ -188,8 +198,8 @@ def solve_atomistic(
 
     def evaluate(u_vals, _prev):
         u_vals = u_vals - u_vals.mean()
-        _, g, diags = energy_grad_hess(prob, LatticeFn(grid, u_vals))
-        rho = g.values - f
+        _, g, diags = _grad_hess(prob, u_vals)
+        rho = g - f
         res = _dual_residual(grid, rho)
         return u_vals, (rho, diags), res, res
 

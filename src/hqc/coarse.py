@@ -27,7 +27,7 @@ from .exceptions import SolverFailure
 from .lattice import LatticeFn, LatticeGrid
 from .atomistic import EquilibriumSolution, damped_newton, solve_homogenized_full
 from .linsolve import solve_cyclic_banded
-from .microhom import HomogenizedLaw
+from .microhom import HomogenizedLaw, warm_start
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,17 @@ def interpolate(mesh: Mesh1D, v: LatticeFn) -> CoarseFn:
     return CoarseFn(mesh, v.values[mesh.nodes - 1])
 
 
+def prolong(u: CoarseFn, mesh: Mesh1D) -> tuple[CoarseFn, np.ndarray]:
+    """Nodal interpolant of u on another mesh of its grid, and for each
+    element of that mesh the element of ``u.mesh`` containing its first node.
+
+    When ``mesh`` refines ``u.mesh`` (a superset of its nodes) the
+    interpolant is u itself and every element lies inside that parent.
+    """
+    site_elem, _ = u.mesh.site_maps()
+    return interpolate(mesh, u.to_lattice()), site_elem[mesh.nodes - 1]
+
+
 def istar(mesh: Mesh1D, w: LatticeFn) -> LatticeFn:
     """Adjoint of the interpolant: <istar(w), v> = <w, interpolate(v)>."""
     site_elem, site_offs = mesh.site_maps()
@@ -239,7 +250,7 @@ def solve_coarse(
     law: HomogenizedLaw,
     mesh: Mesh1D,
     F: ForceFunctional,
-    init: CoarseFn | None = None,
+    init: CoarseSolution | None = None,
     tol: float = 1e-10,
     max_iter: int = 60,
     damping_max: int = 30,
@@ -252,20 +263,28 @@ def solve_coarse(
     Newton step is an O(M) mean-regularized cyclic banded solve followed by
     a projection onto zero lattice mean.  Termination uses the coarse dual
     norm of the nodal residual.
+
+    Without ``init`` the solve starts from U = 0 with cold cell problems.
+    ``init``, a solution on any mesh of the same grid, gives a nested start
+    (nested iteration): U starts at the interpolant of ``init.u`` and each
+    element's cell problem at the ``init.chi`` row of its parent element
+    (see :func:`prolong`); rows whose prolonged field is inadmissible at
+    their new element strain start cold instead.
     """
     h = mesh.element_sizes()
     mw = mesh.mean_weights()
     b = F.node_values(mesh)
 
-    if init is not None:
-        U = init.nodal_values.copy()
-        U = U - mw @ U  # constants only shift the lattice mean
+    if init is None:
+        U, warm0 = np.zeros(mesh.n_elements), None
     else:
-        U = np.zeros(mesh.n_elements)
+        u0, parent = prolong(init.u, mesh)
+        U = u0.nodal_values - mw @ u0.nodal_values  # constants only shift the mean
+        warm0 = warm_start(law.family, (np.roll(U, -1) - U) / h, init.chi[parent])
 
     def evaluate(U_vals, prev):
         z = (np.roll(U_vals, -1) - U_vals) / h
-        warm = None if prev is None else prev[2]
+        warm = warm0 if prev is None else prev[2]
         _phi0, dphi0, d2phi0, chi = law.eval_strains(z, warm=warm)
         R = np.roll(dphi0, 1) - dphi0 - b
         res = coarse_dual_norm(R)

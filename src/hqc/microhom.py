@@ -136,6 +136,18 @@ def cold_start(family, z):
     return chi0
 
 
+def warm_start(family, z, warm):
+    """Starting fields (m, p) of the cells at strains z: the rows of warm,
+    except that a row inadmissible at its strain takes its cold start."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    maps = _cell_maps(family.p, family.R)
+    chi0 = np.array(warm, dtype=float).reshape(z.size, family.p)
+    a = (z[:, None] + chi0 @ maps.DT).reshape(z.size, *maps.layout)
+    bad = ~family.admissible(a).all(axis=(1, 2))
+    chi0[bad] = cold_start(family, z[bad])
+    return chi0
+
+
 def newton_cells(family, z, chi0, tol, max_iter, damping_max):
     """Damped Newton on a batch of cell problems.
 

@@ -3,10 +3,18 @@ CSV/SVG artifacts, and slope fitting.
 
 A study solves the coarse problem on every mesh of the schedule, applies
 the corrector, and measures the post-processed solution against a single
-atomistic reference (cached on disk, keyed by the config hash).  Rows are
-written in schedule order; all scientific columns are deterministic, and
-wall-clock timing is off by default so that reruns with the same config
-produce byte-identical CSV files (opt in with ``timing=True``).
+atomistic reference (cached on disk, keyed by the config hash).  The
+meshes are solved in order by nested iteration: each coarse solve after the
+first starts from the previous row's solution, its nodal values
+interpolated onto the new mesh and each element's cell problem started
+from the cell field of the old element containing it, or cold where that
+field is inadmissible at the new strain (``solve_coarse(init=...)``).
+Uniform schedules and ``adapt_mesh`` both refine, so the start is the
+previous solution itself; ``newton_iters`` counts the outer iterations
+from it.  Rows are written in schedule order; all scientific columns are
+deterministic, and wall-clock timing is off by default so that reruns with
+the same config produce byte-identical CSV files (opt in with
+``timing=True``).
 """
 
 from __future__ import annotations
@@ -147,9 +155,13 @@ def _reference_solution(cfg, grid, family, micro, out_dir, use_cache):
     return sol.u
 
 
-def _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock) -> StudyRow:
+def _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock, prev):
+    """Row of one mesh, its indicator report and its coarse solution; the
+    solve starts nested from the previous row's solution ``prev``."""
     t0 = clock() if clock else 0.0
-    cs = solve_coarse(law, mesh, F, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    cs = solve_coarse(
+        law, mesh, F, init=prev, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
+    )
     uc = corrector(law, cs)
     diff = LatticeFn(mesh.grid, uc.values - u_ref.values)
     report = indicator_terms(cs.u, mesh, f, F, cfg.calibration, c0_inv)
@@ -165,7 +177,7 @@ def _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock) -> StudyRow:
         eta_total=report.total,
         newton_iters=cs.iterations,
         wall_ms=wall,
-    ), report
+    ), report, cs
 
 
 def run_study(
@@ -196,18 +208,18 @@ def run_study(
     F = ForceFunctional(cfg.functional_kind, f)
     clock = time.perf_counter if timing else None
 
+    rows, cs = [], None
     if cfg.adaptive:
-        rows = []
         mesh = uniform_mesh(grid, cfg.adapt_initial)
         for _ in range(cfg.adapt_steps):
-            row, report = _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock)
+            row, report, cs = _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock, cs)
             rows.append(row)
             mesh = adapt_mesh(mesh, report, cfg.theta)
     else:
-        rows = [
-            _study_row(law, uniform_mesh(grid, m), F, f, u_ref, cfg, c0_inv, clock)[0]
-            for m in cfg.mesh_schedule
-        ]
+        for m in cfg.mesh_schedule:
+            mesh = uniform_mesh(grid, m)
+            row, _report, cs = _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock, cs)
+            rows.append(row)
 
     if out_dir is not None:
         out = Path(out_dir)

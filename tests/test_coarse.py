@@ -5,18 +5,23 @@ from hypothesis import strategies as st
 
 from hqc import (
     CoarseFn,
+    CoarseSolution,
+    DomainError,
     ForceFunctional,
     SolverFailure,
     HomogenizedLaw,
     LatticeFn,
     LatticeGrid,
     Mesh1D,
+    adapt_mesh,
     corrector,
     equivalence_check,
+    indicator_terms,
     inner,
     interpolate,
     istar,
     lj_family,
+    prolong,
     quadratic_family,
     seminorm,
     solve_coarse,
@@ -117,6 +122,31 @@ class TestInterpolate:
                 seminorm(interpolate(mesh, v).to_lattice(), 1, 1)
                 <= seminorm(v, 1, 1) + 1e-13
             )
+
+
+class TestProlong:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 96),
+        m=st.integers(2, 12),
+        extra=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_refinement_reproduces_coarse_function(self, n, m, extra, seed):
+        rng = np.random.default_rng(seed)
+        grid = LatticeGrid(n)
+        coarse = rand_mesh(rng, grid, min(m, n))
+        free = np.setdiff1d(np.arange(1, n + 1), coarse.nodes)
+        added = rng.choice(free, size=min(extra, free.size), replace=False)
+        fine = Mesh1D(grid, np.union1d(coarse.nodes, added))
+        u = CoarseFn(coarse, rng.standard_normal(coarse.n_elements))
+        uf, parent = prolong(u, fine)
+        ref = u.to_lattice().values
+        assert np.abs(uf.to_lattice().values - ref).max() <= 1e-14 * np.abs(ref).max()
+        # every site of a fine element lies in that element's parent
+        coarse_elem, _ = coarse.site_maps()
+        fine_elem, _ = fine.site_maps()
+        assert np.array_equal(coarse_elem, parent[fine_elem])
 
 
 class TestIstar:
@@ -309,6 +339,55 @@ class TestSolveCoarse:
         law, grid, f = lj_setup
         cs = solve_coarse(law, uniform_mesh(grid, 8), ForceFunctional("node_lumped", f))
         assert abs(cs.u.lattice_mean()) < 1e-13
+
+
+class TestNestedStart:
+    @staticmethod
+    def solve_both(law, mesh, F, init):
+        """Cold and nested solves on mesh; the nested one must agree."""
+        cold = solve_coarse(law, mesh, F)
+        nested = solve_coarse(law, mesh, F, init=init)
+        U = cold.u.nodal_values
+        assert np.abs(nested.u.nodal_values - U).max() <= 1e-10 * np.abs(U).max()
+        assert np.abs(nested.chi - cold.chi).max() <= 1e-12 * np.abs(cold.chi).max()
+        return cold, nested
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64, 128])
+    def test_uniform_refinement(self, lj_setup, m):
+        law, grid, f = lj_setup
+        F = ForceFunctional("exact_summation", f)
+        init = solve_coarse(law, uniform_mesh(grid, m), F)
+        cold, nested = self.solve_both(law, uniform_mesh(grid, 2 * m), F, init)
+        assert nested.iterations <= cold.iterations
+
+    @pytest.mark.parametrize("m", [4, 8, 16, 32])
+    def test_adaptive_step(self, lj_setup, m):
+        law, grid, f = lj_setup
+        F = ForceFunctional("exact_summation", f)
+        mesh = uniform_mesh(grid, m)
+        init = solve_coarse(law, mesh, F)
+        fine = adapt_mesh(mesh, indicator_terms(init.u, mesh, f, F), 0.5)
+        assert fine.n_elements > m
+        cold, nested = self.solve_both(law, fine, F, init)
+        assert nested.iterations <= cold.iterations
+
+    def test_non_nested_init(self, lj_setup):
+        law, _, _ = lj_setup
+        grid = LatticeGrid(240, 2)
+        F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
+        init = solve_coarse(law, uniform_mesh(grid, 6), F)
+        self.solve_both(law, uniform_mesh(grid, 8), F, init)
+
+    def test_inadmissible_cell_field_starts_cold(self, lj_setup):
+        law, grid, f = lj_setup
+        F = ForceFunctional("exact_summation", f)
+        cs = solve_coarse(law, uniform_mesh(grid, 8), F)
+        # a nearest-neighbour bond of this field is z - 1.4 < -1 at every strain
+        chi = np.tile([0.7, -0.7], (8, 1))
+        with pytest.raises(DomainError):
+            law.eval_strains(cs.u.strains(), warm=chi)
+        init = CoarseSolution(cs.u, cs.residual_dual, cs.iterations, chi)
+        self.solve_both(law, uniform_mesh(grid, 16), F, init)
 
 
 class TestCoarseNewtonStep:

@@ -11,7 +11,15 @@ from hqc import (
     quadratic_family,
 )
 from hqc.exceptions import SolverFailure
-from hqc.microhom import _cell_maps, _evaluate, _flat, _reduced_hessian, newton_cells
+from hqc.microhom import (
+    _cell_maps,
+    _evaluate,
+    _flat,
+    _reduced_hessian,
+    cold_start,
+    newton_cells,
+    warm_start,
+)
 
 from oracles import cell_bond_arguments, cell_gradient, cell_hessian, reduce_mat, shell_law
 
@@ -198,6 +206,18 @@ class TestEvalStrains:
 
 
 class TestWarmStartInterface:
+    def test_inadmissible_rows_start_cold(self, lj_law):
+        family = lj_law.family
+        z = np.array([-0.02, 0.01, 0.03, -1.0])
+        warm = np.zeros((4, 2))
+        warm[:3] = lj_law.eval_strains(z[:3])[3]
+        warm[1] = [0.7, -0.7]  # nearest-neighbour bond z - 1.4 < -1
+        # at z = -1 every field has a bond <= -1; the cold start is the ramp
+        chi0 = warm_start(family, z, warm)
+        assert np.array_equal(chi0[[0, 2]], warm[[0, 2]])
+        assert np.array_equal(chi0[[1, 3]], cold_start(family, z[[1, 3]]))
+        assert np.abs(chi0[3]).max() > 0
+
     def test_explicit_micro_warm_start(self, lj_law):
         chi = lj_law.eval_strains(0.05)[3]
         law2 = HomogenizedLaw(lj_law.family)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hqc import ConfigError, StudyRow, build_config, fit_slope, read_rows_csv, run_study
+from hqc import (
+    ConfigError,
+    StudyRow,
+    build_config,
+    fit_slope,
+    read_rows_csv,
+    run_study,
+    solve_coarse,
+)
 from hqc.cli import main
 from hqc.config import parse_config_text
 from hqc.study import write_rows_csv
@@ -129,6 +137,25 @@ class TestRunStudy:
         assert len(rows) == 4
         assert all(a.h_max >= b.h_max for a, b in zip(rows, rows[1:]))
         assert rows[-1].eta_jump < rows[0].eta_jump
+
+    @pytest.mark.parametrize(
+        "extra", ["", "mesh.schedule = adaptive\nmesh.steps = 4\nmesh.initial = 4\n"]
+    )
+    def test_each_row_starts_from_the_previous_solution(self, monkeypatch, extra):
+        import hqc.study
+
+        calls = []
+
+        def recording(*args, init=None, **kw):
+            cs = solve_coarse(*args, init=init, **kw)
+            calls.append((init, cs))
+            return cs
+
+        monkeypatch.setattr(hqc.study, "solve_coarse", recording)
+        rows = run_study(cfg_1d(extra))
+        assert calls[0][0] is None
+        assert all(init is prev for (init, _), (_, prev) in zip(calls[1:], calls))
+        assert [row.newton_iters for row in rows] == [cs.iterations for _, cs in calls]
 
     def test_stability_gate(self):
         from hqc.exceptions import StabilityError
