@@ -6,6 +6,8 @@
 
 where E(u) = < sum_r phi_r(D_r u; .) > is the multilattice energy, by a
 damped Newton iteration with cyclic banded Jacobians of halfwidth R.
+Each Jacobian annihilates the constants, and each Newton step is the
+zero-mean solution of its banded system (:mod:`hqc.linsolve`).
 Termination is measured in the (-1, inf) dual seminorm of the residual
 functional, matching the error topology of the coarse-graining analysis.
 
@@ -170,14 +172,6 @@ def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
     return x, state, trace
 
 
-def _banded_newton_step(diags, rho):
-    """Zero-mean Newton step of a cyclic banded Jacobian that annihilates
-    constants (mean-regularized, then projected)."""
-    alpha = 1.0 + float(np.abs(diags[diags.shape[0] // 2]).mean())
-    step = solve_cyclic_banded(diags, -rho, mean_reg=alpha)
-    return step - step.mean()
-
-
 def solve_atomistic(
     prob: AtomisticProblem,
     rhs: LatticeFn | None = None,
@@ -188,9 +182,9 @@ def solve_atomistic(
 ) -> EquilibriumSolution:
     """Damped Newton on the zero-mean space; accepts any zero-mean rhs.
 
-    Each step solves the mean-regularized cyclic banded system and projects
-    the iterate back to zero mean; backtracking halves the step on residual
-    increase or on a domain error.
+    Each step is the zero-mean solution of the cyclic banded Newton system
+    (:func:`hqc.linsolve.solve_cyclic_banded`); backtracking halves the
+    step on residual increase or on a domain error.
     """
     grid = prob.grid
     f = (rhs or prob.force).values
@@ -205,7 +199,7 @@ def solve_atomistic(
 
     def step(_u, state):
         rho, diags = state
-        return _banded_newton_step(diags, rho)
+        return solve_cyclic_banded(diags, -rho)
 
     u0 = np.zeros(grid.N) if u_init is None else u_init.values
     u, _, trace = damped_newton(evaluate, step, u0, tol, max_iter, damping_max, "atomistic")
@@ -249,7 +243,7 @@ def solve_homogenized_full(
         rho, d2, _chi = state
         d_shift = np.roll(d2, 1)
         diags = np.array([-d_shift, d2 + d_shift, -d2]) / eps**2
-        return _banded_newton_step(diags, rho)
+        return solve_cyclic_banded(diags, -rho)
 
     u, _, trace = damped_newton(
         evaluate, step, np.zeros(grid.N), tol, max_iter, damping_max, "homogenized"

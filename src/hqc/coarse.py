@@ -229,17 +229,13 @@ def coarse_newton_step(d2, h, mw, R) -> np.ndarray:
 
     J is the cyclic tridiagonal coarse Jacobian with element stiffnesses
     d2 / h.  It annihilates constants, so J s = -R + c mw is solvable only
-    for c = sum(R) / sum(mw); the mean-regularized banded solve returns its
-    zero-sum solution, which is then shifted along the constants.
+    for c = sum(R) / sum(mw); the banded solve returns its zero-sum
+    solution, which is then shifted along the constants to mw @ s = 0.
     """
     dh = d2 / h
     dh_prev = np.roll(dh, 1)
     diags = np.array([-dh_prev, dh_prev + dh, -dh])
-    alpha = 1.0 + float(np.abs(diags[1]).mean())
-    try:
-        s = solve_cyclic_banded(diags, -R + (R.sum() / mw.sum()) * mw, mean_reg=alpha)
-    except SolverFailure as exc:
-        raise SolverFailure("singular coarse Jacobian") from exc
+    s = solve_cyclic_banded(diags, (R.sum() / mw.sum()) * mw - R)
     s -= (mw @ s) / mw.sum()
     if not np.isfinite(s).all():
         raise SolverFailure("singular coarse Jacobian")
@@ -260,8 +256,8 @@ def solve_coarse(
     Unknowns are nodal values with zero lattice mean; the homogenized law
     is evaluated at the constant strain of each element (one vectorized
     cell solve per iteration).  The Jacobian is cyclic tridiagonal, so each
-    Newton step is an O(M) mean-regularized cyclic banded solve followed by
-    a projection onto zero lattice mean.  Termination uses the coarse dual
+    Newton step is an O(M) zero-mean cyclic banded solve followed by a
+    projection onto zero lattice mean.  Termination uses the coarse dual
     norm of the nodal residual.
 
     Without ``init`` the solve starts from U = 0 with cold cell problems.

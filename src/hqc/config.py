@@ -14,7 +14,6 @@ from .exceptions import ConfigError
 
 _DEFAULTS = {
     "problem.kind": "1d",
-    "seed": "0",
     "force.functional": "exact_summation",
     "force.preset": "sin_1d",
     "micro.tol": "1e-12",
@@ -98,8 +97,6 @@ class ExperimentConfig:
     solver_max_iter: int = 60
     calibration: float = 1.0
     c0_inv: float | None = None
-    seed: int = 0
-    out_dir: str | None = None
 
     @property
     def p(self) -> int:
@@ -117,7 +114,6 @@ def build_config(mapping: dict) -> ExperimentConfig:
         if kind not in ("1d", "2d"):
             raise ConfigError(f"problem.kind must be 1d or 2d, got {kind!r}")
         cfg = ExperimentConfig(kind=kind, raw=dict(mapping))
-        cfg.seed = int(m["seed"])
         cfg.micro_tol = float(m["micro.tol"])
         cfg.micro_max_iter = int(m["micro.max_iter"])
         cfg.micro_damping_max = int(m["micro.damping_max"])
@@ -129,7 +125,6 @@ def build_config(mapping: dict) -> ExperimentConfig:
         cfg.calibration = float(m["estimator.calibration"])
         if "estimator.c0_inv" in m:
             cfg.c0_inv = float(m["estimator.c0_inv"])
-        cfg.out_dir = m.get("output.dir")
         if kind == "1d":
             _build_1d(cfg, m)
         else:

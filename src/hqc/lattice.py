@@ -99,14 +99,6 @@ class MicroFn:
         return float(self.values.mean())
 
 
-def micro_diff_r(eta: MicroFn, r: int) -> MicroFn:
-    """r-step derivative on the micro lattice (unit spacing)."""
-    if r == 0:
-        raise ValueError("r must be nonzero")
-    v = eta.values
-    return MicroFn(eta.p, (np.roll(v, -r) - v) / r)
-
-
 def diff_r(u: LatticeFn, r: int) -> LatticeFn:
     """r-step discrete derivative (u(x + r eps) - u(x)) / (r eps), r != 0."""
     if r == 0:

@@ -1,19 +1,20 @@
 """Linear solves with periodic operators: cyclic banded in 1D, block circulant in 2D.
 
+Both solves return the zero-mean x with A x = rhs - mean(rhs) for a
+symmetric periodic operator A whose kernel is the constants, the Newton
+step of every outer solver on the zero-mean space.
+
 A cyclic band of halfwidth R is stored as ``diags`` of shape (2R+1, N)
 with ``diags[R + d, i] = A[i, (i + d) % N]`` for offsets d = -R..R.
 
-``solve_cyclic_banded`` uses a bordered factorization: the acyclic part of
-the band is factorized with LAPACK's banded solver and the 2R x 2R corner
-block (the periodic wrap) plus an optional rank-one mean regularization
-are folded back in through the Woodbury identity, for O(N R^2) work.  If
-the acyclic band is singular or the result fails a residual check, the
-solve falls back to a sparse bordered KKT system.
-
-The mean regularization replaces A by A + (alpha/N) * ones * ones^T.  When
-the constants span ker(A) and the right-hand side has zero mean, the
-regularized solve returns exactly the zero-mean solution, independent of
-alpha > 0.
+``solve_cyclic_banded`` folds the period: in the site order 0, N-1, 1,
+N-2, ... the cyclic band becomes an acyclic band of halfwidth 2R.  Pinning
+site 0 (dropping its row and column) leaves a nonsingular band, because
+A is symmetric with the constants as its one-dimensional kernel.  One
+LAPACK banded factorization, one refinement step with the zero-mean
+residual and a shift to zero mean give x, in O(N R^2).  If the band is
+singular or the result fails a residual check, the solve falls back to a
+sparse KKT system bordered by the zero-mean constraint.
 
 ``solve_periodic_2d`` inverts a periodic 2D operator that repeats on a
 cell of sites exactly: probing the operator with one impulse per cell site
@@ -23,8 +24,10 @@ into one small dense system per frequency.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -49,15 +52,13 @@ def cyclic_to_dense(diags: np.ndarray) -> np.ndarray:
     return A
 
 
-def _solve_kkt_sparse(diags, rhs, mean_reg):
+def _solve_kkt_sparse(diags, rhs):
+    """Zero-mean solution of the cyclic band bordered by the mean constraint."""
     n = diags.shape[1]
     A = scipy.sparse.csc_matrix(_cyclic_coo(diags))
-    if mean_reg:
-        c = scipy.sparse.csc_matrix(np.ones((n, 1)) / n)
-        K = scipy.sparse.bmat([[A, c], [c.T, None]], format="csc")
-        sol = scipy.sparse.linalg.spsolve(K, np.concatenate([rhs, [0.0]]))
-        return sol[:-1]
-    return scipy.sparse.linalg.spsolve(A, rhs)
+    c = scipy.sparse.csc_matrix(np.ones((n, 1)) / n)
+    K = scipy.sparse.bmat([[A, c], [c.T, None]], format="csc")
+    return scipy.sparse.linalg.spsolve(K, np.concatenate([rhs, [0.0]]))[:-1]
 
 
 def _cyclic_coo(diags):
@@ -74,69 +75,63 @@ def _cyclic_coo(diags):
     )
 
 
-def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray, mean_reg: float = 0.0) -> np.ndarray:
-    """Solve (A + (mean_reg/N) 11^T) x = rhs for a cyclic banded A."""
+@functools.lru_cache(maxsize=16)
+def _fold_maps(n: int, R: int):
+    """(slot, order): where the entries of a cyclic (2R+1, n) band go in the
+    folded, pinned band, and the sites in folded order 0, n-1, 1, n-2, ...
+
+    The pinned system drops site 0; site order[k] is its row k - 1.  Entry
+    (d, i) of ``diags``, A[i, j] with j = (i + d) % n, is row a of site i
+    and column b of site j, and lands in ``slot[d, i]`` of the flattened
+    transpose of LAPACK's (6R+1, n-1) band storage ab[4R + a - b, b].
+    Entries in site 0's row or column go to the spare slot (n-1) (6R+1).
+    """
+    site = np.arange(n)
+    row = np.where(2 * site < n, 2 * site, 2 * (n - site) - 1) - 1
+    nbr = site + np.arange(-R, R + 1)[:, None]
+    nbr %= n
+    slot = row[nbr]  # column b of each entry, turned into its slot in place
+    del nbr
+    pinned = slot < 0
+    pinned |= row < 0
+    width = 6 * R + 1
+    slot *= width - 1
+    slot += row + 4 * R
+    slot[pinned] = (n - 1) * width
+    return slot.ravel(), np.argsort(row)
+
+
+def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Zero-mean x with A x = rhs - mean(rhs), for a symmetric cyclic band
+    A whose kernel is the constants."""
     R = (diags.shape[0] - 1) // 2
     n = diags.shape[1]
-    rhs = np.asarray(rhs, dtype=float)
-
-    if n <= 4 * R + 2:
-        A = cyclic_to_dense(diags)
-        if mean_reg:
-            A = A + mean_reg / n
-        try:
-            return np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure("singular dense linear system") from exc
-
-    # acyclic band in LAPACK storage ab[R + i - j, j] = A[i, j]
-    ab = np.zeros((2 * R + 1, n))
-    corner = []
-    for d in range(-R, R + 1):
-        vals = diags[R + d]
-        if d >= 0:
-            ab[R - d, d:] = vals[: n - d]
-            for i in range(n - d, n):
-                corner.append((i, i + d - n, vals[i]))
-        else:
-            ab[R - d, : n + d] = vals[-d:]
-            for i in range(0, -d):
-                corner.append((i, i + d + n, vals[i]))
-
-    idx = np.array(list(range(R)) + list(range(n - R, n)))
-    pos = {int(i): k for k, i in enumerate(idx)}
-    M = np.zeros((2 * R, 2 * R))
-    for i, j, v in corner:
-        M[pos[i], pos[j]] += v
-
-    ncols = 2 * R + (1 if mean_reg else 0)
-    B = np.zeros((n, 1 + ncols))
-    B[:, 0] = rhs
-    for k, i in enumerate(idx):
-        B[i, 1 + k] = 1.0
-    if mean_reg:
-        B[:, -1] = 1.0
-
-    try:
-        X = scipy.linalg.solve_banded((R, R), ab, B)
-        xb = X[:, 0]
-        XU = X[:, 1:]
-        # Woodbury: K is the corner block extended by the mean regularization
-        K = np.zeros((ncols, ncols))
-        K[: 2 * R, : 2 * R] = M
-        if mean_reg:
-            K[-1, -1] = mean_reg / n
-        UtX = np.vstack([XU[idx, :], XU.sum(axis=0)]) if mean_reg else XU[idx, :]
-        Utxb = np.concatenate([xb[idx], [xb.sum()]]) if mean_reg else xb[idx]
-        S = np.eye(ncols) + K @ UtX
-        x = xb - XU @ np.linalg.solve(S, K @ Utxb)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        return _solve_kkt_sparse(diags, rhs, mean_reg)
-
-    resid = cyclic_matvec(diags, x) + (mean_reg / n) * x.sum() - rhs
-    scale = max(1.0, float(np.abs(rhs).max()), float(np.abs(diags).max() * np.abs(x).max()))
-    if not np.isfinite(x).all() or np.abs(resid).max() > 1e-8 * scale:
-        return _solve_kkt_sparse(diags, rhs, mean_reg)
+    b = np.asarray(rhs, dtype=float)
+    b = b - b.mean()
+    slot, order = _fold_maps(n, R)
+    width = 6 * R + 1
+    ab = np.bincount(slot, weights=diags.ravel(), minlength=(n - 1) * width + 1)
+    ab = ab[:-1].reshape(n - 1, width).T
+    lu, piv, y, info = scipy.linalg.lapack.dgbsv(
+        2 * R, 2 * R, ab, b[order[1:]], overwrite_ab=1, overwrite_b=1
+    )
+    if info > 0:
+        return _solve_kkt_sparse(diags, b)
+    x = np.zeros(n)
+    x[order[1:]] = y
+    # Site 0's equation holds only through the column sums of A, which
+    # cancel to roundoff, so its row takes the whole residual.  One
+    # refinement step with the zero-mean residual spreads it over the
+    # constants, which the zero-mean solution does not see.
+    r = b - cyclic_matvec(diags, x)
+    r -= r.mean()
+    band = max(diags.max(), -diags.min())
+    scale = max(1.0, float(np.abs(b).max()), float(band * np.abs(x).max()))
+    if not np.abs(r).max() <= 1e-8 * scale:  # also when r is not finite
+        return _solve_kkt_sparse(diags, b)
+    y, _ = scipy.linalg.lapack.dgbtrs(lu, 2 * R, 2 * R, r[order[1:]], piv, overwrite_b=1)
+    x[order[1:]] += y
+    x -= x.mean()
     return x
 
 
@@ -147,8 +142,8 @@ def solve_periodic_2d(apply, rhs: np.ndarray, cell: tuple[int, int]) -> np.ndarr
     linear and symmetric, commute with shifts by ``cell`` = (c1, c2) and
     have the constants as its kernel.  ``rhs`` has shape (..., N1, N2);
     all leading entries are solved with one symbol.  The singular
-    zero-frequency block is mean-regularized as in ``solve_cyclic_banded``;
-    the result does not depend on the regularization weight.
+    zero-frequency block is regularized along the constants (a constant
+    added to every entry), which the zero-mean result does not depend on.
     """
     rhs = np.asarray(rhs, dtype=float)
     N1, N2 = rhs.shape[-2:]

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, SolverFailure, StabilityError
-from .potentials import PotentialFamily, ramp_guess
+from .potentials import PotentialFamily
 
 _POLISH_ROUNDS = 6
 
@@ -127,13 +127,8 @@ def _accept(state, iters, trial, rows, accept):
 
 
 def cold_start(family, z):
-    """Cold starting fields (m, p) of the cells at strains z: zero, or the
-    equilibrium-spacing ramp where the zero field is inadmissible."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    chi0 = np.zeros((z.size, family.p))
-    at_zero = np.broadcast_to(z[:, None, None], (z.size, family.R, family.p))
-    chi0[~family.admissible(at_zero).all(axis=(1, 2))] = ramp_guess(family)
-    return chi0
+    """Cold starting fields (m, p) of the cells at strains z: the zero field."""
+    return np.zeros((np.size(z), family.p))
 
 
 def warm_start(family, z, warm):
@@ -228,9 +223,8 @@ class HomogenizedLaw:
     """Potential family plus the micro-solver settings of its cell problems.
 
     Every evaluation solves its cell problems afresh, from ``warm`` when
-    given and otherwise from zero (or the equilibrium-spacing ramp when
-    zero is inadmissible); converged values do not depend on the start
-    (see module docstring).
+    given and otherwise from zero; converged values do not depend on the
+    start (see module docstring).
     """
 
     family: PotentialFamily

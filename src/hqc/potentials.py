@@ -152,20 +152,6 @@ class Microstructure:
         return self.chi_star.p
 
 
-def ramp_guess(family: PotentialFamily) -> np.ndarray:
-    """Zero-mean micro field whose increments follow the equilibrium spacings.
-
-    For families with an l-pattern, D chi(y) = l_y / <l> - 1; otherwise zeros.
-    """
-    p = family.p
-    l = getattr(family, "l", None)
-    if l is None:
-        return np.zeros(p)
-    incr = l / l.mean() - 1.0
-    chi = np.concatenate([[0.0], np.cumsum(incr[:-1])])
-    return chi - chi.mean()
-
-
 def validate_microstructure(chi: np.ndarray, where: str = "microstructure") -> None:
     """Check that y + chi(y) is strictly increasing and |chi| <= (p-1)/2."""
     p = chi.size
@@ -191,7 +177,7 @@ def ground_microstructure(
     """Solve the unloaded micro system for the zero-mean ground field chi_*.
 
     Newton iteration on the (p-1)-dimensional zero-mean space, started from
-    zero (or from the equilibrium-spacing ramp when zero is inadmissible).
+    zero.
     The result is validated: the micro deformation must be strictly
     increasing and ||chi_*||_inf <= (p-1)/2; violations raise
     :class:`StabilityError`.

@@ -394,8 +394,9 @@ class TestCoarseNewtonStep:
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
     def test_matches_dense_reduced_solve(self, m, seed):
-        # M from 2 to 12 crosses the dense cut-off n <= 4R + 2 = 6 of the
-        # banded solver; sum(R) != 0 exercises the span(mw) component
+        # M from 2 to 12 includes M = 2, where both off-diagonals of the
+        # cyclic band alias onto one entry; sum(R) != 0 exercises the
+        # span(mw) component
         rng = np.random.default_rng(seed)
         mesh = rand_mesh(rng, LatticeGrid(64), m)
         h, mw = mesh.element_sizes(), mesh.mean_weights()
@@ -427,8 +428,8 @@ class FlatLaw:
 
 
 class TestSingularJacobian:
-    # M <= 6 takes the dense path of the banded solver, M > 6 the banded
-    # path and its sparse fallback (which returns NaN on a singular matrix)
+    # the zero band fails LAPACK's banded solve, and its sparse fallback
+    # returns NaN on the singular bordered matrix, for every M
     @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     @pytest.mark.parametrize("m", [2, 4, 6, 8, 16])
     def test_raises_solver_failure(self, m):

@@ -12,7 +12,7 @@ from hqc import (
     nn_dominance_margin,
     quadratic_family,
 )
-from hqc.potentials import LennardJonesFamily, PotentialFamily, validate_microstructure
+from hqc.potentials import PotentialFamily, validate_microstructure
 from hqc.exceptions import StabilityError
 
 from oracles import shell_law, stacked_law
@@ -35,19 +35,6 @@ class SecondShellFamily(PotentialFamily):
         laws = (0.5 * self.stiff * a ** 2, self.stiff * a, self.stiff * np.ones_like(a))
         out = [laws[order] for order in orders]
         return out[0] if len(out) == 1 else tuple(out)
-
-
-class PuncturedFamily(LennardJonesFamily):
-    """Lennard-Jones with the rest state a = 0 cut out of its domain, so
-    that the zero micro field is inadmissible at z = 0."""
-
-    def admissible(self, a):
-        return super().admissible(a) & (np.asarray(a) != 0.0)
-
-    def bonds(self, a, *orders):
-        if not self.admissible(a).all():
-            raise DomainError("bond argument at the punctured rest state")
-        return super().bonds(a, *orders)
 
 
 @pytest.fixture(scope="module")
@@ -262,10 +249,7 @@ class TestGroundMicrostructure:
             assert (1.0 + d).min() > 0.0
             done += 1
 
-    @pytest.mark.parametrize(
-        "family", [lj_family([1.0, 9.0 / 8.0], R=3), PuncturedFamily([1.0, 1.1, 1.25], R=2)],
-        ids=["lj", "zero_inadmissible"],
-    )
+    @pytest.mark.parametrize("family", [lj_family([1.0, 9.0 / 8.0], R=3)], ids=["lj"])
     def test_cold_start_agrees_with_cold_cell_solve(self, family):
         chi_star = ground_microstructure(family).chi_star.values
         chi = HomogenizedLaw(family).eval_strains(0.0)[3][0]
