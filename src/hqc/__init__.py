@@ -38,7 +38,6 @@ from .atomistic import (
     EquilibriumSolution,
     energy_grad_hess,
     solve_atomistic,
-    solve_homogenized_full,
 )
 from .coarse import (
     CoarseFn,

@@ -11,14 +11,11 @@ zero-mean solution of its banded system (:mod:`hqc.linsolve`).
 Termination is measured in the (-1, inf) dual seminorm of the residual
 functional, matching the error topology of the coarse-graining analysis.
 
-``solve_homogenized_full`` solves the same kind of problem for the
-homogenized nearest-neighbor density phi0 on the full lattice; there the
-strong form -D[dphi0(D u)] = T f exists and termination uses its max norm
-(which dominates the dual norm).
-
-``damped_newton`` is the residual-backtracking Newton loop shared by both
-solvers and by :func:`hqc.coarse.solve_coarse`; each solver supplies only
-its residual evaluation, termination norm and Newton step.
+``damped_newton`` is the residual-backtracking Newton loop shared by
+``solve_atomistic`` and :func:`hqc.coarse.solve_coarse`, the two outer
+solvers; each supplies only its residual evaluation, termination norm and
+Newton step.  The homogenized problem on the full lattice is
+``solve_coarse`` on the mesh whose nodes are all N sites.
 """
 
 from __future__ import annotations
@@ -29,9 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, SolverFailure
-from .lattice import LatticeFn, LatticeGrid, dual_seminorm_neg1
+from .lattice import LatticeFn, LatticeGrid
 from .linsolve import solve_cyclic_banded
-from .microhom import HomogenizedLaw
 from .potentials import PotentialFamily
 
 log = logging.getLogger(__name__)
@@ -123,22 +119,24 @@ def _dual_residual(grid, rho_vals):
 
 
 def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
-    """Newton iteration with residual backtracking, shared by the outer solvers.
+    """Newton iteration with residual backtracking, shared by the two outer
+    solvers, :func:`solve_atomistic` and :func:`hqc.coarse.solve_coarse`.
 
-    ``evaluate(x, prev_state)`` returns ``(x, state, norm, trace_value)``:
-    the possibly projected iterate, whatever ``step`` needs (including any
-    warm start for the next evaluation), the termination norm and the value
-    recorded in the trace.  ``step(x, state)`` returns the Newton direction.
+    ``evaluate(x, prev_state)`` returns ``(x, state, norm)``: the possibly
+    projected iterate, whatever ``step`` needs (including any warm start for
+    the next evaluation) and the residual norm, which decides termination
+    and is recorded in the trace.  ``step(x, state)`` returns the Newton
+    direction.
     A trial point is accepted when its norm drops below the current one;
     otherwise, or when evaluating it raises DomainError or SolverFailure,
     the step is halved.  When no halving is accepted, an error from the
     final (smallest) trial is re-raised as its own class; if that trial
     evaluated, the solve has stalled.  Returns ``(x, state, trace)`` with trace
-    rows (iteration, trace_value, step_damping); every SolverFailure raised
+    rows (iteration, norm, step_damping); every SolverFailure raised
     here carries the trace so far.
     """
-    x, state, res, value = evaluate(x, None)
-    trace = [(0, value, 0.0)]
+    x, state, res = evaluate(x, None)
+    trace = [(0, res, 0.0)]
     it = 0
     while res > tol:
         if it >= max_iter:
@@ -158,7 +156,7 @@ def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
                 continue
             last_error = None
             if trial[2] < res:
-                x, state, res, value = trial
+                x, state, res = trial
                 break
             t *= 0.5
         else:
@@ -168,7 +166,7 @@ def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
             if last_error is not None:
                 raise SolverFailure(unrecoverable, trace) from last_error
             raise SolverFailure(f"{name} Newton stalled at residual {res:.3e}", trace)
-        trace.append((it, value, t))
+        trace.append((it, res, t))
     return x, state, trace
 
 
@@ -194,8 +192,7 @@ def solve_atomistic(
         u_vals = u_vals - u_vals.mean()
         _, g, diags = _grad_hess(prob, u_vals)
         rho = g - f
-        res = _dual_residual(grid, rho)
-        return u_vals, (rho, diags), res, res
+        return u_vals, (rho, diags), _dual_residual(grid, rho)
 
     def step(_u, state):
         rho, diags = state
@@ -203,50 +200,5 @@ def solve_atomistic(
 
     u0 = np.zeros(grid.N) if u_init is None else u_init.values
     u, _, trace = damped_newton(evaluate, step, u0, tol, max_iter, damping_max, "atomistic")
-    it, res, _ = trace[-1]
-    return EquilibriumSolution(LatticeFn(grid, u), res, it, tuple(trace))
-
-
-def solve_homogenized_full(
-    law: HomogenizedLaw,
-    grid: LatticeGrid,
-    f: LatticeFn,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-    damping_max: int = 30,
-) -> EquilibriumSolution:
-    """Full-lattice solve of the homogenized problem.
-
-    Newton on -D[dphi0(D u)] = T f, with the cell problem solved at every
-    site strain per iteration (vectorized, warm-started from the previous
-    iterate).  Terminates when the strong-form residual max norm is <= tol;
-    the trace records the dual-norm residual for comparability with
-    :func:`solve_atomistic`.
-
-    The strong form divides by eps, so its attainable floor grows roughly
-    like N^2 * machine eps * (law magnitude); pass a looser tol for large
-    N (with the shipped lj_1d chain and force the default tol is met at
-    N = 256 but stalls at N = 512, at a residual of 1.25e-10).
-    """
-    eps = grid.eps
-    fv = f.values - f.values.mean()
-
-    def evaluate(u_vals, prev):
-        u_vals = u_vals - u_vals.mean()
-        z = (np.roll(u_vals, -1) - u_vals) / eps
-        warm = None if prev is None else prev[2]
-        _phi0, dphi0, d2phi0, chi = law.eval_strains(z, warm=warm)
-        rho = (np.roll(dphi0, 1) - dphi0) / eps - fv
-        return u_vals, (rho, d2phi0, chi), float(np.abs(rho).max()), _dual_residual(grid, rho)
-
-    def step(_u, state):
-        rho, d2, _chi = state
-        d_shift = np.roll(d2, 1)
-        diags = np.array([-d_shift, d2 + d_shift, -d2]) / eps**2
-        return solve_cyclic_banded(diags, -rho)
-
-    u, _, trace = damped_newton(
-        evaluate, step, np.zeros(grid.N), tol, max_iter, damping_max, "homogenized"
-    )
     it, res, _ = trace[-1]
     return EquilibriumSolution(LatticeFn(grid, u), res, it, tuple(trace))

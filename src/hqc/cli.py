@@ -29,7 +29,6 @@ from .study import (
     run_study,
     run_study_2d,
     sin_force,
-    write_rows_csv,
 )
 
 ENV_OUT = "HQC_OUT"

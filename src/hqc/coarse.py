@@ -15,6 +15,12 @@ contributes (b - xi)/(b - a) at a and the rest at b.
 The coarse equilibrium residual lives on the nodes; its dual norm over
 zero-mean coarse test functions with |v|_{1,1} = 1 has the same primitive
 closed form as on the full lattice, now over nodal cumulative sums.
+
+On the mesh whose nodes are all N sites (``uniform_mesh(grid, grid.N)``)
+every element is one bond, h = eps, the mean weights are eps, ``istar``
+is the identity and the coarse dual norm is the lattice (-1, inf)
+seminorm, so ``solve_coarse`` there solves the homogenized problem on the
+full lattice, -D[dphi0(D u)] = f, scaled by eps.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .exceptions import SolverFailure
 from .lattice import LatticeFn, LatticeGrid
-from .atomistic import EquilibriumSolution, damped_newton, solve_homogenized_full
+from .atomistic import damped_newton
 from .linsolve import solve_cyclic_banded
 from .microhom import HomogenizedLaw, warm_start
 
@@ -176,7 +182,9 @@ class ForceFunctional:
 
     ``exact_summation`` pairs f with coarse functions by the full lattice
     sum; ``node_lumped`` samples f at the nodes with trapezoidal weights.
-    Both are extended to annihilate constants (<F^h, 1>_h = 0).
+    Both annihilate constants (<F^h, 1>_h = 0): a force with nonzero mean
+    is projected to zero mean at construction, as in
+    :class:`~hqc.atomistic.AtomisticProblem`.
     """
 
     kind: str
@@ -185,6 +193,9 @@ class ForceFunctional:
     def __post_init__(self):
         if self.kind not in ("exact_summation", "node_lumped"):
             raise ValueError(f"unknown force functional kind {self.kind!r}")
+        m = self.f.values.mean()
+        if abs(m) > 1e-12:
+            object.__setattr__(self, "f", self.f.with_values(self.f.values - m))
 
     def _exact_node_values(self, mesh: Mesh1D) -> np.ndarray:
         return istar(mesh, self.f).values[mesh.nodes - 1] / mesh.grid.N
@@ -283,8 +294,7 @@ def solve_coarse(
         warm = warm0 if prev is None else prev[2]
         _phi0, dphi0, d2phi0, chi = law.eval_strains(z, warm=warm)
         R = np.roll(dphi0, 1) - dphi0 - b
-        res = coarse_dual_norm(R)
-        return U_vals, (R, d2phi0, chi), res, res
+        return U_vals, (R, d2phi0, chi), coarse_dual_norm(R)
 
     def step(_U, state):
         R, d2, _chi = state
@@ -298,33 +308,23 @@ def solve_coarse(
 
 
 def corrector(law: HomogenizedLaw, u0h) -> LatticeFn:
-    """Zero-mean reconstruction u + eps * chi(D u; x/eps) of a coarse or
-    full-lattice homogenized solution.
+    """Zero-mean reconstruction u + eps * chi(D u; x/eps) of a coarse
+    homogenized solution.
 
     A :class:`CoarseSolution` carries the cell fields at its element
-    strains, so no cell problem is solved for it; a bare ``CoarseFn`` or
-    ``LatticeFn`` has its cell problems solved from cold.
+    strains, so no cell problem is solved for it; a bare ``CoarseFn`` has
+    its cell problems solved from cold.  A full-lattice field u is passed
+    as ``interpolate(uniform_mesh(grid, grid.N), u)``.
     """
     if isinstance(u0h, CoarseSolution):
         u0h, chi = u0h.u, u0h.chi
     elif isinstance(u0h, CoarseFn):
         chi = law.eval_strains(u0h.strains())[3]
-    if isinstance(u0h, CoarseFn):
-        mesh = u0h.mesh
-        grid = mesh.grid
-        site_elem, _ = mesh.site_maps()
-        base = u0h.to_lattice().values
-        add = chi[site_elem, grid.species()]
-    elif isinstance(u0h, LatticeFn):
-        grid = u0h.grid
-        eps = grid.eps
-        z = (np.roll(u0h.values, -1) - u0h.values) / eps
-        _p0, _d1, _d2, chi = law.eval_strains(z)
-        base = u0h.values
-        add = chi[np.arange(grid.N), grid.species()]
     else:
-        raise TypeError("corrector expects a CoarseSolution, CoarseFn or LatticeFn")
-    vals = base + grid.eps * add
+        raise TypeError("corrector expects a CoarseSolution or CoarseFn")
+    grid = u0h.mesh.grid
+    site_elem, _ = u0h.mesh.site_maps()
+    vals = u0h.to_lattice().values + grid.eps * chi[site_elem, grid.species()]
     return LatticeFn(grid, vals - vals.mean())
 
 
@@ -335,23 +335,21 @@ class EquivalenceReport:
     max_diff: float
     max_nonnode_strain_jump: float
     coarse: CoarseSolution
-    full: EquilibriumSolution
+    full: CoarseSolution
 
 
-def equivalence_check(
-    law: HomogenizedLaw,
-    mesh: Mesh1D,
-    F: ForceFunctional,
-    tol: float = 1e-10,
-) -> EquivalenceReport:
-    """Solve the coarse problem and the full-space problem with rhs
-    istar(F); report their max-norm difference and the largest strain jump
-    of the full solution at non-node sites (both should vanish)."""
-    cs = solve_coarse(law, mesh, F, tol=tol)
-    full = solve_homogenized_full(law, mesh.grid, F.rhs_lattice(mesh), tol=tol)
-    diff = float(np.abs(cs.u.to_lattice().values - full.u.values).max())
-    eps = mesh.grid.eps
-    D = (np.roll(full.u.values, -1) - full.u.values) / eps
+def equivalence_check(law: HomogenizedLaw, mesh: Mesh1D, F: ForceFunctional) -> EquivalenceReport:
+    """Solve the coarse problem, and the full-lattice problem (``solve_coarse``
+    on the all-node mesh) with the node-distributed force
+    ``F.rhs_lattice(mesh)``; report their max-norm difference and the
+    largest strain jump of the full solution at non-node sites (both
+    should vanish)."""
+    grid = mesh.grid
+    cs = solve_coarse(law, mesh, F)
+    full_F = ForceFunctional("exact_summation", F.rhs_lattice(mesh))
+    full = solve_coarse(law, uniform_mesh(grid, grid.N), full_F)
+    diff = float(np.abs(cs.u.to_lattice().values - full.u.to_lattice().values).max())
+    D = full.u.strains()
     jumps = np.abs(D - np.roll(D, 1))
     jump = float(jumps[~mesh.is_node()].max()) if (~mesh.is_node()).any() else 0.0
     return EquivalenceReport(diff, jump, cs, full)

@@ -4,6 +4,7 @@ import pytest
 from hqc import (
     AtomisticProblem,
     DomainError,
+    ForceFunctional,
     HomogenizedLaw,
     LatticeFn,
     LatticeGrid,
@@ -14,8 +15,9 @@ from hqc import (
     quadratic_family,
     seminorm,
     solve_atomistic,
-    solve_homogenized_full,
+    solve_coarse,
     translate,
+    uniform_mesh,
 )
 from hqc.atomistic import damped_newton
 from hqc.exceptions import SolverFailure
@@ -107,7 +109,7 @@ class TestEnergyGradHess:
 
 def abs_norm(x, _prev):
     """Stub evaluation for a scalar iterate: terminate and trace on |x|."""
-    return x, None, abs(x), abs(x)
+    return x, None, abs(x)
 
 
 class TestDampedNewton:
@@ -128,7 +130,7 @@ class TestDampedNewton:
         def evaluate(x, prev):
             if prev is not None:
                 raise exc("inadmissible trial")
-            return x, "state", abs(x), abs(x)
+            return x, "state", abs(x)
 
         with pytest.raises(exc, match="stub Newton step not recoverable by damping") as err:
             damped_newton(evaluate, lambda x, _s: -x, 1.0, 1e-12, 60, 5, "stub")
@@ -146,7 +148,7 @@ class TestDampedNewton:
                 trials.append(x)
                 if len(trials) == 1:
                     raise SolverFailure("cell failure at the full step")
-            return x, "state", abs(x), abs(x)
+            return x, "state", abs(x)
 
         with pytest.raises(SolverFailure, match="stub Newton stalled") as err:
             damped_newton(evaluate, lambda x, _s: x, 1.0, 1e-12, 60, 5, "stub")
@@ -248,21 +250,26 @@ class TestSolveAtomistic:
         law = HomogenizedLaw(lj)
         ratios = []
         for amp in (0.5, 1.0, 2.0):
-            f = sin_force(grid, amp, 1.0)
-            sol = solve_homogenized_full(law, grid, f)
-            ratios.append(seminorm(sol.u, 2, np.inf) / seminorm(f, 0, np.inf))
+            F = ForceFunctional("exact_summation", sin_force(grid, amp, 1.0))
+            sol = solve_coarse(law, uniform_mesh(grid, grid.N), F)
+            ratios.append(seminorm(sol.u.to_lattice(), 2, np.inf) / seminorm(F.f, 0, np.inf))
         assert max(ratios) / min(ratios) < 1.1
 
 
 class TestSolveHomogenizedFull:
+    """The homogenized problem on the full lattice: ``solve_coarse`` on the
+    mesh whose nodes are all N sites."""
+
     def test_single_species_coincides_with_atomistic(self):
         # R = 1, p = 1: the homogenized law is the bond law itself
         fam = lj_family([1.0], R=1)
         grid = LatticeGrid(64)
         f = sin_force(grid, 5.0, 1.0)
         atom = solve_atomistic(AtomisticProblem(grid, fam, f))
-        hom = solve_homogenized_full(HomogenizedLaw(fam), grid, f)
-        diff = LatticeFn(grid, atom.u.values - hom.u.values)
+        hom = solve_coarse(
+            HomogenizedLaw(fam), uniform_mesh(grid, grid.N), ForceFunctional("exact_summation", f)
+        )
+        diff = LatticeFn(grid, atom.u.values - hom.u.to_lattice().values)
         assert seminorm(diff, 1, np.inf) < 1e-9
 
     def test_quadratic_constant_coefficient_solve(self):
@@ -272,24 +279,24 @@ class TestSolveHomogenizedFull:
         law = HomogenizedLaw(quadratic_family([k1, k2], [0.0, 0.0]))
         fv = rng.standard_normal(64)
         fv -= fv.mean()
-        sol = solve_homogenized_full(law, grid, LatticeFn(grid, fv))
+        F = ForceFunctional("exact_summation", LatticeFn(grid, fv))
+        sol = solve_coarse(law, uniform_mesh(grid, grid.N), F)
         # oracle: cyclic Laplacian with the harmonic-mean coefficient
         hm = 2 * k1 * k2 / (k1 + k2)
         N = 64
         A = hm * N * N * (2 * np.eye(N) - np.roll(np.eye(N), 1, 1) - np.roll(np.eye(N), -1, 1))
         u_ref = np.linalg.lstsq(A, fv, rcond=None)[0]
         u_ref -= u_ref.mean()
-        assert np.abs(sol.u.values - u_ref).max() < 1e-12
+        assert np.abs(sol.u.to_lattice().values - u_ref).max() < 1e-12
 
     def test_strong_form_residual(self, lj):
         grid = LatticeGrid(1024, 2)
         law = HomogenizedLaw(lj)
         f = sin_force(grid, 50.0, 1.0)
-        # solve a bit below the asserted level: the external recomputation
-        # of the residual carries its own O(1e-10) evaluation noise here
-        sol = solve_homogenized_full(law, grid, f, tol=6e-10)
-        z = (np.roll(sol.u.values, -1) - sol.u.values) / grid.eps
-        _, dphi0, _, _ = law.eval_strains(z)
+        # the strong form, recomputed outside the solver, is an independent
+        # check of a solve that terminates on the dual norm
+        sol = solve_coarse(law, uniform_mesh(grid, grid.N), ForceFunctional("exact_summation", f))
+        _, dphi0, _, _ = law.eval_strains(sol.u.strains())
         rho = (np.roll(dphi0, 1) - dphi0) / grid.eps - f.values
         assert np.abs(rho).max() <= 1e-9
 
@@ -297,7 +304,8 @@ class TestSolveHomogenizedFull:
         # f = 0: u0 = 0 and the corrected field is the relaxed microstructure
         grid = LatticeGrid(128, 2)
         law = HomogenizedLaw(lj)
-        sol = solve_homogenized_full(law, grid, zero_force(grid))
-        assert np.abs(sol.u.values).max() < 1e-12
-        uc = corrector(law, sol.u)
+        F = ForceFunctional("exact_summation", zero_force(grid))
+        sol = solve_coarse(law, uniform_mesh(grid, grid.N), F)
+        assert np.abs(sol.u.nodal_values).max() < 1e-12
+        uc = corrector(law, sol)
         assert np.abs(uc.values - microstructure_start(grid, micro).values).max() < 1e-12

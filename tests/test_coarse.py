@@ -25,7 +25,6 @@ from hqc import (
     quadratic_family,
     seminorm,
     solve_coarse,
-    solve_homogenized_full,
     uniform_mesh,
 )
 from hqc.coarse import coarse_dual_norm, coarse_newton_step
@@ -289,13 +288,19 @@ def lj_setup():
 
 
 class TestSolveCoarse:
-    def test_full_mesh_matches_homogenized_full(self, lj_setup):
-        law, grid, f = lj_setup
-        mesh = uniform_mesh(grid, grid.N)
-        cs = solve_coarse(law, mesh, ForceFunctional("exact_summation", f))
-        full = solve_homogenized_full(law, grid, f, tol=1e-10)
-        diff = LatticeFn(grid, cs.u.to_lattice().values - full.u.values)
-        assert seminorm(diff, 1, np.inf) < 1e-9
+    @pytest.mark.parametrize("kind", ["exact_summation", "node_lumped"])
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_nonzero_mean_force_is_projected(self, lj_setup, kind, m):
+        # a constant force has no coarse equilibrium; both kinds drop it, on
+        # a coarse mesh and on the all-node mesh
+        law, _, _ = lj_setup
+        grid = LatticeGrid(64, 2)
+        f = sin_force(grid, 5.0, 1.0)
+        mesh = uniform_mesh(grid, m)
+        shifted = solve_coarse(law, mesh, ForceFunctional(kind, LatticeFn(grid, f.values + 0.3)))
+        ref = solve_coarse(law, mesh, ForceFunctional(kind, f))
+        assert shifted.residual_dual <= 1e-10
+        assert np.abs(shifted.u.nodal_values - ref.u.nodal_values).max() <= 1e-12
 
     def test_quadratic_matches_fem_oracle(self):
         rng = np.random.default_rng(75)
@@ -473,7 +478,8 @@ class TestCorrector:
         grid = LatticeGrid(32)
         u = LatticeFn(grid, 0.01 * rng.standard_normal(32))
         u = LatticeFn(grid, u.values - u.values.mean())
-        assert np.allclose(corrector(law, u).values, u.values)
+        uc = corrector(law, interpolate(uniform_mesh(grid, grid.N), u))
+        assert np.allclose(uc.values, u.values)
 
     def test_zero_mean_always(self, lj_setup):
         law, grid, f = lj_setup
@@ -523,3 +529,37 @@ class TestEquivalence:
                                 ForceFunctional("exact_summation", f))
         assert rep.max_diff <= 1e-8
         assert rep.max_nonnode_strain_jump <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["exact_summation", "node_lumped"])
+    def test_lj_large_grid_default_settings(self, lj_setup, kind):
+        # the all-node solve terminates on the dual norm, whose floor does
+        # not grow with N, so the default tolerance holds at N = 4096
+        law, _, _ = lj_setup
+        grid = LatticeGrid(4096, 2)
+        f = sin_force(grid, 50.0, 1.0)
+        rep = equivalence_check(law, uniform_mesh(grid, 64), ForceFunctional(kind, f))
+        assert rep.max_diff <= 1e-10
+        assert rep.max_nonnode_strain_jump <= 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        half_n=st.integers(8, 64),
+        m=st.integers(2, 12),
+        lj=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_meshes(self, lj_setup, half_n, m, lj, seed):
+        # the equivalence lemma on random meshes and rough random forces, for
+        # the quadratic family and for the LJ chain at a small amplitude
+        rng = np.random.default_rng(seed)
+        grid = LatticeGrid(2 * half_n, 2)
+        if lj:
+            law, amplitude = lj_setup[0], 2.0
+        else:
+            law, amplitude = HomogenizedLaw(quadratic_family([1.0, 2.0], [0.05, -0.05])), 50.0
+        f = LatticeFn(grid, amplitude * rand_zero_mean(rng, grid).values)
+        mesh = rand_mesh(rng, grid, m)
+        for kind in ("exact_summation", "node_lumped"):
+            rep = equivalence_check(law, mesh, ForceFunctional(kind, f))
+            assert rep.max_diff <= 1e-10
+            assert rep.max_nonnode_strain_jump <= 1e-10
