@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import SolverFailure
+from .exceptions import SolverFailure, StabilityError
 from .lattice import LatticeFn, LatticeGrid
 from .atomistic import damped_newton
 from .linsolve import solve_cyclic_banded
@@ -271,6 +271,11 @@ def solve_coarse(
     projection onto zero lattice mean.  Termination uses the coarse dual
     norm of the nodal residual.
 
+    The estimates hold at stable equilibria only, W''(D u) > 0 on every
+    element.  A converged solution with W'' <= 0 on some element lies on
+    an unstable branch and raises :class:`StabilityError`, which names the
+    element of smallest W'', its strain and W''.
+
     Without ``init`` the solve starts from U = 0 with cold cell problems.
     ``init``, a solution on any mesh of the same grid, gives a nested start
     (nested iteration): U starts at the interpolant of ``init.u`` and each
@@ -300,9 +305,16 @@ def solve_coarse(
         R, d2, _chi = state
         return coarse_newton_step(d2, h, mw, R)
 
-    U, (_R, _d2, chi), trace = damped_newton(
+    U, (_R, d2, chi), trace = damped_newton(
         evaluate, step, U, tol, max_iter, damping_max, "coarse"
     )
+    j = int(np.argmin(d2))
+    if not d2[j] > 0:
+        z = (U[(j + 1) % U.size] - U[j]) / h[j]
+        raise StabilityError(
+            f"unstable coarse equilibrium: element {j} has strain {z:.6g} "
+            f"and W'' = {d2[j]:.6g} <= 0"
+        )
     it, res, _ = trace[-1]
     return CoarseSolution(CoarseFn(mesh, U), res, it, chi, tuple(trace))
 

@@ -9,12 +9,15 @@ with ``diags[R + d, i] = A[i, (i + d) % N]`` for offsets d = -R..R.
 
 ``solve_cyclic_banded`` folds the period: in the site order 0, N-1, 1,
 N-2, ... the cyclic band becomes an acyclic band of halfwidth 2R.  Pinning
-site 0 (dropping its row and column) leaves a nonsingular band, because
-A is symmetric with the constants as its one-dimensional kernel.  One
-LAPACK banded factorization, one refinement step with the zero-mean
-residual and a shift to zero mean give x, in O(N R^2).  If the band is
-singular or the result fails a residual check, the solve falls back to a
-sparse KKT system bordered by the zero-mean constraint.
+site 0 (dropping its row and column) leaves the restriction of A to the
+fields with x_0 = 0, which is positive definite exactly when A is positive
+definite on the zero-mean space, as every Newton Jacobian of a stable
+equilibrium is.  One LAPACK banded Cholesky factorization of its lower
+triangle, one refinement step with the zero-mean residual and a shift to
+zero mean give x, in O(N R^2).  A band that is not positive definite
+(indefinite or singular), or a result that fails a residual check, is
+solved instead as a sparse KKT system bordered by the zero-mean
+constraint.
 
 ``solve_periodic_2d`` inverts a periodic 2D operator that repeats on a
 cell of sites exactly: probing the operator with one impulse per cell site
@@ -42,23 +45,14 @@ def cyclic_matvec(diags: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def cyclic_to_dense(diags: np.ndarray) -> np.ndarray:
-    R = (diags.shape[0] - 1) // 2
-    n = diags.shape[1]
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    for d in range(-R, R + 1):
-        A[idx, (idx + d) % n] += diags[R + d]
-    return A
-
-
 def _solve_kkt_sparse(diags, rhs):
     """Zero-mean solution of the cyclic band bordered by the mean constraint."""
     n = diags.shape[1]
     A = scipy.sparse.csc_matrix(_cyclic_coo(diags))
     c = scipy.sparse.csc_matrix(np.ones((n, 1)) / n)
     K = scipy.sparse.bmat([[A, c], [c.T, None]], format="csc")
-    return scipy.sparse.linalg.spsolve(K, np.concatenate([rhs, [0.0]]))[:-1]
+    x = scipy.sparse.linalg.spsolve(K, np.concatenate([rhs, [0.0]]))[:-1]
+    return x - x.mean()  # the border holds the mean only to roundoff
 
 
 def _cyclic_coo(diags):
@@ -82,9 +76,10 @@ def _fold_maps(n: int, R: int):
 
     The pinned system drops site 0; site order[k] is its row k - 1.  Entry
     (d, i) of ``diags``, A[i, j] with j = (i + d) % n, is row a of site i
-    and column b of site j, and lands in ``slot[d, i]`` of the flattened
-    transpose of LAPACK's (6R+1, n-1) band storage ab[4R + a - b, b].
-    Entries in site 0's row or column go to the spare slot (n-1) (6R+1).
+    and column b of site j.  Lower-triangle entries (a >= b) land in
+    ``slot[d, i]`` of the flattened transpose of LAPACK's (2R+1, n-1)
+    lower band storage ab[a - b, b].  Upper entries and those in site 0's
+    row or column go to the spare slot (n-1) (2R+1).
     """
     site = np.arange(n)
     row = np.where(2 * site < n, 2 * site, 2 * (n - site) - 1) - 1
@@ -92,28 +87,32 @@ def _fold_maps(n: int, R: int):
     nbr %= n
     slot = row[nbr]  # column b of each entry, turned into its slot in place
     del nbr
-    pinned = slot < 0
-    pinned |= row < 0
-    width = 6 * R + 1
+    spare = slot > row
+    spare |= slot < 0
+    width = 2 * R + 1
     slot *= width - 1
-    slot += row + 4 * R
-    slot[pinned] = (n - 1) * width
+    slot += row
+    slot[spare] = (n - 1) * width
     return slot.ravel(), np.argsort(row)
 
 
 def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Zero-mean x with A x = rhs - mean(rhs), for a symmetric cyclic band
-    A whose kernel is the constants."""
+    A whose kernel is the constants.
+
+    A positive definite on the zero-mean space takes the banded Cholesky
+    solve; any other A (indefinite or singular there) the sparse KKT solve.
+    """
     R = (diags.shape[0] - 1) // 2
     n = diags.shape[1]
     b = np.asarray(rhs, dtype=float)
     b = b - b.mean()
     slot, order = _fold_maps(n, R)
-    width = 6 * R + 1
+    width = 2 * R + 1
     ab = np.bincount(slot, weights=diags.ravel(), minlength=(n - 1) * width + 1)
     ab = ab[:-1].reshape(n - 1, width).T
-    lu, piv, y, info = scipy.linalg.lapack.dgbsv(
-        2 * R, 2 * R, ab, b[order[1:]], overwrite_ab=1, overwrite_b=1
+    c, y, info = scipy.linalg.lapack.dpbsv(
+        ab, b[order[1:]], lower=1, overwrite_ab=1, overwrite_b=1
     )
     if info > 0:
         return _solve_kkt_sparse(diags, b)
@@ -129,7 +128,7 @@ def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(b).max()), float(band * np.abs(x).max()))
     if not np.abs(r).max() <= 1e-8 * scale:  # also when r is not finite
         return _solve_kkt_sparse(diags, b)
-    y, _ = scipy.linalg.lapack.dgbtrs(lu, 2 * R, 2 * R, r[order[1:]], piv, overwrite_b=1)
+    y, _ = scipy.linalg.lapack.dpbtrs(c, r[order[1:]], lower=1, overwrite_b=1)
     x[order[1:]] += y
     x -= x.mean()
     return x

@@ -67,6 +67,18 @@ def coarse_dual_lp(q: np.ndarray) -> float:
     return -res.fun
 
 
+def cyclic_to_dense(diags: np.ndarray) -> np.ndarray:
+    """Dense n x n matrix of a cyclic band stored as (2R+1, n) diagonals,
+    A[i, (i + d) % n] = diags[R + d, i] (aliased offsets add up)."""
+    R = (diags.shape[0] - 1) // 2
+    n = diags.shape[1]
+    A = np.zeros((n, n))
+    idx = np.arange(n)
+    for d in range(-R, R + 1):
+        A[idx, (idx + d) % n] += diags[R + d]
+    return A
+
+
 def central_diff(fun, x: float, step: float) -> float:
     return (fun(x + step) - fun(x - step)) / (2.0 * step)
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,9 @@ from hqc import (
 )
 from hqc.atomistic import damped_newton
 from hqc.exceptions import SolverFailure
-from hqc.linsolve import cyclic_to_dense
 from hqc.study import microstructure_start, sin_force
+
+from oracles import cyclic_to_dense
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +205,16 @@ class TestSolveAtomistic:
             if 1e-13 < rs[k + 1] and rs[k] < 1e-2
         ]
         assert ratios and max(ratios) >= 1.8
+
+    def test_shipped_chain_never_leaves_the_cholesky_path(self, lj, micro):
+        # every Newton Hessian of the lj_1d reference solve is positive
+        # definite on the zero-mean space
+        grid = LatticeGrid(4096, 2)
+        prob = AtomisticProblem(grid, lj, sin_force(grid, 50.0, 1.0))
+        fallback = AssertionError("sparse KKT fallback")
+        with mock.patch("hqc.linsolve._solve_kkt_sparse", side_effect=fallback):
+            sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
+        assert sol.residual_dual <= 1e-10
 
     def test_zero_mean_iterates(self, lj, micro):
         grid = LatticeGrid(128, 2)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hqc import (
     DomainError,
     ForceFunctional,
     SolverFailure,
+    StabilityError,
     HomogenizedLaw,
     LatticeFn,
     LatticeGrid,
@@ -21,6 +24,7 @@ from hqc import (
     interpolate,
     istar,
     lj_family,
+    load_experiment_config,
     prolong,
     quadratic_family,
     seminorm,
@@ -28,7 +32,7 @@ from hqc import (
     uniform_mesh,
 )
 from hqc.coarse import coarse_dual_norm, coarse_newton_step
-from hqc.study import sin_force
+from hqc.study import build_family, sin_force
 
 from oracles import coarse_dual_lp, coarse_step_dense
 
@@ -442,6 +446,31 @@ class TestSingularJacobian:
         F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
         with pytest.raises(SolverFailure, match="singular coarse Jacobian"):
             solve_coarse(FlatLaw(), uniform_mesh(grid, m), F)
+
+
+class TestStabilityCheck:
+    # The shipped lj_1d chain on 4 nodes: past amplitude 150.57 the most
+    # stretched element passes the inflection of the homogenized law, yet
+    # Newton still converges, onto the unstable branch.
+    @pytest.fixture(scope="class")
+    def shipped(self):
+        cfg = load_experiment_config(Path(__file__).parents[1] / "configs" / "lj_1d.cfg")
+        law = HomogenizedLaw(build_family(cfg), tol=cfg.micro_tol)
+        return cfg, LatticeGrid(cfg.N, cfg.p), law
+
+    def solve(self, shipped, amplitude):
+        cfg, grid, law = shipped
+        F = ForceFunctional(cfg.functional_kind, sin_force(grid, amplitude, cfg.force_phase))
+        return solve_coarse(law, uniform_mesh(grid, 4), F, tol=cfg.solver_tol)
+
+    def test_stable_load_solves(self, shipped):
+        cs = self.solve(shipped, 150.0)
+        d2 = shipped[2].eval_strains(cs.u.strains())[2]
+        assert d2.min() == pytest.approx(0.332, abs=0.01)
+
+    def test_unstable_branch_raises(self, shipped):
+        with pytest.raises(StabilityError, match=r"element 2 has strain 0\.1739.*W'' = -11\.4"):
+            self.solve(shipped, 170.0)
 
 
 class FailingOnceLaw:

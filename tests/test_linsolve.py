@@ -2,14 +2,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hqc.exceptions import SolverFailure
 from hqc.lattice2d import SpringModel2D, _apply_scalar, _p1_apply
-from hqc.linsolve import cyclic_matvec, cyclic_to_dense, solve_cyclic_banded, solve_periodic_2d
+from hqc.linsolve import cyclic_matvec, solve_cyclic_banded, solve_periodic_2d
 
-from oracles import p1_stiffness_dense, probe_matrix, zero_mean_dense_solve
+from oracles import cyclic_to_dense, p1_stiffness_dense, probe_matrix, zero_mean_dense_solve
 
 
 def bond_band(k):
@@ -53,14 +53,38 @@ class TestCyclicBanded:
         assert abs(x.mean()) <= 1e-14 * np.abs(x_ref).max()
         assert np.abs(x - x_ref).max() <= 1e-13 * condition_number(A) * np.abs(x_ref).max()
 
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), R=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_one_negative_bond_matches_dense_oracle(self, data, R, seed):
+        # Depending on its size, one negative bond leaves the band positive
+        # definite on the zero-mean space or makes it indefinite; the
+        # Cholesky solve or its sparse fallback must find the solution
+        # either way.  Bands singular there have no solution to compare.
+        n = data.draw(st.integers(2, 4 * R + 8) | st.sampled_from([64, 129, 256]), label="n")
+        rng = np.random.default_rng(seed)
+        k = 10.0 ** rng.uniform(-3.0, 3.0, (R, n))
+        k[np.arange(1, R + 1) % n == 0] = 0.0
+        r = rng.choice(np.flatnonzero(np.arange(1, R + 1) % n))
+        k[r, rng.integers(n)] *= -1.0
+        diags = bond_band(k)
+        A = cyclic_to_dense(diags)
+        cond = condition_number(A)
+        assume(cond <= 1e8)
+        rhs = rng.standard_normal(n) + rng.uniform(-5.0, 5.0)
+        x = solve_cyclic_banded(diags, rhs)
+        x_ref = zero_mean_dense_solve(A, rhs)
+        assert abs(x.mean()) <= 1e-14 * np.abs(x_ref).max()
+        assert np.abs(x - x_ref).max() <= 1e-13 * cond * np.abs(x_ref).max()
+
 
 stiffness = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # log-uniform in [1e-3, 1e3]
 even_size = st.integers(1, 6).map(lambda n: 2 * n)
 
 
 def condition_number(A):
-    """lambda_max / lambda_2 of a symmetric matrix whose kernel is the constants."""
-    ev = np.linalg.eigvalsh(A)
+    """Largest over smallest |eigenvalue| on the zero-mean space, of a
+    symmetric matrix whose kernel is the constants."""
+    ev = np.sort(np.abs(np.linalg.eigvalsh(A)))
     return ev[-1] / ev[1]
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from hqc import (
@@ -209,6 +211,13 @@ class TestCli:
         text = text.replace("potential.l = 1, 1.125", "potential.k = 1, 1\npotential.a = 1.1, -1.1")
         cfgfile = self.write_cfg(tmp_path, text)
         assert main(["check", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 4
+
+    def test_unstable_coarse_equilibrium_exit_4(self, tmp_path, capsys):
+        text = (Path(__file__).parents[1] / "configs" / "lj_1d.cfg").read_text()
+        assert "force.amplitude = 50\n" in text
+        cfgfile = self.write_cfg(tmp_path, text.replace("amplitude = 50", "amplitude = 170"))
+        assert main(["solve-hqc", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 4
+        assert "stability check failed" in capsys.readouterr().err
 
     def test_solver_failure_exit_3(self, tmp_path):
         cfgfile = self.write_cfg(tmp_path, BASE_1D + "solver.max_iter = 1\n")
