@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, SolverFailure
-from .lattice import LatticeFn, LatticeGrid
+from .lattice import LatticeFn, LatticeGrid, primitive_dual_norm
 from .linsolve import solve_cyclic_banded
 from .potentials import PotentialFamily
 
@@ -113,20 +113,14 @@ def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
     return E, u.with_values(g), diags
 
 
-def _dual_residual(grid, rho_vals):
-    w = grid.eps * np.cumsum(rho_vals - rho_vals.mean())
-    return 0.5 * float(w.max() - w.min())
-
-
 def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
     """Newton iteration with residual backtracking, shared by the two outer
     solvers, :func:`solve_atomistic` and :func:`hqc.coarse.solve_coarse`.
 
     ``evaluate(x, prev_state)`` returns ``(x, state, norm)``: the possibly
-    projected iterate, whatever ``step`` needs (including any warm start for
-    the next evaluation) and the residual norm, which decides termination
-    and is recorded in the trace.  ``step(x, state)`` returns the Newton
-    direction.
+    projected iterate, whatever ``step`` needs and the residual norm, which
+    decides termination and is recorded in the trace.  ``step(x, state)``
+    returns the Newton direction.
     A trial point is accepted when its norm drops below the current one;
     otherwise, or when evaluating it raises DomainError or SolverFailure,
     the step is halved.  When no halving is accepted, an error from the
@@ -192,7 +186,7 @@ def solve_atomistic(
         u_vals = u_vals - u_vals.mean()
         _, g, diags = _grad_hess(prob, u_vals)
         rho = g - f
-        return u_vals, (rho, diags), _dual_residual(grid, rho)
+        return u_vals, (rho, diags), primitive_dual_norm(rho - rho.mean(), grid.eps)
 
     def step(_u, state):
         rho, diags = state

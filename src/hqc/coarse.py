@@ -14,7 +14,14 @@ contributes (b - xi)/(b - a) at a and the rest at b.
 
 The coarse equilibrium residual lives on the nodes; its dual norm over
 zero-mean coarse test functions with |v|_{1,1} = 1 has the same primitive
-closed form as on the full lattice, now over nodal cumulative sums.
+closed form as on the full lattice (:func:`hqc.lattice.primitive_dual_norm`),
+now over nodal cumulative sums.
+
+``solve_coarse`` solves the coarse equations and the cell problem of
+every element, at the element's strain, by one Newton iteration on the
+nodal values and the cell fields together; each step condenses the cells
+onto the strains (static condensation).  It stops when the coarse dual
+norm is at most ``tol`` and every cell residual at most the law's ``tol``.
 
 On the mesh whose nodes are all N sites (``uniform_mesh(grid, grid.N)``)
 every element is one bond, h = eps, the mean weights are eps, ``istar``
@@ -30,10 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SolverFailure, StabilityError
-from .lattice import LatticeFn, LatticeGrid
+from .lattice import LatticeFn, LatticeGrid, primitive_dual_norm
 from .atomistic import damped_newton
 from .linsolve import solve_cyclic_banded
-from .microhom import HomogenizedLaw, warm_start
+from .microhom import HomogenizedLaw, cold_start, condense_cells, newton_cells, warm_start
 
 
 @dataclass(frozen=True)
@@ -169,13 +176,6 @@ def istar(mesh: Mesh1D, w: LatticeFn) -> LatticeFn:
     return LatticeFn(mesh.grid, out)
 
 
-def coarse_dual_norm(nodal_residual: np.ndarray) -> float:
-    """Dual norm of a node-supported functional over zero-mean coarse
-    functions with |v|_{1,1} = 1, by the nodal primitive closed form."""
-    s = np.cumsum(nodal_residual)
-    return 0.5 * float(s.max() - s.min())
-
-
 @dataclass(frozen=True)
 class ForceFunctional:
     """Approximation F^h of the external force on the coarse space.
@@ -264,50 +264,72 @@ def solve_coarse(
 ) -> CoarseSolution:
     """Newton solve of the coarse-grained homogenized problem.
 
-    Unknowns are nodal values with zero lattice mean; the homogenized law
-    is evaluated at the constant strain of each element (one vectorized
-    cell solve per iteration).  The Jacobian is cyclic tridiagonal, so each
-    Newton step is an O(M) zero-mean cyclic banded solve followed by a
-    projection onto zero lattice mean.  Termination uses the coarse dual
-    norm of the nodal residual.
+    The unknowns of one damped Newton iteration are the nodal values U,
+    with zero lattice mean, and the cell field of every element at its
+    constant strain.  Each evaluation condenses the cells onto the strains
+    (:func:`~hqc.microhom.condense_cells`: one stacked bond call, one
+    batched cell solve), so a step is an O(M) zero-mean cyclic tridiagonal
+    solve with the condensed stiffnesses K, which are W'' = d2phi0 at
+    converged cells, and then each cell's own part.  The solve stops when
+    the coarse dual norm of the nodal residual is at most ``tol`` and every
+    cell residual at most ``law.tol``: trace rows and step acceptance use
+    the larger of the dual norm and the worst cell residual times
+    ``tol / law.tol``.  ``residual_dual`` is the coarse dual norm.
 
     The estimates hold at stable equilibria only, W''(D u) > 0 on every
     element.  A converged solution with W'' <= 0 on some element lies on
     an unstable branch and raises :class:`StabilityError`, which names the
-    element of smallest W'', its strain and W''.
+    element of smallest W'', its strain and W''.  A singular cell Hessian
+    on the way raises :class:`StabilityError` as well.
 
-    Without ``init`` the solve starts from U = 0 with cold cell problems.
+    Without ``init`` the solve starts from U = 0, with every cell field at
+    the solution of the cell problem at strain 0: a start far from cell
+    equilibrium can lead the joint iteration to stall where a start on it
+    converges.
     ``init``, a solution on any mesh of the same grid, gives a nested start
     (nested iteration): U starts at the interpolant of ``init.u`` and each
-    element's cell problem at the ``init.chi`` row of its parent element
+    element's cell field at the ``init.chi`` row of its parent element
     (see :func:`prolong`); rows whose prolonged field is inadmissible at
-    their new element strain start cold instead.
+    their new element strain start from the zero field instead.
     """
     h = mesh.element_sizes()
     mw = mesh.mean_weights()
     b = F.node_values(mesh)
+    scale = tol / law.tol  # a cell residual in units of the coarse tolerance
 
     if init is None:
-        U, warm0 = np.zeros(mesh.n_elements), None
+        U = np.zeros(mesh.n_elements)
+        # every strain is 0: each element starts from that one cell's solution
+        z = np.zeros(1)
+        chi, _res, _iters = newton_cells(
+            law.family, z, cold_start(law.family, z), law.tol, law.max_iter, law.damping_max
+        )
+        chi = np.repeat(chi, mesh.n_elements, axis=0)
     else:
         u0, parent = prolong(init.u, mesh)
         U = u0.nodal_values - mw @ u0.nodal_values  # constants only shift the mean
-        warm0 = warm_start(law.family, (np.roll(U, -1) - U) / h, init.chi[parent])
+        chi = warm_start(law.family, (np.roll(U, -1) - U) / h, init.chi[parent])
 
-    def evaluate(U_vals, prev):
-        z = (np.roll(U_vals, -1) - U_vals) / h
-        warm = warm0 if prev is None else prev[2]
-        _phi0, dphi0, d2phi0, chi = law.eval_strains(z, warm=warm)
-        R = np.roll(dphi0, 1) - dphi0 - b
-        return U_vals, (R, d2phi0, chi), coarse_dual_norm(R)
+    # an iterate x holds U in column 0 and the cell fields in the others
+    def evaluate(x, _prev):
+        U = x[:, 0]
+        cells = condense_cells(law.family, (np.roll(U, -1) - U) / h, x[:, 1:])
+        R = np.roll(cells.stress, 1) - cells.stress - b
+        dual = primitive_dual_norm(R)
+        return x, (R, dual, cells), max(dual, scale * cells.residual.max())
 
-    def step(_U, state):
-        R, d2, _chi = state
-        return coarse_newton_step(d2, h, mw, R)
+    def step(_x, state):
+        R, _dual, cells = state
+        s = cells.shift
+        dU = coarse_newton_step(cells.stiffness, h, mw, R + np.roll(s, 1) - s)
+        dz = (np.roll(dU, -1) - dU) / h
+        return np.column_stack([dU, cells.relax + cells.sensitivity * dz[:, None]])
 
-    U, (_R, d2, chi), trace = damped_newton(
-        evaluate, step, U, tol, max_iter, damping_max, "coarse"
+    x, (_R, dual, cells), trace = damped_newton(
+        evaluate, step, np.column_stack([U, chi]), tol, max_iter, damping_max, "coarse"
     )
+    U, chi = x[:, 0].copy(), x[:, 1:]
+    d2 = cells.stiffness
     j = int(np.argmin(d2))
     if not d2[j] > 0:
         z = (U[(j + 1) % U.size] - U[j]) / h[j]
@@ -315,8 +337,8 @@ def solve_coarse(
             f"unstable coarse equilibrium: element {j} has strain {z:.6g} "
             f"and W'' = {d2[j]:.6g} <= 0"
         )
-    it, res, _ = trace[-1]
-    return CoarseSolution(CoarseFn(mesh, U), res, it, chi, tuple(trace))
+    chi = chi - chi.mean(axis=1, keepdims=True)
+    return CoarseSolution(CoarseFn(mesh, U), dual, trace[-1][0], chi, tuple(trace))
 
 
 def corrector(law: HomogenizedLaw, u0h) -> LatticeFn:

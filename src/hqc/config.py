@@ -122,6 +122,8 @@ def build_config(mapping: dict) -> ExperimentConfig:
         cfg.micro_z_count = int(m["micro.z_count"])
         cfg.solver_tol = float(m["solver.tol"])
         cfg.solver_max_iter = int(m["solver.max_iter"])
+        if not (cfg.micro_tol > 0 and cfg.solver_tol > 0):
+            raise ConfigError("micro.tol and solver.tol must be positive")
         cfg.calibration = float(m["estimator.calibration"])
         if "estimator.c0_inv" in m:
             cfg.c0_inv = float(m["estimator.c0_inv"])

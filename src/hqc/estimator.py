@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coarse import CoarseFn, ForceFunctional, Mesh1D, coarse_dual_norm
-from .lattice import LatticeFn
+from .coarse import CoarseFn, ForceFunctional, Mesh1D
+from .lattice import LatticeFn, primitive_dual_norm
 from .potentials import Microstructure, PotentialFamily
 
 
@@ -69,7 +69,7 @@ def indicator_terms(
     per_element = np.maximum(node_jumps, np.roll(node_jumps, -1))
     h = mesh.h_fn().values
     force = float(np.abs((h - mesh.grid.eps) * f.values).max())
-    quad = coarse_dual_norm(F.quadrature_gap(mesh))
+    quad = primitive_dual_norm(F.quadrature_gap(mesh))
     total = assemble_total(jump, force, quad, calibration_constant, c0_inv)
     return ErrorReport(jump, force, quad, calibration_constant, c0_inv, total, per_element)
 

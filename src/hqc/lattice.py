@@ -158,6 +158,18 @@ def seminorm(u: LatticeFn, m: int = 0, q=2) -> float:
     return _qnorm(v.values, q)
 
 
+def primitive_dual_norm(values, eps: float = 1.0) -> float:
+    """(max w - min w) / 2 for the primitive w = eps * cumsum(values).
+
+    For zero-sum site values on a grid of spacing eps this is the
+    (-1, inf) dual seminorm; for the nodal values of a node-supported
+    coarse functional (eps = 1) it is the dual norm over zero-mean coarse
+    functions with |v|_{1,1} = 1.
+    """
+    w = eps * np.cumsum(values)
+    return 0.5 * float(w.max() - w.min())
+
+
 def dual_seminorm_neg1(u: LatticeFn, q=np.inf) -> float:
     """|u|_{-1,inf} of a zero-mean u, by the primitive closed form.
 
@@ -169,5 +181,4 @@ def dual_seminorm_neg1(u: LatticeFn, q=np.inf) -> float:
         raise ValueError("only q = inf is supported")
     if abs(u.values.mean()) > 1e-12:
         raise ValueError(f"dual seminorm needs zero mean, got mean {u.values.mean():.3e}")
-    w = u.grid.eps * np.cumsum(u.values)
-    return 0.5 * float(w.max() - w.min())
+    return primitive_dual_norm(u.values, u.grid.eps)

@@ -16,29 +16,34 @@ where the strain sensitivity chi'(z) solves the cell system linearized at
 chi(z); the corrector term drops from dphi0 because chi(z) is stationary.
 
 The cell kernel stacks the shells.  A batch of m cells holds its bond
-arguments in one (m, R p) array whose column (r - 1) p + y is
-z + D_{y,r} chi, computed as z + chi D^T with the (R p) x p difference
-matrix D; its (m, R, p) view is the stacked layout of
-:class:`~hqc.potentials.PotentialFamily`, so the bond derivatives d1, d2
-of a whole batch come from one ``family.bonds`` call each, and the cell
-gradient is d1 D / p.
-The zero-mean constraint is enforced by eliminating the last micro value,
-chi = E c, which keeps the reduced cell Hessian symmetric positive
-definite whenever nearest-neighbor dominance holds: with G = D E the
-reduced gradient is d1 G / p and the reduced Hessian G^T diag(d2) G / p,
-one batched matrix product.  D, E and G depend only on (p, R).
+arguments in one (m, R p) array z + chi D^T, column (r - 1) p + y being
+z + D_{y,r} chi, with the (R p) x p difference matrix D; its (m, R, p)
+view is the stacked layout of :class:`~hqc.potentials.PotentialFamily`,
+so one ``family.bonds`` call gives the bond derivatives d1, d2 of a whole
+batch, and the cell gradient is d1 D / p.  The zero-mean constraint is
+enforced by eliminating the last micro value, chi = E c, which keeps the
+reduced cell Hessian symmetric positive definite whenever
+nearest-neighbor dominance holds: with G = D E the reduced gradient is
+g = d1 G / p and the reduced Hessian H = G^T diag(d2) G / p, one batched
+matrix product.  D, E and G depend only on (p, R).
 
-``newton_cells`` solves a batch of cell problems, one per strain.  Every
+Static condensation.  Linearized in the strain and the reduced field, a
+cell's stress <d1> changes by <d2> dz + b . dc and g by b dz + H dc, with
+b = d2 G / p.  The cell Newton equation gives dc = -H^-1 (g + b dz), so
+the stress changes by shift + K dz with shift = -b . H^-1 g and
+K = <d2> - b . H^-1 b, which at a converged cell (g = 0) is d2phi0.
+``condense_cells`` takes all of it from one ``bonds(a, 1, 2)`` call and
+one batched solve of H against [b, g]: it is the cell part of each step
+of :func:`hqc.coarse.solve_coarse`, whose Newton unknowns are the nodal
+values and the cell fields together, and the d2phi0 of
+``HomogenizedLaw.eval_strains``.  A singular H raises StabilityError
+naming the cell, its strain and the smallest eigenvalue of H.
+
+``newton_cells`` solves a batch of cell problems at fixed strains.  Every
 iterate carries its bond arguments, gradient and residual, and an
 accepted trial hands over its own, so each iterate's gradient is
 evaluated once.  Newton steps are damped by residual backtracking
-(halving) and, once the tolerance is met, polished with a few more full
-steps so that results are independent of the starting guess down to the
-attainable floor; this is what makes warm-started and cold evaluations
-agree to ~1e-14 relative.  ``HomogenizedLaw.eval_strains`` evaluates phi0
-and its derivatives from one such batch; d2phi0 = <d2> + b . c, where
-b = d2 G / p is the strain derivative of the reduced gradient and the
-reduced sensitivity c solves H c = -b.
+(halving).
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ import numpy as np
 
 from .exceptions import DomainError, SolverFailure, StabilityError
 from .potentials import PotentialFamily
-
-_POLISH_ROUNDS = 6
 
 
 @dataclass(frozen=True)
@@ -83,11 +86,16 @@ def _flat(b):
     return b.reshape(len(b), -1)
 
 
+def _bond_args(maps, z, chi):
+    """Stacked (m, R, p) bond arguments of the fields chi (m, p) at strains z."""
+    return (z[:, None] + chi @ maps.DT).reshape(z.size, *maps.layout)
+
+
 def _evaluate(family, maps, z, chi):
     """Iterate state (chi, bond arguments (m, R, p), cell gradient,
     residual) of the fields chi (m, p) at strains z, and which rows are
     admissible; an inadmissible row has gradient 0 and residual inf."""
-    a = (z[:, None] + chi @ maps.DT).reshape(z.size, *maps.layout)
+    a = _bond_args(maps, z, chi)
     ok = family.admissible(a).all(axis=(1, 2))
     g = np.zeros_like(chi)
     res = np.full(z.size, np.inf)
@@ -103,27 +111,51 @@ def _reduced_hessian(maps, d2):
     return (maps.GT * d2[:, None, :]) @ maps.Gp
 
 
-def _reduced_solve(maps, d2, rhs, what):
-    """Reduced c with H c = rhs per row, H the reduced Hessian of d2."""
+def _reduced_solve(maps, d2, rhs, z, cells):
+    """x with H x = rhs (m, p-1, k) per row, H the reduced Hessian of d2,
+    for the cells numbered ``cells`` at strains z."""
+    H = _reduced_hessian(maps, d2)
     try:
-        return np.linalg.solve(_reduced_hessian(maps, d2), rhs[..., None])[..., 0]
+        return np.linalg.solve(H, rhs)
     except np.linalg.LinAlgError as exc:
-        raise StabilityError(f"singular {what}") from exc
+        lam = np.linalg.eigvalsh(H)[:, 0]
+        j = int(np.argmin(lam))
+        raise StabilityError(
+            f"singular reduced cell Hessian: cell {cells[j]} has strain {z[j]:.6g} "
+            f"and smallest Hessian eigenvalue {lam[j]:.6g}"
+        ) from exc
 
 
-def _newton_direction(family, maps, a, g):
-    """Full-field Newton step of cells with bond arguments a, gradient g."""
-    d2 = _flat(family.bonds(a, 2))
-    c = _reduced_solve(maps, d2, -g @ maps.E, "cell Hessian in micro Newton step")
-    return c @ maps.E.T
+@dataclass(frozen=True)
+class CondensedCells:
+    """Cells linearized in (z, chi) and condensed onto z: the Newton step
+    dchi = relax + sensitivity dz changes each stress by shift + stiffness dz."""
+
+    stress: np.ndarray  # (m,) <d1>: dphi0 at converged cells
+    residual: np.ndarray  # (m,) max |cell gradient|, as in newton_cells
+    stiffness: np.ndarray  # (m,) K = <d2> - b . H^-1 b: d2phi0 at converged cells
+    shift: np.ndarray  # (m,) -b . H^-1 g
+    relax: np.ndarray  # (m, p) -E H^-1 g
+    sensitivity: np.ndarray  # (m, p) -E H^-1 b: chi'(z) at converged cells
 
 
-def _accept(state, iters, trial, rows, accept):
-    """Hand the accepted trials' state over to their rows of the iterate."""
-    done = rows[accept]
-    for cur, new in zip(state, trial):
-        cur[done] = new[accept]
-    iters[done] += 1
+def condense_cells(family, z, chi) -> CondensedCells:
+    """The cells with fields chi (m, p) at strains z (m,), condensed; raises
+    DomainError where a bond is inadmissible."""
+    maps = _cell_maps(family.p, family.R)
+    d1, d2 = (_flat(b) for b in family.bonds(_bond_args(maps, z, chi), 1, 2))
+    grad = d1 @ maps.Dp
+    b = d2 @ maps.Gp
+    x = _reduced_solve(maps, d2, np.stack([b, grad @ maps.E], axis=-1), z, range(z.size))
+    hb, hg = x[..., 0], x[..., 1]
+    return CondensedCells(
+        stress=d1.sum(axis=1) / family.p,
+        residual=np.abs(grad).max(axis=1),
+        stiffness=d2.sum(axis=1) / family.p - (b * hb).sum(axis=1),
+        shift=-(b * hg).sum(axis=1),
+        relax=-hg @ maps.E.T,
+        sensitivity=-hb @ maps.E.T,
+    )
 
 
 def cold_start(family, z):
@@ -137,8 +169,7 @@ def warm_start(family, z, warm):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     maps = _cell_maps(family.p, family.R)
     chi0 = np.array(warm, dtype=float).reshape(z.size, family.p)
-    a = (z[:, None] + chi0 @ maps.DT).reshape(z.size, *maps.layout)
-    bad = ~family.admissible(a).all(axis=(1, 2))
+    bad = ~family.admissible(_bond_args(maps, z, chi0)).all(axis=(1, 2))
     chi0[bad] = cold_start(family, z[bad])
     return chi0
 
@@ -158,12 +189,8 @@ def newton_cells(family, z, chi0, tol, max_iter, damping_max):
     iters = np.zeros(m, dtype=int)
     state, ok = _evaluate(family, maps, z, np.array(chi0, dtype=float).reshape(m, p).copy())
     chi, a, g, res = state
-    if p == 1:
-        if not ok.all():
-            raise DomainError("inadmissible strain in single-species cell")
-        return chi, np.zeros(m), iters
     if not ok.all():
-        raise DomainError("inadmissible micro starting guess")
+        raise DomainError(f"inadmissible starting cell at strain z={z[~ok][0]:.6g}")
 
     it = 0
     while True:
@@ -177,7 +204,9 @@ def newton_cells(family, z, chi0, tol, max_iter, damping_max):
             )
         it += 1
         rows = np.flatnonzero(active)
-        step = _newton_direction(family, maps, a[rows], g[rows])
+        d2 = _flat(family.bonds(a[rows], 2))
+        c = _reduced_solve(maps, d2, -(g[rows] @ maps.E)[..., None], z[rows], rows)
+        step = c[..., 0] @ maps.E.T
         # every row still pending has been halved equally often
         t = 1.0
         pending = np.arange(rows.size)
@@ -188,7 +217,10 @@ def newton_cells(family, z, chi0, tol, max_iter, damping_max):
             idx = rows[pending]
             trial, ok = _evaluate(family, maps, z[idx], chi[idx] + t * step[pending])
             accept = trial[3] < res[idx]
-            _accept(state, iters, trial, idx, accept)
+            done = idx[accept]  # these rows take over their trials' state
+            for cur, new in zip(state, trial):
+                cur[done] = new[accept]
+            iters[done] += 1
             pending, ok = pending[~accept], ok[~accept]
             t *= 0.5
         if pending.size:
@@ -200,20 +232,6 @@ def newton_cells(family, z, chi0, tol, max_iter, damping_max):
                 )
             raise SolverFailure(f"micro damping stalled at strain z={z[stuck[0]]:.6g}")
 
-    # polish: extra full steps while they sharply reduce the residual, so the
-    # converged field does not depend on the starting guess
-    every = np.arange(m)
-    for _ in range(_POLISH_ROUNDS):
-        try:
-            step = _newton_direction(family, maps, a, g)
-        except StabilityError:
-            break
-        trial, _ok = _evaluate(family, maps, z, chi + step)
-        accept = trial[3] < 0.5 * res
-        if not accept.any():
-            break
-        _accept(state, iters, trial, every, accept)
-
     chi -= chi.mean(axis=1, keepdims=True)
     return chi, res, iters
 
@@ -222,9 +240,7 @@ def newton_cells(family, z, chi0, tol, max_iter, damping_max):
 class HomogenizedLaw:
     """Potential family plus the micro-solver settings of its cell problems.
 
-    Every evaluation solves its cell problems afresh, from ``warm`` when
-    given and otherwise from zero; converged values do not depend on the
-    start (see module docstring).
+    Every evaluation solves its cell problems afresh, from the zero field.
     """
 
     family: PotentialFamily
@@ -232,36 +248,19 @@ class HomogenizedLaw:
     max_iter: int = 60
     damping_max: int = 30
 
-    def eval_strains(self, z, warm: np.ndarray | None = None):
+    def eval_strains(self, z):
         """Vectorized law evaluation at a batch of strains.
 
-        Returns (phi0, dphi0, d2phi0, chi) with chi of shape (m, p); pass
-        chi back as ``warm`` when re-evaluating at nearby strains (e.g. in
-        an outer Newton loop).
+        Returns (phi0, dphi0, d2phi0, chi) with chi of shape (m, p).
         """
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        m = z.size
         family = self.family
-        p = family.p
-        maps = _cell_maps(p, family.R)
-        if warm is not None:
-            chi0 = np.asarray(warm, dtype=float).reshape(m, p).copy()
-        else:
-            chi0 = cold_start(family, z)
         chi, _res, _iters = newton_cells(
-            family, z, chi0, self.tol, self.max_iter, self.damping_max
+            family, z, cold_start(family, z), self.tol, self.max_iter, self.damping_max
         )
-        a = (z[:, None] + chi @ maps.DT).reshape(m, *maps.layout)
-        phi, d1, d2 = (_flat(b) for b in family.bonds(a, 0, 1, 2))
-        phi0 = phi.sum(axis=1) / p
-        dphi0 = d1.sum(axis=1) / p
-        d2phi0 = d2.sum(axis=1) / p
-        if p > 1:
-            # b: strain derivative of the reduced gradient; c: reduced sensitivity
-            b = d2 @ maps.Gp
-            c = _reduced_solve(maps, d2, -b, "linearized cell Hessian")
-            d2phi0 += (b * c).sum(axis=1)
-        return phi0, dphi0, d2phi0, chi
+        cells = condense_cells(family, z, chi)
+        phi = family.bonds(_bond_args(_cell_maps(family.p, family.R), z, chi), 0)
+        return _flat(phi).sum(axis=1) / family.p, cells.stress, cells.stiffness, chi
 
     def eval(self, z: float):
         """(phi0, dphi0, d2phi0) at one strain, from a cold cell solve."""

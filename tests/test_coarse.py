@@ -31,7 +31,10 @@ from hqc import (
     solve_coarse,
     uniform_mesh,
 )
-from hqc.coarse import coarse_dual_norm, coarse_newton_step
+from hqc.coarse import coarse_newton_step
+from hqc.lattice import primitive_dual_norm
+from hqc.microhom import newton_cells
+from hqc.potentials import PotentialFamily
 from hqc.study import build_family, sin_force
 
 from oracles import coarse_dual_lp, coarse_step_dense
@@ -394,7 +397,7 @@ class TestNestedStart:
         # a nearest-neighbour bond of this field is z - 1.4 < -1 at every strain
         chi = np.tile([0.7, -0.7], (8, 1))
         with pytest.raises(DomainError):
-            law.eval_strains(cs.u.strains(), warm=chi)
+            newton_cells(law.family, cs.u.strains(), chi, law.tol, law.max_iter, law.damping_max)
         init = CoarseSolution(cs.u, cs.residual_dual, cs.iterations, chi)
         self.solve_both(law, uniform_mesh(grid, 16), F, init)
 
@@ -424,28 +427,44 @@ class TestCoarseDualNorm:
         rng = np.random.default_rng(seed)
         q = rng.standard_normal(m)
         q -= q.mean()
-        assert coarse_dual_norm(q) == pytest.approx(coarse_dual_lp(q), rel=1e-9)
+        assert primitive_dual_norm(q) == pytest.approx(coarse_dual_lp(q), rel=1e-9)
 
 
-class FlatLaw:
-    """Stub law with zero stiffness: every coarse Jacobian is singular."""
+class FlatFamily(PotentialFamily):
+    """Bond law with phi = phi' = phi'' = 0, admissible everywhere."""
 
-    def eval_strains(self, z, warm=None):
-        z = np.atleast_1d(z)
-        zeros = np.zeros(z.size)
-        return zeros, zeros, zeros, np.zeros((z.size, 2))
+    def admissible(self, a):
+        return np.ones(np.shape(a), dtype=bool)
+
+    def _laws(self, a):
+        return (lambda: np.zeros_like(a),) * 3
 
 
 class TestSingularJacobian:
-    # the zero band fails LAPACK's banded solve, and its sparse fallback
-    # returns NaN on the singular bordered matrix, for every M
+    # on p = 1 the condensed stiffness is <d2> = 0; the zero band fails
+    # LAPACK's banded solve, and its sparse fallback returns NaN on the
+    # singular bordered matrix, for every M
     @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     @pytest.mark.parametrize("m", [2, 4, 6, 8, 16])
     def test_raises_solver_failure(self, m):
+        grid = LatticeGrid(96)
+        F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
+        law = HomogenizedLaw(FlatFamily(R=1, p=1))
+        with pytest.raises(SolverFailure, match="singular coarse Jacobian"):
+            solve_coarse(law, uniform_mesh(grid, m), F)
+
+
+class TestSingularCellHessian:
+    @pytest.mark.parametrize("m", [2, 8])
+    def test_raises_stability_error(self, m):
+        # on p = 2 every reduced cell Hessian is 0, and the first evaluation
+        # names the cell of smallest eigenvalue, its strain and the eigenvalue
         grid = LatticeGrid(96, 2)
         F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
-        with pytest.raises(SolverFailure, match="singular coarse Jacobian"):
-            solve_coarse(FlatLaw(), uniform_mesh(grid, m), F)
+        law = HomogenizedLaw(FlatFamily(R=2, p=2))
+        with pytest.raises(StabilityError, match=r"singular reduced cell Hessian: cell 0 "
+                           r"has strain 0 and smallest Hessian eigenvalue -?0$"):
+            solve_coarse(law, uniform_mesh(grid, m), F)
 
 
 class TestStabilityCheck:
@@ -473,19 +492,24 @@ class TestStabilityCheck:
             self.solve(shipped, 170.0)
 
 
-class FailingOnceLaw:
-    """Wraps a law; the cell solve at the first trial point of the first
-    Newton step (the second evaluation) raises SolverFailure."""
+class FailingOnceFamily(PotentialFamily):
+    """Wraps a family; its second ``bonds(a, 1, 2)`` call, the first trial
+    point of the first coarse Newton step, raises SolverFailure."""
 
-    def __init__(self, law):
-        self.law = law
+    def __init__(self, family):
+        super().__init__(family.R, family.p)
+        self.family = family
         self.calls = 0
 
-    def eval_strains(self, z, warm=None):
-        self.calls += 1
-        if self.calls == 2:
-            raise SolverFailure("micro damping stalled")
-        return self.law.eval_strains(z, warm=warm)
+    def admissible(self, a):
+        return self.family.admissible(a)
+
+    def bonds(self, a, *orders):
+        if orders == (1, 2):
+            self.calls += 1
+            if self.calls == 2:
+                raise SolverFailure("cell evaluation failed")
+        return self.family.bonds(a, *orders)
 
 
 class TestCellFailureAtTrialPoint:
@@ -493,7 +517,7 @@ class TestCellFailureAtTrialPoint:
         law, grid, f = lj_setup
         mesh = uniform_mesh(grid, 16)
         F = ForceFunctional("exact_summation", f)
-        cs = solve_coarse(FailingOnceLaw(law), mesh, F)
+        cs = solve_coarse(HomogenizedLaw(FailingOnceFamily(law.family)), mesh, F)
         assert cs.trace[1][2] == 0.5
         assert cs.residual_dual <= 1e-10
         ref = solve_coarse(law, mesh, F)

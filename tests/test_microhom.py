@@ -190,15 +190,6 @@ class TestEvalStrains:
             assert dphi0[i] == pytest.approx(b, rel=1e-13)
             assert d2phi0[i] == pytest.approx(c, rel=1e-12)
 
-    def test_warm_start_does_not_change_values(self, lj_law):
-        rng = np.random.default_rng(33)
-        z = rng.uniform(-0.05, 0.05, size=200)
-        ref = lj_law.eval_strains(z)
-        warm = ref[3] + 1e-8 * rng.standard_normal(ref[3].shape)
-        redo = lj_law.eval_strains(z, warm=warm)
-        for a, b in zip(ref[:3], redo[:3]):
-            assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(a).max())
-
     def test_zero_mean_fields(self, lj_law):
         z = np.linspace(-0.04, 0.06, 11)
         chi = lj_law.eval_strains(z)[3]
@@ -217,13 +208,3 @@ class TestWarmStartInterface:
         assert np.array_equal(chi0[[0, 2]], warm[[0, 2]])
         assert np.array_equal(chi0[[1, 3]], cold_start(family, z[[1, 3]]))
         assert not chi0[3].any()
-
-    def test_explicit_micro_warm_start(self, lj_law):
-        chi = lj_law.eval_strains(0.05)[3]
-        law2 = HomogenizedLaw(lj_law.family)
-        warm = law2.eval_strains(0.0501, warm=chi)
-        _, res, _ = solve_cells(law2, 0.0501, chi)
-        assert res[0] <= law2.tol
-        cold = law2.eval_strains(0.0501)
-        for a, b in zip(warm[:3], cold[:3]):
-            assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()

@@ -66,6 +66,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config(parse_config_text(BASE_1D.replace("grid.N = 256", "grid.N = 255")))
 
+    @pytest.mark.parametrize("key", ["micro.tol", "solver.tol"])
+    def test_tolerances_must_be_positive(self, key):
+        # the coarse solve measures cell residuals in units of solver.tol / micro.tol
+        with pytest.raises(ConfigError, match="must be positive"):
+            cfg_1d(f"{key} = 0\n")
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_config({"problem.kind": "3d"})
