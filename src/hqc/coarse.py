@@ -33,6 +33,7 @@ full lattice, -D[dphi0(D u)] = f, scaled by eps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +84,12 @@ class Mesh1D:
         return 0.5 * (h + np.roll(h, 1))
 
     def site_maps(self):
-        """(element index, offset within element) for every 0-based site."""
+        """(element index, offset within element) for every 0-based site,
+        computed once per mesh and returned read-only."""
+        return self._site_maps
+
+    @cached_property
+    def _site_maps(self):
         counts = self.site_counts()
         N = self.grid.N
         order = (self.nodes[0] - 1 + np.arange(N)) % N
@@ -94,6 +100,8 @@ class Mesh1D:
         site_offs = np.empty(N, dtype=int)
         site_elem[order] = elem_in_order
         site_offs[order] = offs_in_order
+        site_elem.flags.writeable = False
+        site_offs.flags.writeable = False
         return site_elem, site_offs
 
     def h_fn(self) -> LatticeFn:
@@ -170,9 +178,12 @@ def istar(mesh: Mesh1D, w: LatticeFn) -> LatticeFn:
     left = mesh.nodes[site_elem] - 1
     right = mesh.nodes[(site_elem + 1) % mesh.n_elements] - 1
     lam = 1.0 - site_offs / counts[site_elem]
-    out = np.zeros(mesh.grid.N)
-    np.add.at(out, left, w.values * lam)
-    np.add.at(out, right, w.values * (1.0 - lam))
+    # bincount adds in index order, all left shares before all right ones
+    out = np.bincount(
+        np.concatenate([left, right]),
+        weights=np.concatenate([w.values * lam, w.values * (1.0 - lam)]),
+        minlength=mesh.grid.N,
+    )
     return LatticeFn(mesh.grid, out)
 
 

@@ -11,10 +11,17 @@ from the cell field of the old element containing it, or cold where that
 field is inadmissible at the new strain (``solve_coarse(init=...)``).
 Uniform schedules and ``adapt_mesh`` both refine, so the start is the
 previous solution itself; ``newton_iters`` counts the outer iterations
-from it.  Rows are written in schedule order; all scientific columns are
-deterministic, and wall-clock timing is off by default so that reruns with
-the same config produce byte-identical CSV files (opt in with
-``timing=True``).
+from it.
+
+No coarse row needs the reference, so every row is solved first and only
+its corrected solution kept.  The reference is then solved once, by Newton
+from the corrected solution of the last row (the finest uniform mesh or the
+last adaptive step), which the a priori estimate puts within O(h) of it;
+the error columns are filled in last.  A study that fails in a coarse row
+stops before it solves or caches the reference.  Rows are written in
+schedule order; all scientific columns are deterministic, and wall-clock
+timing is off by default so that reruns with the same config produce
+byte-identical CSV files (opt in with ``timing=True``).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +140,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _reference_solution(cfg, grid, family, micro, out_dir, use_cache):
-    """Atomistic reference displacement (disk-cached by config hash)."""
+def _reference_solution(cfg, grid, family, u_init, out_dir, use_cache):
+    """Atomistic reference displacement (disk-cached by config hash), solved
+    by Newton from the lattice function ``u_init``."""
     path = None
     if out_dir is not None:
         path = Path(out_dir) / "cache" / f"ref_{config_hash(cfg)}.txt"
@@ -144,10 +152,7 @@ def _reference_solution(cfg, grid, family, micro, out_dir, use_cache):
     force = sin_force(grid, cfg.force_amplitude, cfg.force_phase)
     prob = AtomisticProblem(grid, family, force)
     sol = solve_atomistic(
-        prob,
-        u_init=microstructure_start(grid, micro),
-        tol=cfg.solver_tol,
-        max_iter=cfg.solver_max_iter,
+        prob, u_init=u_init, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
     )
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -155,29 +160,47 @@ def _reference_solution(cfg, grid, family, micro, out_dir, use_cache):
     return sol.u
 
 
-def _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock, prev):
-    """Row of one mesh, its indicator report and its coarse solution; the
-    solve starts nested from the previous row's solution ``prev``."""
+def _study_row(law, mesh, F, f, cfg, c0_inv, clock, prev):
+    """Row of one mesh without its error columns, its corrected solution,
+    indicator report and coarse solution; the solve starts nested from the
+    previous row's solution ``prev``."""
     t0 = clock() if clock else 0.0
     cs = solve_coarse(
         law, mesh, F, init=prev, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
     )
     uc = corrector(law, cs)
-    diff = LatticeFn(mesh.grid, uc.values - u_ref.values)
     report = indicator_terms(cs.u, mesh, f, F, cfg.calibration, c0_inv)
     wall = (clock() - t0) * 1e3 if clock else 0.0
     return StudyRow(
         h_max=mesh.h_max,
         dof=mesh.n_elements,
-        err_1inf=seminorm(diff, 1, np.inf),
-        err_0inf=seminorm(diff, 0, np.inf),
+        err_1inf=np.nan,
+        err_0inf=np.nan,
         eta_jump=report.jump_term,
         eta_force=report.force_term,
         eta_quad=report.quadrature_term,
         eta_total=report.total,
         newton_iters=cs.iterations,
         wall_ms=wall,
-    ), report, cs
+    ), uc, report, cs
+
+
+def _coarse_rows(cfg, grid, law, F, f, c0_inv, clock):
+    """(row without its error columns, corrected solution) of every mesh of
+    the schedule, each solve nested in the previous one."""
+    done, cs = [], None
+    if cfg.adaptive:
+        mesh = uniform_mesh(grid, cfg.adapt_initial)
+        for _ in range(cfg.adapt_steps):
+            row, uc, report, cs = _study_row(law, mesh, F, f, cfg, c0_inv, clock, cs)
+            done.append((row, uc))
+            mesh = adapt_mesh(mesh, report, cfg.theta)
+    else:
+        for m in cfg.mesh_schedule:
+            mesh = uniform_mesh(grid, m)
+            row, uc, _report, cs = _study_row(law, mesh, F, f, cfg, c0_inv, clock, cs)
+            done.append((row, uc))
+    return done
 
 
 def run_study(
@@ -188,9 +211,13 @@ def run_study(
 ):
     """Run the 1D convergence study of a config; returns the StudyRow list.
 
-    With an output directory, writes study.csv, study.svg and the cached
-    reference solution.  Raises StabilityError when the nearest-neighbor
-    dominance margin of the configured family is not positive.
+    Solves every coarse row first, then the atomistic reference from the
+    last row's corrected solution, then measures each row's error against
+    it; a failure in a coarse row raises before the reference is solved or
+    cached.  With an output directory, writes study.csv, study.svg and the
+    cached reference solution.  Raises StabilityError when the
+    nearest-neighbor dominance margin of the configured family is not
+    positive.
     """
     grid = LatticeGrid(cfg.N, cfg.p)
     family = build_family(cfg)
@@ -204,22 +231,17 @@ def run_study(
     )
     c0_inv = cfg.c0_inv if cfg.c0_inv is not None else 1.0 / margin
     f = sin_force(grid, cfg.force_amplitude, cfg.force_phase)
-    u_ref = _reference_solution(cfg, grid, family, micro, out_dir, use_cache)
     F = ForceFunctional(cfg.functional_kind, f)
     clock = time.perf_counter if timing else None
 
-    rows, cs = [], None
-    if cfg.adaptive:
-        mesh = uniform_mesh(grid, cfg.adapt_initial)
-        for _ in range(cfg.adapt_steps):
-            row, report, cs = _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock, cs)
-            rows.append(row)
-            mesh = adapt_mesh(mesh, report, cfg.theta)
-    else:
-        for m in cfg.mesh_schedule:
-            mesh = uniform_mesh(grid, m)
-            row, _report, cs = _study_row(law, mesh, F, f, u_ref, cfg, c0_inv, clock, cs)
-            rows.append(row)
+    done = _coarse_rows(cfg, grid, law, F, f, c0_inv, clock)
+    u_ref = _reference_solution(cfg, grid, family, done[-1][1], out_dir, use_cache)
+    rows = []
+    for row, uc in done:
+        diff = LatticeFn(grid, uc.values - u_ref.values)
+        rows.append(
+            replace(row, err_1inf=seminorm(diff, 1, np.inf), err_0inf=seminorm(diff, 0, np.inf))
+        )
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -89,6 +89,14 @@ class TestMesh:
             u = CoarseFn(mesh, U)
             assert u.lattice_mean() == pytest.approx(u.to_lattice().values.mean(), abs=1e-14)
 
+    def test_site_maps_computed_once_and_read_only(self):
+        mesh = rand_mesh(np.random.default_rng(63), LatticeGrid(40), 6)
+        maps = mesh.site_maps()
+        assert all(a is b for a, b in zip(maps, mesh.site_maps()))
+        for arr in maps:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
 
 class TestInterpolate:
     def test_reproduces_affine_data(self):
@@ -156,6 +164,23 @@ class TestProlong:
 
 
 class TestIstar:
+    @given(n=st.integers(2, 96), m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_bit_identical_to_two_add_at_passes(self, n, m, seed):
+        # the accumulation istar replaced: all left shares, then all right ones
+        rng = np.random.default_rng(seed)
+        grid = LatticeGrid(n)
+        mesh = rand_mesh(rng, grid, min(m, n))
+        w = rng.standard_normal(n)
+        site_elem, site_offs = mesh.site_maps()
+        left = mesh.nodes[site_elem] - 1
+        right = mesh.nodes[(site_elem + 1) % mesh.n_elements] - 1
+        lam = 1.0 - site_offs / mesh.site_counts()[site_elem]
+        expected = np.zeros(n)
+        np.add.at(expected, left, w * lam)
+        np.add.at(expected, right, w * (1.0 - lam))
+        assert np.array_equal(istar(mesh, LatticeFn(grid, w)).values, expected)
+
     def test_interior_indicator_split(self):
         grid = LatticeGrid(12)
         mesh = Mesh1D(grid, np.array([2, 10]))

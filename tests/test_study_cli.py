@@ -1,19 +1,29 @@
+import functools
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from hqc import (
     ConfigError,
+    ForceFunctional,
+    HomogenizedLaw,
     StudyRow,
     build_config,
+    corrector,
     fit_slope,
+    ground_microstructure,
     read_rows_csv,
     run_study,
+    solve_atomistic,
     solve_coarse,
+    uniform_mesh,
 )
 from hqc.cli import main
-from hqc.config import parse_config_text
-from hqc.study import write_rows_csv
+from hqc.config import parse_config, parse_config_text
+from hqc.exceptions import SolverFailure
+from hqc.study import build_family, microstructure_start, write_rows_csv
 
 BASE_1D = """
 problem.kind = 1d
@@ -171,6 +181,87 @@ class TestRunStudy:
         bad = bad.replace("potential.l = 1, 1.125", "potential.k = 1, 1\npotential.a = 1.1, -1.1")
         with pytest.raises(StabilityError):
             run_study(build_config(parse_config_text(bad)))
+
+    def test_coarse_failure_stops_before_reference(self, tmp_path, monkeypatch):
+        import hqc.study
+
+        reference = mock.Mock(side_effect=solve_atomistic)
+        monkeypatch.setattr(hqc.study, "solve_atomistic", reference)
+        with pytest.raises(SolverFailure, match="coarse Newton"):
+            run_study(cfg_1d("solver.max_iter = 1\n"), out_dir=tmp_path)
+        reference.assert_not_called()
+        assert not (tmp_path / "cache").exists()
+
+
+LJ_1D = Path(__file__).parents[1] / "configs" / "lj_1d.cfg"
+
+
+def solve_lj_1d_study(N, phase):
+    """The lj_1d chain at N sites and force phase ``phase``, on the shipped
+    mesh schedule or, at N = 65536, on the benchmark's 16, 64, 256: the
+    config, every corrected solution of the study, and the arguments and
+    result of its one reference solve."""
+    import hqc.study
+
+    mapping = parse_config(LJ_1D)
+    mapping.update({"grid.N": str(N), "force.phase": repr(phase)})
+    if N == 65536:
+        mapping["mesh.schedule"] = "16, 64, 256"
+    cfg = build_config(mapping)
+    corrected, solves = [], []
+
+    def recording_corrector(*args):
+        corrected.append(corrector(*args))
+        return corrected[-1]
+
+    def recording_solve(prob, **kw):
+        solves.append((prob, kw, solve_atomistic(prob, **kw)))
+        return solves[-1][2]
+
+    with mock.patch.object(hqc.study, "corrector", recording_corrector), mock.patch.object(
+        hqc.study, "solve_atomistic", recording_solve
+    ):
+        rows = run_study(cfg)
+    assert len(corrected) == len(rows) and len(solves) == 1
+    return cfg, corrected, solves[0]
+
+
+@pytest.fixture(scope="module")
+def lj_1d_reference():
+    """``solve_lj_1d_study``, each case solved once for the module."""
+    return functools.cache(solve_lj_1d_study)
+
+
+def max_rel_diff(u, v):
+    return np.abs(u.values - v.values).max() / np.abs(v.values).max()
+
+
+@pytest.mark.parametrize("phase", [1.0, 2.3, 4.7])
+@pytest.mark.parametrize("N", [1024, 4096, 65536])
+class TestReferenceStart:
+    """The reference is solved from the last row's corrected solution; it
+    must reach the equilibrium that the cold start reaches."""
+
+    def test_starts_from_last_corrector_in_at_most_3_steps(self, lj_1d_reference, N, phase):
+        _cfg, corrected, (_prob, kw, sol) = lj_1d_reference(N, phase)
+        assert np.array_equal(kw["u_init"].values, corrected[-1].values)
+        assert sol.iterations <= 3
+
+    def test_agrees_with_cold_start(self, lj_1d_reference, N, phase):
+        cfg, _corrected, (prob, _kw, sol) = lj_1d_reference(N, phase)
+        micro = ground_microstructure(prob.family, tol=cfg.micro_tol)
+        cold = solve_atomistic(
+            prob, u_init=microstructure_start(prob.grid, micro), tol=cfg.solver_tol
+        )
+        assert max_rel_diff(sol.u, cold.u) <= 1e-12
+        assert sol.iterations <= cold.iterations
+        # the worst start: the corrected solution of one cold 4-node row
+        law = HomogenizedLaw(build_family(cfg), tol=cfg.micro_tol)
+        F = ForceFunctional(cfg.functional_kind, prob.force)
+        cs = solve_coarse(law, uniform_mesh(prob.grid, 4), F, tol=cfg.solver_tol)
+        rough = solve_atomistic(prob, u_init=corrector(law, cs), tol=cfg.solver_tol)
+        assert max_rel_diff(rough.u, cold.u) <= 1e-12
+        assert rough.iterations <= cold.iterations
 
 
 class TestCli:
