@@ -61,7 +61,6 @@ from .estimator import (
     indicator_terms,
 )
 from .lattice2d import (
-    Corrector2D,
     Displacement2D,
     Homogenized2D,
     SpringModel2D,

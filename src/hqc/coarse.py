@@ -172,7 +172,7 @@ def prolong(u: CoarseFn, mesh: Mesh1D) -> tuple[CoarseFn, np.ndarray]:
 
 
 def istar(mesh: Mesh1D, w: LatticeFn) -> LatticeFn:
-    """Adjoint of the interpolant: <istar(w), v> = <w, interpolate(v)>."""
+    """Adjoint of the interpolant: <istar(w), v> = <w, interpolate(v).to_lattice()>."""
     site_elem, site_offs = mesh.site_maps()
     counts = mesh.site_counts()
     left = mesh.nodes[site_elem] - 1

@@ -30,9 +30,9 @@ def _header_fields(line: str) -> dict:
 
 
 def save_lattice_fn(path, u: LatticeFn) -> None:
-    lines = [f"# N={u.grid.N} p={u.grid.p}"]
-    lines += [_fmt(v) for v in u.values]
-    Path(path).write_text("\n".join(lines) + "\n")
+    # one %-format over the whole tuple writes the same text as _fmt per value
+    body = ("%.17g\n" * len(u.values)) % tuple(u.values.tolist())
+    Path(path).write_text(f"# N={u.grid.N} p={u.grid.p}\n" + body)
 
 
 def load_lattice_fn(path) -> LatticeFn:
@@ -72,10 +72,9 @@ def load_coarse_fn(path, p: int = 1) -> CoarseFn:
 
 
 def save_field2d(path, u: Displacement2D) -> None:
-    lines = [f"# N1={u.N1} N2={u.N2}"]
-    flat = u.values.reshape(2, -1)
-    lines += [f"{_fmt(a)} {_fmt(b)}" for a, b in zip(flat[0], flat[1])]
-    Path(path).write_text("\n".join(lines) + "\n")
+    pairs = u.values.reshape(2, -1).T
+    body = ("%.17g %.17g\n" * len(pairs)) % tuple(pairs.ravel().tolist())
+    Path(path).write_text(f"# N1={u.N1} N2={u.N2}\n" + body)
 
 
 def load_field2d(path) -> Displacement2D:

@@ -12,18 +12,23 @@ for a two-component displacement u.  Because every bond penalizes the
 plain difference of displacement vectors with a scalar stiffness, the two
 components decouple exactly; the cell problem is scalar and the per-parity
 corrector coefficient matrix is a multiple of the identity by
-construction.  The (2,2)-cell solve below verifies the staggered pattern
+construction.  The cell problem is the bond operator itself on the 2x2
+periodic grid, so the (2,2)-cell solve in ``homogenize2d`` is the same
+``solve_periodic_2d`` call as the atomistic solve.  It measures the
+staggered pattern
 
     chi(j) = (-1)^(j1+j2) * (k1-k2) / (4 (k1+k2)) * (g1 + g2)
 
-for a macroscopic strain vector g, and builds the homogenized quadratic
-form used by the P1 coarse solver on the structured triangulation (t^2
-nodes, 2 t^2 right triangles, every square split along the same diagonal).
+for a macroscopic strain vector g against this closed form, and builds the
+homogenized quadratic form used by the P1 coarse solver on the structured
+triangulation (t^2 nodes, 2 t^2 right triangles, every square split along
+the same diagonal).
 
-Both linear systems are exactly periodic: the bond operator repeats on the
-(2,2) cell and the P1 stiffness with the constant form Q on every node.
-``linsolve.solve_periodic_2d`` inverts each with one FFT solve, without
-iteration or tolerance.
+All three linear systems are exactly periodic: the bond operator repeats
+on the (2,2) cell and the P1 stiffness with the constant form Q on every
+node.  ``linsolve.solve_periodic_2d`` inverts each with one FFT solve,
+without iteration or tolerance; both operators act on a stack of fields
+along their last two axes, as its probes require.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import StabilityError
 from .linsolve import solve_periodic_2d
 
 #: neighbor directions; reflections are implied
@@ -90,15 +94,15 @@ def _check_even(N1, N2):
 
 
 def _apply_scalar(model: SpringModel2D, v: np.ndarray) -> np.ndarray:
-    """One component of the bond-force operator: (A v)(s)."""
-    N1, N2 = v.shape
+    """One component of the bond-force operator, (A v)(s), on the last two
+    axes of v; leading axes are a stack of independent fields."""
+    N1, N2 = v.shape[-2:]
     out = np.zeros_like(v)
     for r in DIRECTIONS:
         C = model.bond_coefficients(r, N1, N2)
-        v_fwd = np.roll(v, (-r[0], -r[1]), (0, 1))
-        v_bwd = np.roll(v, (r[0], r[1]), (0, 1))
-        C_bwd = np.roll(C, (r[0], r[1]), (0, 1))
-        out += C * (v - v_fwd) + C_bwd * (v - v_bwd)
+        # tension of bond r by tail site; roll(dv, r) indexes it by head site
+        dv = C * (np.roll(v, (-r[0], -r[1]), (-2, -1)) - v)
+        out -= dv - np.roll(dv, r, (-2, -1))
     return out
 
 
@@ -106,15 +110,11 @@ def energy2d(model: SpringModel2D, u: Displacement2D):
     """Energy and gradient; the gradient is the plain-sum derivative dE/du."""
     _check_even(u.N1, u.N2)
     E = 0.0
-    g = np.zeros_like(u.values)
-    for c in range(2):
-        v = u.values[c]
-        for r in DIRECTIONS:
-            C = model.bond_coefficients(r, u.N1, u.N2)
-            dv = np.roll(v, (-r[0], -r[1]), (0, 1)) - v
-            E += 0.5 * float((C * dv * dv).sum())
-        g[c] = _apply_scalar(model, v)
-    return E, Displacement2D(u.N1, u.N2, g)
+    for r in DIRECTIONS:
+        C = model.bond_coefficients(r, u.N1, u.N2)
+        dv = np.roll(u.values, (-r[0], -r[1]), (-2, -1)) - u.values
+        E += 0.5 * float((C * dv * dv).sum())
+    return E, Displacement2D(u.N1, u.N2, _apply_scalar(model, u.values))
 
 
 def solve_atomistic_2d(model: SpringModel2D, f: Displacement2D):
@@ -130,85 +130,9 @@ def solve_atomistic_2d(model: SpringModel2D, f: Displacement2D):
     return Displacement2D(f.N1, f.N2, u), 0
 
 
-@dataclass(frozen=True)
-class Corrector2D:
-    """Analytic per-parity corrector coefficient: matrix scale * I with the
-    staggered sign pattern (-1)^(j1+j2)."""
-
-    scale: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.scale * np.eye(2)
-
-    @staticmethod
-    def sign(j1, j2):
-        return np.where((np.asarray(j1) + np.asarray(j2)) % 2 == 0, 1.0, -1.0)
-
-
-def chi_analytic(model: SpringModel2D) -> Corrector2D:
+def chi_analytic(model: SpringModel2D) -> float:
     """Closed-form corrector coefficient (k1 - k2) / (4 (k1 + k2))."""
-    return Corrector2D((model.k1 - model.k2) / (4.0 * (model.k1 + model.k2)))
-
-
-def _cell_psi(model: SpringModel2D) -> dict:
-    """Bond stiffness on the (2,2) cell, indexed by cell site (j1, j2)."""
-    psi = {}
-    for r in DIRECTIONS:
-        grid = np.empty((2, 2))
-        for j1 in range(2):
-            for j2 in range(2):
-                if r in ((1, 0), (0, 1)):
-                    grid[j1, j2] = model.k1 if (j1 + j2) % 2 == 0 else model.k2
-                else:
-                    grid[j1, j2] = model.k3
-        psi[r] = grid
-    return psi
-
-
-def _cell_energy_density(model, gvec, c):
-    """Energy per site of the corrected affine field on the (2,2) cell."""
-    psi = _cell_psi(model)
-    e = 0.0
-    for r, grid in psi.items():
-        for j1 in range(2):
-            for j2 in range(2):
-                arg = gvec[0] * r[0] + gvec[1] * r[1]
-                arg += c[(j1 + r[0]) % 2, (j2 + r[1]) % 2] - c[j1, j2]
-                e += 0.5 * grid[j1, j2] * arg * arg
-    return e / 4.0
-
-
-def _solve_cell_2d(model, gvec):
-    """Zero-mean scalar cell field for a macroscopic strain vector gvec."""
-    psi = _cell_psi(model)
-    A = np.zeros((4, 4))
-    b = np.zeros(4)
-
-    def flat(j1, j2):
-        return 2 * (j1 % 2) + (j2 % 2)
-
-    for r, grid in psi.items():
-        for j1 in range(2):
-            for j2 in range(2):
-                w = grid[j1, j2] / 4.0
-                head = flat(j1 + r[0], j2 + r[1])
-                tail = flat(j1, j2)
-                g_r = gvec[0] * r[0] + gvec[1] * r[1]
-                A[head, head] += w
-                A[tail, tail] += w
-                A[head, tail] -= w
-                A[tail, head] -= w
-                b[head] -= w * g_r
-                b[tail] += w * g_r
-    # eliminate the mean: last value = -(sum of the others)
-    B = np.vstack([np.eye(3), -np.ones(3)])
-    try:
-        c_red = np.linalg.solve(B.T @ A @ B, B.T @ b)
-    except np.linalg.LinAlgError as exc:
-        raise StabilityError("singular (2,2) cell system") from exc
-    c = B @ c_red
-    return c.reshape(2, 2) - c.mean()
+    return (model.k1 - model.k2) / (4.0 * (model.k1 + model.k2))
 
 
 @dataclass(frozen=True)
@@ -234,17 +158,27 @@ class Homogenized2D:
 def homogenize2d(model: SpringModel2D) -> Homogenized2D:
     """Solve the (2,2) cell for both unit strains and assemble the
     effective quadratic form; the staggered corrector pattern is measured,
-    not assumed, and any gap to the closed form is reported."""
-    chi_unit = np.stack([_solve_cell_2d(model, np.eye(2)[b]) for b in range(2)])
-    sign = Corrector2D.sign(*np.meshgrid([0, 1], [0, 1], indexing="ij"))
-    scales = [float(np.mean(sign * chi_unit[b])) for b in range(2)]
-    scale = 0.5 * (scales[0] + scales[1])
-    dev = max(float(np.abs(chi_unit[b] - scales[b] * sign).max()) for b in range(2))
-    e1 = _cell_energy_density(model, np.array([1.0, 0.0]), chi_unit[0])
-    e2 = _cell_energy_density(model, np.array([0.0, 1.0]), chi_unit[1])
-    e12 = _cell_energy_density(model, np.array([1.0, 1.0]), chi_unit[0] + chi_unit[1])
-    Q = np.array([[2.0 * e1, e12 - e1 - e2], [e12 - e1 - e2, 2.0 * e2]])
-    gap = abs(scale - chi_analytic(model).scale)
+    not assumed, and any gap to the closed form is reported.
+
+    The cell problem is the bond operator A on the 2x2 periodic grid: a
+    strain g loads every bond r with g.r, so A chi = rhs . g with
+    rhs[b] = sum_r (C_r - C_r(. - r)) r_b.  At the minimizer the energy
+    per site is the affine part less half the work of the load, which
+    gives Q = sum_r mean(C_r) r r^T - <rhs[a], chi_unit[b]> / 4.
+    """
+    rhs = np.zeros((2, 2, 2))
+    Q = np.zeros((2, 2))
+    for r in DIRECTIONS:
+        C = model.bond_coefficients(r, 2, 2)
+        rhs += np.multiply.outer(r, C - np.roll(C, r, (0, 1)))
+        Q += C.sum() * np.outer(r, r) / 4
+    chi_unit = solve_periodic_2d(lambda v: _apply_scalar(model, v), rhs, (2, 2))
+    Q -= rhs.reshape(2, -1) @ chi_unit.reshape(2, -1).T / 4
+    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (-1)^(j1+j2)
+    scales = (sign * chi_unit).mean(axis=(1, 2))
+    scale = 0.5 * float(scales[0] + scales[1])
+    dev = float(np.abs(chi_unit - scales[:, None, None] * sign).max())
+    gap = abs(scale - chi_analytic(model))
     return Homogenized2D(model, chi_unit, Q, scale, dev, gap)
 
 
@@ -257,7 +191,8 @@ _P1_TRIANGLES = (
 
 
 def _p1_apply(Q: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Periodic P1 stiffness of the form Q applied to a nodal grid (t, t).
+    """Periodic P1 stiffness of the form Q applied to a nodal grid (t, t),
+    or to a stack of them on the last two axes.
 
     The element matrix 0.5 G^T Q G does not depend on h (gradients scale
     with 1/h, areas with h^2).
@@ -265,9 +200,9 @@ def _p1_apply(Q: np.ndarray, U: np.ndarray) -> np.ndarray:
     out = np.zeros_like(U)
     for G, nodes in _P1_TRIANGLES:
         K = 0.5 * G.T @ Q @ G
-        at = [np.roll(U, (-o[0], -o[1]), (0, 1)) for o in nodes]  # U at each node of the square
+        at = [np.roll(U, (-o[0], -o[1]), (-2, -1)) for o in nodes]  # U at each node of the square
         for a, o in enumerate(nodes):
-            out += np.roll(sum(K[a, b] * at[b] for b in range(3)), o, (0, 1))
+            out += np.roll(sum(K[a, b] * at[b] for b in range(3)), o, (-2, -1))
     return out
 
 

@@ -137,12 +137,14 @@ def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve_periodic_2d(apply, rhs: np.ndarray, cell: tuple[int, int]) -> np.ndarray:
     """Zero-mean x with apply(x) = rhs - mean(rhs) on a periodic N1 x N2 grid.
 
-    ``apply`` maps an (N1, N2) array to an (N1, N2) array.  It must be
-    linear and symmetric, commute with shifts by ``cell`` = (c1, c2) and
-    have the constants as its kernel.  ``rhs`` has shape (..., N1, N2);
-    all leading entries are solved with one symbol.  The singular
-    zero-frequency block is regularized along the constants (a constant
-    added to every entry), which the zero-mean result does not depend on.
+    ``apply`` maps a stack (B, N1, N2) of fields to the stack of their
+    images, slice by slice; the c1 c2 impulse probes go through one call.
+    It must be linear and symmetric, commute with shifts by ``cell`` =
+    (c1, c2) and have the constants as its kernel.  ``rhs`` has shape
+    (..., N1, N2); all leading entries are solved with one symbol.  The
+    singular zero-frequency block is regularized along the constants (a
+    constant added to every entry), which the zero-mean result does not
+    depend on.
     """
     rhs = np.asarray(rhs, dtype=float)
     N1, N2 = rhs.shape[-2:]
@@ -158,7 +160,7 @@ def solve_periodic_2d(apply, rhs: np.ndarray, cell: tuple[int, int]) -> np.ndarr
     for k in range(m):
         impulses[k, k // c2, k % c2] = 1.0
     # column k of the symbol is the response to an impulse at cell site k
-    symbol = np.fft.fft2(blocks(np.stack([apply(e) for e in impulses])), axes=(0, 1))
+    symbol = np.fft.fft2(blocks(apply(impulses)), axes=(0, 1))
     symbol[0, 0] += float(np.abs(symbol).max()) / m
     b = rhs.reshape(-1, N1, N2)
     b = b - b[:, :1, :1]  # removes a constant rhs exactly, so that it gives x = 0

@@ -31,6 +31,32 @@ def test_lattice_fn_header(tmp_path):
     assert first == "# N=4 p=2"
 
 
+def _edge_values(n):
+    rng = np.random.default_rng(104)
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, 0.1, 1.0 / 3.0]
+    return np.concatenate([edges, rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)])
+
+
+def _fmt_each(x):
+    return format(float(x), ".17g")
+
+
+def test_lattice_fn_text_matches_per_value_format(tmp_path):
+    values = _edge_values(200)
+    u = LatticeFn(LatticeGrid(len(values)), values)
+    save_lattice_fn(tmp_path / "u.txt", u)
+    lines = ["# N=210 p=1"] + [_fmt_each(v) for v in values]
+    assert (tmp_path / "u.txt").read_text() == "\n".join(lines) + "\n"
+
+
+def test_field2d_text_matches_per_value_format(tmp_path):
+    values = _edge_values(38).reshape(2, 8, 3)
+    save_field2d(tmp_path / "f.txt", Displacement2D(8, 3, values))
+    flat = values.reshape(2, -1)
+    lines = ["# N1=8 N2=3"] + [f"{_fmt_each(a)} {_fmt_each(b)}" for a, b in zip(*flat)]
+    assert (tmp_path / "f.txt").read_text() == "\n".join(lines) + "\n"
+
+
 def test_mesh_roundtrip(tmp_path):
     mesh = Mesh1D(LatticeGrid(32), np.array([4, 9, 17, 30]))
     save_mesh(tmp_path / "mesh.txt", mesh)
