@@ -11,10 +11,10 @@ zero-mean solution of its banded system (:mod:`hqc.linsolve`).
 Termination is measured in the (-1, inf) dual seminorm of the residual
 functional, matching the error topology of the coarse-graining analysis.
 
-``damped_newton`` is the residual-backtracking Newton loop shared by
-``solve_atomistic`` and :func:`hqc.coarse.solve_coarse`, the two outer
-solvers; each supplies only its residual evaluation, termination norm and
-Newton step.  The homogenized problem on the full lattice is
+``damped_newton`` is the residual-backtracking Newton loop of three
+solvers: ``solve_atomistic``, :func:`hqc.coarse.solve_coarse` and the
+batched cell solve :func:`hqc.microhom.newton_cells`; each supplies only
+its residual evaluation, termination norm and Newton step.  The homogenized problem on the full lattice is
 ``solve_coarse`` on the mesh whose nodes are all N sites.
 """
 
@@ -114,8 +114,9 @@ def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
 
 
 def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
-    """Newton iteration with residual backtracking, shared by the two outer
-    solvers, :func:`solve_atomistic` and :func:`hqc.coarse.solve_coarse`.
+    """Newton iteration with residual backtracking, shared by three solvers:
+    :func:`solve_atomistic`, :func:`hqc.coarse.solve_coarse` and
+    :func:`hqc.microhom.newton_cells`.
 
     ``evaluate(x, prev_state)`` returns ``(x, state, norm)``: the possibly
     projected iterate, whatever ``step`` needs and the residual norm, which

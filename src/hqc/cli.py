@@ -17,18 +17,15 @@ import numpy as np
 from . import io as hio
 from .atomistic import AtomisticProblem, solve_atomistic
 from .coarse import ForceFunctional, corrector, solve_coarse, uniform_mesh
-from .config import ExperimentConfig, load_experiment_config
+from .config import load_experiment_config
 from .estimator import estimate_constants, indicator_terms
 from .exceptions import ConfigError, DomainError, SolverFailure, StabilityError
-from .lattice import LatticeGrid
-from .microhom import HomogenizedLaw
-from .potentials import ground_microstructure, nn_dominance_margin
 from .study import (
-    build_family,
     microstructure_start,
+    require_dominance,
     run_study,
     run_study_2d,
-    sin_force,
+    setup_1d,
 )
 
 ENV_OUT = "HQC_OUT"
@@ -41,28 +38,9 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _setup_1d(cfg: ExperimentConfig):
-    grid = LatticeGrid(cfg.N, cfg.p)
-    family = build_family(cfg)
-    micro = ground_microstructure(family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter)
-    law = HomogenizedLaw(
-        family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter,
-        damping_max=cfg.micro_damping_max,
-    )
-    f = sin_force(grid, cfg.force_amplitude, cfg.force_phase)
-    return grid, family, micro, law, f
-
-
-def _require_margin(family, micro):
-    margin = nn_dominance_margin(family, micro)
-    if margin <= 0:
-        raise StabilityError(f"nearest-neighbor dominance margin {margin:.3e} <= 0")
-    return margin
-
-
 def cmd_solve_atomistic(cfg, args) -> int:
-    grid, family, micro, _law, f = _setup_1d(cfg)
-    _require_margin(family, micro)
+    grid, family, micro, margin, _law, f = setup_1d(cfg)
+    require_dominance(margin)
     prob = AtomisticProblem(grid, family, f)
     sol = solve_atomistic(
         prob, u_init=microstructure_start(grid, micro),
@@ -77,8 +55,8 @@ def cmd_solve_atomistic(cfg, args) -> int:
 
 
 def cmd_solve_hqc(cfg, args) -> int:
-    grid, family, micro, law, f = _setup_1d(cfg)
-    _require_margin(family, micro)
+    grid, _family, _micro, margin, law, f = setup_1d(cfg)
+    require_dominance(margin)
     nodes = cfg.mesh_schedule[0] if cfg.mesh_schedule else cfg.adapt_initial
     mesh = uniform_mesh(grid, nodes)
     F = ForceFunctional(cfg.functional_kind, f)
@@ -95,8 +73,8 @@ def cmd_solve_hqc(cfg, args) -> int:
 
 
 def cmd_micro(cfg, args) -> int:
-    _grid, family, micro, law, _f = _setup_1d(cfg)
-    _require_margin(family, micro)
+    _grid, _family, _micro, margin, law, _f = setup_1d(cfg)
+    require_dominance(margin)
     z_lo, z_hi, count = cfg.micro_z_lo, cfg.micro_z_hi, cfg.micro_z_count
     table = law.tabulate(np.linspace(z_lo, z_hi, count))
     out = _out_dir(args)
@@ -109,8 +87,8 @@ def cmd_micro(cfg, args) -> int:
 
 
 def cmd_estimate(cfg, args) -> int:
-    grid, family, micro, law, f = _setup_1d(cfg)
-    margin = _require_margin(family, micro)
+    grid, _family, _micro, margin, law, f = setup_1d(cfg)
+    require_dominance(margin)
     c0_inv = cfg.c0_inv if cfg.c0_inv is not None else 1.0 / margin
     nodes = cfg.mesh_schedule[0] if cfg.mesh_schedule else cfg.adapt_initial
     mesh = uniform_mesh(grid, nodes)
@@ -142,18 +120,16 @@ def cmd_study2d(cfg, args) -> int:
 
 
 def cmd_check(cfg, args) -> int:
-    _grid, family, micro, _law, _f = _setup_1d(cfg)
+    _grid, family, micro, margin, _law, _f = setup_1d(cfg)
     chi = micro.chi_star.values
     print(f"ground microstructure: chi_* = {np.array2string(chi, precision=8)}")
     print(f"  micro deformation strictly increasing: min(1 + D chi) = "
           f"{float((1 + np.roll(chi, -1) - chi).min()):.6g}")
     print(f"  ||chi_*||_inf = {np.abs(chi).max():.6g} <= (p-1)/2 = {(family.p - 1) / 2}")
-    margin = nn_dominance_margin(family, micro)
     c11, c0_lower = estimate_constants(family, micro)
     print(f"nearest-neighbor dominance margin: {margin:.6g}")
     print(f"sampled Lipschitz surrogate C11 = {c11:.6g}, c0 lower bound = {c0_lower:.6g}")
-    if margin <= 0:
-        raise StabilityError(f"dominance margin {margin:.3e} <= 0")
+    require_dominance(margin)
     print("stability checks passed")
     return 0
 

@@ -41,7 +41,7 @@ from .exceptions import SolverFailure, StabilityError
 from .lattice import LatticeFn, LatticeGrid, primitive_dual_norm
 from .atomistic import damped_newton
 from .linsolve import solve_cyclic_banded
-from .microhom import HomogenizedLaw, cold_start, condense_cells, newton_cells, warm_start
+from .microhom import HomogenizedLaw, condense_cells, newton_cells, warm_start
 
 
 @dataclass(frozen=True)
@@ -311,9 +311,9 @@ def solve_coarse(
     if init is None:
         U = np.zeros(mesh.n_elements)
         # every strain is 0: each element starts from that one cell's solution
-        z = np.zeros(1)
         chi, _res, _iters = newton_cells(
-            law.family, z, cold_start(law.family, z), law.tol, law.max_iter, law.damping_max
+            law.family, np.zeros(1), np.zeros((1, law.family.p)),
+            law.tol, law.max_iter, law.damping_max,
         )
         chi = np.repeat(chi, mesh.n_elements, axis=0)
     else:

@@ -33,6 +33,7 @@ along their last two axes, as its probes require.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,10 +156,12 @@ class Homogenized2D:
         return self.corrector_scale * np.eye(2)
 
 
+@functools.lru_cache(maxsize=None)
 def homogenize2d(model: SpringModel2D) -> Homogenized2D:
     """Solve the (2,2) cell for both unit strains and assemble the
     effective quadratic form; the staggered corrector pattern is measured,
-    not assumed, and any gap to the closed form is reported.
+    not assumed, and any gap to the closed form is reported.  The result
+    is cached per model, so ``chi_unit`` and ``Q`` are read-only.
 
     The cell problem is the bond operator A on the 2x2 periodic grid: a
     strain g loads every bond r with g.r, so A chi = rhs . g with
@@ -179,6 +182,7 @@ def homogenize2d(model: SpringModel2D) -> Homogenized2D:
     scale = 0.5 * float(scales[0] + scales[1])
     dev = float(np.abs(chi_unit - scales[:, None, None] * sign).max())
     gap = abs(scale - chi_analytic(model))
+    chi_unit.flags.writeable = Q.flags.writeable = False
     return Homogenized2D(model, chi_unit, Q, scale, dev, gap)
 
 

@@ -39,11 +39,15 @@ values and the cell fields together, and the d2phi0 of
 ``HomogenizedLaw.eval_strains``.  A singular H raises StabilityError
 naming the cell, its strain and the smallest eigenvalue of H.
 
-``newton_cells`` solves a batch of cell problems at fixed strains.  Every
-iterate carries its bond arguments, gradient and residual, and an
-accepted trial hands over its own, so each iterate's gradient is
-evaluated once.  Newton steps are damped by residual backtracking
-(halving).
+``newton_cells`` solves a batch of cell problems at fixed strains by one
+:func:`hqc.atomistic.damped_newton` iteration over the whole batch: each
+evaluation is one ``bonds(a, 1)`` call for every row, its norm the
+largest row residual, and each step one ``bonds(a, 2)`` call and one
+batched reduced solve, so all rows share one step length and one
+iteration count.  An inadmissible trial raises DomainError from
+``bonds``, which the driver halves like a residual increase.  A study
+solves single cells only (the ground state and the cold start of
+``solve_coarse``); batches come from ``HomogenizedLaw.eval_strains``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, SolverFailure, StabilityError
+from .atomistic import damped_newton
+from .exceptions import StabilityError
 from .potentials import PotentialFamily
 
 
@@ -89,21 +94,6 @@ def _flat(b):
 def _bond_args(maps, z, chi):
     """Stacked (m, R, p) bond arguments of the fields chi (m, p) at strains z."""
     return (z[:, None] + chi @ maps.DT).reshape(z.size, *maps.layout)
-
-
-def _evaluate(family, maps, z, chi):
-    """Iterate state (chi, bond arguments (m, R, p), cell gradient,
-    residual) of the fields chi (m, p) at strains z, and which rows are
-    admissible; an inadmissible row has gradient 0 and residual inf."""
-    a = _bond_args(maps, z, chi)
-    ok = family.admissible(a).all(axis=(1, 2))
-    g = np.zeros_like(chi)
-    res = np.full(z.size, np.inf)
-    if ok.any():
-        rows = slice(None) if ok.all() else ok
-        g[rows] = _flat(family.bonds(a[rows], 1)) @ maps.Dp
-        res[rows] = np.abs(g[rows]).max(axis=1)
-    return (chi, a, g, res), ok
 
 
 def _reduced_hessian(maps, d2):
@@ -158,82 +148,51 @@ def condense_cells(family, z, chi) -> CondensedCells:
     )
 
 
-def cold_start(family, z):
-    """Cold starting fields (m, p) of the cells at strains z: the zero field."""
-    return np.zeros((np.size(z), family.p))
-
-
 def warm_start(family, z, warm):
     """Starting fields (m, p) of the cells at strains z: the rows of warm,
-    except that a row inadmissible at its strain takes its cold start."""
+    except that a row inadmissible at its strain starts from the zero field."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     maps = _cell_maps(family.p, family.R)
     chi0 = np.array(warm, dtype=float).reshape(z.size, family.p)
-    bad = ~family.admissible(_bond_args(maps, z, chi0)).all(axis=(1, 2))
-    chi0[bad] = cold_start(family, z[bad])
+    chi0[~family.admissible(_bond_args(maps, z, chi0)).all(axis=(1, 2))] = 0.0
     return chi0
 
 
 def newton_cells(family, z, chi0, tol, max_iter, damping_max):
-    """Damped Newton on a batch of cell problems.
+    """Damped Newton on a batch of cell problems: one :func:`damped_newton`
+    iteration over all rows, with one step length and the largest row
+    residual as its norm.
 
     z: (m,) strains; chi0: (m, p) zero-mean starting fields.  Returns
-    (chi, residual, iterations) arrays.  Raises DomainError when a trial
-    step cannot be kept admissible by damping, SolverFailure on
+    (chi, residual, iterations) arrays; every row reports the batch's
+    iteration count.  Raises DomainError on an inadmissible start or a
+    trial step that damping cannot keep admissible, SolverFailure on
     nonconvergence, StabilityError on a singular cell Hessian.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    m = z.size
-    p = family.p
-    maps = _cell_maps(p, family.R)
-    iters = np.zeros(m, dtype=int)
-    state, ok = _evaluate(family, maps, z, np.array(chi0, dtype=float).reshape(m, p).copy())
-    chi, a, g, res = state
-    if not ok.all():
-        raise DomainError(f"inadmissible starting cell at strain z={z[~ok][0]:.6g}")
+    maps = _cell_maps(family.p, family.R)
 
-    it = 0
-    while True:
-        active = res > tol
-        if not active.any():
-            break
-        if it >= max_iter:
-            raise SolverFailure(
-                f"cell Newton did not converge in {max_iter} iterations "
-                f"(worst residual {res.max():.3e})"
-            )
-        it += 1
-        rows = np.flatnonzero(active)
-        d2 = _flat(family.bonds(a[rows], 2))
-        c = _reduced_solve(maps, d2, -(g[rows] @ maps.E)[..., None], z[rows], rows)
-        step = c[..., 0] @ maps.E.T
-        # every row still pending has been halved equally often
-        t = 1.0
-        pending = np.arange(rows.size)
-        ok = np.ones(rows.size, dtype=bool)
-        for _ in range(damping_max + 1):
-            if not pending.size:
-                break
-            idx = rows[pending]
-            trial, ok = _evaluate(family, maps, z[idx], chi[idx] + t * step[pending])
-            accept = trial[3] < res[idx]
-            done = idx[accept]  # these rows take over their trials' state
-            for cur, new in zip(state, trial):
-                cur[done] = new[accept]
-            iters[done] += 1
-            pending, ok = pending[~accept], ok[~accept]
-            t *= 0.5
-        if pending.size:
-            stuck = rows[pending]
-            if not ok.all():
-                raise DomainError(
-                    f"micro step at strain z={z[stuck[~ok][0]]:.6g} left the admissible "
-                    f"domain and damping could not recover"
-                )
-            raise SolverFailure(f"micro damping stalled at strain z={z[stuck[0]]:.6g}")
+    def evaluate(chi, _prev):
+        a = _bond_args(maps, z, chi)
+        g = _flat(family.bonds(a, 1)) @ maps.Dp
+        res = np.abs(g).max(axis=1)
+        return chi, (a, g, res), res.max(initial=0.0)
 
-    chi -= chi.mean(axis=1, keepdims=True)
-    return chi, res, iters
+    def step(_chi, state):
+        a, g, _res = state
+        d2 = _flat(family.bonds(a, 2))
+        c = _reduced_solve(maps, d2, -(g @ maps.E)[..., None], z, range(z.size))
+        return c[..., 0] @ maps.E.T
+
+    if z.size == 1:
+        name = f"cell at strain {z[0]:.6g}"
+    else:
+        name = f"cells at strains {z.min(initial=np.inf):.6g} to {z.max(initial=-np.inf):.6g}"
+    chi0 = np.array(chi0, dtype=float).reshape(z.size, family.p)
+    chi, (_a, _g, res), trace = damped_newton(
+        evaluate, step, chi0, tol, max_iter, damping_max, name
+    )
+    return chi - chi.mean(axis=1, keepdims=True), res, np.full(z.size, trace[-1][0])
 
 
 @dataclass
@@ -256,7 +215,7 @@ class HomogenizedLaw:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         family = self.family
         chi, _res, _iters = newton_cells(
-            family, z, cold_start(family, z), self.tol, self.max_iter, self.damping_max
+            family, z, np.zeros((z.size, family.p)), self.tol, self.max_iter, self.damping_max
         )
         cells = condense_cells(family, z, chi)
         phi = family.bonds(_bond_args(_cell_maps(family.p, family.R), z, chi), 0)

@@ -182,11 +182,10 @@ def ground_microstructure(
     increasing and ||chi_*||_inf <= (p-1)/2; violations raise
     :class:`StabilityError`.
     """
-    from .microhom import cold_start, newton_cells
+    from .microhom import newton_cells
 
-    z = np.zeros(1)
     chi, _res, _iters = newton_cells(
-        family, z, cold_start(family, z), tol, max_iter, damping_max
+        family, np.zeros(1), np.zeros((1, family.p)), tol, max_iter, damping_max
     )
     validate_microstructure(chi[0], "ground microstructure")
     return Microstructure(MicroFn(family.p, chi[0]))

@@ -134,6 +134,31 @@ def microstructure_start(grid: LatticeGrid, micro) -> LatticeFn:
     return LatticeFn(grid, vals - vals.mean())
 
 
+def setup_1d(cfg: ExperimentConfig):
+    """(grid, family, ground microstructure, dominance margin, homogenized
+    law, force) of a 1D config; the margin is returned, not checked (see
+    :func:`require_dominance`)."""
+    grid = LatticeGrid(cfg.N, cfg.p)
+    family = build_family(cfg)
+    micro = ground_microstructure(
+        family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter,
+        damping_max=cfg.micro_damping_max,
+    )
+    law = HomogenizedLaw(
+        family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter,
+        damping_max=cfg.micro_damping_max,
+    )
+    f = sin_force(grid, cfg.force_amplitude, cfg.force_phase)
+    return grid, family, micro, nn_dominance_margin(family, micro), law, f
+
+
+def require_dominance(margin: float) -> None:
+    """Raise StabilityError unless the nearest-neighbor dominance margin is
+    positive."""
+    if margin <= 0:
+        raise StabilityError(f"nearest-neighbor dominance margin {margin:.3e} <= 0")
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     keys = sorted(cfg.raw.items())
     blob = "\n".join(f"{k}={v}" for k, v in keys if not k.startswith(("mesh.", "output.")))
@@ -219,18 +244,9 @@ def run_study(
     nearest-neighbor dominance margin of the configured family is not
     positive.
     """
-    grid = LatticeGrid(cfg.N, cfg.p)
-    family = build_family(cfg)
-    micro = ground_microstructure(family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter)
-    margin = nn_dominance_margin(family, micro)
-    if margin <= 0:
-        raise StabilityError(f"nearest-neighbor dominance margin {margin:.3e} <= 0")
-    law = HomogenizedLaw(
-        family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter,
-        damping_max=cfg.micro_damping_max,
-    )
+    grid, family, _micro, margin, law, f = setup_1d(cfg)
+    require_dominance(margin)
     c0_inv = cfg.c0_inv if cfg.c0_inv is not None else 1.0 / margin
-    f = sin_force(grid, cfg.force_amplitude, cfg.force_phase)
     F = ForceFunctional(cfg.functional_kind, f)
     clock = time.perf_counter if timing else None
 

@@ -128,6 +128,14 @@ class TestChiAnalytic:
 
 
 class TestHomogenize2D:
+    def test_cached_per_model_and_read_only(self):
+        hom = homogenize2d(SpringModel2D(1.0, 2.0, 0.25))
+        assert homogenize2d(SpringModel2D(1.0, 2.0, 0.25)) is hom
+        with pytest.raises(ValueError):
+            hom.Q[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            hom.chi_unit[0, 0, 0] = 0.0
+
     def test_no_contrast_reduces_to_plain_springs(self):
         k, k3 = 1.7, 0.4
         hom = homogenize2d(SpringModel2D(k, k, k3))

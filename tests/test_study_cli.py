@@ -192,6 +192,18 @@ class TestRunStudy:
         reference.assert_not_called()
         assert not (tmp_path / "cache").exists()
 
+    def test_micro_damping_max_reaches_ground_state(self, tmp_path, monkeypatch):
+        import hqc.study
+
+        ground = mock.Mock(side_effect=ground_microstructure)
+        monkeypatch.setattr(hqc.study, "ground_microstructure", ground)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(BASE_1D + "micro.damping_max = 7\n")
+        run_study(cfg_1d("micro.damping_max = 7\n"))
+        assert main(["check", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+        assert ground.call_count == 2
+        assert all(call.kwargs["damping_max"] == 7 for call in ground.call_args_list)
+
 
 LJ_1D = Path(__file__).parents[1] / "configs" / "lj_1d.cfg"
 
