@@ -54,7 +54,7 @@ def main() -> None:
         cs = solve_coarse(law, mesh, F)
         uc = corrector(law, cs)
         err = seminorm(LatticeFn(grid, uc.values - ref.u.values), 1, np.inf)
-        rep = indicator_terms(cs.u, mesh, f, F, c0_inv=c0_inv)
+        rep = indicator_terms(cs.u, f, F, c0_inv=c0_inv)
         print(f"{step:>4} {mesh.n_elements:>6} {mesh.h_max:>9.5f} "
               f"{rep.jump_term:>11.4e} {rep.total:>11.4e} {err:>11.4e}")
         mesh = adapt_mesh(mesh, rep, theta=0.6)

@@ -2,7 +2,7 @@
 
 ``solve_atomistic`` finds the zero-mean displacement u with
 
-    <dE(u), v> = <rhs, v>   for all zero-mean v,
+    <dE(u), v> = <f, v>   for all zero-mean v,
 
 where E(u) = < sum_r phi_r(D_r u; .) > is the multilattice energy, by a
 damped Newton iteration with cyclic banded Jacobians of halfwidth R.
@@ -113,24 +113,32 @@ def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
     return E, u.with_values(g), diags
 
 
-def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
+#: step halvings ``damped_newton`` tries before giving up on a Newton step
+DAMPING_MAX = 30
+
+
+def damped_newton(evaluate, step, x, tol, max_iter, name):
     """Newton iteration with residual backtracking, shared by three solvers:
     :func:`solve_atomistic`, :func:`hqc.coarse.solve_coarse` and
     :func:`hqc.microhom.newton_cells`.
 
-    ``evaluate(x, prev_state)`` returns ``(x, state, norm)``: the possibly
-    projected iterate, whatever ``step`` needs and the residual norm, which
-    decides termination and is recorded in the trace.  ``step(x, state)``
-    returns the Newton direction.
+    ``evaluate(x)`` returns ``(x, state, norm)``: the possibly projected
+    iterate, whatever ``step`` needs and the residual norm, which decides
+    termination and is recorded in the trace.  ``step(x, state)`` returns
+    the Newton direction.  A DomainError from evaluating the start is
+    re-raised as ``"{name} Newton: inadmissible start: ..."``.
     A trial point is accepted when its norm drops below the current one;
     otherwise, or when evaluating it raises DomainError or SolverFailure,
-    the step is halved.  When no halving is accepted, an error from the
-    final (smallest) trial is re-raised as its own class; if that trial
-    evaluated, the solve has stalled.  Returns ``(x, state, trace)`` with trace
-    rows (iteration, norm, step_damping); every SolverFailure raised
-    here carries the trace so far.
+    the step is halved, at most ``DAMPING_MAX`` times.  When no halving is
+    accepted, an error from the final (smallest) trial is re-raised as its
+    own class; if that trial evaluated, the solve has stalled.  Returns
+    ``(x, state, trace)`` with trace rows (iteration, norm, step_damping);
+    every SolverFailure raised here carries the trace so far.
     """
-    x, state, res = evaluate(x, None)
+    try:
+        x, state, res = evaluate(x)
+    except DomainError as exc:
+        raise DomainError(f"{name} Newton: inadmissible start: {exc}") from exc
     trace = [(0, res, 0.0)]
     it = 0
     while res > tol:
@@ -142,9 +150,9 @@ def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
         direction = step(x, state)
         t = 1.0
         last_error = None
-        for _ in range(damping_max + 1):
+        for _ in range(DAMPING_MAX + 1):
             try:
-                trial = evaluate(x + t * direction, state)
+                trial = evaluate(x + t * direction)
             except (DomainError, SolverFailure) as exc:
                 last_error = exc
                 t *= 0.5
@@ -167,23 +175,22 @@ def damped_newton(evaluate, step, x, tol, max_iter, damping_max, name):
 
 def solve_atomistic(
     prob: AtomisticProblem,
-    rhs: LatticeFn | None = None,
     u_init: LatticeFn | None = None,
     tol: float = 1e-10,
     max_iter: int = 60,
-    damping_max: int = 30,
 ) -> EquilibriumSolution:
-    """Damped Newton on the zero-mean space; accepts any zero-mean rhs.
+    """Damped Newton on the zero-mean space for the problem's force, from
+    ``u_init`` (zero by default) projected to zero mean.
 
     Each step is the zero-mean solution of the cyclic banded Newton system
     (:func:`hqc.linsolve.solve_cyclic_banded`); backtracking halves the
-    step on residual increase or on a domain error.
+    step on residual increase or on a domain error (:func:`damped_newton`).
     """
     grid = prob.grid
-    f = (rhs or prob.force).values
-    f = f - f.mean()
+    f = prob.force.values
+    f = f - f.mean()  # construction projects only a mean above 1e-12
 
-    def evaluate(u_vals, _prev):
+    def evaluate(u_vals):
         u_vals = u_vals - u_vals.mean()
         _, g, diags = _grad_hess(prob, u_vals)
         rho = g - f
@@ -194,6 +201,6 @@ def solve_atomistic(
         return solve_cyclic_banded(diags, -rho)
 
     u0 = np.zeros(grid.N) if u_init is None else u_init.values
-    u, _, trace = damped_newton(evaluate, step, u0, tol, max_iter, damping_max, "atomistic")
+    u, _, trace = damped_newton(evaluate, step, u0, tol, max_iter, "atomistic")
     it, res, _ = trace[-1]
     return EquilibriumSolution(LatticeFn(grid, u), res, it, tuple(trace))

@@ -54,11 +54,20 @@ def cmd_solve_atomistic(cfg, args) -> int:
     return 0
 
 
+def _first_mesh(cfg, grid):
+    """Mesh of solve-hqc and estimate: the schedule's first, or without a
+    node-count schedule ``mesh.initial`` nodes."""
+    nodes = cfg.mesh_schedule[0] if cfg.mesh_schedule else cfg.adapt_initial
+    try:
+        return uniform_mesh(grid, nodes)
+    except ValueError as exc:  # schedule entries were checked by build_config
+        raise ConfigError(f"mesh.initial: {exc}") from exc
+
+
 def cmd_solve_hqc(cfg, args) -> int:
     grid, _family, _micro, margin, law, f = setup_1d(cfg)
     require_dominance(margin)
-    nodes = cfg.mesh_schedule[0] if cfg.mesh_schedule else cfg.adapt_initial
-    mesh = uniform_mesh(grid, nodes)
+    mesh = _first_mesh(cfg, grid)
     F = ForceFunctional(cfg.functional_kind, f)
     cs = solve_coarse(law, mesh, F, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     uc = corrector(law, cs)
@@ -66,7 +75,7 @@ def cmd_solve_hqc(cfg, args) -> int:
     hio.save_coarse_fn(out / "hqc_nodal.txt", cs.u)
     hio.save_lattice_fn(out / "hqc_corrected.txt", uc)
     hio.save_trace_csv(out / "hqc_trace.csv", cs.trace)
-    print(f"hqc solve on {nodes} nodes: {cs.iterations} iterations, "
+    print(f"hqc solve on {mesh.n_elements} nodes: {cs.iterations} iterations, "
           f"residual {cs.residual_dual:.3e}")
     print(f"wrote {out / 'hqc_corrected.txt'}")
     return 0
@@ -90,11 +99,10 @@ def cmd_estimate(cfg, args) -> int:
     grid, _family, _micro, margin, law, f = setup_1d(cfg)
     require_dominance(margin)
     c0_inv = cfg.c0_inv if cfg.c0_inv is not None else 1.0 / margin
-    nodes = cfg.mesh_schedule[0] if cfg.mesh_schedule else cfg.adapt_initial
-    mesh = uniform_mesh(grid, nodes)
+    mesh = _first_mesh(cfg, grid)
     F = ForceFunctional(cfg.functional_kind, f)
     cs = solve_coarse(law, mesh, F, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    report = indicator_terms(cs.u, mesh, f, F, cfg.calibration, c0_inv)
+    report = indicator_terms(cs.u, f, F, cfg.calibration, c0_inv)
     out = _out_dir(args)
     text = report.CSV_HEADER + "\n" + report.csv_row(mesh.h_max) + "\n"
     (out / "estimate.csv").write_text(text)

@@ -271,7 +271,6 @@ def solve_coarse(
     init: CoarseSolution | None = None,
     tol: float = 1e-10,
     max_iter: int = 60,
-    damping_max: int = 30,
 ) -> CoarseSolution:
     """Newton solve of the coarse-grained homogenized problem.
 
@@ -312,8 +311,7 @@ def solve_coarse(
         U = np.zeros(mesh.n_elements)
         # every strain is 0: each element starts from that one cell's solution
         chi, _res, _iters = newton_cells(
-            law.family, np.zeros(1), np.zeros((1, law.family.p)),
-            law.tol, law.max_iter, law.damping_max,
+            law.family, np.zeros(1), np.zeros((1, law.family.p)), law.tol, law.max_iter
         )
         chi = np.repeat(chi, mesh.n_elements, axis=0)
     else:
@@ -322,7 +320,7 @@ def solve_coarse(
         chi = warm_start(law.family, (np.roll(U, -1) - U) / h, init.chi[parent])
 
     # an iterate x holds U in column 0 and the cell fields in the others
-    def evaluate(x, _prev):
+    def evaluate(x):
         U = x[:, 0]
         cells = condense_cells(law.family, (np.roll(U, -1) - U) / h, x[:, 1:])
         R = np.roll(cells.stress, 1) - cells.stress - b
@@ -337,7 +335,7 @@ def solve_coarse(
         return np.column_stack([dU, cells.relax + cells.sensitivity * dz[:, None]])
 
     x, (_R, dual, cells), trace = damped_newton(
-        evaluate, step, np.column_stack([U, chi]), tol, max_iter, damping_max, "coarse"
+        evaluate, step, np.column_stack([U, chi]), tol, max_iter, "coarse"
     )
     U, chi = x[:, 0].copy(), x[:, 1:]
     d2 = cells.stiffness

@@ -15,10 +15,8 @@ from .exceptions import ConfigError
 _DEFAULTS = {
     "problem.kind": "1d",
     "force.functional": "exact_summation",
-    "force.preset": "sin_1d",
     "micro.tol": "1e-12",
     "micro.max_iter": "60",
-    "micro.damping_max": "30",
     "micro.z_lo": "-0.05",
     "micro.z_hi": "0.05",
     "micro.z_count": "21",
@@ -89,7 +87,6 @@ class ExperimentConfig:
     # shared
     micro_tol: float = 1e-12
     micro_max_iter: int = 60
-    micro_damping_max: int = 30
     micro_z_lo: float = -0.05
     micro_z_hi: float = 0.05
     micro_z_count: int = 21
@@ -116,7 +113,6 @@ def build_config(mapping: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(kind=kind, raw=dict(mapping))
         cfg.micro_tol = float(m["micro.tol"])
         cfg.micro_max_iter = int(m["micro.max_iter"])
-        cfg.micro_damping_max = int(m["micro.damping_max"])
         cfg.micro_z_lo = float(m["micro.z_lo"])
         cfg.micro_z_hi = float(m["micro.z_hi"])
         cfg.micro_z_count = int(m["micro.z_count"])
@@ -124,6 +120,10 @@ def build_config(mapping: dict) -> ExperimentConfig:
         cfg.solver_max_iter = int(m["solver.max_iter"])
         if not (cfg.micro_tol > 0 and cfg.solver_tol > 0):
             raise ConfigError("micro.tol and solver.tol must be positive")
+        if min(cfg.micro_max_iter, cfg.solver_max_iter) < 0:
+            raise ConfigError("micro.max_iter and solver.max_iter must be >= 0")
+        if cfg.micro_z_count < 1:
+            raise ConfigError(f"micro.z_count must be >= 1, got {cfg.micro_z_count}")
         cfg.calibration = float(m["estimator.calibration"])
         if "estimator.c0_inv" in m:
             cfg.c0_inv = float(m["estimator.c0_inv"])
@@ -157,25 +157,28 @@ def _build_1d(cfg: ExperimentConfig, m: dict) -> None:
             raise ConfigError("potential.k entries must be positive")
     else:
         raise ConfigError(f"unknown potential.kind {cfg.potential_kind!r}")
-    if m["force.preset"] != "sin_1d":
-        raise ConfigError(f"unknown 1d force preset {m['force.preset']!r}")
+    preset = m.get("force.preset", "sin_1d")
+    if preset != "sin_1d":
+        raise ConfigError(f"unknown 1d force preset {preset!r}")
     cfg.force_amplitude = float(m.get("force.amplitude", "50"))
     cfg.force_phase = float(m.get("force.phase", "1"))
     cfg.functional_kind = m["force.functional"]
     if cfg.functional_kind not in ("exact_summation", "node_lumped"):
         raise ConfigError(f"unknown force.functional {cfg.functional_kind!r}")
-    if cfg.p < 1 or cfg.N % cfg.p != 0:
-        raise ConfigError(f"grid.N={cfg.N} must be a positive multiple of the period p={cfg.p}")
+    if cfg.p < 1 or cfg.N < 2 or cfg.N % cfg.p != 0:
+        raise ConfigError(f"grid.N={cfg.N} must be a multiple >= 2 of the period p={cfg.p}")
+    cfg.adapt_initial = int(m["mesh.initial"])
     sched = m.get("mesh.schedule", "")
     if sched == "adaptive":
         cfg.adaptive = True
         cfg.theta = float(m["mesh.theta"])
         cfg.adapt_steps = int(m["mesh.steps"])
-        cfg.adapt_initial = int(m["mesh.initial"])
         if not 0.0 < cfg.theta <= 1.0:
             raise ConfigError("mesh.theta must be in (0, 1]")
-        if cfg.N % cfg.adapt_initial != 0:
-            raise ConfigError("mesh.initial must divide grid.N")
+        if cfg.adapt_steps < 1:
+            raise ConfigError(f"mesh.steps must be >= 1, got {cfg.adapt_steps}")
+        if cfg.adapt_initial < 2 or cfg.N % cfg.adapt_initial != 0:
+            raise ConfigError("mesh.initial must be >= 2 and divide grid.N")
     else:
         cfg.mesh_schedule = _ints(sched) if sched else []
         for nodes in cfg.mesh_schedule:

@@ -56,13 +56,13 @@ def assemble_total(jump, force, quad, calibration_constant, c0_inv):
 
 def indicator_terms(
     u0h: CoarseFn,
-    mesh: Mesh1D,
     f: LatticeFn,
     F: ForceFunctional,
     calibration_constant: float = 1.0,
     c0_inv: float = 1.0,
 ) -> ErrorReport:
-    """Evaluate the three indicator terms for a converged coarse solution."""
+    """Evaluate the three indicator terms for a converged coarse solution on its mesh."""
+    mesh = u0h.mesh
     z = u0h.strains()
     node_jumps = np.abs(z - np.roll(z, 1))  # jump at node j: elements j-1 | j
     jump = float(node_jumps.max())
@@ -81,28 +81,20 @@ def calibrate_constant(report: ErrorReport, reference_error: float) -> float:
     return reference_error / report.jump_term
 
 
-def estimate_constants(
-    family: PotentialFamily,
-    micro: Microstructure,
-    z_lo: float = -0.1,
-    z_hi: float = 0.1,
-    samples: int = 101,
-):
+def estimate_constants(family: PotentialFamily, micro: Microstructure):
     """Sampled surrogate (C11, c0_lower) for the analytic constants.
 
     C11 = max_y sum_r r * max_z |d2 phi_r| with the curvature sampled at
-    z + D_{y,r} chi_* over the configured macro-strain interval (only
-    admissible samples contribute); c0_lower is the nearest-neighbor
+    z + D_{y,r} chi_* for 101 equispaced macro strains z in [-0.1, 0.1]
+    (only admissible samples contribute); c0_lower is the nearest-neighbor
     dominance margin.
     """
     from .microhom import _cell_maps
     from .potentials import nn_dominance_margin
 
-    if samples < 1 or not z_hi >= z_lo:
-        raise ValueError("empty sampling range")
     R, p = family.R, family.p
     d = (micro.chi_star.values @ _cell_maps(p, R).DT).reshape(R, p)
-    args = np.linspace(z_lo, z_hi, samples)[:, None, None] + d
+    args = np.linspace(-0.1, 0.1, 101)[:, None, None] + d
     ok = family.admissible(args)
     empty = ~ok.any(axis=0)
     if empty.any():

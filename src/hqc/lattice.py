@@ -170,15 +170,13 @@ def primitive_dual_norm(values, eps: float = 1.0) -> float:
     return 0.5 * float(w.max() - w.min())
 
 
-def dual_seminorm_neg1(u: LatticeFn, q=np.inf) -> float:
+def dual_seminorm_neg1(u: LatticeFn) -> float:
     """|u|_{-1,inf} of a zero-mean u, by the primitive closed form.
 
     Equals sup{ <u, v> : v zero mean, |v|_{1,1} = 1 }.  Computed as
     (max w - min w) / 2 for the primitive w = eps * cumsum(u), which
     satisfies D w(x) = u(x + eps).
     """
-    if q != np.inf:
-        raise ValueError("only q = inf is supported")
     if abs(u.values.mean()) > 1e-12:
         raise ValueError(f"dual seminorm needs zero mean, got mean {u.values.mean():.3e}")
     return primitive_dual_norm(u.values, u.grid.eps)

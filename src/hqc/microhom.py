@@ -88,7 +88,7 @@ def _cell_maps(p: int, R: int) -> _CellMaps:
 
 def _flat(b):
     """(m, R p) view of stacked (m, R, p) bond values."""
-    return b.reshape(len(b), -1)
+    return b.reshape(len(b), b.shape[1] * b.shape[2])
 
 
 def _bond_args(maps, z, chi):
@@ -158,7 +158,7 @@ def warm_start(family, z, warm):
     return chi0
 
 
-def newton_cells(family, z, chi0, tol, max_iter, damping_max):
+def newton_cells(family, z, chi0, tol, max_iter):
     """Damped Newton on a batch of cell problems: one :func:`damped_newton`
     iteration over all rows, with one step length and the largest row
     residual as its norm.
@@ -172,7 +172,7 @@ def newton_cells(family, z, chi0, tol, max_iter, damping_max):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     maps = _cell_maps(family.p, family.R)
 
-    def evaluate(chi, _prev):
+    def evaluate(chi):
         a = _bond_args(maps, z, chi)
         g = _flat(family.bonds(a, 1)) @ maps.Dp
         res = np.abs(g).max(axis=1)
@@ -189,9 +189,7 @@ def newton_cells(family, z, chi0, tol, max_iter, damping_max):
     else:
         name = f"cells at strains {z.min(initial=np.inf):.6g} to {z.max(initial=-np.inf):.6g}"
     chi0 = np.array(chi0, dtype=float).reshape(z.size, family.p)
-    chi, (_a, _g, res), trace = damped_newton(
-        evaluate, step, chi0, tol, max_iter, damping_max, name
-    )
+    chi, (_a, _g, res), trace = damped_newton(evaluate, step, chi0, tol, max_iter, name)
     return chi - chi.mean(axis=1, keepdims=True), res, np.full(z.size, trace[-1][0])
 
 
@@ -205,7 +203,6 @@ class HomogenizedLaw:
     family: PotentialFamily
     tol: float = 1e-12
     max_iter: int = 60
-    damping_max: int = 30
 
     def eval_strains(self, z):
         """Vectorized law evaluation at a batch of strains.
@@ -215,7 +212,7 @@ class HomogenizedLaw:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         family = self.family
         chi, _res, _iters = newton_cells(
-            family, z, np.zeros((z.size, family.p)), self.tol, self.max_iter, self.damping_max
+            family, z, np.zeros((z.size, family.p)), self.tol, self.max_iter
         )
         cells = condense_cells(family, z, chi)
         phi = family.bonds(_bond_args(_cell_maps(family.p, family.R), z, chi), 0)

@@ -172,7 +172,6 @@ def ground_microstructure(
     family: PotentialFamily,
     tol: float = GROUND_TOL,
     max_iter: int = 60,
-    damping_max: int = 30,
 ) -> Microstructure:
     """Solve the unloaded micro system for the zero-mean ground field chi_*.
 
@@ -184,9 +183,7 @@ def ground_microstructure(
     """
     from .microhom import newton_cells
 
-    chi, _res, _iters = newton_cells(
-        family, np.zeros(1), np.zeros((1, family.p)), tol, max_iter, damping_max
-    )
+    chi, _res, _iters = newton_cells(family, np.zeros(1), np.zeros((1, family.p)), tol, max_iter)
     validate_microstructure(chi[0], "ground microstructure")
     return Microstructure(MicroFn(family.p, chi[0]))
 

@@ -38,7 +38,7 @@ from .atomistic import AtomisticProblem, solve_atomistic
 from .coarse import ForceFunctional, corrector, solve_coarse, uniform_mesh
 from .config import ExperimentConfig
 from .estimator import adapt_mesh, indicator_terms
-from .exceptions import StabilityError
+from .exceptions import ConfigError, StabilityError
 from .io import load_lattice_fn, save_lattice_fn
 from .lattice import LatticeFn, LatticeGrid, seminorm
 from .lattice2d import SpringModel2D, exp_sin_force, solve2d
@@ -140,14 +140,8 @@ def setup_1d(cfg: ExperimentConfig):
     :func:`require_dominance`)."""
     grid = LatticeGrid(cfg.N, cfg.p)
     family = build_family(cfg)
-    micro = ground_microstructure(
-        family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter,
-        damping_max=cfg.micro_damping_max,
-    )
-    law = HomogenizedLaw(
-        family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter,
-        damping_max=cfg.micro_damping_max,
-    )
+    micro = ground_microstructure(family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter)
+    law = HomogenizedLaw(family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter)
     f = sin_force(grid, cfg.force_amplitude, cfg.force_phase)
     return grid, family, micro, nn_dominance_margin(family, micro), law, f
 
@@ -194,7 +188,7 @@ def _study_row(law, mesh, F, f, cfg, c0_inv, clock, prev):
         law, mesh, F, init=prev, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
     )
     uc = corrector(law, cs)
-    report = indicator_terms(cs.u, mesh, f, F, cfg.calibration, c0_inv)
+    report = indicator_terms(cs.u, f, F, cfg.calibration, c0_inv)
     wall = (clock() - t0) * 1e3 if clock else 0.0
     return StudyRow(
         h_max=mesh.h_max,
@@ -240,10 +234,12 @@ def run_study(
     last row's corrected solution, then measures each row's error against
     it; a failure in a coarse row raises before the reference is solved or
     cached.  With an output directory, writes study.csv, study.svg and the
-    cached reference solution.  Raises StabilityError when the
-    nearest-neighbor dominance margin of the configured family is not
-    positive.
+    cached reference solution.  Raises ConfigError for a config without
+    ``mesh.schedule``, StabilityError when the nearest-neighbor dominance
+    margin of the configured family is not positive.
     """
+    if not (cfg.adaptive or cfg.mesh_schedule):
+        raise ConfigError("a 1D study needs mesh.schedule (node counts or adaptive)")
     grid, family, _micro, margin, law, f = setup_1d(cfg)
     require_dominance(margin)
     c0_inv = cfg.c0_inv if cfg.c0_inv is not None else 1.0 / margin

@@ -167,7 +167,7 @@ def test_criterion_5_a_posteriori_behavior(study_51, family_51):
     f = sin_force(grid, 50.0, 1.0)
     full_mesh = uniform_mesh(grid, 4096)
     u0h = interpolate(full_mesh, LatticeFn(grid, np.zeros(4096)))
-    rep = indicator_terms(u0h, full_mesh, f, ForceFunctional("exact_summation", f))
+    rep = indicator_terms(u0h, f, ForceFunctional("exact_summation", f))
     force_zero = rep.force_term == 0.0
 
     # calibrate the jump prefactor on the coarsest mesh, then the total must

@@ -21,7 +21,7 @@ from hqc import (
     translate,
     uniform_mesh,
 )
-from hqc.atomistic import damped_newton
+from hqc.atomistic import DAMPING_MAX, damped_newton
 from hqc.exceptions import SolverFailure
 from hqc.lattice import primitive_dual_norm
 from hqc.study import microstructure_start, sin_force
@@ -111,7 +111,7 @@ class TestEnergyGradHess:
         assert abs(prob.force.values.mean()) < 1e-15
 
 
-def abs_norm(x, _prev):
+def abs_norm(x):
     """Stub evaluation for a scalar iterate: terminate and trace on |x|."""
     return x, None, abs(x)
 
@@ -120,24 +120,24 @@ class TestDampedNewton:
     def test_max_iter_reached(self):
         # each full step only halves |x|
         with pytest.raises(SolverFailure, match="stub Newton: .* after 3 iterations") as err:
-            damped_newton(abs_norm, lambda x, _s: -0.5 * x, 1.0, 1e-12, 3, 5, "stub")
+            damped_newton(abs_norm, lambda x, _s: -0.5 * x, 1.0, 1e-12, 3, "stub")
         assert [row[0] for row in err.value.trace] == [0, 1, 2, 3]
 
     def test_no_decrease_stalls(self):
         # an ascent direction: every trial, however damped, raises |x|
         with pytest.raises(SolverFailure, match="stub Newton stalled") as err:
-            damped_newton(abs_norm, lambda x, _s: x, 1.0, 1e-12, 60, 5, "stub")
+            damped_newton(abs_norm, lambda x, _s: x, 1.0, 1e-12, 60, "stub")
         assert err.value.trace == [(0, 1.0, 0.0)]
 
     @pytest.mark.parametrize("exc", [DomainError, SolverFailure])
     def test_failing_trials_reraise_their_class(self, exc):
-        def evaluate(x, prev):
-            if prev is not None:
+        def evaluate(x):
+            if x != 1.0:  # every trial; the start is 1
                 raise exc("inadmissible trial")
             return x, "state", abs(x)
 
         with pytest.raises(exc, match="stub Newton step not recoverable by damping") as err:
-            damped_newton(evaluate, lambda x, _s: -x, 1.0, 1e-12, 60, 5, "stub")
+            damped_newton(evaluate, lambda x, _s: -x, 1.0, 1e-12, 60, "stub")
         assert isinstance(err.value.__cause__, exc)
         if exc is SolverFailure:
             assert err.value.trace == [(0, 1.0, 0.0)]
@@ -147,17 +147,24 @@ class TestDampedNewton:
         # raises |x|, so the solve stalled and the old error is not re-raised
         trials = []
 
-        def evaluate(x, prev):
-            if prev is not None:
+        def evaluate(x):
+            if x != 1.0:  # every trial; the start is 1
                 trials.append(x)
                 if len(trials) == 1:
                     raise SolverFailure("cell failure at the full step")
             return x, "state", abs(x)
 
         with pytest.raises(SolverFailure, match="stub Newton stalled") as err:
-            damped_newton(evaluate, lambda x, _s: x, 1.0, 1e-12, 60, 5, "stub")
+            damped_newton(evaluate, lambda x, _s: x, 1.0, 1e-12, 60, "stub")
         assert err.value.__cause__ is None
-        assert len(trials) == 6
+        assert len(trials) == DAMPING_MAX + 1
+
+    def test_inadmissible_start_names_the_solver(self):
+        def evaluate(_x):
+            raise DomainError("g <= 0")
+
+        with pytest.raises(DomainError, match="^stub Newton: inadmissible start: g <= 0$"):
+            damped_newton(evaluate, lambda x, _s: -x, 1.0, 1e-12, 60, "stub")
 
     def test_step_failure_is_not_damped(self):
         failure = SolverFailure("singular Jacobian")
@@ -166,7 +173,7 @@ class TestDampedNewton:
             raise failure
 
         with pytest.raises(SolverFailure) as err:
-            damped_newton(abs_norm, step, 1.0, 1e-12, 60, 5, "stub")
+            damped_newton(abs_norm, step, 1.0, 1e-12, 60, "stub")
         assert err.value is failure
 
 
@@ -240,12 +247,10 @@ class TestSolveAtomistic:
     def test_accepts_general_zero_mean_rhs(self, lj, micro):
         rng = np.random.default_rng(54)
         grid = LatticeGrid(64, 2)
-        prob = AtomisticProblem(grid, lj, zero_force(grid))
         rhs = rng.standard_normal(64)
         rhs -= rhs.mean()
-        sol = solve_atomistic(
-            prob, rhs=LatticeFn(grid, rhs), u_init=microstructure_start(grid, micro)
-        )
+        prob = AtomisticProblem(grid, lj, LatticeFn(grid, rhs))
+        sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
         _, g, _ = energy_grad_hess(prob, sol.u)
         rho = g.values - rhs
         assert primitive_dual_norm(rho - rho.mean(), grid.eps) <= 1e-10

@@ -403,7 +403,7 @@ class TestNestedStart:
         F = ForceFunctional("exact_summation", f)
         mesh = uniform_mesh(grid, m)
         init = solve_coarse(law, mesh, F)
-        fine = adapt_mesh(mesh, indicator_terms(init.u, mesh, f, F), 0.5)
+        fine = adapt_mesh(mesh, indicator_terms(init.u, f, F), 0.5)
         assert fine.n_elements > m
         cold, nested = self.solve_both(law, fine, F, init)
         assert nested.iterations <= cold.iterations
@@ -422,7 +422,7 @@ class TestNestedStart:
         # a nearest-neighbour bond of this field is z - 1.4 < -1 at every strain
         chi = np.tile([0.7, -0.7], (8, 1))
         with pytest.raises(DomainError):
-            newton_cells(law.family, cs.u.strains(), chi, law.tol, law.max_iter, law.damping_max)
+            newton_cells(law.family, cs.u.strains(), chi, law.tol, law.max_iter)
         init = CoarseSolution(cs.u, cs.residual_dual, cs.iterations, chi)
         self.solve_both(law, uniform_mesh(grid, 16), F, init)
 

@@ -159,10 +159,6 @@ class TestDualSeminorm:
         with pytest.raises(ValueError):
             dual_seminorm_neg1(fn([1.0, 1.0, 0.0]))
 
-    def test_only_sup_norm_flavor(self):
-        with pytest.raises(ValueError):
-            dual_seminorm_neg1(fn([1.0, -1.0]), q=2)
-
     def test_against_lp_oracle(self):
         rng = np.random.default_rng(16)
         for _ in range(50):

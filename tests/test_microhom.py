@@ -31,9 +31,7 @@ def lj_law():
 
 def solve_cells(law, z, chi0):
     """Batched cell solve with the law's settings: (chi, residual, iterations)."""
-    return newton_cells(
-        law.family, np.atleast_1d(z), chi0, law.tol, law.max_iter, law.damping_max
-    )
+    return newton_cells(law.family, np.atleast_1d(z), chi0, law.tol, law.max_iter)
 
 
 class TestSolveCell:
@@ -69,7 +67,7 @@ class TestSolveCell:
         assert np.abs(g).max() <= lj_law.tol
 
     def test_inadmissible_strain(self, lj_law):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^cell at strain -1.2 Newton: inadmissible start"):
             lj_law.eval_strains(-1.2)
 
     def test_nonconvergence_reported(self):
@@ -227,6 +225,11 @@ class TestEvalStrains:
         z = np.linspace(-0.04, 0.06, 11)
         chi = lj_law.eval_strains(z)[3]
         assert np.abs(chi.mean(axis=1)).max() <= 1e-13
+
+    def test_empty_batch(self, lj_law):
+        phi0, dphi0, d2phi0, chi = lj_law.eval_strains([])
+        assert phi0.shape == dphi0.shape == d2phi0.shape == (0,)
+        assert chi.shape == (0, 2)
 
 
 class TestWarmStartInterface:

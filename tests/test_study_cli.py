@@ -37,6 +37,7 @@ force.phase = 1
 force.functional = exact_summation
 mesh.schedule = 4, 8, 16, 32
 """
+SCHEDULE = "mesh.schedule = 4, 8, 16, 32\n"
 
 BASE_2D = """
 problem.kind = 2d
@@ -93,6 +94,13 @@ class TestConfig:
     def test_2d_config(self):
         cfg = build_config(parse_config_text(BASE_2D))
         assert cfg.kind == "2d" and cfg.N1 == 32 and cfg.t_schedule == [4, 8]
+
+    def test_2d_config_without_force_preset(self, tmp_path):
+        text = BASE_2D.replace("force.preset = exp_sin_2d\n", "")
+        assert "force.preset" not in text
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert main(["study2d", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
 
     def test_2d_t_must_divide(self):
         with pytest.raises(ConfigError):
@@ -192,18 +200,6 @@ class TestRunStudy:
         reference.assert_not_called()
         assert not (tmp_path / "cache").exists()
 
-    def test_micro_damping_max_reaches_ground_state(self, tmp_path, monkeypatch):
-        import hqc.study
-
-        ground = mock.Mock(side_effect=ground_microstructure)
-        monkeypatch.setattr(hqc.study, "ground_microstructure", ground)
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(BASE_1D + "micro.damping_max = 7\n")
-        run_study(cfg_1d("micro.damping_max = 7\n"))
-        assert main(["check", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
-        assert ground.call_count == 2
-        assert all(call.kwargs["damping_max"] == 7 for call in ground.call_args_list)
-
 
 LJ_1D = Path(__file__).parents[1] / "configs" / "lj_1d.cfg"
 
@@ -302,6 +298,40 @@ class TestCli:
         assert old in BASE_1D
         cfgfile = self.write_cfg(tmp_path, BASE_1D.replace(old, new))
         assert main(["solve-hqc", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, drop, add",
+        [
+            ("check", "", "grid.N = 0"),
+            ("study", "", "mesh.schedule = adaptive\nmesh.initial = 0"),
+            ("study", "", "mesh.schedule = adaptive\nmesh.initial = 1"),
+            ("study", "", "mesh.schedule = adaptive\nmesh.steps = 0"),
+            ("solve-hqc", SCHEDULE, "mesh.initial = 1"),
+            ("estimate", SCHEDULE, "mesh.initial = 3"),
+            ("study", SCHEDULE, ""),
+            ("micro", "", "micro.z_count = 0"),
+            ("micro", "", "micro.z_count = -1"),
+            ("micro", "", "micro.max_iter = -1"),
+            ("solve-atomistic", "", "solver.max_iter = -1"),
+        ],
+        ids=[
+            "grid_N0", "adaptive_initial0", "adaptive_initial1", "adaptive_steps0",
+            "fallback_initial1", "fallback_initial_not_divisor", "study_without_schedule",
+            "z_count0", "z_count_negative", "micro_max_iter_negative",
+            "solver_max_iter_negative",
+        ],
+    )
+    def test_out_of_range_count_exit_2(self, tmp_path, capsys, command, drop, add):
+        assert drop in BASE_1D
+        cfgfile = self.write_cfg(tmp_path, BASE_1D.replace(drop, "") + add + "\n")
+        assert main([command, "--config", cfgfile, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_inadmissible_micro_strain_names_the_cells(self, tmp_path, capsys):
+        cfgfile = self.write_cfg(tmp_path, BASE_1D + "micro.z_lo = -1.2\n")
+        assert main(["micro", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "cells at strains -1.2 to 0.05 Newton: inadmissible start: " in err
 
     def test_invalid_micro_grid_exit_2(self, tmp_path):
         cfgfile = self.write_cfg(tmp_path, BASE_1D + "micro.z_lo = abc\n")
