@@ -163,8 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
         cp = sub.add_parser(name)
         cp.add_argument("--config", required=True, help="key-value config file")
         cp.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or ./out)")
-        cp.add_argument("--no-cache", action="store_true", help="ignore cached reference solutions")
-        cp.add_argument("--timing", action="store_true", help="record wall-clock times in CSV rows")
+        if name == "study":
+            cp.add_argument("--no-cache", action="store_true",
+                            help="ignore cached reference solutions")
+        if name in ("study", "study2d"):
+            cp.add_argument("--timing", action="store_true",
+                            help="record wall-clock times in CSV rows")
     return parser
 
 

@@ -12,16 +12,16 @@ distributes interior values of w to the two element endpoints with
 barycentric weights, so a unit value at an interior site xi of [a, b)
 contributes (b - xi)/(b - a) at a and the rest at b.
 
-The coarse equilibrium residual lives on the nodes; its dual norm over
-zero-mean coarse test functions with |v|_{1,1} = 1 has the same primitive
-closed form as on the full lattice (:func:`hqc.lattice.primitive_dual_norm`),
-now over nodal cumulative sums.
-
 ``solve_coarse`` solves the coarse equations and the cell problem of
 every element, at the element's strain, by one Newton iteration on the
 nodal values and the cell fields together; each step condenses the cells
-onto the strains (static condensation).  It stops when the coarse dual
-norm is at most ``tol`` and every cell residual at most the law's ``tol``.
+onto the strains (static condensation).  It works in stress form, the
+paper's equivalent formulation: the node equations sigma_{j-1} - sigma_j
+= b_j make w = sigma + cumsum(b) one constant, so the primitive of the
+nodal residual is a constant minus w, its dual norm over zero-mean coarse
+functions with |v|_{1,1} = 1 is (max w - min w) / 2, as on the lattice
+(:func:`hqc.lattice.primitive_dual_norm`), and a Newton step is a closed
+form in O(M).
 
 On the mesh whose nodes are all N sites (``uniform_mesh(grid, grid.N)``)
 every element is one bond, h = eps, the mean weights are eps, ``istar``
@@ -38,10 +38,9 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import SolverFailure, StabilityError
-from .lattice import LatticeFn, LatticeGrid, primitive_dual_norm
+from .lattice import LatticeFn, LatticeGrid
 from .atomistic import damped_newton
-from .linsolve import solve_cyclic_banded
-from .microhom import HomogenizedLaw, condense_cells, newton_cells, warm_start
+from .microhom import HomogenizedLaw, condense_cells, newton_cells, require_stable_cells, warm_start
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ class CoarseFn:
     def strains(self) -> np.ndarray:
         """Constant strain of each element."""
         U = self.nodal_values
-        return (np.roll(U, -1) - U) / self.mesh.element_sizes()
+        return np.diff(U, append=U[:1]) / self.mesh.element_sizes()
 
     def to_lattice(self) -> LatticeFn:
         mesh = self.mesh
@@ -246,22 +245,26 @@ class CoarseSolution:
     trace: tuple = field(default=(), repr=False)
 
 
-def coarse_newton_step(d2, h, mw, R) -> np.ndarray:
-    """Newton step s with J s + R in span(mw) and mw @ s = 0, in O(M).
+def coarse_newton_step(K, h, mw, P):
+    """Newton step (dU, dz) in O(M), from the primitive P = cumsum(R) of
+    the nodal residual: J dU + R = c mw and mw @ dU = 0, J the cyclic
+    tridiagonal Jacobian with element stiffnesses K / h, c = sum(R) / sum(mw).
 
-    J is the cyclic tridiagonal coarse Jacobian with element stiffnesses
-    d2 / h.  It annihilates constants, so J s = -R + c mw is solvable only
-    for c = sum(R) / sum(mw); the banded solve returns its zero-sum
-    solution, which is then shifted along the constants to mw @ s = 0.
+    In stress form each element's stress change K dz is P - c cumsum(mw)
+    plus one constant, which periodicity, sum(h dz) = 0, fixes; dU is
+    cumsum(h dz) shifted to mw @ dU = 0.  This needs K != 0 and a finite,
+    nonzero sum(h / K), not positive definiteness; else SolverFailure.
     """
-    dh = d2 / h
-    dh_prev = np.roll(dh, 1)
-    diags = np.array([-dh_prev, dh_prev + dh, -dh])
-    s = solve_cyclic_banded(diags, (R.sum() / mw.sum()) * mw - R)
-    s -= (mw @ s) / mw.sum()
-    if not np.isfinite(s).all():
+    compliance = h / np.where(K == 0, np.nan, K)  # K = 0 fails the test below
+    total = compliance.sum()
+    if not (np.isfinite(total) and total != 0):
         raise SolverFailure("singular coarse Jacobian")
-    return s
+    MW = np.cumsum(mw)
+    q = P - (P[-1] / MW[-1]) * MW
+    dz = (q - (q @ compliance) / total) / K
+    dU = np.concatenate([[0.0], np.cumsum(h[:-1] * dz[:-1])])
+    dU -= (mw @ dU) / MW[-1]
+    return dU, dz
 
 
 def solve_coarse(
@@ -278,19 +281,21 @@ def solve_coarse(
     with zero lattice mean, and the cell field of every element at its
     constant strain.  Each evaluation condenses the cells onto the strains
     (:func:`~hqc.microhom.condense_cells`: one stacked bond call, one
-    batched cell solve), so a step is an O(M) zero-mean cyclic tridiagonal
-    solve with the condensed stiffnesses K, which are W'' = d2phi0 at
-    converged cells, and then each cell's own part.  The solve stops when
-    the coarse dual norm of the nodal residual is at most ``tol`` and every
-    cell residual at most ``law.tol``: trace rows and step acceptance use
-    the larger of the dual norm and the worst cell residual times
-    ``tol / law.tol``.  ``residual_dual`` is the coarse dual norm.
+    batched cell solve), so a step is the O(M) closed form of
+    :func:`coarse_newton_step` with the condensed stiffnesses K, which are
+    W'' = d2phi0 at converged cells, and then each cell's own part.  The
+    solve stops when the coarse dual norm of the nodal residual is at most
+    ``tol`` and every cell residual at most ``law.tol``: trace rows and
+    step acceptance use the larger of the dual norm and the worst cell
+    residual times ``tol / law.tol``.  ``residual_dual`` is the coarse dual
+    norm.
 
-    The estimates hold at stable equilibria only, W''(D u) > 0 on every
-    element.  A converged solution with W'' <= 0 on some element lies on
-    an unstable branch and raises :class:`StabilityError`, which names the
-    element of smallest W'', its strain and W''.  A singular cell Hessian
-    on the way raises :class:`StabilityError` as well.
+    The estimates hold at stable equilibria only: W''(D u) > 0 on every
+    element and every cell a minimum.  A converged solution with W'' <= 0
+    on some element raises :class:`StabilityError` naming the element of
+    smallest W'', its strain and W''; one with a saddle cell names the
+    cell, its strain and its smallest Hessian eigenvalue.  A singular cell
+    Hessian on the way raises :class:`StabilityError` as well.
 
     Without ``init`` the solve starts from U = 0, with every cell field at
     the solution of the cell problem at strain 0: a start far from cell
@@ -304,48 +309,43 @@ def solve_coarse(
     """
     h = mesh.element_sizes()
     mw = mesh.mean_weights()
-    b = F.node_values(mesh)
+    B = np.cumsum(F.node_values(mesh))
     scale = tol / law.tol  # a cell residual in units of the coarse tolerance
 
     if init is None:
         U = np.zeros(mesh.n_elements)
         # every strain is 0: each element starts from that one cell's solution
-        chi, _res, _iters = newton_cells(
-            law.family, np.zeros(1), np.zeros((1, law.family.p)), law.tol, law.max_iter
-        )
+        chi = newton_cells(law.family, np.zeros(1), np.zeros((1, law.family.p)), law.tol,
+                           law.max_iter)[0]
         chi = np.repeat(chi, mesh.n_elements, axis=0)
     else:
         u0, parent = prolong(init.u, mesh)
         U = u0.nodal_values - mw @ u0.nodal_values  # constants only shift the mean
-        chi = warm_start(law.family, (np.roll(U, -1) - U) / h, init.chi[parent])
+        chi = warm_start(law.family, np.diff(U, append=U[:1]) / h, init.chi[parent])
 
     # an iterate x holds U in column 0 and the cell fields in the others
     def evaluate(x):
-        U = x[:, 0]
-        cells = condense_cells(law.family, (np.roll(U, -1) - U) / h, x[:, 1:])
-        R = np.roll(cells.stress, 1) - cells.stress - b
-        dual = primitive_dual_norm(R)
-        return x, (R, dual, cells), max(dual, scale * cells.residual.max())
+        cells = condense_cells(law.family, np.diff(x[:, 0], append=x[:1, 0]) / h, x[:, 1:])
+        w = cells.stress + B
+        dual = 0.5 * float(w.max() - w.min())
+        return x, (w, dual, cells), max(dual, scale * cells.residual.max())
 
     def step(_x, state):
-        R, _dual, cells = state
-        s = cells.shift
-        dU = coarse_newton_step(cells.stiffness, h, mw, R + np.roll(s, 1) - s)
-        dz = (np.roll(dU, -1) - dU) / h
+        w, _dual, cells = state
+        ws = w + cells.shift  # the primitive of the residual is ws[-1] - ws - B[-1]
+        dU, dz = coarse_newton_step(cells.stiffness, h, mw, ws[-1] - ws - B[-1])
         return np.column_stack([dU, cells.relax + cells.sensitivity * dz[:, None]])
 
-    x, (_R, dual, cells), trace = damped_newton(
+    x, (_w, dual, cells), trace = damped_newton(
         evaluate, step, np.column_stack([U, chi]), tol, max_iter, "coarse"
     )
     U, chi = x[:, 0].copy(), x[:, 1:]
-    d2 = cells.stiffness
-    j = int(np.argmin(d2))
-    if not d2[j] > 0:
-        z = (U[(j + 1) % U.size] - U[j]) / h[j]
-        raise StabilityError(
-            f"unstable coarse equilibrium: element {j} has strain {z:.6g} "
-            f"and W'' = {d2[j]:.6g} <= 0"
-        )
+    z = np.diff(U, append=U[:1]) / h
+    j = int(np.argmin(cells.stiffness))
+    if not cells.stiffness[j] > 0:
+        raise StabilityError(f"unstable coarse equilibrium: element {j} has strain "
+                             f"{z[j]:.6g} and W'' = {cells.stiffness[j]:.6g} <= 0")
+    require_stable_cells(cells, z)
     chi = chi - chi.mean(axis=1, keepdims=True)
     return CoarseSolution(CoarseFn(mesh, U), dual, trace[-1][0], chi, tuple(trace))
 
@@ -393,6 +393,5 @@ def equivalence_check(law: HomogenizedLaw, mesh: Mesh1D, F: ForceFunctional) -> 
     full = solve_coarse(law, uniform_mesh(grid, grid.N), full_F)
     diff = float(np.abs(cs.u.to_lattice().values - full.u.to_lattice().values).max())
     D = full.u.strains()
-    jumps = np.abs(D - np.roll(D, 1))
-    jump = float(jumps[~mesh.is_node()].max()) if (~mesh.is_node()).any() else 0.0
+    jump = float(np.abs(D - np.roll(D, 1))[~mesh.is_node()].max(initial=0.0))
     return EquivalenceReport(diff, jump, cs, full)

@@ -1,8 +1,10 @@
 """Linear solves with periodic operators: cyclic banded in 1D, block circulant in 2D.
 
 Both solves return the zero-mean x with A x = rhs - mean(rhs) for a
-symmetric periodic operator A whose kernel is the constants, the Newton
-step of every outer solver on the zero-mean space.
+symmetric periodic operator A whose kernel is the constants: the
+atomistic Newton step on the zero-mean space (1D), and the 2D atomistic
+and P1 solves.  The coarse 1D Newton step needs no linear solve; it has
+a closed form (:func:`hqc.coarse.coarse_newton_step`).
 
 A cyclic band of halfwidth R is stored as ``diags`` of shape (2R+1, N)
 with ``diags[R + d, i] = A[i, (i + d) % N]`` for offsets d = -R..R.

@@ -37,7 +37,11 @@ one batched solve of H against [b, g]: it is the cell part of each step
 of :func:`hqc.coarse.solve_coarse`, whose Newton unknowns are the nodal
 values and the cell fields together, and the d2phi0 of
 ``HomogenizedLaw.eval_strains``.  A singular H raises StabilityError
-naming the cell, its strain and the smallest eigenvalue of H.
+naming the cell, its strain and the smallest eigenvalue of H.  Cells are
+checked for stability (H positive definite: one batched Cholesky
+factorization, a sign test for p = 2) only at converged fields, by
+:func:`require_stable_cells`: an indefinite H on the way to equilibrium
+is not an instability of the equilibrium.
 
 ``newton_cells`` solves a batch of cell problems at fixed strains by one
 :func:`hqc.atomistic.damped_newton` iteration over the whole batch: each
@@ -101,19 +105,23 @@ def _reduced_hessian(maps, d2):
     return (maps.GT * d2[:, None, :]) @ maps.Gp
 
 
-def _reduced_solve(maps, d2, rhs, z, cells):
-    """x with H x = rhs (m, p-1, k) per row, H the reduced Hessian of d2,
-    for the cells numbered ``cells`` at strains z."""
-    H = _reduced_hessian(maps, d2)
+def _cell_instability(kind, H, z):
+    """StabilityError naming the cell of smallest Hessian eigenvalue."""
+    lam = np.linalg.eigvalsh(H)[:, 0]
+    j = int(np.argmin(lam))
+    return StabilityError(
+        f"{kind} reduced cell Hessian: cell {j} has strain {z[j]:.6g} "
+        f"and smallest Hessian eigenvalue {lam[j]:.6g}"
+    )
+
+
+def _reduced_solve(H, rhs, z):
+    """x with H x = rhs (m, p-1, k) per row, H the reduced Hessians of the
+    cells at strains z."""
     try:
         return np.linalg.solve(H, rhs)
     except np.linalg.LinAlgError as exc:
-        lam = np.linalg.eigvalsh(H)[:, 0]
-        j = int(np.argmin(lam))
-        raise StabilityError(
-            f"singular reduced cell Hessian: cell {cells[j]} has strain {z[j]:.6g} "
-            f"and smallest Hessian eigenvalue {lam[j]:.6g}"
-        ) from exc
+        raise _cell_instability("singular", H, z) from exc
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,7 @@ class CondensedCells:
     shift: np.ndarray  # (m,) -b . H^-1 g
     relax: np.ndarray  # (m, p) -E H^-1 g
     sensitivity: np.ndarray  # (m, p) -E H^-1 b: chi'(z) at converged cells
+    hessian: np.ndarray  # (m, p-1, p-1) reduced cell Hessians H
 
 
 def condense_cells(family, z, chi) -> CondensedCells:
@@ -136,7 +145,8 @@ def condense_cells(family, z, chi) -> CondensedCells:
     d1, d2 = (_flat(b) for b in family.bonds(_bond_args(maps, z, chi), 1, 2))
     grad = d1 @ maps.Dp
     b = d2 @ maps.Gp
-    x = _reduced_solve(maps, d2, np.stack([b, grad @ maps.E], axis=-1), z, range(z.size))
+    H = _reduced_hessian(maps, d2)
+    x = _reduced_solve(H, np.stack([b, grad @ maps.E], axis=-1), z)
     hb, hg = x[..., 0], x[..., 1]
     return CondensedCells(
         stress=d1.sum(axis=1) / family.p,
@@ -145,7 +155,17 @@ def condense_cells(family, z, chi) -> CondensedCells:
         shift=-(b * hg).sum(axis=1),
         relax=-hg @ maps.E.T,
         sensitivity=-hb @ maps.E.T,
+        hessian=H,
     )
+
+
+def require_stable_cells(cells: CondensedCells, z) -> None:
+    """Raise StabilityError unless every reduced cell Hessian is positive
+    definite; ``cells`` are condensed at converged fields and strains z."""
+    try:
+        np.linalg.cholesky(cells.hessian)
+    except np.linalg.LinAlgError as exc:
+        raise _cell_instability("indefinite", cells.hessian, z) from exc
 
 
 def warm_start(family, z, warm):
@@ -181,7 +201,7 @@ def newton_cells(family, z, chi0, tol, max_iter):
     def step(_chi, state):
         a, g, _res = state
         d2 = _flat(family.bonds(a, 2))
-        c = _reduced_solve(maps, d2, -(g @ maps.E)[..., None], z, range(z.size))
+        c = _reduced_solve(_reduced_hessian(maps, d2), -(g @ maps.E)[..., None], z)
         return c[..., 0] @ maps.E.T
 
     if z.size == 1:
@@ -207,7 +227,9 @@ class HomogenizedLaw:
     def eval_strains(self, z):
         """Vectorized law evaluation at a batch of strains.
 
-        Returns (phi0, dphi0, d2phi0, chi) with chi of shape (m, p).
+        Returns (phi0, dphi0, d2phi0, chi) with chi of shape (m, p).  A
+        converged cell that is not a minimum (a saddle of the cell energy)
+        raises StabilityError.
         """
         z = np.atleast_1d(np.asarray(z, dtype=float))
         family = self.family
@@ -215,6 +237,7 @@ class HomogenizedLaw:
             family, z, np.zeros((z.size, family.p)), self.tol, self.max_iter
         )
         cells = condense_cells(family, z, chi)
+        require_stable_cells(cells, z)
         phi = family.bonds(_bond_args(_cell_maps(family.p, family.R), z, chi), 0)
         return _flat(phi).sum(axis=1) / family.p, cells.stress, cells.stiffness, chi
 

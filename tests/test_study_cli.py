@@ -337,6 +337,21 @@ class TestCli:
         cfgfile = self.write_cfg(tmp_path, BASE_1D + "micro.z_lo = abc\n")
         assert main(["micro", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, "--no-cache") for c in ("solve-atomistic", "solve-hqc", "micro", "estimate",
+                                      "study2d", "check")]
+        + [(c, "--timing") for c in ("solve-atomistic", "solve-hqc", "micro", "estimate",
+                                    "check")],
+    )
+    def test_flag_not_read_by_command_exit_2(self, tmp_path, capsys, command, flag):
+        # only study reads --no-cache, and only study and study2d read --timing
+        cfgfile = self.write_cfg(tmp_path, BASE_1D)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfgfile, flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         assert main(["study", "--config", "/nonexistent.cfg"]) == 2
 
@@ -357,6 +372,16 @@ class TestCli:
         cfgfile = self.write_cfg(tmp_path, text.replace("amplitude = 50", "amplitude = 170"))
         assert main(["solve-hqc", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 4
         assert "stability check failed" in capsys.readouterr().err
+
+    def test_saddle_cell_exit_4(self, tmp_path, capsys):
+        # this family passes the dominance check, but at strain 0.05, the top
+        # of the default micro grid, the converged cell is a saddle
+        text = BASE_1D.replace("potential.l = 1, 1.125", "potential.l = 0.92, 0.94")
+        cfgfile = self.write_cfg(tmp_path, text)
+        assert main(["check", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 0
+        assert main(["micro", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "indefinite reduced cell Hessian: cell 20 has strain 0.05 " in err
 
     def test_solver_failure_exit_3(self, tmp_path):
         cfgfile = self.write_cfg(tmp_path, BASE_1D + "solver.max_iter = 1\n")
