@@ -140,15 +140,16 @@ class CoarseFn:
         U = self.nodal_values
         return np.diff(U, append=U[:1]) / self.mesh.element_sizes()
 
-    def to_lattice(self) -> LatticeFn:
-        mesh = self.mesh
-        site_elem, site_offs = mesh.site_maps()
-        counts = mesh.site_counts()
+    def _at(self, elem, offs) -> np.ndarray:
+        """Values at the sites offs (0-based) into the elements elem."""
         U = self.nodal_values
-        left = U[site_elem]
-        right = U[(site_elem + 1) % mesh.n_elements]
-        frac = site_offs / counts[site_elem]
-        return LatticeFn(mesh.grid, left + frac * (right - left))
+        left = U[elem]
+        right = U[(elem + 1) % self.mesh.n_elements]
+        frac = offs / self.mesh.site_counts()[elem]
+        return left + frac * (right - left)
+
+    def to_lattice(self) -> LatticeFn:
+        return LatticeFn(self.mesh.grid, self._at(*self.mesh.site_maps()))
 
     def lattice_mean(self) -> float:
         return float(self.mesh.mean_weights() @ self.nodal_values)
@@ -166,23 +167,29 @@ def prolong(u: CoarseFn, mesh: Mesh1D) -> tuple[CoarseFn, np.ndarray]:
     When ``mesh`` refines ``u.mesh`` (a superset of its nodes) the
     interpolant is u itself and every element lies inside that parent.
     """
-    site_elem, _ = u.mesh.site_maps()
-    return interpolate(mesh, u.to_lattice()), site_elem[mesh.nodes - 1]
+    old = u.mesh.nodes
+    # sites before the first old node lie in the last, wrapping element
+    parent = (np.searchsorted(old, mesh.nodes, side="right") - 1) % old.size
+    offs = (mesh.nodes - old[parent]) % mesh.grid.N
+    return CoarseFn(mesh, u._at(parent, offs)), parent
+
+
+def _istar_nodes(mesh: Mesh1D, w: np.ndarray) -> np.ndarray:
+    """Node values of istar(w), one element-ordered sum per element: element
+    j gives each site's right share off / n to node j + 1, the rest to node j."""
+    counts = mesh.site_counts()
+    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    f = np.roll(w, 1 - mesh.nodes[0])  # element order, from node 0
+    off = np.arange(f.size) - np.repeat(starts, counts)
+    right = np.add.reduceat(f * off, starts) / counts
+    left = np.add.reduceat(f, starts) - right
+    return left + np.roll(right, 1)
 
 
 def istar(mesh: Mesh1D, w: LatticeFn) -> LatticeFn:
     """Adjoint of the interpolant: <istar(w), v> = <w, interpolate(v).to_lattice()>."""
-    site_elem, site_offs = mesh.site_maps()
-    counts = mesh.site_counts()
-    left = mesh.nodes[site_elem] - 1
-    right = mesh.nodes[(site_elem + 1) % mesh.n_elements] - 1
-    lam = 1.0 - site_offs / counts[site_elem]
-    # bincount adds in index order, all left shares before all right ones
-    out = np.bincount(
-        np.concatenate([left, right]),
-        weights=np.concatenate([w.values * lam, w.values * (1.0 - lam)]),
-        minlength=mesh.grid.N,
-    )
+    out = np.zeros(mesh.grid.N)
+    out[mesh.nodes - 1] = _istar_nodes(mesh, w.values)
     return LatticeFn(mesh.grid, out)
 
 
@@ -208,7 +215,7 @@ class ForceFunctional:
             object.__setattr__(self, "f", self.f.with_values(self.f.values - m))
 
     def _exact_node_values(self, mesh: Mesh1D) -> np.ndarray:
-        return istar(mesh, self.f).values[mesh.nodes - 1] / mesh.grid.N
+        return _istar_nodes(mesh, self.f.values) / mesh.grid.N
 
     def node_values(self, mesh: Mesh1D) -> np.ndarray:
         """<F^h, w^h_xi>_h for every node xi."""

@@ -24,8 +24,17 @@ batch, and the cell gradient is d1 D / p.  The zero-mean constraint is
 enforced by eliminating the last micro value, chi = E c, which keeps the
 reduced cell Hessian symmetric positive definite whenever
 nearest-neighbor dominance holds: with G = D E the reduced gradient is
-g = d1 G / p and the reduced Hessian H = G^T diag(d2) G / p, one batched
-matrix product.  D, E and G depend only on (p, R).
+g = d1 G / p and the reduced Hessian H = G^T diag(d2) G / p, one matrix
+product of d2 with the row outer products of G.  D, E and G depend only
+on (p, R).
+
+Each batch factors its reduced Hessians once, by an unpivoted LDL^T
+vectorised over the cells (a loop over the p - 1 columns; for p = 2 a
+solve is one division), and that factorization serves every consumer.
+A zero or non-finite pivot raises StabilityError naming the cell of
+smallest Hessian eigenvalue, its strain and that eigenvalue.  For p = 2
+that is exactly a singular H; for p >= 3 an indefinite H can also meet a
+zero pivot, and raises the same error.
 
 Static condensation.  Linearized in the strain and the reduced field, a
 cell's stress <d1> changes by <d2> dz + b . dc and g by b dz + H dc, with
@@ -33,25 +42,25 @@ b = d2 G / p.  The cell Newton equation gives dc = -H^-1 (g + b dz), so
 the stress changes by shift + K dz with shift = -b . H^-1 g and
 K = <d2> - b . H^-1 b, which at a converged cell (g = 0) is d2phi0.
 ``condense_cells`` takes all of it from one ``bonds(a, 1, 2)`` call and
-one batched solve of H against [b, g]: it is the cell part of each step
-of :func:`hqc.coarse.solve_coarse`, whose Newton unknowns are the nodal
-values and the cell fields together, and the d2phi0 of
-``HomogenizedLaw.eval_strains``.  A singular H raises StabilityError
-naming the cell, its strain and the smallest eigenvalue of H.  Cells are
-checked for stability (H positive definite: one batched Cholesky
-factorization, a sign test for p = 2) only at converged fields, by
-:func:`require_stable_cells`: an indefinite H on the way to equilibrium
-is not an instability of the equilibrium.
+one factorization of H, solved against [b, g]: it is the cell part of
+each step of :func:`hqc.coarse.solve_coarse`, whose Newton unknowns are
+the nodal values and the cell fields together, and the d2phi0 of
+``HomogenizedLaw.eval_strains``.  Cells are checked for stability (H
+positive definite: by Sylvester's criterion, every pivot positive) only
+at converged fields, by :func:`require_stable_cells` on the pivots that
+``condense_cells`` carries: an indefinite H on the way to equilibrium is
+not an instability of the equilibrium.
 
 ``newton_cells`` solves a batch of cell problems at fixed strains by one
 :func:`hqc.atomistic.damped_newton` iteration over the whole batch: each
 evaluation is one ``bonds(a, 1)`` call for every row, its norm the
 largest row residual, and each step one ``bonds(a, 2)`` call and one
-batched reduced solve, so all rows share one step length and one
-iteration count.  An inadmissible trial raises DomainError from
-``bonds``, which the driver halves like a residual increase.  A study
-solves single cells only (the ground state and the cold start of
-``solve_coarse``); batches come from ``HomogenizedLaw.eval_strains``.
+factorization and solve of the reduced Hessians, so all rows share one
+step length and one iteration count.  An inadmissible trial raises
+DomainError from ``bonds``, which ``damped_newton`` halves like a residual
+increase.  A study solves single cells only (the ground state and the
+cold start of ``solve_coarse``); batches come from
+``HomogenizedLaw.eval_strains``.
 """
 
 from __future__ import annotations
@@ -75,7 +84,7 @@ class _CellMaps:
     Dp: np.ndarray  # (R p, p) D / p: stacked d1 -> cell gradient
     E: np.ndarray  # (p, p - 1) reduced -> zero-sum field
     Gp: np.ndarray  # (R p, p - 1) G / p
-    GT: np.ndarray  # (p - 1, R p)
+    GGp: np.ndarray  # (R p, (p - 1)^2) row outer products of G, / p
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,7 +96,8 @@ def _cell_maps(p: int, R: int) -> _CellMaps:
     D = ((eye[nbr] - eye) / r[:, None, None]).reshape(R * p, p)
     E = np.vstack([np.eye(p - 1), -np.ones((1, p - 1))])
     G = D @ E
-    return _CellMaps((R, p), D.T.copy(), D / p, E, G / p, G.T.copy())
+    GG = (G[:, :, None] * G[:, None, :]).reshape(R * p, (p - 1) ** 2)
+    return _CellMaps((R, p), D.T.copy(), D / p, E, G / p, GG / p)
 
 
 def _flat(b):
@@ -102,26 +112,62 @@ def _bond_args(maps, z, chi):
 
 def _reduced_hessian(maps, d2):
     """(m, p-1, p-1) reduced cell Hessians G^T diag(d2) G / p."""
-    return (maps.GT * d2[:, None, :]) @ maps.Gp
+    q = maps.Gp.shape[1]
+    return (d2 @ maps.GGp).reshape(len(d2), q, q)
 
 
 def _cell_instability(kind, H, z):
-    """StabilityError naming the cell of smallest Hessian eigenvalue."""
-    lam = np.linalg.eigvalsh(H)[:, 0]
-    j = int(np.argmin(lam))
+    """StabilityError naming the cell of smallest Hessian eigenvalue, or
+    the first cell whose H is not finite (eigenvalue nan)."""
+    finite = np.isfinite(H).all(axis=(1, 2))
+    lam = np.full(len(H), np.nan)
+    lam[finite] = np.linalg.eigvalsh(H[finite])[:, 0]
+    j = int(np.argmin(lam))  # argmin returns the first nan
     return StabilityError(
         f"{kind} reduced cell Hessian: cell {j} has strain {z[j]:.6g} "
         f"and smallest Hessian eigenvalue {lam[j]:.6g}"
     )
 
 
+def _ldl(H, z):
+    """Unpivoted LDL^T of the reduced Hessians H (m, q, q) of the cells at
+    strains z, vectorised over the cells: (L, d) with L unit lower
+    triangular and d (m, q) the pivots.  Column j takes one batched product
+    over the k < j block; for q = 1, d = H and a solve is one division.  A
+    zero or non-finite pivot raises StabilityError."""
+    m, q, _ = H.shape
+    L = np.empty_like(H)  # only its strict lower triangle is written and read
+    d = np.empty((m, q))
+    for j in range(q):
+        c = H[:, j:, j]
+        if j:
+            c = c - (L[:, j:, :j] @ (L[:, j, :j] * d[:, :j])[..., None])[..., 0]
+        d[:, j] = c[:, 0]
+        # a zero or non-finite pivot
+        if np.count_nonzero(d[:, j]) < m or np.count_nonzero(np.isfinite(d[:, j])) < m:
+            raise _cell_instability("singular", H, z)
+        L[:, j + 1 :, j] = c[:, 1:] / c[:, :1]
+    return L, d
+
+
+def _ldl_solve(L, d, rhs):
+    """x with L diag(d) L^T x = rhs, rhs (m, q, k): forward substitution, one
+    division by the pivots, back substitution."""
+    q = d.shape[1]
+    x = rhs.copy()
+    for j in range(1, q):
+        x[:, j] -= (L[:, j : j + 1, :j] @ x[:, :j])[:, 0]
+    x /= d[..., None]
+    for j in range(q - 2, -1, -1):
+        x[:, j] -= (L[:, None, j + 1 :, j] @ x[:, j + 1 :])[:, 0]
+    return x
+
+
 def _reduced_solve(H, rhs, z):
-    """x with H x = rhs (m, p-1, k) per row, H the reduced Hessians of the
-    cells at strains z."""
-    try:
-        return np.linalg.solve(H, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise _cell_instability("singular", H, z) from exc
+    """(x, d): x with H x = rhs (m, p-1, k) per row and the pivots d of H,
+    the reduced Hessians of the cells at strains z."""
+    L, d = _ldl(H, z)
+    return _ldl_solve(L, d, rhs), d
 
 
 @dataclass(frozen=True)
@@ -136,17 +182,20 @@ class CondensedCells:
     relax: np.ndarray  # (m, p) -E H^-1 g
     sensitivity: np.ndarray  # (m, p) -E H^-1 b: chi'(z) at converged cells
     hessian: np.ndarray  # (m, p-1, p-1) reduced cell Hessians H
+    pivots: np.ndarray  # (m, p-1) LDL^T pivots of H
 
 
 def condense_cells(family, z, chi) -> CondensedCells:
-    """The cells with fields chi (m, p) at strains z (m,), condensed; raises
-    DomainError where a bond is inadmissible."""
+    """The cells with fields chi (m, p) at strains z (m,), condensed by one
+    LDL^T factorization of their reduced Hessians, whose pivots it keeps;
+    raises DomainError where a bond is inadmissible and StabilityError on
+    a zero or non-finite pivot."""
     maps = _cell_maps(family.p, family.R)
     d1, d2 = (_flat(b) for b in family.bonds(_bond_args(maps, z, chi), 1, 2))
     grad = d1 @ maps.Dp
     b = d2 @ maps.Gp
     H = _reduced_hessian(maps, d2)
-    x = _reduced_solve(H, np.stack([b, grad @ maps.E], axis=-1), z)
+    x, pivots = _reduced_solve(H, np.stack([b, grad @ maps.E], axis=-1), z)
     hb, hg = x[..., 0], x[..., 1]
     return CondensedCells(
         stress=d1.sum(axis=1) / family.p,
@@ -156,16 +205,16 @@ def condense_cells(family, z, chi) -> CondensedCells:
         relax=-hg @ maps.E.T,
         sensitivity=-hb @ maps.E.T,
         hessian=H,
+        pivots=pivots,
     )
 
 
 def require_stable_cells(cells: CondensedCells, z) -> None:
     """Raise StabilityError unless every reduced cell Hessian is positive
-    definite; ``cells`` are condensed at converged fields and strains z."""
-    try:
-        np.linalg.cholesky(cells.hessian)
-    except np.linalg.LinAlgError as exc:
-        raise _cell_instability("indefinite", cells.hessian, z) from exc
+    definite, that is (Sylvester's criterion) unless every pivot is
+    positive; ``cells`` are condensed at converged fields and strains z."""
+    if not (cells.pivots > 0).all():
+        raise _cell_instability("indefinite", cells.hessian, z)
 
 
 def warm_start(family, z, warm):
@@ -201,7 +250,7 @@ def newton_cells(family, z, chi0, tol, max_iter):
     def step(_chi, state):
         a, g, _res = state
         d2 = _flat(family.bonds(a, 2))
-        c = _reduced_solve(_reduced_hessian(maps, d2), -(g @ maps.E)[..., None], z)
+        c, _d = _reduced_solve(_reduced_hessian(maps, d2), -(g @ maps.E)[..., None], z)
         return c[..., 0] @ maps.E.T
 
     if z.size == 1:

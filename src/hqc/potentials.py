@@ -177,13 +177,16 @@ def ground_microstructure(
 
     Newton iteration on the (p-1)-dimensional zero-mean space, started from
     zero.
-    The result is validated: the micro deformation must be strictly
-    increasing and ||chi_*||_inf <= (p-1)/2; violations raise
-    :class:`StabilityError`.
+    The result is validated: the cell energy must be a minimum there (a
+    positive definite reduced cell Hessian, not a saddle), the micro
+    deformation strictly increasing and ||chi_*||_inf <= (p-1)/2;
+    violations raise :class:`StabilityError`.
     """
-    from .microhom import newton_cells
+    from .microhom import condense_cells, newton_cells, require_stable_cells
 
-    chi, _res, _iters = newton_cells(family, np.zeros(1), np.zeros((1, family.p)), tol, max_iter)
+    z = np.zeros(1)
+    chi, _res, _iters = newton_cells(family, z, np.zeros((1, family.p)), tol, max_iter)
+    require_stable_cells(condense_cells(family, z, chi), z)
     validate_microstructure(chi[0], "ground microstructure")
     return Microstructure(MicroFn(family.p, chi[0]))
 

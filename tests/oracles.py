@@ -108,6 +108,22 @@ def coarse_step_dense(d2: np.ndarray, h: np.ndarray, mw: np.ndarray, R: np.ndarr
     return B @ np.linalg.solve(B.T @ J @ B, -B.T @ R)
 
 
+def interpolation_matrix(nodes: np.ndarray, N: int) -> np.ndarray:
+    """(N, N) matrix A of v -> interpolate(v).to_lattice() on the periodic
+    mesh with 1-based node labels ``nodes``, written out site by site: site
+    a + o of the element [a, b) of n sites takes 1 - o / n of v_a and o / n
+    of v_b.  Its transpose is istar."""
+    A = np.zeros((N, N))
+    first = nodes - 1
+    for j, a in enumerate(first):
+        b = first[(j + 1) % first.size]
+        n = (b - a) % N or N
+        for o in range(n):
+            A[(a + o) % N, a] += 1.0 - o / n
+            A[(a + o) % N, b] += o / n
+    return A
+
+
 def probe_matrix(apply, shape) -> np.ndarray:
     """Dense matrix of a linear grid operator, probed column by column."""
     n = int(np.prod(shape))

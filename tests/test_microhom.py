@@ -16,7 +16,9 @@ from hqc.microhom import (
     _bond_args,
     _cell_maps,
     _flat,
+    _ldl,
     _reduced_hessian,
+    _reduced_solve,
     newton_cells,
     warm_start,
 )
@@ -170,6 +172,75 @@ class TestCellKernel:
             assert np.abs(fd - H[:, :, k]).max() <= 1e-6 * np.abs(H).max()
 
 
+def random_ldl_stack(rng, m, q, definite):
+    """(m, q, q) symmetric H = L diag(d) L^T with unit lower L of entries in
+    [-2, 2] and pivots d of magnitude in [0.5, 2], all positive when
+    ``definite``, else of random sign, so no leading minor comes near zero."""
+    L = np.tril(rng.uniform(-2.0, 2.0, (m, q, q)), -1) + np.eye(q)
+    d = rng.uniform(0.5, 2.0, (m, q))
+    if not definite:
+        d *= rng.choice([-1.0, 1.0], (m, q))
+    H = (L * d[:, None, :]) @ L.transpose(0, 2, 1)
+    return 0.5 * (H + H.transpose(0, 2, 1)), d
+
+
+class TestReducedFactorization:
+    # Against LAPACK: both solves err by about cond(H) eps; 1.5 cond(H) eps
+    # is the largest gap seen over 3000 random stacks, so 8 cond(H) eps bounds it.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.integers(1, 4),
+        m=st.integers(1, 64),
+        definite=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lapack(self, q, m, definite, seed):
+        rng = np.random.default_rng(seed)
+        H, d_exact = random_ldl_stack(rng, m, q, definite)
+        rhs = rng.standard_normal((m, q, 2))
+        x, d = _reduced_solve(H, rhs, np.zeros(m))
+        ref = np.linalg.solve(H, rhs)
+        bound = 8 * np.linalg.cond(H) * np.finfo(float).eps
+        err = np.linalg.norm(x - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert (err <= bound).all()
+        assert (np.abs(d - d_exact) <= bound[:, None] * np.abs(d_exact)).all()
+        if definite:
+            # the pivots are the squared diagonal of the Cholesky factor
+            C = np.linalg.cholesky(H)
+            chol = np.diagonal(C, axis1=1, axis2=2) ** 2
+            assert (np.abs(d - chol) <= bound[:, None] * chol).all()
+            L, _d = _ldl(H, np.zeros(m))
+            assert np.allclose(np.tril(L, -1), np.tril(C / np.sqrt(chol)[:, None, :], -1),
+                               rtol=0, atol=4 * bound.max())
+        else:
+            assert ((d > 0).all(axis=1) == (np.linalg.eigvalsh(H)[:, 0] > 0)).all()
+
+    def test_single_pivot_is_one_division(self):
+        rng = np.random.default_rng(3)
+        H = rng.uniform(-2.0, 2.0, (16, 1, 1))
+        rhs = rng.standard_normal((16, 1, 2))
+        x, d = _reduced_solve(H, rhs, np.zeros(16))
+        assert np.array_equal(x, rhs / H)
+        assert np.array_equal(d, H[:, :, 0])
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_zero_pivot_raises_singular(self, q):
+        # cell 1 is 0 (q = 1) or the rank-one all-ones matrix, whose second
+        # pivot 1 - 1 * 1 is exactly 0; the other cells are the identity
+        H = np.stack([np.eye(q), np.ones((q, q)) * (q > 1), np.eye(q)])
+        with pytest.raises(StabilityError, match=r"^singular reduced cell Hessian: cell 1 has "
+                           r"strain 0\.5 and smallest Hessian eigenvalue "):
+            _reduced_solve(H, np.ones((3, q, 1)), np.array([0.1, 0.5, 0.9]))
+
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_pivot_raises_singular(self, q, bad):
+        H = np.stack([np.eye(q), np.full((q, q), bad), np.eye(q)])
+        with pytest.raises(StabilityError, match=r"^singular reduced cell Hessian: cell 1 has "
+                           r"strain 0\.5 and smallest Hessian eigenvalue nan$"):
+            _reduced_solve(H, np.ones((3, q, 1)), np.array([0.1, 0.5, 0.9]))
+
+
 class TestHomogenizedEval:
     def test_single_species_sums_shells(self):
         fam = lj_family([1.0], R=3)
@@ -239,6 +310,16 @@ class TestEvalStrains:
         with pytest.raises(StabilityError, match=r"^indefinite reduced cell Hessian: cell 1 has "
                            r"strain 0\.0341249 and smallest Hessian eigenvalue -42\.29\d*$"):
             law.eval_strains([-0.1, z])  # the cell at strain -0.1 is stable
+
+
+class TestGroundStateStability:
+    def test_saddle_ground_state_raises(self):
+        # Newton from the zero field converges to chi_* = +-0.00967222, a
+        # saddle of the cell energy: its reduced Hessian is -42.34
+        family = lj_family([0.8127438520154584, 0.8559274744248038], R=3)
+        with pytest.raises(StabilityError, match=r"^indefinite reduced cell Hessian: cell 0 has "
+                           r"strain 0 and smallest Hessian eigenvalue -42\.34\d*$"):
+            ground_microstructure(family)
 
 
 class TestWarmStartInterface:
