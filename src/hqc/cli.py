@@ -123,7 +123,7 @@ def cmd_study(cfg, args) -> int:
 def cmd_study2d(cfg, args) -> int:
     rows = run_study_2d(cfg, out_dir=_out_dir(args), timing=args.timing)
     for row in rows:
-        print(f"t={int(1 / row.h_max):4d}  h={row.h_max:.6g}  err_1inf={row.err_1inf:.6g}")
+        print(f"t={round(1 / row.h_max):4d}  h={row.h_max:.6g}  err_1inf={row.err_1inf:.6g}")
     return 0
 
 

@@ -22,7 +22,10 @@ staggered pattern
 for a macroscopic strain vector g against this closed form, and builds the
 homogenized quadratic form used by the P1 coarse solver on the structured
 triangulation (t^2 nodes, 2 t^2 right triangles, every square split along
-the same diagonal).
+the same diagonal).  The P1 solution and its corrector reach the atoms in
+one pass for both components: each square's nodal value and edge
+differences are repeated over its block of (N/t)^2 atoms and weighted by
+per-atom coefficients, the local coordinate plus the scaled cell field.
 
 All three linear systems are exactly periodic: the bond operator repeats
 on the (2,2) cell and the P1 stiffness with the constant form Q on every
@@ -210,37 +213,23 @@ def _p1_apply(Q: np.ndarray, U: np.ndarray) -> np.ndarray:
     return out
 
 
-def _p1_on_atoms(U: np.ndarray, N: int):
-    """Evaluate a nodal grid (t, t) and its per-triangle strain on all atoms.
-
-    Returns (values (N, N), grad (2, N, N)); nodes sit at 0-based lattice
-    indices that are multiples of N/t, squares are split along the main
-    diagonal (lower triangle where sx >= sy).
-    """
-    t = U.shape[0]
-    stride = N // t
-    h = 1.0 / t
-    m1, m2 = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    i, j = m1 // stride, m2 // stride
-    sx = (m1 - i * stride) / stride
-    sy = (m2 - j * stride) / stride
-    u00 = U[i, j]
-    u10 = U[(i + 1) % t, j]
-    u01 = U[i, (j + 1) % t]
-    u11 = U[(i + 1) % t, (j + 1) % t]
-    lower = sx >= sy
-    vals = np.where(
-        lower,
-        u00 + sx * (u10 - u00) + sy * (u11 - u10),
-        u00 + sy * (u01 - u00) + sx * (u11 - u01),
-    )
-    gx = np.where(lower, u10 - u00, u11 - u01) / h
-    gy = np.where(lower, u11 - u10, u01 - u00) / h
-    return vals, np.stack([gx, gy])
-
-
 def solve_coarse_2d(hom: Homogenized2D, f: Displacement2D, t: int) -> Displacement2D:
-    """P1 coarse solve with the homogenized form plus per-site corrector."""
+    """P1 coarse solve with the homogenized form plus per-site corrector.
+
+    Nodes sit at the 0-based lattice indices that are multiples of
+    stride = N/t, where the load is sampled.  Every square is split along
+    its main diagonal; with local coordinates s = (index mod stride)/stride
+    an atom lies in the lower triangle (n00, n10, n11) where sx >= sy and
+    in the upper one (n00, n11, n01) otherwise.  On each triangle the P1
+    field is u00 + sx Dx + sy Dy, where Dx, Dy are the nodal differences
+    along its edges (h times its strain g), and the atom with 1-based
+    labels k adds the corrector eps (g_x chi_0 + g_y chi_1)(k mod 2).
+
+    Both components reach the atoms in one pass: the per-square values
+    u00, Dx, Dy are repeated over the stride x stride block of atoms of
+    their square, and u = u00 + Dx (sx + (t/N) chi_0) + Dy (sy + (t/N) chi_1),
+    zero-meaned per component.
+    """
     N1, N2 = f.N1, f.N2
     if N1 != N2:
         raise ValueError("the coarse path expects a square grid")
@@ -249,21 +238,25 @@ def solve_coarse_2d(hom: Homogenized2D, f: Displacement2D, t: int) -> Displaceme
     _check_even(N1, N2)
     stride = N1 // t
     nodes = stride * np.arange(t)
-    out = np.zeros((2, N1, N2))
-    m1, m2 = np.meshgrid(np.arange(N1), np.arange(N2), indexing="ij")
-    # cell site of an atom is its 1-based coordinate mod 2; the staggered
-    # sign pattern is already contained in the cell fields chi_unit
-    cell = ((m1 + 1) % 2, (m2 + 1) % 2)
-    eps = 1.0 / N1
     loads = f.values[:, nodes[:, None], nodes] / (t * t)
-    Us = solve_periodic_2d(lambda U: _p1_apply(hom.Q, U), loads, (1, 1))
-    for comp in range(2):
-        vals, grad = _p1_on_atoms(Us[comp], N1)
-        add = np.zeros_like(vals)
-        for beta in range(2):
-            add += grad[beta] * hom.chi_unit[beta][cell]
-        corrected = vals + eps * add
-        out[comp] = corrected - corrected.mean()
+    U = solve_periodic_2d(lambda U: _p1_apply(hom.Q, U), loads, (1, 1))
+    U10, U01 = np.roll(U, -1, -2), np.roll(U, -1, -1)
+    U11 = np.roll(U10, -1, -1)
+
+    def blocks(V):  # (2, t, t) per square -> (2, N, N), constant on each block
+        return V.repeat(stride, -2).repeat(stride, -1)
+
+    s = np.tile(np.arange(stride) / stride, t)
+    lower = s[:, None] >= s
+    Dx = np.where(lower, blocks(U10 - U), blocks(U11 - U01))
+    Dy = np.where(lower, blocks(U11 - U10), blocks(U01 - U))
+    # the atom at 0-based index m has cell site (m + 1) mod 2
+    chi = np.tile(np.roll(hom.chi_unit, (1, 1), (1, 2)), (1, N1 // 2, N2 // 2))
+    chi *= t / N1
+    out = blocks(U)
+    out += Dx * (s[:, None] + chi[0])
+    out += Dy * (s + chi[1])
+    out -= out.mean(axis=(1, 2), keepdims=True)
     return Displacement2D(N1, N2, out)
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: dual norms come from a
 linear program over the constraint polytope, derivatives from central
 finite differences, micro ground states from scalar minimization, cell
-gradients and Hessians from the shell-by-shell loop assembly, and bond
-values from the closed-form laws written out per shell and species.
+gradients and Hessians from the shell-by-shell loop assembly, bond values
+from the closed-form laws written out per shell and species, and the 2D
+coarse field on the atoms from an atom-by-atom loop.
 """
 
 import numpy as np
@@ -173,6 +174,42 @@ def p1_stiffness_dense(Q: np.ndarray, t: int) -> np.ndarray:
                     for b in range(3):
                         A[tri[a], tri[b]] += K[a, b]
     return A
+
+
+def p1_corrected_on_atoms(U: np.ndarray, chi_unit: np.ndarray, N: int) -> np.ndarray:
+    """P1 field of the nodal values U (2, t, t) plus its corrector on the
+    N x N atoms, one atom at a time, zero-meaned per component.
+
+    Node (i, j) sits at the 0-based atom index (i, j) * N/t; the square of
+    an atom is its index // stride, and it lies in the lower triangle
+    (n00, n10, n11) where a >= b for the in-square offsets (a, b).  The
+    atom with 1-based labels k adds eps (g_x chi_0 + g_y chi_1)(k mod 2),
+    where g is the gradient of its triangle.
+    """
+    t = U.shape[-1]
+    stride = N // t
+    h, eps = 1.0 / t, 1.0 / N
+    out = np.zeros((2, N, N))
+    for c in range(2):
+        for m1 in range(N):
+            for m2 in range(N):
+                i, a = divmod(m1, stride)
+                j, b = divmod(m2, stride)
+                sx, sy = a / stride, b / stride
+                u00 = U[c, i, j]
+                u10 = U[c, (i + 1) % t, j]
+                u01 = U[c, i, (j + 1) % t]
+                u11 = U[c, (i + 1) % t, (j + 1) % t]
+                if a >= b:
+                    value = u00 + sx * (u10 - u00) + sy * (u11 - u10)
+                    gx, gy = (u10 - u00) / h, (u11 - u10) / h
+                else:
+                    value = u00 + sy * (u01 - u00) + sx * (u11 - u01)
+                    gx, gy = (u11 - u01) / h, (u01 - u00) / h
+                cell = ((m1 + 1) % 2, (m2 + 1) % 2)
+                out[c, m1, m2] = value + eps * (gx * chi_unit[0][cell] + gy * chi_unit[1][cell])
+        out[c] -= out[c].mean()
+    return out
 
 
 def shell_terms(family, order, r: int, z, y) -> tuple:

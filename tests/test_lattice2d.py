@@ -21,6 +21,8 @@ from hqc.lattice2d import (
     solve_coarse_2d,
 )
 
+from oracles import p1_corrected_on_atoms, p1_stiffness_dense, zero_mean_dense_solve
+
 stiffness = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # log-uniform in [1e-3, 1e3]
 
 
@@ -234,6 +236,22 @@ class TestSolve2D:
         for c in range(2):
             r = _apply_scalar(model, u.values[c]) - eps2 * f.values[c]
             assert np.abs(r).max() < 1e-9 * max(1.0, np.abs(eps2 * f.values[c]).max())
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 6, 12])
+    def test_coarse_solve_vs_atom_by_atom_oracle(self, model, t):
+        # N = 12 gives strides 6, 4, 3, 2, 1: at odd stride 3 the corrector
+        # parity does not line up with the squares, at stride 1 every atom
+        # is a node
+        N = 12
+        hom = homogenize2d(model)
+        f = Displacement2D(N, N, np.random.default_rng(98 + t).standard_normal((2, N, N)))
+        nodes = (N // t) * np.arange(t)
+        loads = f.values[:, nodes[:, None], nodes] / (t * t)
+        A = p1_stiffness_dense(hom.Q, t)
+        U = np.stack([zero_mean_dense_solve(A, loads[c]) for c in range(2)])
+        expected = p1_corrected_on_atoms(U, hom.chi_unit, N)
+        u = solve_coarse_2d(hom, f, t)
+        assert np.abs(u.values - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_uniform_springs_full_mesh_consistency(self):
         # without microstructure the corrector vanishes and the P1 solve is a

@@ -1,4 +1,5 @@
 import functools
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -404,6 +405,15 @@ class TestCli:
         rows = read_rows_csv(out / "study2d.csv")
         assert len(rows) == 2 and rows[0].err_1inf > rows[1].err_1inf
         assert all(row.newton_iters == 0 for row in rows)  # the P1 solve is direct
+
+    def test_study_2d_prints_mesh_t(self, tmp_path, capsys):
+        # 1 / (1 / 93) is 92.99999999999999, so truncating h_max back to t
+        # prints 92 (and 185 for 186)
+        text = BASE_2D.replace("grid.N1 = 32\ngrid.N2 = 32", "grid.N1 = 186\ngrid.N2 = 186")
+        cfgfile = self.write_cfg(tmp_path, text.replace("mesh.t = 4, 8", "mesh.t = 2, 93, 186"))
+        assert main(["study2d", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 0
+        printed = re.findall(r"^t=\s*(\d+) ", capsys.readouterr().out, re.MULTILINE)
+        assert printed == ["2", "93", "186"]
 
     def test_command_kind_mismatch(self, tmp_path):
         cfgfile = self.write_cfg(tmp_path, BASE_2D)
