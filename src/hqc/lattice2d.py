@@ -31,7 +31,9 @@ All three linear systems are exactly periodic: the bond operator repeats
 on the (2,2) cell and the P1 stiffness with the constant form Q on every
 node.  ``linsolve.solve_periodic_2d`` inverts each with one FFT solve,
 without iteration or tolerance; both operators act on a stack of fields
-along their last two axes, as its probes require.
+along their last two axes on any grid of whole cells, as its probes
+require: one stack of impulses on a grid of 5 x 5 cells (10 x 10 sites for
+the bond operator, 5 x 5 nodes for the P1 stiffness), whatever N and t.
 """
 
 from __future__ import annotations

@@ -22,9 +22,13 @@ solved instead as a sparse KKT system bordered by the zero-mean
 constraint.
 
 ``solve_periodic_2d`` inverts a periodic 2D operator that repeats on a
-cell of sites exactly: probing the operator with one impulse per cell site
-gives its block symbol, which ``np.fft.fft2`` over the cell indices turns
-into one small dense system per frequency.
+cell of sites exactly and reaches at most one cell.  Its ``apply`` must act
+on any periodic grid that tiles the cell: one call with one impulse per
+cell site on a grid of 5 x 5 cells, whatever the size of the problem, gives
+the blocks at cell offsets -1, 0, 1, and two sums with the Fourier phases
+of those offsets turn them into the block symbol on the half spectrum that
+``np.fft.rfft2`` of the right-hand sides needs: one small dense system per
+frequency, or one division for a one-site cell.
 """
 
 from __future__ import annotations
@@ -136,17 +140,28 @@ def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _offset_sum(near: np.ndarray, n: int, length: int) -> np.ndarray:
+    """sum_d exp(-2 pi i k d / n) near[d] over the cell offsets d = -1, 0, 1
+    on axis 0 of ``near``, for the frequencies k < length on a new axis 0."""
+    w = np.exp(-2j * np.pi / n * np.arange(length))
+    w = w.reshape((length,) + (1,) * (near.ndim - 1))
+    return near[1] + w * near[2] + w.conj() * near[0]
+
+
 def solve_periodic_2d(apply, rhs: np.ndarray, cell: tuple[int, int]) -> np.ndarray:
     """Zero-mean x with apply(x) = rhs - mean(rhs) on a periodic N1 x N2 grid.
 
     ``apply`` maps a stack (B, N1, N2) of fields to the stack of their
-    images, slice by slice; the c1 c2 impulse probes go through one call.
-    It must be linear and symmetric, commute with shifts by ``cell`` =
-    (c1, c2) and have the constants as its kernel.  ``rhs`` has shape
-    (..., N1, N2); all leading entries are solved with one symbol.  The
-    singular zero-frequency block is regularized along the constants (a
-    constant added to every entry), which the zero-mean result does not
-    depend on.
+    images, slice by slice, on any periodic grid that tiles ``cell`` =
+    (c1, c2).  It must be linear and symmetric, commute with shifts by the
+    cell, reach at most one cell and have the constants as its kernel.  Its
+    symbol comes from one call on a (c1 c2, 5 c1, 5 c2) stack of impulses,
+    whatever N1 and N2; a response at cell offset +-2 raises ``ValueError``.
+    The symbol is built on the half spectrum n1 x (n2 // 2 + 1), with
+    (n1, n2) = (N1 / c1, N2 / c2).  ``rhs`` has shape (..., N1, N2); all
+    leading entries are solved with one symbol.  The singular
+    zero-frequency block is regularized along the constants (a constant
+    added to every entry), which the zero-mean result does not depend on.
     """
     rhs = np.asarray(rhs, dtype=float)
     N1, N2 = rhs.shape[-2:]
@@ -155,22 +170,37 @@ def solve_periodic_2d(apply, rhs: np.ndarray, cell: tuple[int, int]) -> np.ndarr
         raise ValueError(f"grid {N1}x{N2} is not a multiple of the cell {c1}x{c2}")
     n1, n2, m = N1 // c1, N2 // c2, c1 * c2
 
-    def blocks(v):  # (B, N1, N2) -> (n1, n2, m, B), sites ordered (a, b) within a cell
-        return v.reshape(-1, n1, c1, n2, c2).transpose(1, 3, 2, 4, 0).reshape(n1, n2, m, -1)
+    def blocks(v):  # (B, n1 c1, n2 c2) -> (n1, n2, m, B), sites ordered (a, b) within a cell
+        B, M1, M2 = v.shape
+        v = v.reshape(B, M1 // c1, c1, M2 // c2, c2)
+        return v.transpose(1, 3, 2, 4, 0).reshape(M1 // c1, M2 // c2, m, B)
 
-    impulses = np.zeros((m, N1, N2))
+    impulses = np.zeros((m, 5 * c1, 5 * c2))
     for k in range(m):
         impulses[k, k // c2, k % c2] = 1.0
-    # column k of the symbol is the response to an impulse at cell site k
-    symbol = np.fft.fft2(blocks(apply(impulses)), axes=(0, 1))
+    # column k of a block is the response to an impulse at cell site k of cell 0
+    response = blocks(apply(impulses))
+    if response[2:4].any() or response[:, 2:4].any():
+        raise ValueError(f"the operator reaches beyond one cell of {c1}x{c2} sites")
+    near = response[[-1, 0, 1]][:, [-1, 0, 1]]  # cell offsets -1, 0, 1 on both axes
+    # symbol(k) = sum_d near[d] exp(-2 pi i k.d / n), one axis at a time;
+    # offsets that alias (n <= 2) add up, as they do on the grid
+    symbol = _offset_sum(near.swapaxes(0, 1), n2, n2 // 2 + 1)
+    symbol = _offset_sum(symbol.swapaxes(0, 1), n1, n1)
     symbol[0, 0] += float(np.abs(symbol).max()) / m
     b = rhs.reshape(-1, N1, N2)
     b = b - b[:, :1, :1]  # removes a constant rhs exactly, so that it gives x = 0
     b -= b.mean(axis=(1, 2), keepdims=True)
-    try:
-        xhat = np.linalg.solve(symbol, np.fft.fft2(blocks(b), axes=(0, 1)))
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure("singular periodic symbol") from exc
-    x = np.fft.ifft2(xhat, axes=(0, 1)).real
+    bhat = np.fft.rfft2(blocks(b), axes=(0, 1))
+    if m == 1:
+        if not symbol.all():
+            raise SolverFailure("singular periodic symbol")
+        xhat = bhat / symbol
+    else:
+        try:
+            xhat = np.linalg.solve(symbol, bhat)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure("singular periodic symbol") from exc
+    x = np.fft.irfft2(xhat, s=(n1, n2), axes=(0, 1))
     x = x.reshape(n1, n2, c1, c2, -1).transpose(4, 0, 2, 1, 3).reshape(rhs.shape)
     return x - x.mean(axis=(-2, -1), keepdims=True)

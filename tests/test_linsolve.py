@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hqc.exceptions import SolverFailure
@@ -88,6 +88,14 @@ def condition_number(A):
     return ev[-1] / ev[1]
 
 
+def shipped_operator(cell):
+    """The bond operator for the (2, 2) cell, the P1 stiffness for (1, 1)."""
+    if cell == (2, 2):
+        model = SpringModel2D(1.0, 2.0, 0.25)
+        return lambda v: _apply_scalar(model, v)
+    return lambda v: _p1_apply(np.array([[2.0, -0.5], [-0.5, 1.0]]), v)
+
+
 class TestPeriodic2D:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -96,6 +104,10 @@ class TestPeriodic2D:
         N2=even_size,
         seed=st.integers(0, 2**32 - 1),
     )
+    # grids smaller than the 10x10 probe grid, and odd half-spectrum lengths
+    @example(k=(1.0, 2.0, 0.25), N1=2, N2=2, seed=0)
+    @example(k=(1e-3, 1e3, 1.0), N1=2, N2=6, seed=1)
+    @example(k=(5.0, 0.2, 1e-2), N1=6, N2=10, seed=2)
     def test_spring_operator_matches_dense_solve(self, k, N1, N2, seed):
         model = SpringModel2D(*k)
 
@@ -114,6 +126,8 @@ class TestPeriodic2D:
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+    @example(t=2, seed=0)
+    @example(t=3, seed=1)
     def test_p1_stiffness_matches_element_assembly(self, t, seed):
         rng = np.random.default_rng(seed)
         B = rng.standard_normal((2, 2))
@@ -135,20 +149,44 @@ class TestPeriodic2D:
         cell=st.sampled_from([(1, 1), (2, 2)]),
     )
     def test_constant_rhs_gives_zero(self, value, N1, N2, cell):
-        model = SpringModel2D(1.0, 2.0, 0.25)
-        operators = {
-            (2, 2): lambda v: _apply_scalar(model, v),
-            (1, 1): lambda v: _p1_apply(np.array([[2.0, -0.5], [-0.5, 1.0]]), v),
-        }
-        x = solve_periodic_2d(operators[cell], np.full((N1, N2), value), cell)
+        x = solve_periodic_2d(shipped_operator(cell), np.full((N1, N2), value), cell)
         assert not x.any()
 
     def test_grid_must_tile_the_cell(self):
         with pytest.raises(ValueError):
             solve_periodic_2d(lambda v: v, np.zeros((4, 6)), (4, 4))
 
-    def test_singular_symbol_raises(self):
+    @pytest.mark.parametrize("cell", [(1, 1), (2, 2)], ids=["1x1", "2x2"])
+    def test_singular_symbol_raises(self, cell):
         # the zero operator has every field in its kernel, not only constants
         rhs = np.arange(16.0).reshape(4, 4)
         with pytest.raises(SolverFailure, match="singular periodic symbol"):
-            solve_periodic_2d(lambda v: 0.0 * v, rhs, (1, 1))
+            solve_periodic_2d(lambda v: 0.0 * v, rhs, cell)
+
+    @pytest.mark.parametrize(
+        "apply, cell",
+        [
+            # sites two apart are two cells apart for the (1, 1) cell
+            (lambda v: 2 * v - np.roll(v, 2, -1) - np.roll(v, -2, -1), (1, 1)),
+            # sites three apart are two cells apart for the (2, 2) cell
+            (lambda v: 2 * v - np.roll(v, 3, -2) - np.roll(v, -3, -2), (2, 2)),
+        ],
+        ids=["two-sites-cell-1x1", "three-sites-cell-2x2"],
+    )
+    def test_reach_beyond_one_cell_raises(self, apply, cell):
+        with pytest.raises(ValueError, match="reaches beyond one cell"):
+            solve_periodic_2d(apply, np.zeros((12, 12)), cell)
+
+    @pytest.mark.parametrize("cell", [(1, 1), (2, 2)], ids=["1x1", "2x2"])
+    def test_probe_size_does_not_grow_with_the_grid(self, cell):
+        operator = shipped_operator(cell)
+        shapes = []
+
+        def apply(v):
+            shapes.append(v.shape)
+            return operator(v)
+
+        rhs = np.random.default_rng(7).standard_normal((2, 128, 128))
+        solve_periodic_2d(apply, rhs, cell)
+        c1, c2 = cell
+        assert shapes == [(c1 * c2, 5 * c1, 5 * c2)]
