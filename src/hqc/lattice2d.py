@@ -27,13 +27,16 @@ one pass for both components: each square's nodal value and edge
 differences are repeated over its block of (N/t)^2 atoms and weighted by
 per-atom coefficients, the local coordinate plus the scaled cell field.
 
-All three linear systems are exactly periodic: the bond operator repeats
-on the (2,2) cell and the P1 stiffness with the constant form Q on every
-node.  ``linsolve.solve_periodic_2d`` inverts each with one FFT solve,
-without iteration or tolerance; both operators act on a stack of fields
-along their last two axes on any grid of whole cells, as its probes
-require: one stack of impulses on a grid of 5 x 5 cells (10 x 10 sites for
-the bond operator, 5 x 5 nodes for the P1 stiffness), whatever N and t.
+All three linear systems are bond lists (see ``hqc.linsolve``), each
+inverted by one FFT solve without iteration or tolerance: the four bonds
+of the (2,2) cell (``SpringModel2D.bonds``) for the atomistic and the
+cell problem, and three springs for the P1 stiffness of the constant
+form Q (``p1_bonds``).  A triangle with edge differences a along (1,0)
+and b along (0,1) has energy 0.25 (Q11 a^2 + 2 Q12 a b + Q22 b^2), and
+2ab = (a+b)^2 - a^2 - b^2 with a + b the difference along (1,1).  Both
+triangles of a square share that diagonal and every axis edge borders two
+triangles, so the stiffness is exactly that of springs Q11 - Q12 along
+(1,0), Q22 - Q12 along (0,1) and Q12 along (1,1), of either sign.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linsolve import solve_periodic_2d
+from .linsolve import bond_matvec, solve_periodic_2d
 
 #: neighbor directions; reflections are implied
 DIRECTIONS = ((1, 0), (1, 1), (0, 1), (-1, 1))
@@ -59,16 +62,16 @@ class SpringModel2D:
         if min(self.k1, self.k2, self.k3) <= 0:
             raise ValueError("spring stiffnesses must be positive")
 
-    def axis_coefficients(self, N1: int, N2: int) -> np.ndarray:
-        """Stiffness of the axis bond starting at each site (parity of k1+k2)."""
-        I, J = np.meshgrid(np.arange(N1), np.arange(N2), indexing="ij")
-        par = (I + J) % 2  # (k1 + k2) mod 2 for site labels k = index + 1
-        return np.where(par == 0, self.k1, self.k2)
-
-    def bond_coefficients(self, r, N1: int, N2: int) -> np.ndarray:
-        if r in ((1, 0), (0, 1)):
-            return self.axis_coefficients(N1, N2)
-        return np.full((N1, N2), self.k3)
+    @functools.cached_property
+    def bonds(self):
+        """The bond list of one component on the (2,2) cell, one bond per
+        direction: axis springs k1 where the k1+k2-parity of the tail site
+        (labels k = index + 1) is even and k2 where it is odd, diagonal
+        springs k3."""
+        axis = np.array([[self.k1, self.k2], [self.k2, self.k1]], dtype=float)
+        axis.flags.writeable = False
+        diagonal = np.broadcast_to(float(self.k3), (2, 2))  # read-only
+        return tuple((r, axis if 0 in r else diagonal) for r in DIRECTIONS)
 
 
 @dataclass(frozen=True)
@@ -99,40 +102,26 @@ def _check_even(N1, N2):
         raise ValueError("grid sizes must be even (microstructure period (2,2))")
 
 
-def _apply_scalar(model: SpringModel2D, v: np.ndarray) -> np.ndarray:
-    """One component of the bond-force operator, (A v)(s), on the last two
-    axes of v; leading axes are a stack of independent fields."""
-    N1, N2 = v.shape[-2:]
-    out = np.zeros_like(v)
-    for r in DIRECTIONS:
-        C = model.bond_coefficients(r, N1, N2)
-        # tension of bond r by tail site; roll(dv, r) indexes it by head site
-        dv = C * (np.roll(v, (-r[0], -r[1]), (-2, -1)) - v)
-        out -= dv - np.roll(dv, r, (-2, -1))
-    return out
-
-
 def energy2d(model: SpringModel2D, u: Displacement2D):
     """Energy and gradient; the gradient is the plain-sum derivative dE/du."""
     _check_even(u.N1, u.N2)
     E = 0.0
-    for r in DIRECTIONS:
-        C = model.bond_coefficients(r, u.N1, u.N2)
+    for r, C in model.bonds:
         dv = np.roll(u.values, (-r[0], -r[1]), (-2, -1)) - u.values
-        E += 0.5 * float((C * dv * dv).sum())
-    return E, Displacement2D(u.N1, u.N2, _apply_scalar(model, u.values))
+        E += 0.5 * float((np.tile(C, (u.N1 // 2, u.N2 // 2)) * dv * dv).sum())
+    return E, Displacement2D(u.N1, u.N2, bond_matvec(model.bonds, u.values))
 
 
 def solve_atomistic_2d(model: SpringModel2D, f: Displacement2D):
     """Exact equilibrium solve: A u_c = eps^2 f_c on the zero-mean subspace.
 
-    The bond operator repeats on the (2,2) cell, so one FFT solve
-    (``solve_periodic_2d``) inverts it for both components.  Returns
-    (Displacement2D, 0); the 0 counts iterations, and the solve has none.
+    One FFT solve (``solve_periodic_2d``) of the model's bond list
+    inverts A for both components.  Returns (Displacement2D, 0); the 0
+    counts iterations, and the solve has none.
     """
     _check_even(f.N1, f.N2)
     eps2 = 1.0 / (f.N1 * f.N2)
-    u = solve_periodic_2d(lambda v: _apply_scalar(model, v), eps2 * f.values, (2, 2))
+    u = solve_periodic_2d(model.bonds, eps2 * f.values)
     return Displacement2D(f.N1, f.N2, u), 0
 
 
@@ -150,6 +139,8 @@ class Homogenized2D:
     chi_unit: np.ndarray = field(repr=False)
     #: effective density: Phi(g) = 0.5 g^T Q g per displacement component
     Q: np.ndarray = field(repr=False)
+    #: the P1 stiffness of Q as a bond list on the node grid (``p1_bonds``)
+    p1_bonds: tuple = field(repr=False)
     corrector_scale: float
     #: worst deviation of the numeric cell fields from the staggered pattern
     pattern_deviation: float
@@ -176,11 +167,10 @@ def homogenize2d(model: SpringModel2D) -> Homogenized2D:
     """
     rhs = np.zeros((2, 2, 2))
     Q = np.zeros((2, 2))
-    for r in DIRECTIONS:
-        C = model.bond_coefficients(r, 2, 2)
+    for r, C in model.bonds:
         rhs += np.multiply.outer(r, C - np.roll(C, r, (0, 1)))
         Q += C.sum() * np.outer(r, r) / 4
-    chi_unit = solve_periodic_2d(lambda v: _apply_scalar(model, v), rhs, (2, 2))
+    chi_unit = solve_periodic_2d(model.bonds, rhs)
     Q -= rhs.reshape(2, -1) @ chi_unit.reshape(2, -1).T / 4
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (-1)^(j1+j2)
     scales = (sign * chi_unit).mean(axis=(1, 2))
@@ -188,31 +178,16 @@ def homogenize2d(model: SpringModel2D) -> Homogenized2D:
     dev = float(np.abs(chi_unit - scales[:, None, None] * sign).max())
     gap = abs(scale - chi_analytic(model))
     chi_unit.flags.writeable = Q.flags.writeable = False
-    return Homogenized2D(model, chi_unit, Q, scale, dev, gap)
+    return Homogenized2D(model, chi_unit, Q, p1_bonds(Q), scale, dev, gap)
 
 
-#: nodal gradients of the two triangle shapes of a square, times h:
-#: (n00, n10, n11) below the main diagonal, (n00, n11, n01) above it
-_P1_TRIANGLES = (
-    (np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]), ((0, 0), (1, 0), (1, 1))),
-    (np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]]), ((0, 0), (1, 1), (0, 1))),
-)
-
-
-def _p1_apply(Q: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Periodic P1 stiffness of the form Q applied to a nodal grid (t, t),
-    or to a stack of them on the last two axes.
-
-    The element matrix 0.5 G^T Q G does not depend on h (gradients scale
-    with 1/h, areas with h^2).
-    """
-    out = np.zeros_like(U)
-    for G, nodes in _P1_TRIANGLES:
-        K = 0.5 * G.T @ Q @ G
-        at = [np.roll(U, (-o[0], -o[1]), (-2, -1)) for o in nodes]  # U at each node of the square
-        for a, o in enumerate(nodes):
-            out += np.roll(sum(K[a, b] * at[b] for b in range(3)), o, (-2, -1))
-    return out
+def p1_bonds(Q: np.ndarray):
+    """The periodic P1 stiffness of the form Q on the node grid as a bond
+    list on the one-node cell: springs Q11 - Q12 along (1,0), Q22 - Q12
+    along (0,1) and Q12 along (1,1).  It does not depend on h (gradients
+    scale with 1/h, areas with h^2)."""
+    weights = ((1, 0), Q[0, 0] - Q[0, 1]), ((0, 1), Q[1, 1] - Q[0, 1]), ((1, 1), Q[0, 1])
+    return tuple((r, np.broadcast_to(w, (1, 1))) for r, w in weights)  # read-only
 
 
 def solve_coarse_2d(hom: Homogenized2D, f: Displacement2D, t: int) -> Displacement2D:
@@ -241,7 +216,7 @@ def solve_coarse_2d(hom: Homogenized2D, f: Displacement2D, t: int) -> Displaceme
     stride = N1 // t
     nodes = stride * np.arange(t)
     loads = f.values[:, nodes[:, None], nodes] / (t * t)
-    U = solve_periodic_2d(lambda U: _p1_apply(hom.Q, U), loads, (1, 1))
+    U = solve_periodic_2d(hom.p1_bonds, loads)
     U10, U01 = np.roll(U, -1, -2), np.roll(U, -1, -1)
     U11 = np.roll(U10, -1, -1)
 
@@ -264,13 +239,11 @@ def solve_coarse_2d(hom: Homogenized2D, f: Displacement2D, t: int) -> Displaceme
 
 def gradient_error(u: Displacement2D, ref: Displacement2D) -> float:
     """Max norm of the forward-difference gradient of u - ref (all
-    components, both directions)."""
-    eps = 1.0 / u.N1
+    components, both directions, each over its own spacing 1/N)."""
+    d = u.values - ref.values
     worst = 0.0
-    for c in range(2):
-        d = u.values[c] - ref.values[c]
-        for ax in range(2):
-            worst = max(worst, float(np.abs(np.roll(d, -1, ax) - d).max()) / eps)
+    for ax, n in ((-2, u.N1), (-1, u.N2)):
+        worst = max(worst, float(np.abs(np.roll(d, -1, ax) - d).max()) * n)
     return worst
 
 

@@ -21,14 +21,16 @@ zero mean give x, in O(N R^2).  A band that is not positive definite
 solved instead as a sparse KKT system bordered by the zero-mean
 constraint.
 
-``solve_periodic_2d`` inverts a periodic 2D operator that repeats on a
-cell of sites exactly and reaches at most one cell.  Its ``apply`` must act
-on any periodic grid that tiles the cell: one call with one impulse per
-cell site on a grid of 5 x 5 cells, whatever the size of the problem, gives
+A 2D operator is a bond list: bonds ``((r1, r2), C)`` whose (c1, c2)
+array C holds, per site s of the cell, the stiffness of the bond from s to
+s + r, which adds 0.5 C (x(s + r) - x(s))^2 to the energy, of either sign.
+``bond_matvec`` applies it on any grid of whole cells, and
+``solve_periodic_2d`` inverts it when no bond reaches beyond one cell:
+each bond adds +C to two diagonal and -C to two off-diagonal entries of
 the blocks at cell offsets -1, 0, 1, and two sums with the Fourier phases
-of those offsets turn them into the block symbol on the half spectrum that
-``np.fft.rfft2`` of the right-hand sides needs: one small dense system per
-frequency, or one division for a one-site cell.
+of those offsets give the block symbol on the half spectrum of
+``np.fft.rfft2``: one small dense system per frequency, or one division
+for a one-site cell.
 """
 
 from __future__ import annotations
@@ -148,41 +150,61 @@ def _offset_sum(near: np.ndarray, n: int, length: int) -> np.ndarray:
     return near[1] + w * near[2] + w.conj() * near[0]
 
 
-def solve_periodic_2d(apply, rhs: np.ndarray, cell: tuple[int, int]) -> np.ndarray:
-    """Zero-mean x with apply(x) = rhs - mean(rhs) on a periodic N1 x N2 grid.
+def _cells(bonds, N1: int, N2: int):
+    """The cell (c1, c2), which is the shape of every C of ``bonds``, and
+    the numbers of cells (n1, n2) along the axes of the N1 x N2 grid."""
+    shapes = {np.shape(C) for _, C in bonds}
+    if len(shapes) != 1:
+        raise ValueError(f"the bonds must share one cell shape, got {sorted(shapes)}")
+    ((c1, c2),) = shapes
+    if N1 % c1 or N2 % c2:
+        raise ValueError(f"grid {N1}x{N2} is not a multiple of the cell {c1}x{c2}")
+    return (c1, c2), N1 // c1, N2 // c2
 
-    ``apply`` maps a stack (B, N1, N2) of fields to the stack of their
-    images, slice by slice, on any periodic grid that tiles ``cell`` =
-    (c1, c2).  It must be linear and symmetric, commute with shifts by the
-    cell, reach at most one cell and have the constants as its kernel.  Its
-    symbol comes from one call on a (c1 c2, 5 c1, 5 c2) stack of impulses,
-    whatever N1 and N2; a response at cell offset +-2 raises ``ValueError``.
-    The symbol is built on the half spectrum n1 x (n2 // 2 + 1), with
-    (n1, n2) = (N1 / c1, N2 / c2).  ``rhs`` has shape (..., N1, N2); all
-    leading entries are solved with one symbol.  The singular
-    zero-frequency block is regularized along the constants (a constant
-    added to every entry), which the zero-mean result does not depend on.
+
+def bond_matvec(bonds, v: np.ndarray) -> np.ndarray:
+    """A v for the operator A of ``bonds`` on the last two axes of v, a
+    periodic grid of whole cells; leading axes are a stack of fields."""
+    _, n1, n2 = _cells(bonds, *v.shape[-2:])
+    out = np.zeros_like(v)
+    for r, C in bonds:
+        # tension of bond r by tail site; roll(dv, r) indexes it by head site
+        dv = np.tile(C, (n1, n2)) * (np.roll(v, (-r[0], -r[1]), (-2, -1)) - v)
+        out -= dv - np.roll(dv, r, (-2, -1))
+    return out
+
+
+def solve_periodic_2d(bonds, rhs: np.ndarray) -> np.ndarray:
+    """Zero-mean x with A x = rhs - mean(rhs) on a periodic N1 x N2 grid,
+    for the operator A of ``bonds``.
+
+    The grid must tile the cell (c1, c2) of the bonds, and no bond may
+    reach beyond one cell: |r_i| > c_i raises ``ValueError``.  The symbol
+    is built on the half spectrum n1 x (n2 // 2 + 1), with (n1, n2) =
+    (N1 / c1, N2 / c2).  ``rhs`` has shape (..., N1, N2); all leading
+    entries are solved with one symbol.  The singular zero-frequency block
+    is regularized along the constants (a constant added to every entry),
+    which the zero-mean result does not depend on.
     """
     rhs = np.asarray(rhs, dtype=float)
     N1, N2 = rhs.shape[-2:]
-    c1, c2 = cell
-    if N1 % c1 or N2 % c2:
-        raise ValueError(f"grid {N1}x{N2} is not a multiple of the cell {c1}x{c2}")
-    n1, n2, m = N1 // c1, N2 // c2, c1 * c2
-
-    def blocks(v):  # (B, n1 c1, n2 c2) -> (n1, n2, m, B), sites ordered (a, b) within a cell
-        B, M1, M2 = v.shape
-        v = v.reshape(B, M1 // c1, c1, M2 // c2, c2)
-        return v.transpose(1, 3, 2, 4, 0).reshape(M1 // c1, M2 // c2, m, B)
-
-    impulses = np.zeros((m, 5 * c1, 5 * c2))
-    for k in range(m):
-        impulses[k, k // c2, k % c2] = 1.0
-    # column k of a block is the response to an impulse at cell site k of cell 0
-    response = blocks(apply(impulses))
-    if response[2:4].any() or response[:, 2:4].any():
-        raise ValueError(f"the operator reaches beyond one cell of {c1}x{c2} sites")
-    near = response[[-1, 0, 1]][:, [-1, 0, 1]]  # cell offsets -1, 0, 1 on both axes
+    (c1, c2), n1, n2 = _cells(bonds, N1, N2)
+    m = c1 * c2
+    s = np.arange(m)  # site s of a cell sits at (s // c2, s % c2)
+    # near[d1 + 1, d2 + 1, i, s] = A[site i of cell d, site s of cell 0]
+    near = np.zeros((3, 3, m, m))
+    for (r1, r2), C in bonds:
+        if abs(r1) > c1 or abs(r2) > c2:
+            raise ValueError(f"bond {(r1, r2)} reaches beyond one cell of {c1}x{c2} sites")
+        # the bond from site s of cell 0 ends at site j of cell (e1, e2)
+        e1, j1 = np.divmod(s // c2 + r1, c1)
+        e2, j2 = np.divmod(s % c2 + r2, c2)
+        j = j1 * c2 + j2
+        C = np.ravel(C)
+        np.add.at(near, (1, 1, s, s), C)
+        np.add.at(near, (1, 1, j, j), C)
+        np.add.at(near, (1 - e1, 1 - e2, s, j), -C)
+        np.add.at(near, (1 + e1, 1 + e2, j, s), -C)
     # symbol(k) = sum_d near[d] exp(-2 pi i k.d / n), one axis at a time;
     # offsets that alias (n <= 2) add up, as they do on the grid
     symbol = _offset_sum(near.swapaxes(0, 1), n2, n2 // 2 + 1)
@@ -191,7 +213,9 @@ def solve_periodic_2d(apply, rhs: np.ndarray, cell: tuple[int, int]) -> np.ndarr
     b = rhs.reshape(-1, N1, N2)
     b = b - b[:, :1, :1]  # removes a constant rhs exactly, so that it gives x = 0
     b -= b.mean(axis=(1, 2), keepdims=True)
-    bhat = np.fft.rfft2(blocks(b), axes=(0, 1))
+    # (B, n1 c1, n2 c2) -> (n1, n2, m, B), sites ordered (a, b) within a cell
+    b = b.reshape(-1, n1, c1, n2, c2).transpose(1, 3, 2, 4, 0).reshape(n1, n2, m, -1)
+    bhat = np.fft.rfft2(b, axes=(0, 1))
     if m == 1:
         if not symbol.all():
             raise SolverFailure("singular periodic symbol")

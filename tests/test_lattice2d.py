@@ -13,13 +13,8 @@ from hqc import (
     homogenize2d,
     solve2d,
 )
-from hqc.lattice2d import (
-    DIRECTIONS,
-    _apply_scalar,
-    _p1_apply,
-    solve_atomistic_2d,
-    solve_coarse_2d,
-)
+from hqc.lattice2d import DIRECTIONS, p1_bonds, solve_atomistic_2d, solve_coarse_2d
+from hqc.linsolve import bond_matvec
 
 from oracles import p1_corrected_on_atoms, p1_stiffness_dense, zero_mean_dense_solve
 
@@ -104,20 +99,21 @@ class TestEnergy2D:
 class TestStacks:
     def test_bond_operator_acts_slice_by_slice(self, model):
         V = np.random.default_rng(100).standard_normal((3, 6, 4))
-        AV = _apply_scalar(model, V)
+        AV = bond_matvec(model.bonds, V)
         for b in range(3):
-            assert np.array_equal(AV[b], _apply_scalar(model, V[b]))
+            assert np.array_equal(AV[b], bond_matvec(model.bonds, V[b]))
         # energy2d takes the gradient of both components in one stacked call
         _, g = energy2d(model, Displacement2D(6, 4, V[:2]))
         for c in range(2):
-            assert np.array_equal(g.values[c], _apply_scalar(model, V[c]))
+            assert np.array_equal(g.values[c], bond_matvec(model.bonds, V[c]))
 
     def test_p1_stiffness_acts_slice_by_slice(self):
+        # the P1 stiffness is the three constant-coefficient bonds of p1_bonds
         Q = np.array([[2.0, -0.5], [-0.5, 1.0]])
         U = np.random.default_rng(101).standard_normal((3, 5, 5))
-        KU = _p1_apply(Q, U)
+        KU = bond_matvec(p1_bonds(Q), U)
         for b in range(3):
-            assert np.array_equal(KU[b], _p1_apply(Q, U[b]))
+            assert np.array_equal(KU[b], bond_matvec(p1_bonds(Q), U[b]))
 
 
 class TestChiAnalytic:
@@ -173,11 +169,10 @@ class TestHomogenize2D:
         assert np.abs(chi.mean(axis=(1, 2))).max() <= 1e-15
         # a unit strain e_b loads bond r with r_b: A chi_b = sum_r (C_r - C_r(. - r)) r_b
         rhs = np.zeros((2, 2, 2))
-        for r in DIRECTIONS:
-            C = model.bond_coefficients(r, 2, 2)
+        for r, C in model.bonds:
             for b in range(2):
                 rhs[b] += (C - np.roll(C, r, (0, 1))) * r[b]
-        assert np.abs(_apply_scalar(model, chi) - rhs).max() <= 1e-14 * max(k)
+        assert np.abs(bond_matvec(model.bonds, chi) - rhs).max() <= 1e-14 * max(k)
         diag = (k1 + k2) / 2 + 2 * k3 - (k1 - k2) ** 2 / (4 * (k1 + k2))
         off = -((k1 - k2) ** 2) / (4 * (k1 + k2))
         assert np.abs(hom.Q - [[diag, off], [off, diag]]).max() <= 1e-14 * max(diag, abs(off))
@@ -234,7 +229,7 @@ class TestSolve2D:
         assert iters == 0
         eps2 = 1.0 / 64
         for c in range(2):
-            r = _apply_scalar(model, u.values[c]) - eps2 * f.values[c]
+            r = bond_matvec(model.bonds, u.values[c]) - eps2 * f.values[c]
             assert np.abs(r).max() < 1e-9 * max(1.0, np.abs(eps2 * f.values[c]).max())
 
     @pytest.mark.parametrize("t", [2, 3, 4, 6, 12])
@@ -276,6 +271,17 @@ class TestSolve2D:
         assert info["err_1inf"] > 0
         assert info["err_0inf"] > 0
         assert info["err_1inf"] == pytest.approx(gradient_error(u, ref))
+
+    @pytest.mark.parametrize("axis, expected", [(0, 4.0), (1, 8 * np.sin(np.pi / 4))])
+    def test_gradient_error_on_non_square_grid(self, axis, expected):
+        # sin(2 pi x) along one axis of a 4 x 8 grid: its largest forward
+        # difference, 1 over 4 sites or sin(pi/4) over 8, is divided by the
+        # spacing of that axis
+        shape = (4, 8)
+        x = np.arange(shape[axis]) / shape[axis]
+        wave = np.expand_dims(np.sin(2 * np.pi * x), 1 - axis)
+        u = Displacement2D(*shape, np.stack([np.broadcast_to(wave, shape), np.zeros(shape)]))
+        assert gradient_error(u, Displacement2D.zeros(*shape)) == pytest.approx(expected, rel=1e-12)
 
     def test_first_order_convergence_small(self, model):
         f = exp_sin_force(64, 64)

@@ -6,8 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hqc.exceptions import SolverFailure
-from hqc.lattice2d import SpringModel2D, _apply_scalar, _p1_apply
-from hqc.linsolve import cyclic_matvec, solve_cyclic_banded, solve_periodic_2d
+from hqc.lattice2d import SpringModel2D, p1_bonds
+from hqc.linsolve import bond_matvec, cyclic_matvec, solve_cyclic_banded, solve_periodic_2d
 
 from oracles import cyclic_to_dense, p1_stiffness_dense, probe_matrix, zero_mean_dense_solve
 
@@ -88,12 +88,11 @@ def condition_number(A):
     return ev[-1] / ev[1]
 
 
-def shipped_operator(cell):
-    """The bond operator for the (2, 2) cell, the P1 stiffness for (1, 1)."""
+def shipped_bonds(cell):
+    """The spring bonds for the (2, 2) cell, the P1 stiffness for (1, 1)."""
     if cell == (2, 2):
-        model = SpringModel2D(1.0, 2.0, 0.25)
-        return lambda v: _apply_scalar(model, v)
-    return lambda v: _p1_apply(np.array([[2.0, -0.5], [-0.5, 1.0]]), v)
+        return SpringModel2D(1.0, 2.0, 0.25).bonds
+    return p1_bonds(np.array([[2.0, -0.5], [-0.5, 1.0]]))
 
 
 class TestPeriodic2D:
@@ -104,20 +103,16 @@ class TestPeriodic2D:
         N2=even_size,
         seed=st.integers(0, 2**32 - 1),
     )
-    # grids smaller than the 10x10 probe grid, and odd half-spectrum lengths
+    # grids of one cell, and odd half-spectrum lengths
     @example(k=(1.0, 2.0, 0.25), N1=2, N2=2, seed=0)
     @example(k=(1e-3, 1e3, 1.0), N1=2, N2=6, seed=1)
     @example(k=(5.0, 0.2, 1e-2), N1=6, N2=10, seed=2)
     def test_spring_operator_matches_dense_solve(self, k, N1, N2, seed):
-        model = SpringModel2D(*k)
-
-        def apply(v):
-            return _apply_scalar(model, v)
-
+        bonds = SpringModel2D(*k).bonds
         rng = np.random.default_rng(seed)
         rhs = rng.standard_normal((2, N1, N2))
-        x = solve_periodic_2d(apply, rhs, (2, 2))
-        A = probe_matrix(apply, (N1, N2))
+        x = solve_periodic_2d(bonds, rhs)
+        A = probe_matrix(lambda v: bond_matvec(bonds, v), (N1, N2))
         tol = 1e-13 * condition_number(A)
         for c in range(2):
             x_ref = zero_mean_dense_solve(A, rhs[c])
@@ -125,19 +120,26 @@ class TestPeriodic2D:
             assert np.abs(x[c] - x_ref).max() <= tol * np.abs(x_ref).max()
 
     @settings(max_examples=40, deadline=None)
-    @given(t=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
-    @example(t=2, seed=0)
-    @example(t=3, seed=1)
-    def test_p1_stiffness_matches_element_assembly(self, t, seed):
+    @given(t=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), Q=st.none())
+    @example(t=2, seed=0, Q=None)
+    @example(t=3, seed=1, Q=None)
+    # Q12 > Q22: the spring along (0, 1) is negative
+    @example(t=4, seed=2, Q=[[4.0, 1.5], [1.5, 1.0]])
+    # Q12 < 0, as in the shipped model: the diagonal spring is negative
+    @example(t=5, seed=3, Q=[[2.0, -0.5], [-0.5, 1.0]])
+    def test_p1_stiffness_matches_element_assembly(self, t, seed, Q):
         rng = np.random.default_rng(seed)
-        B = rng.standard_normal((2, 2))
-        Q = B @ B.T + 0.1 * np.eye(2)
+        if Q is None:
+            B = rng.standard_normal((2, 2))
+            Q = B @ B.T + 0.1 * np.eye(2)
+        Q = np.asarray(Q)
         U = rng.standard_normal((t, t))
         A = p1_stiffness_dense(Q, t)
-        assert np.abs(_p1_apply(Q, U).ravel() - A @ U.ravel()).max() <= 1e-14 * (
+        bonds = p1_bonds(Q)
+        assert np.abs(bond_matvec(bonds, U).ravel() - A @ U.ravel()).max() <= 1e-14 * (
             np.abs(A).max() * np.abs(U).max()
         )
-        x = solve_periodic_2d(lambda V: _p1_apply(Q, V), U, (1, 1))
+        x = solve_periodic_2d(bonds, U)
         x_ref = zero_mean_dense_solve(A, U)
         assert np.abs(x - x_ref).max() <= 1e-13 * condition_number(A) * np.abs(x_ref).max()
 
@@ -149,44 +151,36 @@ class TestPeriodic2D:
         cell=st.sampled_from([(1, 1), (2, 2)]),
     )
     def test_constant_rhs_gives_zero(self, value, N1, N2, cell):
-        x = solve_periodic_2d(shipped_operator(cell), np.full((N1, N2), value), cell)
+        x = solve_periodic_2d(shipped_bonds(cell), np.full((N1, N2), value))
         assert not x.any()
 
     def test_grid_must_tile_the_cell(self):
-        with pytest.raises(ValueError):
-            solve_periodic_2d(lambda v: v, np.zeros((4, 6)), (4, 4))
+        with pytest.raises(ValueError, match="not a multiple of the cell"):
+            solve_periodic_2d([((1, 0), np.ones((4, 4)))], np.zeros((4, 6)))
+
+    def test_bonds_must_share_one_cell(self):
+        bonds = [((1, 0), np.ones((2, 2))), ((0, 1), np.ones((1, 1)))]
+        with pytest.raises(ValueError, match="one cell shape"):
+            solve_periodic_2d(bonds, np.zeros((4, 4)))
 
     @pytest.mark.parametrize("cell", [(1, 1), (2, 2)], ids=["1x1", "2x2"])
     def test_singular_symbol_raises(self, cell):
-        # the zero operator has every field in its kernel, not only constants
+        # zero stiffnesses put every field in the kernel, not only constants
         rhs = np.arange(16.0).reshape(4, 4)
+        bonds = [((1, 0), np.zeros(cell)), ((0, 1), np.zeros(cell))]
         with pytest.raises(SolverFailure, match="singular periodic symbol"):
-            solve_periodic_2d(lambda v: 0.0 * v, rhs, cell)
+            solve_periodic_2d(bonds, rhs)
 
     @pytest.mark.parametrize(
-        "apply, cell",
+        "bond, cell",
         [
             # sites two apart are two cells apart for the (1, 1) cell
-            (lambda v: 2 * v - np.roll(v, 2, -1) - np.roll(v, -2, -1), (1, 1)),
+            ((2, 0), (1, 1)),
             # sites three apart are two cells apart for the (2, 2) cell
-            (lambda v: 2 * v - np.roll(v, 3, -2) - np.roll(v, -3, -2), (2, 2)),
+            ((3, 0), (2, 2)),
         ],
         ids=["two-sites-cell-1x1", "three-sites-cell-2x2"],
     )
-    def test_reach_beyond_one_cell_raises(self, apply, cell):
+    def test_reach_beyond_one_cell_raises(self, bond, cell):
         with pytest.raises(ValueError, match="reaches beyond one cell"):
-            solve_periodic_2d(apply, np.zeros((12, 12)), cell)
-
-    @pytest.mark.parametrize("cell", [(1, 1), (2, 2)], ids=["1x1", "2x2"])
-    def test_probe_size_does_not_grow_with_the_grid(self, cell):
-        operator = shipped_operator(cell)
-        shapes = []
-
-        def apply(v):
-            shapes.append(v.shape)
-            return operator(v)
-
-        rhs = np.random.default_rng(7).standard_normal((2, 128, 128))
-        solve_periodic_2d(apply, rhs, cell)
-        c1, c2 = cell
-        assert shapes == [(c1 * c2, 5 * c1, 5 * c2)]
+            solve_periodic_2d([(bond, np.ones(cell))], np.zeros((12, 12)))
