@@ -7,7 +7,10 @@
 where E(u) = < sum_r phi_r(D_r u; .) > is the multilattice energy, by a
 damped Newton iteration with cyclic banded Jacobians of halfwidth R.
 Each Jacobian annihilates the constants, and each Newton step is the
-zero-mean solution of its banded system (:mod:`hqc.linsolve`).
+zero-mean solution of its banded system: conjugate gradients
+preconditioned by the Jacobian's nearest-neighbour spring chain, in numpy
+alone, with a sparse scipy solve as the fallback for a Jacobian that is
+not positive definite on the zero-mean space (:mod:`hqc.linsolve`).
 Termination is measured in the (-1, inf) dual seminorm of the residual
 functional, matching the error topology of the coarse-graining analysis.
 
@@ -183,6 +186,8 @@ def solve_atomistic(
     ``u_init`` (zero by default) projected to zero mean.
 
     Each step is the zero-mean solution of the cyclic banded Newton system
+    by preconditioned CG, or by the sparse fallback when the Jacobian is
+    not positive definite on the zero-mean space
     (:func:`hqc.linsolve.solve_cyclic_banded`); backtracking halves the
     step on residual increase or on a domain error (:func:`damped_newton`).
     """

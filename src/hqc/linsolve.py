@@ -9,17 +9,21 @@ a closed form (:func:`hqc.coarse.coarse_newton_step`).
 A cyclic band of halfwidth R is stored as ``diags`` of shape (2R+1, N)
 with ``diags[R + d, i] = A[i, (i + d) % N]`` for offsets d = -R..R.
 
-``solve_cyclic_banded`` folds the period: in the site order 0, N-1, 1,
-N-2, ... the cyclic band becomes an acyclic band of halfwidth 2R.  Pinning
-site 0 (dropping its row and column) leaves the restriction of A to the
-fields with x_0 = 0, which is positive definite exactly when A is positive
-definite on the zero-mean space, as every Newton Jacobian of a stable
-equilibrium is.  One LAPACK banded Cholesky factorization of its lower
-triangle, one refinement step with the zero-mean residual and a shift to
-zero mean give x, in O(N R^2).  A band that is not positive definite
-(indefinite or singular), or a result that fails a residual check, is
-solved instead as a sparse KKT system bordered by the zero-mean
-constraint.
+``solve_cyclic_banded`` runs conjugate gradients (Hestenes & Stiefel,
+J. Res. NBS 49(6), 1952) on the zero-mean space in numpy alone.  The band
+is a sum of springs, s_r(i) = -A[i, i + r] on bond (i, i + r), whose
+stretch is the sum of r nearest-neighbour (NN) strains x(y + 1) - x(y).
+By Cauchy-Schwarz its square is at most r times the sum of their squares,
+with equality for equal strains, so spreading each bond over the NN bonds
+it spans, with weight r s_r, gives the preconditioner: the NN chain of
+stiffness k(y) = sum_r r sum_{j<r} s_r(y - j), which agrees with A under a
+uniform strain.  Its solve is two prefix sums, for a zero-mean b, so the
+CG residual r is projected to zero mean after every update.  CG stops at
+max|r| <= ``CG_RTOL`` max|b|.  Some k(y) <= 0, a direction with p.Ap <= 0
+or not finite, or no convergence in min(4 N + 20, ``CG_MAX_ITER``)
+iterations hands the band to a sparse KKT solve bordered by the zero-mean
+constraint, which also serves bands not positive definite there: hqc's
+only use of scipy, imported on first use.
 
 A 2D operator is a bond list: bonds ``((r1, r2), C)`` whose (c1, c2)
 array C holds, per site s of the cell, the stiffness of the bond from s to
@@ -35,111 +39,106 @@ for a one-site cell.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse
-import scipy.sparse.linalg
+import numpy.fft  # numpy loads it on first access, which would be in a 2D study
 
 from .exceptions import SolverFailure
 
 
+CG_RTOL = 1e-14  #: CG stops at max|r| <= CG_RTOL max|b|, r the zero-mean residual
+#: caps CG at min(4 N + 20, CG_MAX_ITER) iterations; shipped chains take <= 10,
+#: random bands up to 2.4 N, and an iteration at N = 65536 about 1 ms
+CG_MAX_ITER = 1000
+
+
 def cyclic_matvec(diags: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the cyclic band ``diags``, from slices of one wrapped copy of x
+    (by np.pad, which costs more, only for a band longer than the period)."""
     R = (diags.shape[0] - 1) // 2
-    out = np.zeros_like(x, dtype=float)
-    for d in range(-R, R + 1):
-        out += diags[R + d] * np.roll(x, -d)
+    n = diags.shape[1]
+    xw = np.concatenate((x[n - R :], x, x[:R])) if R <= n else np.pad(x, R, mode="wrap")
+    out = diags[R] * x
+    for d in range(1, R + 1):
+        out += diags[R + d] * xw[R + d : R + d + n]
+        out += diags[R - d] * xw[R - d : R - d + n]
     return out
 
 
 def _solve_kkt_sparse(diags, rhs):
     """Zero-mean solution of the cyclic band bordered by the mean constraint."""
-    n = diags.shape[1]
-    A = scipy.sparse.csc_matrix(_cyclic_coo(diags))
-    c = scipy.sparse.csc_matrix(np.ones((n, 1)) / n)
-    K = scipy.sparse.bmat([[A, c], [c.T, None]], format="csc")
+    import scipy.sparse.linalg
+
+    c = scipy.sparse.coo_matrix(np.ones((diags.shape[1], 1)) / diags.shape[1])
+    K = scipy.sparse.bmat([[_cyclic_coo(diags), c], [c.T, None]], format="csc")
     x = scipy.sparse.linalg.spsolve(K, np.concatenate([rhs, [0.0]]))[:-1]
     return x - x.mean()  # the border holds the mean only to roundoff
 
 
 def _cyclic_coo(diags):
+    import scipy.sparse
+
     R = (diags.shape[0] - 1) // 2
     n = diags.shape[1]
-    rows, cols, vals = [], [], []
-    idx = np.arange(n)
-    for d in range(-R, R + 1):
-        rows.append(idx)
-        cols.append((idx + d) % n)
-        vals.append(diags[R + d])
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    rows = np.tile(np.arange(n), 2 * R + 1)
+    cols = (rows + np.repeat(np.arange(-R, R + 1), n)) % n
+    return scipy.sparse.coo_matrix((diags.ravel(), (rows, cols)), shape=(n, n))
 
 
-@functools.lru_cache(maxsize=16)
-def _fold_maps(n: int, R: int):
-    """(slot, order): where the entries of a cyclic (2R+1, n) band go in the
-    folded, pinned band, and the sites in folded order 0, n-1, 1, n-2, ...
+def _chain_stiffness(diags: np.ndarray) -> np.ndarray:
+    """k(y) = sum_r r sum_{j<r} s_r(y - j) with s_r(i) = -diags[R + r, i],
+    as sum_j T_j(y - j) over the suffix sums T_j = sum_{r>j} r s_r."""
+    R = (diags.shape[0] - 1) // 2
+    T, k = np.zeros((2, diags.shape[1]))
+    for j in range(R - 1, -1, -1):
+        T -= (j + 1) * diags[R + j + 1]
+        k += np.roll(T, j)
+    return k
 
-    The pinned system drops site 0; site order[k] is its row k - 1.  Entry
-    (d, i) of ``diags``, A[i, j] with j = (i + d) % n, is row a of site i
-    and column b of site j.  Lower-triangle entries (a >= b) land in
-    ``slot[d, i]`` of the flattened transpose of LAPACK's (2R+1, n-1)
-    lower band storage ab[a - b, b].  Upper entries and those in site 0's
-    row or column go to the spare slot (n-1) (2R+1).
-    """
-    site = np.arange(n)
-    row = np.where(2 * site < n, 2 * site, 2 * (n - site) - 1) - 1
-    nbr = site + np.arange(-R, R + 1)[:, None]
-    nbr %= n
-    slot = row[nbr]  # column b of each entry, turned into its slot in place
-    del nbr
-    spare = slot > row
-    spare |= slot < 0
-    width = 2 * R + 1
-    slot *= width - 1
-    slot += row
-    slot[spare] = (n - 1) * width
-    return slot.ravel(), np.argsort(row)
+
+def _chain_solve(kinv: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """(x, b.x) for the zero-mean solution x of the NN chain of stiffness 1 / kinv
+    and a zero-mean b, w = kinv / sum(kinv).  The tensions t = c - cumsum(b) solve
+    t(y - 1) - t(y) = b(y); the strains t / k sum to zero when c = w.cumsum(b)."""
+    t = np.cumsum(b)
+    # einsum, not a BLAS dot, whose threads waited up to 8 ms a call on a busy machine
+    t = np.einsum("i,i", t, w) - t
+    e = t * kinv
+    x = np.zeros_like(e)
+    np.cumsum(e[:-1], out=x[1:])
+    x -= x.mean()
+    return x, np.einsum("i,i", t, e)
 
 
 def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Zero-mean x with A x = rhs - mean(rhs), for a symmetric cyclic band
-    A whose kernel is the constants.
-
-    A positive definite on the zero-mean space takes the banded Cholesky
-    solve; any other A (indefinite or singular there) the sparse KKT solve.
-    """
-    R = (diags.shape[0] - 1) // 2
+    """Zero-mean x with A x = rhs - mean(rhs), for a symmetric cyclic band A
+    whose kernel is the constants: CG preconditioned by the band's NN chain,
+    or the sparse KKT fallback (module docstring)."""
     n = diags.shape[1]
-    b = np.asarray(rhs, dtype=float)
-    b = b - b.mean()
-    slot, order = _fold_maps(n, R)
-    width = 2 * R + 1
-    ab = np.bincount(slot, weights=diags.ravel(), minlength=(n - 1) * width + 1)
-    ab = ab[:-1].reshape(n - 1, width).T
-    c, y, info = scipy.linalg.lapack.dpbsv(
-        ab, b[order[1:]], lower=1, overwrite_ab=1, overwrite_b=1
-    )
-    if info > 0:
+    b = np.asarray(rhs, dtype=float) - np.mean(rhs)
+    k = _chain_stiffness(diags)
+    if not (k > 0.0).all():
         return _solve_kkt_sparse(diags, b)
-    x = np.zeros(n)
-    x[order[1:]] = y
-    # Site 0's equation holds only through the column sums of A, which
-    # cancel to roundoff, so its row takes the whole residual.  One
-    # refinement step with the zero-mean residual spreads it over the
-    # constants, which the zero-mean solution does not see.
-    r = b - cyclic_matvec(diags, x)
-    r -= r.mean()
-    band = max(diags.max(), -diags.min())
-    scale = max(1.0, float(np.abs(b).max()), float(band * np.abs(x).max()))
-    if not np.abs(r).max() <= 1e-8 * scale:  # also when r is not finite
-        return _solve_kkt_sparse(diags, b)
-    y, _ = scipy.linalg.lapack.dpbtrs(c, r[order[1:]], lower=1, overwrite_b=1)
-    x[order[1:]] += y
-    x -= x.mean()
-    return x
+    kinv = 1.0 / k
+    w = kinv / kinv.sum()
+    tol = CG_RTOL * np.abs(b).max()
+    x, p = np.zeros((2, n))
+    r = b.copy()
+    rz = np.inf  # the first direction is the preconditioned residual
+    for _ in range(min(4 * n + 20, CG_MAX_ITER)):
+        if np.abs(r).max() <= tol:
+            return x - x.mean()
+        z, rz_new = _chain_solve(kinv, w, r)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+        q = cyclic_matvec(diags, p)
+        pq = np.einsum("i,i", p, q)
+        if not pq > 0.0:
+            break
+        x += (rz / pq) * p
+        r -= (rz / pq) * q
+        r -= r.mean()
+    return _solve_kkt_sparse(diags, b)
 
 
 def _offset_sum(near: np.ndarray, n: int, length: int) -> np.ndarray:

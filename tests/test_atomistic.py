@@ -21,6 +21,7 @@ from hqc import (
     translate,
     uniform_mesh,
 )
+from hqc import linsolve
 from hqc.atomistic import DAMPING_MAX, damped_newton
 from hqc.exceptions import SolverFailure
 from hqc.lattice import primitive_dual_norm
@@ -214,15 +215,32 @@ class TestSolveAtomistic:
         ]
         assert ratios and max(ratios) >= 1.8
 
-    def test_shipped_chain_never_leaves_the_cholesky_path(self, lj, micro):
-        # every Newton Hessian of the lj_1d reference solve is positive
-        # definite on the zero-mean space
-        grid = LatticeGrid(4096, 2)
-        prob = AtomisticProblem(grid, lj, sin_force(grid, 50.0, 1.0))
+    def test_shipped_chain_never_leaves_the_cg_path(self, lj, micro):
+        # every Newton Hessian of the reference solve, at the sizes of lj_1d
+        # and lj_1d_fine, is positive definite on the zero-mean space, and
+        # its nearest-neighbour chain preconditions CG to at most 10
+        # iterations, each one cyclic_matvec call
+        matvec = mock.Mock(wraps=linsolve.cyclic_matvec)
+        iters = []
+
+        def counted(diags, rhs):
+            before = matvec.call_count
+            x = linsolve.solve_cyclic_banded(diags, rhs)
+            iters.append(matvec.call_count - before)
+            return x
+
         fallback = AssertionError("sparse KKT fallback")
-        with mock.patch("hqc.linsolve._solve_kkt_sparse", side_effect=fallback):
-            sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
-        assert sol.residual_dual <= 1e-10
+        for N in (4096, 65536):
+            grid = LatticeGrid(N, 2)
+            prob = AtomisticProblem(grid, lj, sin_force(grid, 50.0, 1.0))
+            with (
+                mock.patch("hqc.linsolve._solve_kkt_sparse", side_effect=fallback),
+                mock.patch("hqc.linsolve.cyclic_matvec", matvec),
+                mock.patch("hqc.atomistic.solve_cyclic_banded", counted),
+            ):
+                sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
+            assert sol.residual_dual <= 1e-10
+        assert iters and 0 < min(iters) and max(iters) <= 10
 
     def test_zero_mean_iterates(self, lj, micro):
         grid = LatticeGrid(128, 2)

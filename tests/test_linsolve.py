@@ -39,7 +39,7 @@ class TestCyclicBanded:
         # own image (r a multiple of n) adds entries +k and -k that cancel
         # only to roundoff of k, which the condition number does not see,
         # so such bonds get no stiffness.  The sparse fallback would hide a
-        # wrong banded solve, so it must not be reached.
+        # wrong or stalled CG solve, so it must not be reached.
         n = data.draw(st.integers(2, 4 * R + 8) | st.sampled_from([64, 129, 256]), label="n")
         rng = np.random.default_rng(seed)
         k = 10.0 ** rng.uniform(-3.0, 3.0, (R, n))
@@ -57,9 +57,9 @@ class TestCyclicBanded:
     @given(data=st.data(), R=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_one_negative_bond_matches_dense_oracle(self, data, R, seed):
         # Depending on its size, one negative bond leaves the band positive
-        # definite on the zero-mean space or makes it indefinite; the
-        # Cholesky solve or its sparse fallback must find the solution
-        # either way.  Bands singular there have no solution to compare.
+        # definite on the zero-mean space or makes it indefinite; CG or its
+        # sparse fallback must find the solution either way.  Bands
+        # singular there have no solution to compare.
         n = data.draw(st.integers(2, 4 * R + 8) | st.sampled_from([64, 129, 256]), label="n")
         rng = np.random.default_rng(seed)
         k = 10.0 ** rng.uniform(-3.0, 3.0, (R, n))
