@@ -10,7 +10,11 @@ Each Jacobian annihilates the constants, and each Newton step is the
 zero-mean solution of its banded system: conjugate gradients
 preconditioned by the Jacobian's nearest-neighbour spring chain, in numpy
 alone, with a sparse scipy solve as the fallback for a Jacobian that is
-not positive definite on the zero-mean space (:mod:`hqc.linsolve`).
+not positive definite on the zero-mean space (:mod:`hqc.linsolve`).  CG
+stops at the relative tolerance of a forcing term (Eisenstat & Walker),
+which tightens as the Newton residual falls.  An evaluation returns the
+gradient and the bond curvatures; the band is built from them only for a
+step, into one buffer per solve.
 Termination is measured in the (-1, inf) dual seminorm of the residual
 functional, matching the error topology of the coarse-graining analysis.
 
@@ -30,7 +34,7 @@ import numpy as np
 
 from .exceptions import DomainError, SolverFailure
 from .lattice import LatticeFn, LatticeGrid, primitive_dual_norm
-from .linsolve import solve_cyclic_banded
+from .linsolve import CG_RTOL, cg_work, solve_cyclic_banded
 from .potentials import PotentialFamily
 
 log = logging.getLogger(__name__)
@@ -68,41 +72,80 @@ class EquilibriumSolution:
     trace: tuple = field(default=(), repr=False)
 
 
-def _grad_hess(prob: AtomisticProblem, u_vals, energy=False):
-    """(energy or None, gradient values, cyclic banded Hessian) at u; the
-    bond law's phi is evaluated only when the energy is asked for.
+#: bond arguments per block of ``_grad_d2``, whose temporaries then stay
+#: small enough (64 KiB each) for malloc to reuse their pages
+EVAL_BLOCK = 8192
 
-    The law is evaluated once over the (R, N) stack of the strains
-    D_{x,r} u, viewed in the stacked (N/p, R, p) layout of
-    :class:`~hqc.potentials.PotentialFamily`.
+
+def _strains(u_vals, start: int, stop: int, R: int, eps: float) -> np.ndarray:
+    """(R, stop - start) stack of the strains D_{x,r} u = (u(x + r eps) - u(x))
+    / (r eps) of the sites start <= x < stop, indices taken cyclically."""
+    n = stop - start
+    uw = np.take(u_vals, np.arange(start, stop + R), mode="wrap")
+    # row r of the window view is u(x + r eps)
+    Z = np.lib.stride_tricks.sliding_window_view(uw, n)[1:] - uw[:n]
+    Z /= np.arange(1, R + 1)[:, None] * eps
+    return Z
+
+
+def _grad_d2(prob: AtomisticProblem, u_vals, energy=False, out=None):
+    """(energy or None, gradient values, bond curvatures) at u: d2[r - 1, x]
+    is the Hessian weight of bond (x, x + r), phi_r''(D_{x,r} u) / (r eps)^2
+    (:func:`_hessian_band` assembles them); the bond law's phi is evaluated
+    only when the energy is asked for.  The gradient and d2 are written
+    into ``out`` = (g, d2) when it is given.
+
+    The law is evaluated over blocks of whole cells of the strain stack,
+    viewed in the stacked (cells, R, p) layout of
+    :class:`~hqc.potentials.PotentialFamily`.  A block also evaluates the
+    ceil(R / p) cells before it, whose bond forces reach its sites.
     """
     grid, family = prob.grid, prob.family
     eps = grid.eps
     N, R, p = grid.N, family.R, family.p
-    # row r of the window view is u(x + r eps)
-    ahead = np.lib.stride_tricks.sliding_window_view(np.concatenate([u_vals, u_vals[:R]]), N)
-    Z = ahead[1:] - u_vals
-    Z /= np.arange(1, R + 1)[:, None] * eps
-    cells = Z.reshape(R, N // p, p).transpose(1, 0, 2)
-    bad = ~family.admissible(cells)
-    if bad.any():
-        shell, site = np.argwhere(bad.transpose(1, 0, 2).reshape(R, N))[0]
-        raise DomainError(f"inadmissible bond at site {site + 1}, shell r={shell + 1}")
+    scale = np.arange(1, R + 1)[:, None] * eps
+    ghost = -(-R // p) * p
+    size = max(1, EVAL_BLOCK // (R * p)) * p
     orders = (0, 1, 2) if energy else (1, 2)
-    stacks = [b.transpose(1, 0, 2).reshape(R, N) for b in family.bonds(cells, *orders)]
-    E = float(stacks.pop(0).mean(axis=1).sum()) if energy else None
-    del Z, cells  # lowers the transient memory peak at large N
-    d1, d2 = stacks
-    g = np.zeros(N)
-    diags = np.zeros((2 * R + 1, N))
-    for r, w, d in zip(range(1, R + 1), d1, d2):
-        g += (np.roll(w, r) - w) / (r * eps)
-        d = d / (r * eps) ** 2
-        d_shift = np.roll(d, r)  # value d(x - r eps)
-        diags[R] += d + d_shift
-        diags[R + r] += -d
-        diags[R - r] += -d_shift
-    return E, g, diags
+    E = 0.0 if energy else None
+    g, d2 = (np.empty(N), np.empty((R, N))) if out is None else out
+    for a in range(0, N, size):
+        b = min(a + size, N)
+        n = b - a + ghost
+        cells = _strains(u_vals, a - ghost, b, R, eps).reshape(R, n // p, p).transpose(1, 0, 2)
+        if not family.admissible(cells).all():
+            Z = _strains(u_vals, 0, N, R, eps).reshape(R, N // p, p).transpose(1, 0, 2)
+            bad = ~family.admissible(Z).transpose(1, 0, 2).reshape(R, N)
+            shell, site = np.argwhere(bad)[0]
+            raise DomainError(f"inadmissible bond at site {site + 1}, shell r={shell + 1}")
+        stacks = [s.transpose(1, 0, 2).reshape(R, n) for s in family.bonds(cells, *orders)]
+        if energy:
+            E += float(stacks.pop(0)[:, ghost:].sum()) / N
+        w, c = stacks  # bond forces phi_r' and curvatures phi_r''
+        w /= scale
+        # g(x) = sum_r (w_r(x - r eps) - w_r(x)) / (r eps) over the block's sites
+        gb = np.subtract(w[0, ghost - 1 : n - 1], w[0, ghost:], out=g[a:b])
+        for r in range(2, R + 1):
+            gb += w[r - 1, ghost - r : n - r]
+            gb -= w[r - 1, ghost:]
+        np.divide(c[:, ghost:], scale * scale, out=d2[:, a:b])
+    return E, g, d2
+
+
+def _hessian_band(d2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The cyclic band (2R+1, N) of the Hessian whose bond (x, x + r eps)
+    has weight d2[r - 1, x], written into ``out``."""
+    R, N = d2.shape
+    out[R] = 0.0
+    for r, d in enumerate(d2, 1):
+        s = r % N
+        up, down = out[R + r], out[R - r]
+        np.negative(d, out=up)  # A[x, x + r] = -d(x)
+        down[s:] = up[: N - s]  # A[x, x - r] = -d(x - r)
+        down[:s] = up[N - s :]
+        out[R] -= up
+        out[R] -= down
+    return out
 
 
 def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
@@ -112,8 +155,8 @@ def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
     Hessian is returned as cyclic diagonals of shape (2R+1, N) with
     halfwidth R (see :mod:`hqc.linsolve`).
     """
-    E, g, diags = _grad_hess(prob, u.values, energy=True)
-    return E, u.with_values(g), diags
+    E, g, d2 = _grad_d2(prob, u.values, energy=True)
+    return E, u.with_values(g), _hessian_band(d2, np.empty((2 * d2.shape[0] + 1, d2.shape[1])))
 
 
 #: step halvings ``damped_newton`` tries before giving up on a Newton step
@@ -128,7 +171,10 @@ def damped_newton(evaluate, step, x, tol, max_iter, name):
     ``evaluate(x)`` returns ``(x, state, norm)``: the possibly projected
     iterate, whatever ``step`` needs and the residual norm, which decides
     termination and is recorded in the trace.  ``step(x, state)`` returns
-    the Newton direction.  A DomainError from evaluating the start is
+    the Newton direction.  A state is read only by the call of ``step``
+    that follows its evaluation, before the next evaluation, and the one
+    returned is the last evaluated, so evaluations may reuse the buffers of
+    earlier states.  A DomainError from evaluating the start is
     re-raised as ``"{name} Newton: inadmissible start: ..."``.
     A trial point is accepted when its norm drops below the current one;
     otherwise, or when evaluating it raises DomainError or SolverFailure,
@@ -176,6 +222,25 @@ def damped_newton(evaluate, step, x, tol, max_iter, name):
     return x, state, trace
 
 
+#: CG tolerance of the first atomistic Newton step, and the cap of every one
+ETA_0, ETA_MAX = 1e-3, 1e-2
+
+
+def forcing_term(res: float, res_prev: float | None, tol: float) -> float:
+    """CG tolerance of the atomistic Newton step at residual ``res``, after a
+    step from residual ``res_prev`` (None for the first step).
+
+    Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput. 17(1), 1996),
+    0.9 (res / res_prev)^2, starting at ETA_0 and capped at ETA_MAX; their
+    safeguard 0.9 eta_prev^2 acts only above 0.1, which the cap excludes.
+    It is kept at least 0.5 tol / res, so that a step that brings the
+    residual below tol is not solved further (Kelley, Iterative Methods for
+    Linear and Nonlinear Equations, SIAM 1995, 6.3), and at least CG_RTOL.
+    """
+    eta = ETA_0 if res_prev is None else 0.9 * (res / res_prev) ** 2
+    return max(min(ETA_MAX, max(eta, 0.5 * tol / res)), CG_RTOL)
+
+
 def solve_atomistic(
     prob: AtomisticProblem,
     u_init: LatticeFn | None = None,
@@ -186,24 +251,42 @@ def solve_atomistic(
     ``u_init`` (zero by default) projected to zero mean.
 
     Each step is the zero-mean solution of the cyclic banded Newton system
-    by preconditioned CG, or by the sparse fallback when the Jacobian is
-    not positive definite on the zero-mean space
-    (:func:`hqc.linsolve.solve_cyclic_banded`); backtracking halves the
-    step on residual increase or on a domain error (:func:`damped_newton`).
+    by preconditioned CG to the relative tolerance :func:`forcing_term`,
+    or by the sparse fallback when the Jacobian is not positive definite
+    on the zero-mean space (:func:`hqc.linsolve.solve_cyclic_banded`).
+    The gradient, the bond curvatures, the band and the CG vectors are
+    allocated once per solve, and the band is built only for a step: an
+    evaluation keeps the curvatures, so the final one and every rejected
+    trial build none.  Backtracking halves
+    the step on residual increase or on a domain error
+    (:func:`damped_newton`).
     """
     grid = prob.grid
     f = prob.force.values
     f = f - f.mean()  # construction projects only a mean above 1e-12
+    # a state is read only by the step that follows it, before the next
+    # evaluation (damped_newton), so every evaluation writes into one
+    # gradient and one curvature buffer
+    R, N = prob.family.R, grid.N
+    evaluated = (np.empty(N), np.empty((R, N)))
+    band = np.empty((2 * R + 1, N))
+    work = cg_work(band)
+    res_prev = None
 
     def evaluate(u_vals):
         u_vals = u_vals - u_vals.mean()
-        _, g, diags = _grad_hess(prob, u_vals)
-        rho = g - f
-        return u_vals, (rho, diags), primitive_dual_norm(rho - rho.mean(), grid.eps)
+        _, rho, d2 = _grad_d2(prob, u_vals, out=evaluated)
+        rho -= f
+        rho -= rho.mean()
+        res = primitive_dual_norm(rho, grid.eps)
+        return u_vals, (rho, d2, res), res
 
     def step(_u, state):
-        rho, diags = state
-        return solve_cyclic_banded(diags, -rho)
+        nonlocal res_prev
+        rho, d2, res = state
+        eta = forcing_term(res, res_prev, tol)
+        res_prev = res
+        return solve_cyclic_banded(_hessian_band(d2, band), -rho, rtol=eta, work=work)
 
     u0 = np.zeros(grid.N) if u_init is None else u_init.values
     u, _, trace = damped_newton(evaluate, step, u0, tol, max_iter, "atomistic")

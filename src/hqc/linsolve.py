@@ -19,11 +19,15 @@ it spans, with weight r s_r, gives the preconditioner: the NN chain of
 stiffness k(y) = sum_r r sum_{j<r} s_r(y - j), which agrees with A under a
 uniform strain.  Its solve is two prefix sums, for a zero-mean b, so the
 CG residual r is projected to zero mean after every update.  CG stops at
-max|r| <= ``CG_RTOL`` max|b|.  Some k(y) <= 0, a direction with p.Ap <= 0
-or not finite, or no convergence in min(4 N + 20, ``CG_MAX_ITER``)
-iterations hands the band to a sparse KKT solve bordered by the zero-mean
-constraint, which also serves bands not positive definite there: hqc's
-only use of scipy, imported on first use.
+max|r| <= rtol max|b|, for the caller's rtol but never below ``CG_RTOL``,
+its default; the atomistic Newton step passes a forcing term
+(:func:`hqc.atomistic.forcing_term`).  The vectors of the iteration live
+in one work block (``cg_work``), which a caller may reuse across solves,
+and are updated in place, so an iteration allocates none.  Some k(y) <= 0,
+a direction with p.Ap <= 0 or not finite, or no convergence in
+min(4 N + 20, ``CG_MAX_ITER``) iterations hands the band to a sparse KKT
+solve bordered by the zero-mean constraint, which also serves bands not
+positive definite there: hqc's only use of scipy, imported on first use.
 
 A 2D operator is a bond list: bonds ``((r1, r2), C)`` whose (c1, c2)
 array C holds, per site s of the cell, the stiffness of the bond from s to
@@ -45,23 +49,24 @@ import numpy.fft  # numpy loads it on first access, which would be in a 2D study
 from .exceptions import SolverFailure
 
 
-CG_RTOL = 1e-14  #: CG stops at max|r| <= CG_RTOL max|b|, r the zero-mean residual
+CG_RTOL = 1e-14  #: the least and the default rtol of ``solve_cyclic_banded``
 #: caps CG at min(4 N + 20, CG_MAX_ITER) iterations; shipped chains take <= 10,
 #: random bands up to 2.4 N, and an iteration at N = 65536 about 1 ms
 CG_MAX_ITER = 1000
 
 
+def _band_product(diags: np.ndarray, xw: np.ndarray, out=None) -> np.ndarray:
+    """A x for the cyclic band ``diags`` from the wrapped copy xw of x,
+    xw[j] = x((j - R) mod n) for j < n + 2R: row R + d of the band meets
+    the window xw[R + d : R + d + n]."""
+    windows = np.lib.stride_tricks.sliding_window_view(xw, diags.shape[1])
+    return np.einsum("ij,ij->j", diags, windows, out=out)
+
+
 def cyclic_matvec(diags: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for the cyclic band ``diags``, from slices of one wrapped copy of x
-    (by np.pad, which costs more, only for a band longer than the period)."""
+    """A x for the cyclic band ``diags``."""
     R = (diags.shape[0] - 1) // 2
-    n = diags.shape[1]
-    xw = np.concatenate((x[n - R :], x, x[:R])) if R <= n else np.pad(x, R, mode="wrap")
-    out = diags[R] * x
-    for d in range(1, R + 1):
-        out += diags[R + d] * xw[R + d : R + d + n]
-        out += diags[R - d] * xw[R - d : R - d + n]
-    return out
+    return _band_product(diags, np.take(x, np.arange(-R, x.size + R), mode="wrap"))
 
 
 def _solve_kkt_sparse(diags, rhs):
@@ -84,61 +89,86 @@ def _cyclic_coo(diags):
     return scipy.sparse.coo_matrix((diags.ravel(), (rows, cols)), shape=(n, n))
 
 
-def _chain_stiffness(diags: np.ndarray) -> np.ndarray:
+def _chain_stiffness(diags: np.ndarray, k: np.ndarray, T: np.ndarray, tmp: np.ndarray):
     """k(y) = sum_r r sum_{j<r} s_r(y - j) with s_r(i) = -diags[R + r, i],
-    as sum_j T_j(y - j) over the suffix sums T_j = sum_{r>j} r s_r."""
+    as sum_j T_j(y - j) over the suffix sums T_j = sum_{r>j} r s_r; written
+    into k, with T and tmp as scratch."""
     R = (diags.shape[0] - 1) // 2
-    T, k = np.zeros((2, diags.shape[1]))
+    n = diags.shape[1]
+    k.fill(0.0)
+    T.fill(0.0)
     for j in range(R - 1, -1, -1):
-        T -= (j + 1) * diags[R + j + 1]
-        k += np.roll(T, j)
+        T -= np.multiply(diags[R + j + 1], j + 1, out=tmp)
+        s = j % n  # k += np.roll(T, j)
+        k[s:] += T[: n - s]
+        k[:s] += T[n - s :]
     return k
 
 
-def _chain_solve(kinv: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """(x, b.x) for the zero-mean solution x of the NN chain of stiffness 1 / kinv
-    and a zero-mean b, w = kinv / sum(kinv).  The tensions t = c - cumsum(b) solve
-    t(y - 1) - t(y) = b(y); the strains t / k sum to zero when c = w.cumsum(b)."""
-    t = np.cumsum(b)
+def _chain_solve(kinv, ksum, b, z, e):
+    """b.z for the zero-mean solution z of the NN chain of stiffness 1 / kinv
+    and a zero-mean b, written into z, with e as scratch; ksum = sum(kinv).
+    The tensions t = c - cumsum(b) solve t(y - 1) - t(y) = b(y); the strains
+    e = t kinv sum to zero when c = kinv.cumsum(b) / ksum."""
+    t = np.cumsum(b, out=z)
     # einsum, not a BLAS dot, whose threads waited up to 8 ms a call on a busy machine
-    t = np.einsum("i,i", t, w) - t
-    e = t * kinv
-    x = np.zeros_like(e)
-    np.cumsum(e[:-1], out=x[1:])
-    x -= x.mean()
-    return x, np.einsum("i,i", t, e)
+    np.subtract(np.einsum("i,i", t, kinv) / ksum, t, out=t)
+    np.multiply(t, kinv, out=e)
+    bz = np.einsum("i,i", t, e)
+    z[0] = 0.0
+    np.cumsum(e[:-1], out=z[1:])
+    z -= z.mean()
+    return bz
 
 
-def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def cg_work(diags: np.ndarray) -> np.ndarray:
+    """An uninitialised work block for ``solve_cyclic_banded`` on bands of
+    the shape of ``diags``."""
+    R = (diags.shape[0] - 1) // 2
+    return np.empty((6, diags.shape[1] + 2 * R))
+
+
+def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray, rtol: float = CG_RTOL, work=None):
     """Zero-mean x with A x = rhs - mean(rhs), for a symmetric cyclic band A
     whose kernel is the constants: CG preconditioned by the band's NN chain,
-    or the sparse KKT fallback (module docstring)."""
+    stopped at max|r| <= max(rtol, CG_RTOL) max|b|, or the sparse KKT
+    fallback (module docstring).  Every vector of the iteration lives in
+    ``work``, a block from :func:`cg_work` that a caller may reuse across
+    solves; a new one is made when it is None."""
+    R = (diags.shape[0] - 1) // 2
     n = diags.shape[1]
-    b = np.asarray(rhs, dtype=float) - np.mean(rhs)
-    k = _chain_stiffness(diags)
-    if not (k > 0.0).all():
-        return _solve_kkt_sparse(diags, b)
-    kinv = 1.0 / k
-    w = kinv / kinv.sum()
-    tol = CG_RTOL * np.abs(b).max()
-    x, p = np.zeros((2, n))
-    r = b.copy()
+    rhs = np.asarray(rhs, dtype=float)
+    if work is None:
+        work = cg_work(diags)
+    pw = work[0]  # p with its wrapped halo, for _band_product
+    p, x, r, q, z, kinv = (v[R : R + n] for v in work)
+    if not _chain_stiffness(diags, kinv, z, q).min() > 0.0:
+        return _solve_kkt_sparse(diags, rhs - rhs.mean())
+    np.reciprocal(kinv, out=kinv)
+    ksum = kinv.sum()
+    np.subtract(rhs, rhs.mean(), out=r)
+    tol = max(rtol, CG_RTOL) * max(r.max(), -r.min())
+    x.fill(0.0)
+    pw.fill(0.0)
+    lead, trail = np.arange(-R, 0), np.arange(R)
     rz = np.inf  # the first direction is the preconditioned residual
     for _ in range(min(4 * n + 20, CG_MAX_ITER)):
-        if np.abs(r).max() <= tol:
+        if max(r.max(), -r.min()) <= tol:
             return x - x.mean()
-        z, rz_new = _chain_solve(kinv, w, r)
+        rz_new = _chain_solve(kinv, ksum, r, z, q)
         p *= rz_new / rz
         p += z
         rz = rz_new
-        q = cyclic_matvec(diags, p)
+        np.take(p, lead, out=pw[:R], mode="wrap")
+        np.take(p, trail, out=pw[R + n :], mode="wrap")
+        _band_product(diags, pw, out=q)
         pq = np.einsum("i,i", p, q)
         if not pq > 0.0:
             break
-        x += (rz / pq) * p
-        r -= (rz / pq) * q
+        x += np.multiply(p, rz / pq, out=z)
+        r -= np.multiply(q, rz / pq, out=z)
         r -= r.mean()
-    return _solve_kkt_sparse(diags, b)
+    return _solve_kkt_sparse(diags, rhs - rhs.mean())
 
 
 def _offset_sum(near: np.ndarray, n: int, length: int) -> np.ndarray:

@@ -159,17 +159,17 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _reference_solution(cfg, grid, family, u_init, out_dir, use_cache):
-    """Atomistic reference displacement (disk-cached by config hash), solved
-    by Newton from the lattice function ``u_init``."""
+def _reference_solution(cfg, family, f, u_init, out_dir, use_cache):
+    """Atomistic reference displacement under the force ``f`` of
+    :func:`setup_1d` (disk-cached by config hash), solved by Newton from the
+    lattice function ``u_init``."""
     path = None
     if out_dir is not None:
         path = Path(out_dir) / "cache" / f"ref_{config_hash(cfg)}.txt"
         if use_cache and path.exists():
             log.info("reference loaded from %s", path)
             return load_lattice_fn(path)
-    force = sin_force(grid, cfg.force_amplitude, cfg.force_phase)
-    prob = AtomisticProblem(grid, family, force)
+    prob = AtomisticProblem(f.grid, family, f)
     sol = solve_atomistic(
         prob, u_init=u_init, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
     )
@@ -247,7 +247,7 @@ def run_study(
     clock = time.perf_counter if timing else None
 
     done = _coarse_rows(cfg, grid, law, F, f, c0_inv, clock)
-    u_ref = _reference_solution(cfg, grid, family, done[-1][1], out_dir, use_cache)
+    u_ref = _reference_solution(cfg, family, f, done[-1][1], out_dir, use_cache)
     rows = []
     for row, uc in done:
         diff = LatticeFn(grid, uc.values - u_ref.values)

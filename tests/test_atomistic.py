@@ -21,8 +21,10 @@ from hqc import (
     translate,
     uniform_mesh,
 )
-from hqc import linsolve
-from hqc.atomistic import DAMPING_MAX, damped_newton
+import tracemalloc
+
+from hqc import atomistic, linsolve
+from hqc.atomistic import DAMPING_MAX, ETA_0, ETA_MAX, damped_newton, forcing_term
 from hqc.exceptions import SolverFailure
 from hqc.lattice import primitive_dual_norm
 from hqc.study import microstructure_start, sin_force
@@ -219,28 +221,31 @@ class TestSolveAtomistic:
         # every Newton Hessian of the reference solve, at the sizes of lj_1d
         # and lj_1d_fine, is positive definite on the zero-mean space, and
         # its nearest-neighbour chain preconditions CG to at most 10
-        # iterations, each one cyclic_matvec call
-        matvec = mock.Mock(wraps=linsolve.cyclic_matvec)
+        # iterations, each one band product; with the forcing term a cold
+        # solve takes at most 16 in all (27-29 at full accuracy)
+        product = mock.Mock(wraps=linsolve._band_product)
         iters = []
 
-        def counted(diags, rhs):
-            before = matvec.call_count
-            x = linsolve.solve_cyclic_banded(diags, rhs)
-            iters.append(matvec.call_count - before)
+        def counted(diags, rhs, **kw):
+            before = product.call_count
+            x = linsolve.solve_cyclic_banded(diags, rhs, **kw)
+            iters.append(product.call_count - before)
             return x
 
         fallback = AssertionError("sparse KKT fallback")
         for N in (4096, 65536):
             grid = LatticeGrid(N, 2)
             prob = AtomisticProblem(grid, lj, sin_force(grid, 50.0, 1.0))
+            iters.clear()
             with (
                 mock.patch("hqc.linsolve._solve_kkt_sparse", side_effect=fallback),
-                mock.patch("hqc.linsolve.cyclic_matvec", matvec),
+                mock.patch("hqc.linsolve._band_product", product),
                 mock.patch("hqc.atomistic.solve_cyclic_banded", counted),
             ):
                 sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
             assert sol.residual_dual <= 1e-10
-        assert iters and 0 < min(iters) and max(iters) <= 10
+            assert iters and 0 < min(iters) and max(iters) <= 10
+            assert sum(iters) <= 16
 
     def test_zero_mean_iterates(self, lj, micro):
         grid = LatticeGrid(128, 2)
@@ -290,6 +295,77 @@ class TestSolveAtomistic:
             sol = solve_coarse(law, uniform_mesh(grid, grid.N), F)
             ratios.append(seminorm(sol.u.to_lattice(), 2, np.inf) / seminorm(F.f, 0, np.inf))
         assert max(ratios) / min(ratios) < 1.1
+
+
+class TestInexactNewton:
+    """Each Newton step solves CG to the forcing term, builds the Hessian
+    band into one buffer, and allocates no band for an evaluation."""
+
+    def test_forcing_term(self):
+        tol = 1e-10
+        assert forcing_term(1.0, None, tol) == ETA_0
+        assert forcing_term(1e-3, 1e-2, tol) == pytest.approx(0.9e-2)
+        assert forcing_term(1.0, 1.5, tol) == ETA_MAX
+        # no oversolving near tol, within the cap
+        assert forcing_term(1e-8, 1e-4, tol) == pytest.approx(0.5e-2)
+        assert forcing_term(2e-10, 1e-4, tol) == ETA_MAX
+        assert forcing_term(1e-6, 1e30, 0.0) == linsolve.CG_RTOL
+
+    @pytest.mark.parametrize("amplitude, phase", [(50.0, 1.0), (50.0, 2.3), (90.0, 1.0)])
+    def test_forcing_term_keeps_newton_steps_and_solution(self, lj, micro, amplitude, phase):
+        grid = LatticeGrid(4096, 2)
+        prob = AtomisticProblem(grid, lj, sin_force(grid, amplitude, phase))
+        u0 = microstructure_start(grid, micro)
+        sol = solve_atomistic(prob, u_init=u0)
+        with mock.patch("hqc.atomistic.forcing_term", return_value=linsolve.CG_RTOL):
+            full = solve_atomistic(prob, u_init=u0)
+        assert sol.iterations == full.iterations
+        assert sol.residual_dual <= 1e-10
+        diff = LatticeFn(grid, sol.u.values - full.u.values)
+        assert seminorm(diff, 1, np.inf) <= 1e-9 * seminorm(full.u, 1, np.inf)
+
+    def test_band_built_once_per_newton_step(self, lj, micro):
+        # amplitude 170 takes damped steps, so some trials are rejected
+        grid = LatticeGrid(1024, 2)
+        prob = AtomisticProblem(grid, lj, sin_force(grid, 170.0, 1.0))
+        band = mock.Mock(wraps=atomistic._hessian_band)
+        evals = mock.Mock(wraps=atomistic._grad_d2)
+        with mock.patch.object(atomistic, "_hessian_band", band), mock.patch.object(
+            atomistic, "_grad_d2", evals
+        ):
+            sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
+        assert any(t < 1.0 for _, _, t in sol.trace[1:])
+        assert evals.call_count > sol.iterations + 1
+        assert band.call_count == sol.iterations
+        assert len({id(c.args[1]) for c in band.call_args_list}) == 1
+
+    def test_memory_peak_at_65536_sites(self, lj, micro):
+        # the peak of traced allocations, in vectors of N doubles: 30.4 with
+        # a fresh band and fresh CG temporaries for every step, 22.05 with one
+        # gradient, curvature, band and CG work buffer per solve and the bond
+        # law evaluated by blocks (36.0 in one block); the bound leaves one
+        # vector of margin
+        N = 65536
+        grid = LatticeGrid(N, 2)
+        prob = AtomisticProblem(grid, lj, sin_force(grid, 50.0, 1.0))
+        u0 = microstructure_start(grid, micro)
+        tracemalloc.start()
+        try:
+            solve_atomistic(prob, u_init=u0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * N) <= 23.0
+
+    @pytest.mark.parametrize("phase", [1.0, 2.3])
+    def test_outcomes_of_cold_solves(self, lj, micro, phase):
+        grid = LatticeGrid(1024, 2)
+        u0 = microstructure_start(grid, micro)
+        for amplitude in (10.0, 50.0, 90.0):
+            prob = AtomisticProblem(grid, lj, sin_force(grid, amplitude, phase))
+            assert solve_atomistic(prob, u_init=u0).residual_dual <= 1e-10
+        with pytest.raises(SolverFailure):
+            solve_atomistic(AtomisticProblem(grid, lj, sin_force(grid, 100.0, phase)), u_init=u0)
 
 
 class TestSolveHomogenizedFull:

@@ -24,7 +24,7 @@ from hqc import (
 from hqc.cli import main
 from hqc.config import parse_config, parse_config_text
 from hqc.exceptions import SolverFailure
-from hqc.study import build_family, microstructure_start, write_rows_csv
+from hqc.study import build_family, microstructure_start, sin_force, write_rows_csv
 
 BASE_1D = """
 problem.kind = 1d
@@ -252,9 +252,12 @@ class TestReferenceStart:
     must reach the equilibrium that the cold start reaches."""
 
     def test_starts_from_last_corrector_in_at_most_3_steps(self, lj_1d_reference, N, phase):
-        _cfg, corrected, (_prob, kw, sol) = lj_1d_reference(N, phase)
+        cfg, corrected, (prob, kw, sol) = lj_1d_reference(N, phase)
         assert np.array_equal(kw["u_init"].values, corrected[-1].values)
         assert sol.iterations <= 3
+        # the reference takes the study's own force, which is the config's
+        f = sin_force(prob.grid, cfg.force_amplitude, cfg.force_phase)
+        assert np.array_equal(prob.force.values, f.values)
 
     def test_agrees_with_cold_start(self, lj_1d_reference, N, phase):
         cfg, _corrected, (prob, _kw, sol) = lj_1d_reference(N, phase)
