@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or ./out)")
         if name == "study":
             cp.add_argument("--no-cache", action="store_true",
-                            help="ignore cached reference solutions")
+                            help="neither read nor write the cached atomistic reference")
         if name in ("study", "study2d"):
             cp.add_argument("--timing", action="store_true",
                             help="record wall-clock times in CSV rows")

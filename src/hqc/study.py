@@ -3,12 +3,14 @@ CSV/SVG artifacts, and slope fitting.
 
 A study solves the coarse problem on every mesh of the schedule, applies
 the corrector, and measures the post-processed solution against a single
-atomistic reference (cached on disk, keyed by the config hash).  The
-meshes are solved in order by nested iteration: each coarse solve after the
-first starts from the previous row's solution, its nodal values
-interpolated onto the new mesh and each element's cell problem started
-from the cell field of the old element containing it, or cold where that
-field is inadmissible at the new strain (``solve_coarse(init=...)``).
+atomistic reference.  With an output directory the reference is cached on
+disk, keyed by the config hash, unless the cache is switched off; then it
+is neither read nor written.  The meshes are solved in order by nested
+iteration: each coarse solve after the first starts from the previous
+row's solution, its nodal values interpolated onto the new mesh and each
+element's cell problem started from the cell field of the old element
+containing it, or cold where that field is inadmissible at the new strain
+(``solve_coarse(init=...)``).
 Uniform schedules and ``adapt_mesh`` both refine, so the start is the
 previous solution itself; ``newton_iters`` counts the outer iterations
 from it.
@@ -154,19 +156,23 @@ def require_dominance(margin: float) -> None:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
+    """Key of a config's cached reference.  The ``mesh.*`` keys count: the
+    reference's Newton start is the last row's corrected solution, so its
+    last digits depend on the schedule."""
     keys = sorted(cfg.raw.items())
-    blob = "\n".join(f"{k}={v}" for k, v in keys if not k.startswith(("mesh.", "output.")))
+    blob = "\n".join(f"{k}={v}" for k, v in keys if not k.startswith("output."))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _reference_solution(cfg, family, f, u_init, out_dir, use_cache):
     """Atomistic reference displacement under the force ``f`` of
-    :func:`setup_1d` (disk-cached by config hash), solved by Newton from the
-    lattice function ``u_init``."""
+    :func:`setup_1d`, solved by Newton from the lattice function ``u_init``;
+    with an output directory and ``use_cache``, read from and written to a
+    cache file keyed by :func:`config_hash`."""
     path = None
-    if out_dir is not None:
+    if out_dir is not None and use_cache:
         path = Path(out_dir) / "cache" / f"ref_{config_hash(cfg)}.txt"
-        if use_cache and path.exists():
+        if path.exists():
             log.info("reference loaded from %s", path)
             return load_lattice_fn(path)
     prob = AtomisticProblem(f.grid, family, f)
@@ -233,10 +239,13 @@ def run_study(
     Solves every coarse row first, then the atomistic reference from the
     last row's corrected solution, then measures each row's error against
     it; a failure in a coarse row raises before the reference is solved or
-    cached.  With an output directory, writes study.csv, study.svg and the
-    cached reference solution.  Raises ConfigError for a config without
-    ``mesh.schedule``, StabilityError when the nearest-neighbor dominance
-    margin of the configured family is not positive.
+    cached.  With an output directory, writes study.csv and study.svg; with
+    ``use_cache`` too, it loads the reference from ``cache/`` there when a
+    run of the same config left it, and writes it there otherwise.  With
+    ``use_cache=False`` the cache is neither read nor written.  Raises
+    ConfigError for a config without ``mesh.schedule``, StabilityError when
+    the nearest-neighbor dominance margin of the configured family is not
+    positive.
     """
     if not (cfg.adaptive or cfg.mesh_schedule):
         raise ConfigError("a 1D study needs mesh.schedule (node counts or adaptive)")

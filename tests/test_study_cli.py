@@ -10,6 +10,8 @@ from hqc import (
     ConfigError,
     ForceFunctional,
     HomogenizedLaw,
+    LatticeFn,
+    LatticeGrid,
     StudyRow,
     build_config,
     corrector,
@@ -24,7 +26,14 @@ from hqc import (
 from hqc.cli import main
 from hqc.config import parse_config, parse_config_text
 from hqc.exceptions import SolverFailure
-from hqc.study import build_family, microstructure_start, sin_force, write_rows_csv
+from hqc.io import save_lattice_fn
+from hqc.study import (
+    build_family,
+    config_hash,
+    microstructure_start,
+    sin_force,
+    write_rows_csv,
+)
 
 BASE_1D = """
 problem.kind = 1d
@@ -144,13 +153,50 @@ class TestRunStudy:
         assert (out1 / "study.csv").read_bytes() == (out2 / "study.csv").read_bytes()
         assert (out1 / "study.svg").exists()
 
-    def test_reference_cache_reused(self, tmp_path):
+    def test_reference_cache_reused(self, tmp_path, monkeypatch):
+        import hqc.study
+
         cfg = cfg_1d()
         rows1 = run_study(cfg, out_dir=tmp_path)
         cached = list((tmp_path / "cache").glob("ref_*.txt"))
         assert len(cached) == 1
+        reference = mock.Mock(side_effect=solve_atomistic)
+        monkeypatch.setattr(hqc.study, "solve_atomistic", reference)
         rows2 = run_study(cfg, out_dir=tmp_path)
+        reference.assert_not_called()
         assert rows1 == rows2
+
+    def test_cache_key_includes_the_schedule(self, tmp_path):
+        for cfg in (cfg_1d("mesh.schedule = 4, 8, 16\n"), cfg_1d()):
+            assert run_study(cfg, out_dir=tmp_path) == run_study(cfg)
+        assert len(list((tmp_path / "cache").glob("ref_*.txt"))) == 2
+
+    def test_no_cache_writes_only_the_study(self, tmp_path, monkeypatch):
+        import hqc.study
+
+        cfg = cfg_1d()
+        run_study(cfg, out_dir=tmp_path / "cached")
+        fresh = run_study(cfg)
+        save, load = mock.Mock(), mock.Mock()
+        monkeypatch.setattr(hqc.study, "save_lattice_fn", save)
+        monkeypatch.setattr(hqc.study, "load_lattice_fn", load)
+        out = tmp_path / "nocache"
+        assert run_study(cfg, out_dir=out, use_cache=False) == fresh
+        save.assert_not_called()
+        load.assert_not_called()
+        assert sorted(p.name for p in out.iterdir()) == ["study.csv", "study.svg"]
+        csv = (out / "study.csv").read_bytes()
+        assert csv == (tmp_path / "cached" / "study.csv").read_bytes()
+
+    def test_no_cache_ignores_a_planted_reference(self, tmp_path):
+        cfg = cfg_1d()
+        fresh = run_study(cfg)
+        path = tmp_path / "cache" / f"ref_{config_hash(cfg)}.txt"
+        path.parent.mkdir()
+        save_lattice_fn(path, LatticeFn(LatticeGrid(cfg.N, cfg.p), np.zeros(cfg.N)))
+        assert run_study(cfg, out_dir=tmp_path, use_cache=False) == fresh
+        # the plant sits where a cached run reads its reference
+        assert run_study(cfg, out_dir=tmp_path) != fresh
 
     def test_exact_summation_quadrature_column_zero(self, tmp_path):
         rows = run_study(cfg_1d(), out_dir=tmp_path)
