@@ -5,24 +5,24 @@
     <dE(u), v> = <f, v>   for all zero-mean v,
 
 where E(u) = < sum_r phi_r(D_r u; .) > is the multilattice energy, by a
-damped Newton iteration with cyclic banded Jacobians of halfwidth R.
-Each Jacobian annihilates the constants, and each Newton step is the
-zero-mean solution of its banded system: conjugate gradients
-preconditioned by the Jacobian's nearest-neighbour spring chain, in numpy
-alone, with a sparse scipy solve as the fallback for a Jacobian that is
-not positive definite on the zero-mean space (:mod:`hqc.linsolve`).  CG
-stops at the relative tolerance of a forcing term (Eisenstat & Walker),
-which tightens as the Newton residual falls.  An evaluation returns the
-gradient and the bond curvatures; the band is built from them only for a
-step, into one buffer per solve.
+damped Newton iteration.  Its Jacobian is a sum of springs,
+sum_r D_r^T diag(phi_r'') D_r over the bonds of range r <= R, so an
+evaluation returns the gradient and the (R, N) spring stack of bond
+curvatures, and each Newton step is the zero-mean solution of those
+springs (:mod:`hqc.linsolve`): conjugate gradients preconditioned by their
+nearest-neighbour chain, in numpy alone, with a sparse scipy solve as the
+fallback for a Jacobian that is not positive definite on the zero-mean
+space.  CG stops at the relative tolerance of a forcing term (Eisenstat &
+Walker), which tightens as the Newton residual falls.
 Termination is measured in the (-1, inf) dual seminorm of the residual
 functional, matching the error topology of the coarse-graining analysis.
 
 ``damped_newton`` is the residual-backtracking Newton loop of three
 solvers: ``solve_atomistic``, :func:`hqc.coarse.solve_coarse` and the
 batched cell solve :func:`hqc.microhom.newton_cells`; each supplies only
-its residual evaluation, termination norm and Newton step.  The homogenized problem on the full lattice is
-``solve_coarse`` on the mesh whose nodes are all N sites.
+its residual evaluation, termination norm and Newton step.  The
+homogenized problem on the full lattice is ``solve_coarse`` on the mesh
+whose nodes are all N sites.
 """
 
 from __future__ import annotations
@@ -90,10 +90,10 @@ def _strains(u_vals, start: int, stop: int, R: int, eps: float) -> np.ndarray:
 
 def _grad_d2(prob: AtomisticProblem, u_vals, energy=False, out=None):
     """(energy or None, gradient values, bond curvatures) at u: d2[r - 1, x]
-    is the Hessian weight of bond (x, x + r), phi_r''(D_{x,r} u) / (r eps)^2
-    (:func:`_hessian_band` assembles them); the bond law's phi is evaluated
-    only when the energy is asked for.  The gradient and d2 are written
-    into ``out`` = (g, d2) when it is given.
+    is the Hessian weight of bond (x, x + r), phi_r''(D_{x,r} u) / (r eps)^2,
+    so d2 is the spring stack of the Hessian (:mod:`hqc.linsolve`); the bond
+    law's phi is evaluated only when the energy is asked for.  The gradient
+    and d2 are written into ``out`` = (g, d2) when it is given.
 
     The law is evaluated over blocks of whole cells of the strain stack,
     viewed in the stacked (cells, R, p) layout of
@@ -132,31 +132,15 @@ def _grad_d2(prob: AtomisticProblem, u_vals, energy=False, out=None):
     return E, g, d2
 
 
-def _hessian_band(d2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The cyclic band (2R+1, N) of the Hessian whose bond (x, x + r eps)
-    has weight d2[r - 1, x], written into ``out``."""
-    R, N = d2.shape
-    out[R] = 0.0
-    for r, d in enumerate(d2, 1):
-        s = r % N
-        up, down = out[R + r], out[R - r]
-        np.negative(d, out=up)  # A[x, x + r] = -d(x)
-        down[s:] = up[: N - s]  # A[x, x - r] = -d(x - r)
-        down[:s] = up[N - s :]
-        out[R] -= up
-        out[R] -= down
-    return out
-
-
 def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
-    """Energy, gradient (as a LatticeFn), and cyclic banded Hessian.
+    """Energy, gradient (as a LatticeFn), and Hessian springs.
 
     The gradient g represents the first variation through <g, v>_L; the
-    Hessian is returned as cyclic diagonals of shape (2R+1, N) with
-    halfwidth R (see :mod:`hqc.linsolve`).
+    Hessian is returned as its (R, N) spring stack d2, the stiffness of
+    bond (x, x + r) in d2[r - 1, x] (see :mod:`hqc.linsolve`).
     """
     E, g, d2 = _grad_d2(prob, u.values, energy=True)
-    return E, u.with_values(g), _hessian_band(d2, np.empty((2 * d2.shape[0] + 1, d2.shape[1])))
+    return E, u.with_values(g), d2
 
 
 #: step halvings ``damped_newton`` tries before giving up on a Newton step
@@ -250,15 +234,14 @@ def solve_atomistic(
     """Damped Newton on the zero-mean space for the problem's force, from
     ``u_init`` (zero by default) projected to zero mean.
 
-    Each step is the zero-mean solution of the cyclic banded Newton system
-    by preconditioned CG to the relative tolerance :func:`forcing_term`,
-    or by the sparse fallback when the Jacobian is not positive definite
-    on the zero-mean space (:func:`hqc.linsolve.solve_cyclic_banded`).
-    The gradient, the bond curvatures, the band and the CG vectors are
-    allocated once per solve, and the band is built only for a step: an
-    evaluation keeps the curvatures, so the final one and every rejected
-    trial build none.  Backtracking halves
-    the step on residual increase or on a domain error
+    Each step is the zero-mean solution of the Newton system, whose
+    Jacobian is the springs of the bond curvatures that the evaluation
+    wrote, by preconditioned CG to the relative tolerance
+    :func:`forcing_term`, or by the sparse fallback when the Jacobian is
+    not positive definite on the zero-mean space
+    (:func:`hqc.linsolve.solve_cyclic_banded`).  The gradient, the
+    curvatures and the CG vectors are allocated once per solve.
+    Backtracking halves the step on residual increase or on a domain error
     (:func:`damped_newton`).
     """
     grid = prob.grid
@@ -269,8 +252,7 @@ def solve_atomistic(
     # gradient and one curvature buffer
     R, N = prob.family.R, grid.N
     evaluated = (np.empty(N), np.empty((R, N)))
-    band = np.empty((2 * R + 1, N))
-    work = cg_work(band)
+    work = cg_work(evaluated[1])
     res_prev = None
 
     def evaluate(u_vals):
@@ -286,7 +268,7 @@ def solve_atomistic(
         rho, d2, res = state
         eta = forcing_term(res, res_prev, tol)
         res_prev = res
-        return solve_cyclic_banded(_hessian_band(d2, band), -rho, rtol=eta, work=work)
+        return solve_cyclic_banded(d2, -rho, rtol=eta, work=work)
 
     u0 = np.zeros(grid.N) if u_init is None else u_init.values
     u, _, trace = damped_newton(evaluate, step, u0, tol, max_iter, "atomistic")

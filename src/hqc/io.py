@@ -1,10 +1,8 @@
 """Plain-text serialization of lattice data and run artifacts.
 
 Lattice functions: header ``# N=<N> p=<p>`` then one value per line with
-17 significant digits (round-trips are value-exact).  Meshes: header
-``# N=<N>`` then one 1-based node label per line.  Coarse functions:
-header plus ``node value`` pairs.  2D fields: header ``# N1=.. N2=..``
-then one ``ux uy`` pair per site, row major.
+17 significant digits (round-trips are value-exact).  Coarse functions:
+header ``# N=<N>`` plus one ``node value`` pair per line, nodes 1-based.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import numpy as np
 
 from .coarse import CoarseFn, Mesh1D
 from .lattice import LatticeFn, LatticeGrid
-from .lattice2d import Displacement2D
 
 
 def _fmt(x: float) -> str:
@@ -43,19 +40,6 @@ def load_lattice_fn(path) -> LatticeFn:
     return LatticeFn(grid, values)
 
 
-def save_mesh(path, mesh: Mesh1D) -> None:
-    lines = [f"# N={mesh.grid.N}"]
-    lines += [str(int(n)) for n in mesh.nodes]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_mesh(path, p: int = 1) -> Mesh1D:
-    lines = Path(path).read_text().strip().splitlines()
-    head = _header_fields(lines[0])
-    nodes = np.array([int(s) for s in lines[1:]])
-    return Mesh1D(LatticeGrid(head["N"], p), nodes)
-
-
 def save_coarse_fn(path, u: CoarseFn) -> None:
     lines = [f"# N={u.mesh.grid.N}"]
     lines += [f"{int(n)} {_fmt(v)}" for n, v in zip(u.mesh.nodes, u.nodal_values)]
@@ -69,20 +53,6 @@ def load_coarse_fn(path, p: int = 1) -> CoarseFn:
     nodes = np.array([int(a) for a, _ in pairs])
     values = np.array([float(b) for _, b in pairs])
     return CoarseFn(Mesh1D(LatticeGrid(head["N"], p), nodes), values)
-
-
-def save_field2d(path, u: Displacement2D) -> None:
-    pairs = u.values.reshape(2, -1).T
-    body = ("%.17g %.17g\n" * len(pairs)) % tuple(pairs.ravel().tolist())
-    Path(path).write_text(f"# N1={u.N1} N2={u.N2}\n" + body)
-
-
-def load_field2d(path) -> Displacement2D:
-    lines = Path(path).read_text().strip().splitlines()
-    head = _header_fields(lines[0])
-    pairs = np.array([[float(a), float(b)] for a, b in (s.split() for s in lines[1:])])
-    vals = pairs.T.reshape(2, head["N1"], head["N2"])
-    return Displacement2D(head["N1"], head["N2"], vals)
 
 
 def save_trace_csv(path, trace) -> None:

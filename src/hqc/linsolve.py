@@ -1,33 +1,38 @@
-"""Linear solves with periodic operators: cyclic banded in 1D, block circulant in 2D.
+"""Linear solves with periodic operators given by their bonds: springs in
+1D, bond lists in 2D.
 
-Both solves return the zero-mean x with A x = rhs - mean(rhs) for a
-symmetric periodic operator A whose kernel is the constants: the
-atomistic Newton step on the zero-mean space (1D), and the 2D atomistic
-and P1 solves.  The coarse 1D Newton step needs no linear solve; it has
-a closed form (:func:`hqc.coarse.coarse_newton_step`).
+Both solves return the zero-mean x with A x = rhs - mean(rhs) for the
+operator A of the bonds, symmetric with the constants in its kernel by
+construction: the atomistic Newton step (1D), and the 2D atomistic and P1
+solves.  The coarse 1D Newton step has a closed form
+(:func:`hqc.coarse.coarse_newton_step`).
 
-A cyclic band of halfwidth R is stored as ``diags`` of shape (2R+1, N)
-with ``diags[R + d, i] = A[i, (i + d) % N]`` for offsets d = -R..R.
+A 1D operator of range R on n sites is its (R, n) spring stack s, with
+s[r - 1, i] = s_r(i) the stiffness of bond (i, i + r), of either sign: A is
+sum_r D_r^T diag(s_r) D_r with (D_r x)(i) = x(i + r) - x(i), sites taken
+mod n, so that a bond aliased by n <= R is still one bond.
+``spring_matvec`` applies A through the tensions t_r = s_r D_r x.
 
 ``solve_cyclic_banded`` runs conjugate gradients (Hestenes & Stiefel,
-J. Res. NBS 49(6), 1952) on the zero-mean space in numpy alone.  The band
-is a sum of springs, s_r(i) = -A[i, i + r] on bond (i, i + r), whose
-stretch is the sum of r nearest-neighbour (NN) strains x(y + 1) - x(y).
-By Cauchy-Schwarz its square is at most r times the sum of their squares,
-with equality for equal strains, so spreading each bond over the NN bonds
-it spans, with weight r s_r, gives the preconditioner: the NN chain of
-stiffness k(y) = sum_r r sum_{j<r} s_r(y - j), which agrees with A under a
-uniform strain.  Its solve is two prefix sums, for a zero-mean b, so the
-CG residual r is projected to zero mean after every update.  CG stops at
-max|r| <= rtol max|b|, for the caller's rtol but never below ``CG_RTOL``,
-its default; the atomistic Newton step passes a forcing term
+J. Res. NBS 49(6), 1952) on the zero-mean space in numpy alone.  The
+stretch of bond (i, i + r) is the sum of r nearest-neighbour (NN) strains
+x(y + 1) - x(y); by Cauchy-Schwarz its square is at most r times the sum of
+their squares, with equality for equal strains.  Spreading each spring
+over the NN bonds it spans, with weight r s_r, gives the preconditioner:
+the NN chain of stiffness k(y) = sum_r r sum_{j<r} s_r(y - j), which agrees
+with A under a uniform strain and bounds it above where every s_r >= 0.
+Its solve is two prefix sums, for a zero-mean b, so the CG residual r is
+projected to zero mean after every update.  CG stops at max|r| <= rtol
+max|b|, for the caller's rtol but never below ``CG_RTOL``, its default;
+the atomistic Newton step passes a forcing term
 (:func:`hqc.atomistic.forcing_term`).  The vectors of the iteration live
 in one work block (``cg_work``), which a caller may reuse across solves,
 and are updated in place, so an iteration allocates none.  Some k(y) <= 0,
 a direction with p.Ap <= 0 or not finite, or no convergence in
-min(4 N + 20, ``CG_MAX_ITER``) iterations hands the band to a sparse KKT
-solve bordered by the zero-mean constraint, which also serves bands not
-positive definite there: hqc's only use of scipy, imported on first use.
+min(4 N + 20, ``CG_MAX_ITER``) iterations hands the springs to a sparse KKT
+solve bordered by the zero-mean constraint, which also serves operators
+not positive definite there: hqc's only use of scipy, imported on first
+use.
 
 A 2D operator is a bond list: bonds ``((r1, r2), C)`` whose (c1, c2)
 array C holds, per site s of the cell, the stiffness of the bond from s to
@@ -51,57 +56,57 @@ from .exceptions import SolverFailure
 
 CG_RTOL = 1e-14  #: the least and the default rtol of ``solve_cyclic_banded``
 #: caps CG at min(4 N + 20, CG_MAX_ITER) iterations; shipped chains take <= 10,
-#: random bands up to 2.4 N, and an iteration at N = 65536 about 1 ms
+#: random springs up to 2.4 N, and an iteration at N = 65536 about 1 ms
 CG_MAX_ITER = 1000
 
 
-def _band_product(diags: np.ndarray, xw: np.ndarray, out=None) -> np.ndarray:
-    """A x for the cyclic band ``diags`` from the wrapped copy xw of x,
-    xw[j] = x((j - R) mod n) for j < n + 2R: row R + d of the band meets
-    the window xw[R + d : R + d + n]."""
-    windows = np.lib.stride_tricks.sliding_window_view(xw, diags.shape[1])
-    return np.einsum("ij,ij->j", diags, windows, out=out)
-
-
-def cyclic_matvec(diags: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for the cyclic band ``diags``."""
-    R = (diags.shape[0] - 1) // 2
-    return _band_product(diags, np.take(x, np.arange(-R, x.size + R), mode="wrap"))
-
-
-def _solve_kkt_sparse(diags, rhs):
-    """Zero-mean solution of the cyclic band bordered by the mean constraint."""
+def _solve_kkt_sparse(s, rhs):
+    """Zero-mean solution of the springs s bordered by the mean constraint."""
     import scipy.sparse.linalg
 
-    c = scipy.sparse.coo_matrix(np.ones((diags.shape[1], 1)) / diags.shape[1])
-    K = scipy.sparse.bmat([[_cyclic_coo(diags), c], [c.T, None]], format="csc")
+    R, n = s.shape
+    i = np.tile(np.arange(n), R)
+    j = (i + np.repeat(np.arange(1, R + 1), n)) % n
+    v = s.ravel()  # a spring adds v to A[i, i] and A[j, j], -v to A[i, j] and A[j, i]
+    ij = (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]))
+    A = scipy.sparse.coo_matrix((np.concatenate([v, v, -v, -v]), ij), shape=(n, n))
+    c = scipy.sparse.coo_matrix(np.ones((n, 1)) / n)
+    K = scipy.sparse.bmat([[A, c], [c.T, None]], format="csc")
     x = scipy.sparse.linalg.spsolve(K, np.concatenate([rhs, [0.0]]))[:-1]
     return x - x.mean()  # the border holds the mean only to roundoff
 
 
-def _cyclic_coo(diags):
-    import scipy.sparse
+def spring_matvec(s: np.ndarray, x: np.ndarray, out=None, t=None) -> np.ndarray:
+    """A x for the springs s: (A x)(i) = sum_r t_r(i - r) - t_r(i) over the
+    tensions t_r(i) = s_r(i) (x(i + r) - x(i)), sites taken mod n; written
+    into ``out``, with ``t`` as scratch, when they are given."""
+    R, n = s.shape
+    out = np.empty(n) if out is None else out
+    t = np.empty(n) if t is None else t
+    out.fill(0.0)
+    for r in range(1, R + 1):
+        k = r % n  # x(i + r) = x[(i + k) % n]
+        np.subtract(x[k:], x[: n - k], out=t[: n - k])
+        np.subtract(x[:k], x[n - k :], out=t[n - k :])
+        t *= s[r - 1]
+        out -= t
+        out[k:] += t[: n - k]
+        out[:k] += t[n - k :]
+    return out
 
-    R = (diags.shape[0] - 1) // 2
-    n = diags.shape[1]
-    rows = np.tile(np.arange(n), 2 * R + 1)
-    cols = (rows + np.repeat(np.arange(-R, R + 1), n)) % n
-    return scipy.sparse.coo_matrix((diags.ravel(), (rows, cols)), shape=(n, n))
 
-
-def _chain_stiffness(diags: np.ndarray, k: np.ndarray, T: np.ndarray, tmp: np.ndarray):
-    """k(y) = sum_r r sum_{j<r} s_r(y - j) with s_r(i) = -diags[R + r, i],
-    as sum_j T_j(y - j) over the suffix sums T_j = sum_{r>j} r s_r; written
-    into k, with T and tmp as scratch."""
-    R = (diags.shape[0] - 1) // 2
-    n = diags.shape[1]
+def _chain_stiffness(s: np.ndarray, k: np.ndarray, T: np.ndarray, tmp: np.ndarray):
+    """k(y) = sum_r r sum_{j<r} s_r(y - j), as sum_j T_j(y - j) over the
+    suffix sums T_j = sum_{r>j} r s_r; written into k, with T and tmp as
+    scratch."""
+    R, n = s.shape
     k.fill(0.0)
     T.fill(0.0)
     for j in range(R - 1, -1, -1):
-        T -= np.multiply(diags[R + j + 1], j + 1, out=tmp)
-        s = j % n  # k += np.roll(T, j)
-        k[s:] += T[: n - s]
-        k[:s] += T[n - s :]
+        T += np.multiply(s[j], j + 1, out=tmp)
+        m = j % n  # k += np.roll(T, j)
+        k[m:] += T[: n - m]
+        k[:m] += T[n - m :]
     return k
 
 
@@ -121,36 +126,32 @@ def _chain_solve(kinv, ksum, b, z, e):
     return bz
 
 
-def cg_work(diags: np.ndarray) -> np.ndarray:
-    """An uninitialised work block for ``solve_cyclic_banded`` on bands of
-    the shape of ``diags``."""
-    R = (diags.shape[0] - 1) // 2
-    return np.empty((6, diags.shape[1] + 2 * R))
+def cg_work(s: np.ndarray) -> np.ndarray:
+    """An uninitialised work block for ``solve_cyclic_banded`` on springs of
+    the shape of ``s``."""
+    return np.empty((6, s.shape[1]))
 
 
-def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray, rtol: float = CG_RTOL, work=None):
-    """Zero-mean x with A x = rhs - mean(rhs), for a symmetric cyclic band A
-    whose kernel is the constants: CG preconditioned by the band's NN chain,
+def solve_cyclic_banded(s: np.ndarray, rhs: np.ndarray, rtol: float = CG_RTOL, work=None):
+    """Zero-mean x with A x = rhs - mean(rhs), for the operator A of the
+    springs s (module docstring): CG preconditioned by their NN chain,
     stopped at max|r| <= max(rtol, CG_RTOL) max|b|, or the sparse KKT
-    fallback (module docstring).  Every vector of the iteration lives in
-    ``work``, a block from :func:`cg_work` that a caller may reuse across
-    solves; a new one is made when it is None."""
-    R = (diags.shape[0] - 1) // 2
-    n = diags.shape[1]
+    fallback.  Every vector of the iteration lives in ``work``, a block from
+    :func:`cg_work` that a caller may reuse across solves; a new one is made
+    when it is None."""
+    n = s.shape[1]
     rhs = np.asarray(rhs, dtype=float)
     if work is None:
-        work = cg_work(diags)
-    pw = work[0]  # p with its wrapped halo, for _band_product
-    p, x, r, q, z, kinv = (v[R : R + n] for v in work)
-    if not _chain_stiffness(diags, kinv, z, q).min() > 0.0:
-        return _solve_kkt_sparse(diags, rhs - rhs.mean())
+        work = cg_work(s)
+    p, x, r, q, z, kinv = work
+    if not _chain_stiffness(s, kinv, z, q).min() > 0.0:
+        return _solve_kkt_sparse(s, rhs - rhs.mean())
     np.reciprocal(kinv, out=kinv)
     ksum = kinv.sum()
     np.subtract(rhs, rhs.mean(), out=r)
     tol = max(rtol, CG_RTOL) * max(r.max(), -r.min())
     x.fill(0.0)
-    pw.fill(0.0)
-    lead, trail = np.arange(-R, 0), np.arange(R)
+    p.fill(0.0)
     rz = np.inf  # the first direction is the preconditioned residual
     for _ in range(min(4 * n + 20, CG_MAX_ITER)):
         if max(r.max(), -r.min()) <= tol:
@@ -159,16 +160,14 @@ def solve_cyclic_banded(diags: np.ndarray, rhs: np.ndarray, rtol: float = CG_RTO
         p *= rz_new / rz
         p += z
         rz = rz_new
-        np.take(p, lead, out=pw[:R], mode="wrap")
-        np.take(p, trail, out=pw[R + n :], mode="wrap")
-        _band_product(diags, pw, out=q)
+        spring_matvec(s, p, out=q, t=z)
         pq = np.einsum("i,i", p, q)
         if not pq > 0.0:
             break
         x += np.multiply(p, rz / pq, out=z)
         r -= np.multiply(q, rz / pq, out=z)
         r -= r.mean()
-    return _solve_kkt_sparse(diags, rhs - rhs.mean())
+    return _solve_kkt_sparse(s, rhs - rhs.mean())
 
 
 def _offset_sum(near: np.ndarray, n: int, length: int) -> np.ndarray:

@@ -53,14 +53,13 @@ not an instability of the equilibrium.
 
 ``newton_cells`` solves a batch of cell problems at fixed strains by one
 :func:`hqc.atomistic.damped_newton` iteration over the whole batch: each
-evaluation is one ``bonds(a, 1)`` call for every row, its norm the
-largest row residual, and each step one ``bonds(a, 2)`` call and one
-factorization and solve of the reduced Hessians, so all rows share one
-step length and one iteration count.  An inadmissible trial raises
-DomainError from ``bonds``, which ``damped_newton`` halves like a residual
-increase.  A study solves single cells only (the ground state and the
-cold start of ``solve_coarse``); batches come from
-``HomogenizedLaw.eval_strains``.
+evaluation is one ``condense_cells``, its norm the largest row residual
+and its step the cells' ``relax``, so all rows share one step length and
+one iteration count, and the cells condensed at the last evaluation are
+returned with the fields.  An inadmissible trial raises DomainError from
+``bonds``, which ``damped_newton`` halves like a residual increase.  A
+study solves single cells only (the ground state and the cold start of
+``solve_coarse``); batches come from ``HomogenizedLaw.eval_strains``.
 """
 
 from __future__ import annotations
@@ -229,37 +228,32 @@ def warm_start(family, z, warm):
 
 def newton_cells(family, z, chi0, tol, max_iter):
     """Damped Newton on a batch of cell problems: one :func:`damped_newton`
-    iteration over all rows, with one step length and the largest row
-    residual as its norm.
+    iteration over all rows, each evaluation one :func:`condense_cells`,
+    its norm the largest row residual and its step ``relax``, with one step
+    length for all rows.
 
     z: (m,) strains; chi0: (m, p) zero-mean starting fields.  Returns
-    (chi, residual, iterations) arrays; every row reports the batch's
-    iteration count.  Raises DomainError on an inadmissible start or a
-    trial step that damping cannot keep admissible, SolverFailure on
-    nonconvergence, StabilityError on a singular cell Hessian.
+    (chi, cells, iterations): the fields, the cells condensed at them and
+    the iteration count, which every row reports.  Raises DomainError on an
+    inadmissible start or a trial step that damping cannot keep
+    admissible, SolverFailure on nonconvergence, StabilityError on a
+    singular cell Hessian.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    maps = _cell_maps(family.p, family.R)
 
     def evaluate(chi):
-        a = _bond_args(maps, z, chi)
-        g = _flat(family.bonds(a, 1)) @ maps.Dp
-        res = np.abs(g).max(axis=1)
-        return chi, (a, g, res), res.max(initial=0.0)
-
-    def step(_chi, state):
-        a, g, _res = state
-        d2 = _flat(family.bonds(a, 2))
-        c, _d = _reduced_solve(_reduced_hessian(maps, d2), -(g @ maps.E)[..., None], z)
-        return c[..., 0] @ maps.E.T
+        cells = condense_cells(family, z, chi)
+        return chi, cells, cells.residual.max(initial=0.0)
 
     if z.size == 1:
         name = f"cell at strain {z[0]:.6g}"
     else:
         name = f"cells at strains {z.min(initial=np.inf):.6g} to {z.max(initial=-np.inf):.6g}"
     chi0 = np.array(chi0, dtype=float).reshape(z.size, family.p)
-    chi, (_a, _g, res), trace = damped_newton(evaluate, step, chi0, tol, max_iter, name)
-    return chi - chi.mean(axis=1, keepdims=True), res, np.full(z.size, trace[-1][0])
+    chi, cells, trace = damped_newton(
+        evaluate, lambda _chi, cells: cells.relax, chi0, tol, max_iter, name
+    )
+    return chi - chi.mean(axis=1, keepdims=True), cells, np.full(z.size, trace[-1][0])
 
 
 @dataclass
@@ -282,10 +276,9 @@ class HomogenizedLaw:
         """
         z = np.atleast_1d(np.asarray(z, dtype=float))
         family = self.family
-        chi, _res, _iters = newton_cells(
+        chi, cells, _iters = newton_cells(
             family, z, np.zeros((z.size, family.p)), self.tol, self.max_iter
         )
-        cells = condense_cells(family, z, chi)
         require_stable_cells(cells, z)
         phi = family.bonds(_bond_args(_cell_maps(family.p, family.R), z, chi), 0)
         return _flat(phi).sum(axis=1) / family.p, cells.stress, cells.stiffness, chi

@@ -182,11 +182,11 @@ def ground_microstructure(
     deformation strictly increasing and ||chi_*||_inf <= (p-1)/2;
     violations raise :class:`StabilityError`.
     """
-    from .microhom import condense_cells, newton_cells, require_stable_cells
+    from .microhom import newton_cells, require_stable_cells
 
     z = np.zeros(1)
-    chi, _res, _iters = newton_cells(family, z, np.zeros((1, family.p)), tol, max_iter)
-    require_stable_cells(condense_cells(family, z, chi), z)
+    chi, cells, _iters = newton_cells(family, z, np.zeros((1, family.p)), tol, max_iter)
+    require_stable_cells(cells, z)
     validate_microstructure(chi[0], "ground microstructure")
     return Microstructure(MicroFn(family.p, chi[0]))
 

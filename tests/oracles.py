@@ -68,15 +68,18 @@ def coarse_dual_lp(q: np.ndarray) -> float:
     return -res.fun
 
 
-def cyclic_to_dense(diags: np.ndarray) -> np.ndarray:
-    """Dense n x n matrix of a cyclic band stored as (2R+1, n) diagonals,
-    A[i, (i + d) % n] = diags[R + d, i] (aliased offsets add up)."""
-    R = (diags.shape[0] - 1) // 2
-    n = diags.shape[1]
+def springs_to_dense(s: np.ndarray) -> np.ndarray:
+    """Dense n x n matrix of the springs s[r - 1, i] between sites i and
+    (i + r) % n, assembled bond by bond as the sum of s e e^T with
+    e = e_{i + r} - e_i, which is zero for a bond from a site to its image."""
+    R, n = s.shape
     A = np.zeros((n, n))
-    idx = np.arange(n)
-    for d in range(-R, R + 1):
-        A[idx, (idx + d) % n] += diags[R + d]
+    for r in range(1, R + 1):
+        for i in range(n):
+            e = np.zeros(n)
+            e[(i + r) % n] += 1.0
+            e[i] -= 1.0
+            A += s[r - 1, i] * np.outer(e, e)
     return A
 
 

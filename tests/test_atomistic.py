@@ -29,7 +29,7 @@ from hqc.exceptions import SolverFailure
 from hqc.lattice import primitive_dual_norm
 from hqc.study import microstructure_start, sin_force
 
-from oracles import cyclic_to_dense
+from oracles import springs_to_dense
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +50,11 @@ class TestEnergyGradHess:
     def test_harmonic_chain_at_rest(self):
         grid = LatticeGrid(8)
         prob = AtomisticProblem(grid, quadratic_family([1.0], [0.0]), zero_force(grid))
-        E, g, diags = energy_grad_hess(prob, zero_force(grid))
+        E, g, d2 = energy_grad_hess(prob, zero_force(grid))
         assert E == 0.0
         assert np.abs(g.values).max() == 0.0
         # discrete Laplacian stencil scaled by 1/eps^2
-        A = cyclic_to_dense(diags)
+        A = springs_to_dense(d2)
         N = 8
         expected = N * N * (2 * np.eye(N) - np.roll(np.eye(N), 1, 1) - np.roll(np.eye(N), -1, 1))
         assert np.allclose(A, expected)
@@ -87,8 +87,8 @@ class TestEnergyGradHess:
         grid = LatticeGrid(12, 2)
         prob = AtomisticProblem(grid, lj, zero_force(grid))
         u0 = 0.001 * rng.standard_normal(12)
-        _, _, diags = energy_grad_hess(prob, LatticeFn(grid, u0))
-        A = cyclic_to_dense(diags)
+        _, _, d2 = energy_grad_hess(prob, LatticeFn(grid, u0))
+        A = springs_to_dense(d2)
         step = 1e-7
         for i in range(12):
             e = np.zeros(12)
@@ -189,8 +189,8 @@ class TestSolveAtomistic:
         fv -= fv.mean()
         prob = AtomisticProblem(grid, fam, LatticeFn(grid, fv))
         sol = solve_atomistic(prob)
-        _, _, diags = energy_grad_hess(prob, zero_force(grid))
-        A = cyclic_to_dense(diags)
+        _, _, d2 = energy_grad_hess(prob, zero_force(grid))
+        A = springs_to_dense(d2)
         u_ref = np.linalg.lstsq(A, fv, rcond=None)[0]
         u_ref -= u_ref.mean()
         assert np.abs(sol.u.values - u_ref).max() < 1e-12
@@ -221,14 +221,14 @@ class TestSolveAtomistic:
         # every Newton Hessian of the reference solve, at the sizes of lj_1d
         # and lj_1d_fine, is positive definite on the zero-mean space, and
         # its nearest-neighbour chain preconditions CG to at most 10
-        # iterations, each one band product; with the forcing term a cold
+        # iterations, each one spring product; with the forcing term a cold
         # solve takes at most 16 in all (27-29 at full accuracy)
-        product = mock.Mock(wraps=linsolve._band_product)
+        product = mock.Mock(wraps=linsolve.spring_matvec)
         iters = []
 
-        def counted(diags, rhs, **kw):
+        def counted(s, rhs, **kw):
             before = product.call_count
-            x = linsolve.solve_cyclic_banded(diags, rhs, **kw)
+            x = linsolve.solve_cyclic_banded(s, rhs, **kw)
             iters.append(product.call_count - before)
             return x
 
@@ -239,7 +239,7 @@ class TestSolveAtomistic:
             iters.clear()
             with (
                 mock.patch("hqc.linsolve._solve_kkt_sparse", side_effect=fallback),
-                mock.patch("hqc.linsolve._band_product", product),
+                mock.patch("hqc.linsolve.spring_matvec", product),
                 mock.patch("hqc.atomistic.solve_cyclic_banded", counted),
             ):
                 sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
@@ -298,8 +298,8 @@ class TestSolveAtomistic:
 
 
 class TestInexactNewton:
-    """Each Newton step solves CG to the forcing term, builds the Hessian
-    band into one buffer, and allocates no band for an evaluation."""
+    """Each Newton step solves CG to the forcing term on the springs of
+    its evaluation, with one CG work block per solve."""
 
     def test_forcing_term(self):
         tol = 1e-10
@@ -324,26 +324,26 @@ class TestInexactNewton:
         diff = LatticeFn(grid, sol.u.values - full.u.values)
         assert seminorm(diff, 1, np.inf) <= 1e-9 * seminorm(full.u, 1, np.inf)
 
-    def test_band_built_once_per_newton_step(self, lj, micro):
-        # amplitude 170 takes damped steps, so some trials are rejected
+    def test_one_cg_solve_per_newton_step(self, lj, micro):
+        # amplitude 170 takes damped steps, so some trials are rejected and
+        # evaluated without a solve
         grid = LatticeGrid(1024, 2)
         prob = AtomisticProblem(grid, lj, sin_force(grid, 170.0, 1.0))
-        band = mock.Mock(wraps=atomistic._hessian_band)
+        solve = mock.Mock(wraps=linsolve.solve_cyclic_banded)
         evals = mock.Mock(wraps=atomistic._grad_d2)
-        with mock.patch.object(atomistic, "_hessian_band", band), mock.patch.object(
+        with mock.patch.object(atomistic, "solve_cyclic_banded", solve), mock.patch.object(
             atomistic, "_grad_d2", evals
         ):
             sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
         assert any(t < 1.0 for _, _, t in sol.trace[1:])
-        assert evals.call_count > sol.iterations + 1
-        assert band.call_count == sol.iterations
-        assert len({id(c.args[1]) for c in band.call_args_list}) == 1
+        assert solve.call_count == sol.iterations < evals.call_count - 1
+        assert len({id(c.kwargs["work"]) for c in solve.call_args_list}) == 1
 
     def test_memory_peak_at_65536_sites(self, lj, micro):
-        # the peak of traced allocations, in vectors of N doubles: 30.4 with
-        # a fresh band and fresh CG temporaries for every step, 22.05 with one
-        # gradient, curvature, band and CG work buffer per solve and the bond
-        # law evaluated by blocks (36.0 in one block); the bound leaves one
+        # the peak of traced allocations, in vectors of N doubles, is 15.05
+        # with one gradient, one curvature (spring) stack and one CG work
+        # block per solve and the bond law evaluated by blocks; a Hessian
+        # band built for every step took 22.05; the bound leaves about one
         # vector of margin
         N = 65536
         grid = LatticeGrid(N, 2)
@@ -355,7 +355,7 @@ class TestInexactNewton:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (8 * N) <= 23.0
+        assert peak / (8 * N) <= 16.0
 
     @pytest.mark.parametrize("phase", [1.0, 2.3])
     def test_outcomes_of_cold_solves(self, lj, micro, phase):

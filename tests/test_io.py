@@ -1,17 +1,7 @@
 import numpy as np
 
-from hqc import CoarseFn, Displacement2D, LatticeFn, LatticeGrid, Mesh1D
-from hqc.io import (
-    load_coarse_fn,
-    load_field2d,
-    load_lattice_fn,
-    load_mesh,
-    save_coarse_fn,
-    save_field2d,
-    save_lattice_fn,
-    save_mesh,
-    save_trace_csv,
-)
+from hqc import CoarseFn, LatticeFn, LatticeGrid, Mesh1D
+from hqc.io import load_coarse_fn, load_lattice_fn, save_coarse_fn, save_lattice_fn, save_trace_csv
 
 
 def test_lattice_fn_roundtrip_exact(tmp_path):
@@ -49,22 +39,6 @@ def test_lattice_fn_text_matches_per_value_format(tmp_path):
     assert (tmp_path / "u.txt").read_text() == "\n".join(lines) + "\n"
 
 
-def test_field2d_text_matches_per_value_format(tmp_path):
-    values = _edge_values(38).reshape(2, 8, 3)
-    save_field2d(tmp_path / "f.txt", Displacement2D(8, 3, values))
-    flat = values.reshape(2, -1)
-    lines = ["# N1=8 N2=3"] + [f"{_fmt_each(a)} {_fmt_each(b)}" for a, b in zip(*flat)]
-    assert (tmp_path / "f.txt").read_text() == "\n".join(lines) + "\n"
-
-
-def test_mesh_roundtrip(tmp_path):
-    mesh = Mesh1D(LatticeGrid(32), np.array([4, 9, 17, 30]))
-    save_mesh(tmp_path / "mesh.txt", mesh)
-    again = load_mesh(tmp_path / "mesh.txt")
-    assert np.array_equal(again.nodes, mesh.nodes)
-    assert again.grid.N == 32
-
-
 def test_coarse_fn_roundtrip(tmp_path):
     rng = np.random.default_rng(102)
     mesh = Mesh1D(LatticeGrid(16), np.array([2, 7, 13]))
@@ -73,14 +47,6 @@ def test_coarse_fn_roundtrip(tmp_path):
     again = load_coarse_fn(tmp_path / "c.txt")
     assert np.array_equal(again.nodal_values, u.nodal_values)
     assert np.array_equal(again.mesh.nodes, mesh.nodes)
-
-
-def test_field2d_roundtrip(tmp_path):
-    rng = np.random.default_rng(103)
-    u = Displacement2D(4, 6, rng.standard_normal((2, 4, 6)))
-    save_field2d(tmp_path / "f.txt", u)
-    again = load_field2d(tmp_path / "f.txt")
-    assert np.array_equal(again.values, u.values)
 
 
 def test_trace_csv(tmp_path):

@@ -7,48 +7,34 @@ from hypothesis import strategies as st
 
 from hqc.exceptions import SolverFailure
 from hqc.lattice2d import SpringModel2D, p1_bonds
-from hqc.linsolve import bond_matvec, cyclic_matvec, solve_cyclic_banded, solve_periodic_2d
+from hqc.linsolve import bond_matvec, solve_cyclic_banded, solve_periodic_2d, spring_matvec
 
-from oracles import cyclic_to_dense, p1_stiffness_dense, probe_matrix, zero_mean_dense_solve
-
-
-def bond_band(k):
-    """Cyclic band (2R+1, n) of the springs k[r-1, i] between sites i and
-    i + r; it is symmetric and annihilates the constants."""
-    R, n = k.shape
-    diags = np.zeros((2 * R + 1, n))
-    for r in range(1, R + 1):
-        diags[R] += k[r - 1] + np.roll(k[r - 1], r)
-        diags[R + r] -= k[r - 1]
-        diags[R - r] -= np.roll(k[r - 1], r)
-    return diags
+from oracles import p1_stiffness_dense, probe_matrix, springs_to_dense, zero_mean_dense_solve
 
 
 class TestCyclicBanded:
     def test_matvec_matches_dense(self):
+        # signed springs, also on rings of n <= R sites, where bonds alias
         rng = np.random.default_rng(41)
-        for N, R in ((6, 1), (12, 2), (31, 4)):
-            diags = rng.standard_normal((2 * R + 1, N))
-            x = rng.standard_normal(N)
-            assert np.allclose(cyclic_matvec(diags, x), cyclic_to_dense(diags) @ x)
+        for n, R in ((1, 2), (2, 3), (3, 3), (4, 4), (6, 1), (12, 2), (31, 4)):
+            s = rng.standard_normal((R, n))
+            x = rng.standard_normal(n)
+            assert np.allclose(spring_matvec(s, x), springs_to_dense(s) @ x)
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), R=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_zero_mean_solve_matches_dense_oracle(self, data, R, seed):
-        # n <= 2R aliases the band onto itself.  A bond from a site to its
-        # own image (r a multiple of n) adds entries +k and -k that cancel
-        # only to roundoff of k, which the condition number does not see,
-        # so such bonds get no stiffness.  The sparse fallback would hide a
-        # wrong or stalled CG solve, so it must not be reached.
+        # n <= 2R aliases bonds onto each other, and a bond from a site to
+        # its own image (r a multiple of n) stretches by nothing, though the
+        # NN chain counts it.  The sparse fallback would hide a wrong or
+        # stalled CG solve, so it must not be reached.
         n = data.draw(st.integers(2, 4 * R + 8) | st.sampled_from([64, 129, 256]), label="n")
         rng = np.random.default_rng(seed)
         k = 10.0 ** rng.uniform(-3.0, 3.0, (R, n))
-        k[np.arange(1, R + 1) % n == 0] = 0.0
-        diags = bond_band(k)
         rhs = rng.standard_normal(n) + rng.uniform(-5.0, 5.0)
         with mock.patch("hqc.linsolve._solve_kkt_sparse", side_effect=AssertionError("fallback")):
-            x = solve_cyclic_banded(diags, rhs)
-        A = cyclic_to_dense(diags)
+            x = solve_cyclic_banded(k, rhs)
+        A = springs_to_dense(k)
         x_ref = zero_mean_dense_solve(A, rhs)
         assert abs(x.mean()) <= 1e-14 * np.abs(x_ref).max()
         assert np.abs(x - x_ref).max() <= 1e-13 * condition_number(A) * np.abs(x_ref).max()
@@ -56,22 +42,21 @@ class TestCyclicBanded:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), R=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_one_negative_bond_matches_dense_oracle(self, data, R, seed):
-        # Depending on its size, one negative bond leaves the band positive
-        # definite on the zero-mean space or makes it indefinite; CG or its
-        # sparse fallback must find the solution either way.  Bands
-        # singular there have no solution to compare.
+        # Depending on its size, one negative bond, never one from a site to
+        # its own image, leaves the springs positive definite on the
+        # zero-mean space or makes them indefinite; CG or its sparse
+        # fallback must find the solution either way.  Springs singular
+        # there have no solution to compare.
         n = data.draw(st.integers(2, 4 * R + 8) | st.sampled_from([64, 129, 256]), label="n")
         rng = np.random.default_rng(seed)
         k = 10.0 ** rng.uniform(-3.0, 3.0, (R, n))
-        k[np.arange(1, R + 1) % n == 0] = 0.0
         r = rng.choice(np.flatnonzero(np.arange(1, R + 1) % n))
         k[r, rng.integers(n)] *= -1.0
-        diags = bond_band(k)
-        A = cyclic_to_dense(diags)
+        A = springs_to_dense(k)
         cond = condition_number(A)
         assume(cond <= 1e8)
         rhs = rng.standard_normal(n) + rng.uniform(-5.0, 5.0)
-        x = solve_cyclic_banded(diags, rhs)
+        x = solve_cyclic_banded(k, rhs)
         x_ref = zero_mean_dense_solve(A, rhs)
         assert abs(x.mean()) <= 1e-14 * np.abs(x_ref).max()
         assert np.abs(x - x_ref).max() <= 1e-13 * cond * np.abs(x_ref).max()

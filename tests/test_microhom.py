@@ -33,7 +33,8 @@ def lj_law():
 
 def solve_cells(law, z, chi0):
     """Batched cell solve with the law's settings: (chi, residual, iterations)."""
-    return newton_cells(law.family, np.atleast_1d(z), chi0, law.tol, law.max_iter)
+    chi, cells, iters = newton_cells(law.family, np.atleast_1d(z), chi0, law.tol, law.max_iter)
+    return chi, cells.residual, iters
 
 
 class TestSolveCell:

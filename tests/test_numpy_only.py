@@ -1,7 +1,7 @@
 """hqc runs on numpy alone: importing it loads no scipy module, a study
 loads no module that the import did not, and the atomistic Newton step
 solves with scipy blocked.  scipy is imported only by the sparse fallback
-for bands that are not positive definite.  Each check runs in a fresh
+for springs that are not positive definite.  Each check runs in a fresh
 interpreter, since this one has scipy loaded (``tests/oracles.py``)."""
 
 import json
@@ -15,8 +15,7 @@ import numpy as np
 
 from hqc import linsolve
 
-from oracles import cyclic_to_dense, zero_mean_dense_solve
-from test_linsolve import bond_band
+from oracles import springs_to_dense, zero_mean_dense_solve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,16 +39,16 @@ print(json.dumps({
 }))
 """
 
-# reads the band and the right-hand side as JSON from stdin
+# reads the springs and the right-hand side as JSON from stdin
 SOLVE = """
 import json, sys
 {block}
 import numpy as np
 from hqc.linsolve import solve_cyclic_banded
 
-diags, rhs = (np.array(a) for a in json.load(sys.stdin))
+s, rhs = (np.array(a) for a in json.load(sys.stdin))
 before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-x = solve_cyclic_banded(diags, rhs)
+x = solve_cyclic_banded(s, rhs)
 after = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 print(json.dumps({{"x": x.tolist(), "scipy_before": before, "scipy_after": after}}))
 """
@@ -81,13 +80,12 @@ def test_import_and_studies_load_no_scipy():
 def test_positive_definite_band_solves_with_scipy_blocked():
     rng = np.random.default_rng(71)
     k = 10.0 ** rng.uniform(-3.0, 3.0, (3, 64))
-    diags = bond_band(k)
     rhs = rng.standard_normal(64) + 2.0
     out = run_python(
         SOLVE.format(block='sys.modules["scipy"] = None'),
-        json.dumps([diags.tolist(), rhs.tolist()]),
+        json.dumps([k.tolist(), rhs.tolist()]),
     )
-    A = cyclic_to_dense(diags)
+    A = springs_to_dense(k)
     x_ref = zero_mean_dense_solve(A, rhs)
     ev = np.sort(np.abs(np.linalg.eigvalsh(A)))
     assert np.abs(np.array(out["x"]) - x_ref).max() <= 1e-13 * ev[-1] / ev[1] * np.abs(x_ref).max()
@@ -95,23 +93,22 @@ def test_positive_definite_band_solves_with_scipy_blocked():
 
 def test_indefinite_band_reaches_the_sparse_fallback():
     # a negative nearest-neighbour bond larger than the series of the
-    # others around the ring makes the band indefinite on the zero-mean
+    # others around the ring makes the springs indefinite on the zero-mean
     # space; the fallback imports scipy on first use
     rng = np.random.default_rng(72)
     k = rng.uniform(1.0, 2.0, (2, 16))
     k[0, 5] = -40.0
-    diags = bond_band(k)
-    A = cyclic_to_dense(diags)
+    A = springs_to_dense(k)
     assert np.linalg.eigvalsh(A)[0] < 0.0
     rhs = rng.standard_normal(16)
     x_ref = zero_mean_dense_solve(A, rhs)
 
     with mock.patch("hqc.linsolve._solve_kkt_sparse", wraps=linsolve._solve_kkt_sparse) as kkt:
-        x = linsolve.solve_cyclic_banded(diags, rhs)
+        x = linsolve.solve_cyclic_banded(k, rhs)
     assert kkt.call_count == 1
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
-    out = run_python(SOLVE.format(block=""), json.dumps([diags.tolist(), rhs.tolist()]))
+    out = run_python(SOLVE.format(block=""), json.dumps([k.tolist(), rhs.tolist()]))
     assert out["scipy_before"] == []
     assert "scipy.sparse.linalg" in out["scipy_after"]
     assert np.abs(np.array(out["x"]) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
