@@ -5,17 +5,19 @@
     <dE(u), v> = <f, v>   for all zero-mean v,
 
 where E(u) = < sum_r phi_r(D_r u; .) > is the multilattice energy, by a
-damped Newton iteration.  Its Jacobian is a sum of springs,
-sum_r D_r^T diag(phi_r'') D_r over the bonds of range r <= R, so an
-evaluation returns the gradient and the (R, N) spring stack of bond
-curvatures, and each Newton step is the zero-mean solution of those
-springs (:mod:`hqc.linsolve`): conjugate gradients preconditioned by their
-nearest-neighbour chain, in numpy alone, with a sparse scipy solve as the
-fallback for a Jacobian that is not positive definite on the zero-mean
-space.  CG stops at the relative tolerance of a forcing term (Eisenstat &
-Walker), which tightens as the Newton residual falls.
-Termination is measured in the (-1, inf) dual seminorm of the residual
-functional, matching the error topology of the coarse-graining analysis.
+damped Newton iteration on the nearest-neighbour strains z = D_1 u, with
+sum(z) = 0; u = eps cumsum(z) is formed only for the output.  A shell-r
+bond argument D_{x,r} u is the window mean (1/r) sum_{j<r} z(x + j eps), so
+the equations are in stress form, as in :func:`hqc.coarse.solve_coarse`:
+w = sigma + eps cumsum(f) is one constant at equilibrium, for the stress
+sigma(y) = sum_r (1/r) sum_{j<r} phi_r'(y - j eps), and the residual norm
+(max w - min w) / 2 is the (-1, inf) dual seminorm of the residual
+functional, the error topology of the coarse-graining analysis.  No
+evaluation sums over the chain, so the residual reaches the roundoff of
+the stresses at every N.  Each Newton step solves the springs phi_r'' / r^2
+on those windows (:mod:`hqc.linsolve`) by conjugate gradients, to the
+relative tolerance of a forcing term (Eisenstat & Walker), which tightens
+as the Newton residual falls.
 
 ``damped_newton`` is the residual-backtracking Newton loop of three
 solvers: ``solve_atomistic``, :func:`hqc.coarse.solve_coarse` and the
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, SolverFailure
-from .lattice import LatticeFn, LatticeGrid, primitive_dual_norm
+from .lattice import LatticeFn, LatticeGrid
 from .linsolve import CG_RTOL, cg_work, solve_cyclic_banded
 from .potentials import PotentialFamily
 
@@ -72,75 +74,76 @@ class EquilibriumSolution:
     trace: tuple = field(default=(), repr=False)
 
 
-#: bond arguments per block of ``_grad_d2``, whose temporaries then stay
+#: bond arguments per block of ``_stress_d2``, whose temporaries then stay
 #: small enough (64 KiB each) for malloc to reuse their pages
 EVAL_BLOCK = 8192
 
 
-def _strains(u_vals, start: int, stop: int, R: int, eps: float) -> np.ndarray:
-    """(R, stop - start) stack of the strains D_{x,r} u = (u(x + r eps) - u(x))
-    / (r eps) of the sites start <= x < stop, indices taken cyclically."""
+def _bond_args(z, start: int, stop: int, R: int) -> np.ndarray:
+    """(R, stop - start) stack of the bond arguments (1/r) sum_{j<r} z(x + j)
+    = D_{x,r} u of the sites start <= x < stop, indices taken cyclically."""
     n = stop - start
-    uw = np.take(u_vals, np.arange(start, stop + R), mode="wrap")
-    # row r of the window view is u(x + r eps)
-    Z = np.lib.stride_tricks.sliding_window_view(uw, n)[1:] - uw[:n]
-    Z /= np.arange(1, R + 1)[:, None] * eps
+    zw = np.take(z, np.arange(start, stop + R - 1), mode="wrap")
+    Z = np.empty((R, n))
+    Z[0] = zw[:n]
+    for r in range(1, R):
+        np.add(Z[r - 1], zw[r : r + n], out=Z[r])
+    Z /= np.arange(1, R + 1)[:, None]
     return Z
 
 
-def _grad_d2(prob: AtomisticProblem, u_vals, energy=False, out=None):
-    """(energy or None, gradient values, bond curvatures) at u: d2[r - 1, x]
-    is the Hessian weight of bond (x, x + r), phi_r''(D_{x,r} u) / (r eps)^2,
-    so d2 is the spring stack of the Hessian (:mod:`hqc.linsolve`); the bond
-    law's phi is evaluated only when the energy is asked for.  The gradient
-    and d2 are written into ``out`` = (g, d2) when it is given.
-
-    The law is evaluated over blocks of whole cells of the strain stack,
-    viewed in the stacked (cells, R, p) layout of
-    :class:`~hqc.potentials.PotentialFamily`.  A block also evaluates the
-    ceil(R / p) cells before it, whose bond forces reach its sites.
+def _stress_d2(prob: AtomisticProblem, z, energy=False, out=None):
+    """(energy or None, stress, springs) at the strains z: the stress
+    sigma(y) = sum_r (1/r) sum_{j<r} phi_r'(y - j), the derivative of N E in
+    z(y), and the springs s[r - 1, x] = phi_r''(D_{x,r} u) / r^2 on the
+    window sums of z (:mod:`hqc.linsolve`), written into ``out`` = (sigma, s)
+    when it is given; phi is evaluated only for the energy.  The law is
+    evaluated over blocks of whole cells, in the stacked (cells, R, p)
+    layout of :class:`~hqc.potentials.PotentialFamily`, each with the
+    ceil((R - 1) / p) cells before it, whose bonds span its sites.
     """
-    grid, family = prob.grid, prob.family
-    eps = grid.eps
-    N, R, p = grid.N, family.R, family.p
-    scale = np.arange(1, R + 1)[:, None] * eps
-    ghost = -(-R // p) * p
+    family = prob.family
+    N, R, p = prob.grid.N, family.R, family.p
+    inv_r = 1.0 / np.arange(1, R + 1)[:, None]
+    ghost = -(-(R - 1) // p) * p
     size = max(1, EVAL_BLOCK // (R * p)) * p
     orders = (0, 1, 2) if energy else (1, 2)
     E = 0.0 if energy else None
-    g, d2 = (np.empty(N), np.empty((R, N))) if out is None else out
+    sigma, s = (np.empty(N), np.empty((R, N))) if out is None else out
     for a in range(0, N, size):
         b = min(a + size, N)
         n = b - a + ghost
-        cells = _strains(u_vals, a - ghost, b, R, eps).reshape(R, n // p, p).transpose(1, 0, 2)
+        cells = _bond_args(z, a - ghost, b, R).reshape(R, n // p, p).transpose(1, 0, 2)
         if not family.admissible(cells).all():
-            Z = _strains(u_vals, 0, N, R, eps).reshape(R, N // p, p).transpose(1, 0, 2)
+            Z = _bond_args(z, 0, N, R).reshape(R, N // p, p).transpose(1, 0, 2)
             bad = ~family.admissible(Z).transpose(1, 0, 2).reshape(R, N)
             shell, site = np.argwhere(bad)[0]
             raise DomainError(f"inadmissible bond at site {site + 1}, shell r={shell + 1}")
-        stacks = [s.transpose(1, 0, 2).reshape(R, n) for s in family.bonds(cells, *orders)]
+        stacks = [st.transpose(1, 0, 2).reshape(R, n) for st in family.bonds(cells, *orders)]
         if energy:
             E += float(stacks.pop(0)[:, ghost:].sum()) / N
         w, c = stacks  # bond forces phi_r' and curvatures phi_r''
-        w /= scale
-        # g(x) = sum_r (w_r(x - r eps) - w_r(x)) / (r eps) over the block's sites
-        gb = np.subtract(w[0, ghost - 1 : n - 1], w[0, ghost:], out=g[a:b])
+        w *= inv_r
+        # sigma(y) = sum_r sum_{j<r} w_r(y - j) over the block's sites
+        sb = sigma[a:b]
+        np.copyto(sb, w[0, ghost:])
         for r in range(2, R + 1):
-            gb += w[r - 1, ghost - r : n - r]
-            gb -= w[r - 1, ghost:]
-        np.divide(c[:, ghost:], scale * scale, out=d2[:, a:b])
-    return E, g, d2
+            for j in range(r):
+                sb += w[r - 1, ghost - j : n - j]
+        np.multiply(c[:, ghost:], inv_r * inv_r, out=s[:, a:b])
+    return E, sigma, s
 
 
 def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
-    """Energy, gradient (as a LatticeFn), and Hessian springs.
-
-    The gradient g represents the first variation through <g, v>_L; the
-    Hessian is returned as its (R, N) spring stack d2, the stiffness of
-    bond (x, x + r) in d2[r - 1, x] (see :mod:`hqc.linsolve`).
+    """Energy, gradient (as a LatticeFn), and Hessian springs at the
+    displacements u: g(x) = (sigma(x - eps) - sigma(x)) / eps represents the
+    first variation through <g, v>_L, and the Hessian is its (R, N) spring
+    stack d2, phi_r'' / (r eps)^2 for bond (x, x + r) in d2[r - 1, x]
+    (:mod:`hqc.linsolve`).
     """
-    E, g, d2 = _grad_d2(prob, u.values, energy=True)
-    return E, u.with_values(g), d2
+    eps, u_vals = prob.grid.eps, u.values
+    E, sigma, s = _stress_d2(prob, np.diff(u_vals, append=u_vals[:1]) / eps, energy=True)
+    return E, u.with_values((np.roll(sigma, 1) - sigma) / eps), s / (eps * eps)
 
 
 #: step halvings ``damped_newton`` tries before giving up on a Newton step
@@ -231,46 +234,45 @@ def solve_atomistic(
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> EquilibriumSolution:
-    """Damped Newton on the zero-mean space for the problem's force, from
-    ``u_init`` (zero by default) projected to zero mean.
+    """Damped Newton on the zero-sum strains z for the problem's force,
+    from the strains of ``u_init`` (zero by default); returns the zero-mean
+    u = eps cumsum(z).
 
-    Each step is the zero-mean solution of the Newton system, whose
-    Jacobian is the springs of the bond curvatures that the evaluation
-    wrote, by preconditioned CG to the relative tolerance
-    :func:`forcing_term`, or by the sparse fallback when the Jacobian is
-    not positive definite on the zero-mean space
-    (:func:`hqc.linsolve.solve_cyclic_banded`).  The gradient, the
-    curvatures and the CG vectors are allocated once per solve.
-    Backtracking halves the step on residual increase or on a domain error
-    (:func:`damped_newton`).
+    Each step is the zero-sum dz with J dz = c - w for the springs J and
+    the stress plus force primitive w that the evaluation wrote, by
+    :func:`hqc.linsolve.solve_cyclic_banded` to the relative tolerance
+    :func:`forcing_term`.  The buffers of both, and the CG vectors, are
+    allocated once per solve.  Backtracking halves the step on residual
+    increase or on a domain error (:func:`damped_newton`).
     """
     grid = prob.grid
+    eps, R, N = grid.eps, prob.family.R, grid.N
     f = prob.force.values
-    f = f - f.mean()  # construction projects only a mean above 1e-12
+    P = eps * np.cumsum(f - f.mean())  # construction projects only a mean above 1e-12
     # a state is read only by the step that follows it, before the next
-    # evaluation (damped_newton), so every evaluation writes into one
-    # gradient and one curvature buffer
-    R, N = prob.family.R, grid.N
+    # evaluation (damped_newton), so every evaluation writes into one stress
+    # and one spring buffer, and the step negates the stress in place
     evaluated = (np.empty(N), np.empty((R, N)))
     work = cg_work(evaluated[1])
     res_prev = None
 
-    def evaluate(u_vals):
-        u_vals = u_vals - u_vals.mean()
-        _, rho, d2 = _grad_d2(prob, u_vals, out=evaluated)
-        rho -= f
-        rho -= rho.mean()
-        res = primitive_dual_norm(rho, grid.eps)
-        return u_vals, (rho, d2, res), res
+    def evaluate(z):
+        z -= z.mean()  # every iterate is a new array (damped_newton)
+        _, w, s = _stress_d2(prob, z, out=evaluated)
+        w += P
+        res = 0.5 * float(w.max() - w.min())
+        return z, (w, s, res), res
 
-    def step(_u, state):
+    def step(_z, state):
         nonlocal res_prev
-        rho, d2, res = state
+        w, s, res = state
         eta = forcing_term(res, res_prev, tol)
         res_prev = res
-        return solve_cyclic_banded(d2, -rho, rtol=eta, work=work)
+        return solve_cyclic_banded(s, np.negative(w, out=w), rtol=eta, work=work)
 
-    u0 = np.zeros(grid.N) if u_init is None else u_init.values
-    u, _, trace = damped_newton(evaluate, step, u0, tol, max_iter, "atomistic")
+    z0 = np.zeros(N) if u_init is None else np.diff(u_init.values, append=u_init.values[:1]) / eps
+    z, _, trace = damped_newton(evaluate, step, z0, tol, max_iter, "atomistic")
+    u = eps * np.roll(np.cumsum(z), 1)  # u(x) = eps times the sum of z below x
+    u -= u.mean()
     it, res, _ = trace[-1]
     return EquilibriumSolution(LatticeFn(grid, u), res, it, tuple(trace))

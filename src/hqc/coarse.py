@@ -14,14 +14,15 @@ contributes (b - xi)/(b - a) at a and the rest at b.
 
 ``solve_coarse`` solves the coarse equations and the cell problem of
 every element, at the element's strain, by one Newton iteration on the
-nodal values and the cell fields together; each step condenses the cells
-onto the strains (static condensation).  It works in stress form, the
-paper's equivalent formulation: the node equations sigma_{j-1} - sigma_j
-= b_j make w = sigma + cumsum(b) one constant, so the primitive of the
-nodal residual is a constant minus w, its dual norm over zero-mean coarse
-functions with |v|_{1,1} = 1 is (max w - min w) / 2, as on the lattice
-(:func:`hqc.lattice.primitive_dual_norm`), and a Newton step is a closed
-form in O(M).
+element strains and the cell fields together; each step condenses the
+cells onto the strains (static condensation).  It works in stress form,
+the paper's equivalent formulation: the node equations sigma_{j-1} -
+sigma_j = b_j make w = sigma + cumsum(b) one constant, so the primitive of
+the nodal residual is a constant minus w, its dual norm over zero-mean
+coarse functions with |v|_{1,1} = 1 is (max w - min w) / 2, as on the
+lattice (:func:`hqc.lattice.primitive_dual_norm`), and a Newton step moves
+every element's stress to one constant: a division per element and one
+scalar.  The nodal values are formed only for the output.
 
 On the mesh whose nodes are all N sites (``uniform_mesh(grid, grid.N)``)
 every element is one bond, h = eps, the mean weights are eps, ``istar``
@@ -252,26 +253,18 @@ class CoarseSolution:
     trace: tuple = field(default=(), repr=False)
 
 
-def coarse_newton_step(K, h, mw, P):
-    """Newton step (dU, dz) in O(M), from the primitive P = cumsum(R) of
-    the nodal residual: J dU + R = c mw and mw @ dU = 0, J the cyclic
-    tridiagonal Jacobian with element stiffnesses K / h, c = sum(R) / sum(mw).
-
-    In stress form each element's stress change K dz is P - c cumsum(mw)
-    plus one constant, which periodicity, sum(h dz) = 0, fixes; dU is
-    cumsum(h dz) shifted to mw @ dU = 0.  This needs K != 0 and a finite,
-    nonzero sum(h / K), not positive definiteness; else SolverFailure.
+def coarse_newton_step(K, h, ws):
+    """Newton strain step dz = (c - ws) / K in O(M): every element's
+    linearized stress ws + K dz moves to one constant c, which periodicity,
+    sum(h dz) = 0, fixes as the mean of ws weighted by the compliances h / K.
+    This needs K != 0 and a finite, nonzero sum(h / K), not positive
+    definiteness; else SolverFailure.
     """
     compliance = h / np.where(K == 0, np.nan, K)  # K = 0 fails the test below
     total = compliance.sum()
     if not (np.isfinite(total) and total != 0):
         raise SolverFailure("singular coarse Jacobian")
-    MW = np.cumsum(mw)
-    q = P - (P[-1] / MW[-1]) * MW
-    dz = (q - (q @ compliance) / total) / K
-    dU = np.concatenate([[0.0], np.cumsum(h[:-1] * dz[:-1])])
-    dU -= (mw @ dU) / MW[-1]
-    return dU, dz
+    return ((compliance @ ws) / total - ws) / K
 
 
 def solve_coarse(
@@ -284,11 +277,12 @@ def solve_coarse(
 ) -> CoarseSolution:
     """Newton solve of the coarse-grained homogenized problem.
 
-    The unknowns of one damped Newton iteration are the nodal values U,
-    with zero lattice mean, and the cell field of every element at its
-    constant strain.  Each evaluation condenses the cells onto the strains
-    (:func:`~hqc.microhom.condense_cells`: one stacked bond call, one
-    batched cell solve), so a step is the O(M) closed form of
+    The unknowns of one damped Newton iteration are the element strains z,
+    with sum(h z) = 0, and the cell field of every element at its strain;
+    the nodal values U = cumsum(h z), shifted to zero lattice mean, are
+    formed only for the output.  Each evaluation condenses the cells onto
+    the strains (:func:`~hqc.microhom.condense_cells`: one stacked bond
+    call, one batched cell solve), so a step is the O(M) closed form of
     :func:`coarse_newton_step` with the condensed stiffnesses K, which are
     W'' = d2phi0 at converged cells, and then each cell's own part.  The
     solve stops when the coarse dual norm of the nodal residual is at most
@@ -304,55 +298,56 @@ def solve_coarse(
     cell, its strain and its smallest Hessian eigenvalue.  A singular cell
     Hessian on the way raises :class:`StabilityError` as well.
 
-    Without ``init`` the solve starts from U = 0, with every cell field at
+    Without ``init`` the solve starts from z = 0, with every cell field at
     the solution of the cell problem at strain 0: a start far from cell
     equilibrium can lead the joint iteration to stall where a start on it
     converges.
     ``init``, a solution on any mesh of the same grid, gives a nested start
-    (nested iteration): U starts at the interpolant of ``init.u`` and each
-    element's cell field at the ``init.chi`` row of its parent element
-    (see :func:`prolong`); rows whose prolonged field is inadmissible at
-    their new element strain start from the zero field instead.
+    (nested iteration): z starts at the strains of the interpolant of
+    ``init.u`` and each element's cell field at the ``init.chi`` row of its
+    parent element (see :func:`prolong`); rows whose prolonged field is
+    inadmissible at their new element strain start from the zero field
+    instead.
     """
     h = mesh.element_sizes()
-    mw = mesh.mean_weights()
     B = np.cumsum(F.node_values(mesh))
     scale = tol / law.tol  # a cell residual in units of the coarse tolerance
 
     if init is None:
-        U = np.zeros(mesh.n_elements)
+        z = np.zeros(mesh.n_elements)
         # every strain is 0: each element starts from that one cell's solution
         chi = newton_cells(law.family, np.zeros(1), np.zeros((1, law.family.p)), law.tol,
                            law.max_iter)[0]
         chi = np.repeat(chi, mesh.n_elements, axis=0)
     else:
         u0, parent = prolong(init.u, mesh)
-        U = u0.nodal_values - mw @ u0.nodal_values  # constants only shift the mean
-        chi = warm_start(law.family, np.diff(U, append=U[:1]) / h, init.chi[parent])
+        z = u0.strains()
+        chi = warm_start(law.family, z, init.chi[parent])
 
-    # an iterate x holds U in column 0 and the cell fields in the others
+    # an iterate x holds z in column 0 and the cell fields in the others
     def evaluate(x):
-        cells = condense_cells(law.family, np.diff(x[:, 0], append=x[:1, 0]) / h, x[:, 1:])
+        x[:, 0] -= h @ x[:, 0]  # keeps sum(h z) = 0, as sum(h) = 1; x is a new array
+        cells = condense_cells(law.family, x[:, 0], x[:, 1:])
         w = cells.stress + B
         dual = 0.5 * float(w.max() - w.min())
         return x, (w, dual, cells), max(dual, scale * cells.residual.max())
 
     def step(_x, state):
         w, _dual, cells = state
-        ws = w + cells.shift  # the primitive of the residual is ws[-1] - ws - B[-1]
-        dU, dz = coarse_newton_step(cells.stiffness, h, mw, ws[-1] - ws - B[-1])
-        return np.column_stack([dU, cells.relax + cells.sensitivity * dz[:, None]])
+        dz = coarse_newton_step(cells.stiffness, h, w + cells.shift)
+        return np.column_stack([dz, cells.relax + cells.sensitivity * dz[:, None]])
 
     x, (_w, dual, cells), trace = damped_newton(
-        evaluate, step, np.column_stack([U, chi]), tol, max_iter, "coarse"
+        evaluate, step, np.column_stack([z, chi]), tol, max_iter, "coarse"
     )
-    U, chi = x[:, 0].copy(), x[:, 1:]
-    z = np.diff(U, append=U[:1]) / h
+    z, chi = x[:, 0], x[:, 1:]
     j = int(np.argmin(cells.stiffness))
     if not cells.stiffness[j] > 0:
         raise StabilityError(f"unstable coarse equilibrium: element {j} has strain "
                              f"{z[j]:.6g} and W'' = {cells.stiffness[j]:.6g} <= 0")
     require_stable_cells(cells, z)
+    U = np.concatenate([[0.0], np.cumsum(h[:-1] * z[:-1])])
+    U -= mesh.mean_weights() @ U
     chi = chi - chi.mean(axis=1, keepdims=True)
     return CoarseSolution(CoarseFn(mesh, U), dual, trace[-1][0], chi, tuple(trace))
 

@@ -1,38 +1,38 @@
 """Linear solves with periodic operators given by their bonds: springs in
 1D, bond lists in 2D.
 
-Both solves return the zero-mean x with A x = rhs - mean(rhs) for the
-operator A of the bonds, symmetric with the constants in its kernel by
-construction: the atomistic Newton step (1D), and the 2D atomistic and P1
-solves.  The coarse 1D Newton step has a closed form
-(:func:`hqc.coarse.coarse_newton_step`).
+The 1D solve is the atomistic Newton step in strain unknowns; the 2D
+atomistic and P1 solves return the zero-mean x with A x = rhs - mean(rhs)
+for the operator A of the bonds.  The coarse 1D Newton step has a closed
+form (:func:`hqc.coarse.coarse_newton_step`).
 
 A 1D operator of range R on n sites is its (R, n) spring stack s, with
-s[r - 1, i] = s_r(i) the stiffness of bond (i, i + r), of either sign: A is
-sum_r D_r^T diag(s_r) D_r with (D_r x)(i) = x(i + r) - x(i), sites taken
-mod n, so that a bond aliased by n <= R is still one bond.
-``spring_matvec`` applies A through the tensions t_r = s_r D_r x.
+s[r - 1, i] = s_r(i) the stiffness of bond (i, i + r), of either sign, and
+acts on the nearest-neighbour (NN) stretches x, sum(x) = 0: bond (i, i + r)
+stretches by the window sum e_r(i) of x over the m = r mod n sites from i,
+taken mod n, as whole turns around the ring stretch it by nothing.
+``spring_matvec`` applies J = sum_r W_r^T diag(s_r) W_r, for the window
+sums W_r, through the tensions s_r e_r; on displacements u, x = D u, it is
+the Hessian sum_r D_r^T diag(s_r) D_r.
 
-``solve_cyclic_banded`` runs conjugate gradients (Hestenes & Stiefel,
-J. Res. NBS 49(6), 1952) on the zero-mean space in numpy alone.  The
-stretch of bond (i, i + r) is the sum of r nearest-neighbour (NN) strains
-x(y + 1) - x(y); by Cauchy-Schwarz its square is at most r times the sum of
-their squares, with equality for equal strains.  Spreading each spring
-over the NN bonds it spans, with weight r s_r, gives the preconditioner:
-the NN chain of stiffness k(y) = sum_r r sum_{j<r} s_r(y - j), which agrees
-with A under a uniform strain and bounds it above where every s_r >= 0.
-Its solve is two prefix sums, for a zero-mean b, so the CG residual r is
-projected to zero mean after every update.  CG stops at max|r| <= rtol
-max|b|, for the caller's rtol but never below ``CG_RTOL``, its default;
-the atomistic Newton step passes a forcing term
-(:func:`hqc.atomistic.forcing_term`).  The vectors of the iteration live
-in one work block (``cg_work``), which a caller may reuse across solves,
-and are updated in place, so an iteration allocates none.  Some k(y) <= 0,
-a direction with p.Ap <= 0 or not finite, or no convergence in
-min(4 N + 20, ``CG_MAX_ITER``) iterations hands the springs to a sparse KKT
-solve bordered by the zero-mean constraint, which also serves operators
-not positive definite there: hqc's only use of scipy, imported on first
-use.
+``solve_cyclic_banded`` returns the x with sum(x) = 0 and J x = rhs - c for
+one constant c by conjugate gradients (Hestenes & Stiefel, J. Res. NBS
+49(6), 1952) in numpy alone.  By Cauchy-Schwarz e_r^2 is at most r times
+the sum of the squares of its stretches, so the NN chain, the diagonal
+k(y) = sum_r r sum_{j<r} s_r(y - j), agrees with J on a uniform stretch and
+bounds it above where every s_r >= 0: the preconditioner, whose solve is
+(r - c) / k with c = sum(r / k) / sum(1 / k).  The residual is projected to
+zero mean after every update, which keeps the multiplier out of it, and
+CG stops at max r - min r <= rtol (max b - min b), the (-1, inf) dual
+seminorm of the Newton residual, for the caller's rtol but never below
+``CG_RTOL``, its default; the atomistic Newton step passes a forcing term
+(:func:`hqc.atomistic.forcing_term`).  The vectors of the iteration live in
+one work block (``cg_work``), which a caller may reuse across solves, so
+an iteration allocates none.  Some k(y) <= 0, a direction with p.Jp <= 0
+or not finite, or no convergence in min(4 n + 20, ``CG_MAX_ITER``)
+iterations hands the springs to a sparse KKT solve on displacements,
+which also serves operators not positive definite on the zero-sum space:
+hqc's only use of scipy, imported on first use.
 
 A 2D operator is a bond list: bonds ``((r1, r2), C)`` whose (c1, c2)
 array C holds, per site s of the cell, the stiffness of the bond from s to
@@ -61,37 +61,49 @@ CG_MAX_ITER = 1000
 
 
 def _solve_kkt_sparse(s, rhs):
-    """Zero-mean solution of the springs s bordered by the mean constraint."""
+    """The x of ``solve_cyclic_banded`` as D du, for the zero-mean du with
+    A du = D^T rhs, A = sum_r D_r^T diag(s_r) D_r, from the sparse system
+    bordered by the mean constraint."""
     import scipy.sparse.linalg
 
     R, n = s.shape
     i = np.tile(np.arange(n), R)
     j = (i + np.repeat(np.arange(1, R + 1), n)) % n
-    v = s.ravel()  # a spring adds v to A[i, i] and A[j, j], -v to A[i, j] and A[j, i]
+    # a spring adds v to A[i, i] and A[j, j], -v to A[i, j] and A[j, i]; whole turns are inert
+    v = np.where((np.arange(1, R + 1) % n == 0)[:, None], 0.0, s).ravel()
     ij = (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]))
     A = scipy.sparse.coo_matrix((np.concatenate([v, v, -v, -v]), ij), shape=(n, n))
     c = scipy.sparse.coo_matrix(np.ones((n, 1)) / n)
     K = scipy.sparse.bmat([[A, c], [c.T, None]], format="csc")
-    x = scipy.sparse.linalg.spsolve(K, np.concatenate([rhs, [0.0]]))[:-1]
-    return x - x.mean()  # the border holds the mean only to roundoff
+    du = scipy.sparse.linalg.spsolve(K, np.concatenate([np.roll(rhs, 1) - rhs, [0.0]]))[:-1]
+    return np.roll(du, -1) - du
+
+
+def _add_shifted(acc: np.ndarray, v: np.ndarray, j: int) -> None:
+    """acc(i) += v(i + j), sites taken mod n."""
+    n = acc.size
+    k = j % n
+    acc[: n - k] += v[k:]
+    acc[n - k :] += v[:k]
 
 
 def spring_matvec(s: np.ndarray, x: np.ndarray, out=None, t=None) -> np.ndarray:
-    """A x for the springs s: (A x)(i) = sum_r t_r(i - r) - t_r(i) over the
-    tensions t_r(i) = s_r(i) (x(i + r) - x(i)), sites taken mod n; written
-    into ``out``, with ``t`` as scratch, when they are given."""
+    """J x for the springs s on the stretches x: (J x)(y) = sum_r sum_{j<m}
+    t_r(y - j) over the tensions t_r = s_r e_r, e_r(i) = sum_{j<m} x(i + j),
+    m = r mod n, sites taken mod n; written into ``out``, with ``t`` as
+    scratch, when they are given."""
     R, n = s.shape
     out = np.empty(n) if out is None else out
     t = np.empty(n) if t is None else t
     out.fill(0.0)
     for r in range(1, R + 1):
-        k = r % n  # x(i + r) = x[(i + k) % n]
-        np.subtract(x[k:], x[: n - k], out=t[: n - k])
-        np.subtract(x[:k], x[n - k :], out=t[n - k :])
+        m = r % n
+        np.copyto(t, x)
+        for j in range(1, m):
+            _add_shifted(t, x, j)
         t *= s[r - 1]
-        out -= t
-        out[k:] += t[: n - k]
-        out[:k] += t[n - k :]
+        for j in range(m):
+            _add_shifted(out, t, -j)
     return out
 
 
@@ -99,64 +111,51 @@ def _chain_stiffness(s: np.ndarray, k: np.ndarray, T: np.ndarray, tmp: np.ndarra
     """k(y) = sum_r r sum_{j<r} s_r(y - j), as sum_j T_j(y - j) over the
     suffix sums T_j = sum_{r>j} r s_r; written into k, with T and tmp as
     scratch."""
-    R, n = s.shape
+    R, _ = s.shape
     k.fill(0.0)
     T.fill(0.0)
     for j in range(R - 1, -1, -1):
         T += np.multiply(s[j], j + 1, out=tmp)
-        m = j % n  # k += np.roll(T, j)
-        k[m:] += T[: n - m]
-        k[:m] += T[n - m :]
+        _add_shifted(k, T, -j)
     return k
 
 
-def _chain_solve(kinv, ksum, b, z, e):
-    """b.z for the zero-mean solution z of the NN chain of stiffness 1 / kinv
-    and a zero-mean b, written into z, with e as scratch; ksum = sum(kinv).
-    The tensions t = c - cumsum(b) solve t(y - 1) - t(y) = b(y); the strains
-    e = t kinv sum to zero when c = kinv.cumsum(b) / ksum."""
-    t = np.cumsum(b, out=z)
-    # einsum, not a BLAS dot, whose threads waited up to 8 ms a call on a busy machine
-    np.subtract(np.einsum("i,i", t, kinv) / ksum, t, out=t)
-    np.multiply(t, kinv, out=e)
-    bz = np.einsum("i,i", t, e)
-    z[0] = 0.0
-    np.cumsum(e[:-1], out=z[1:])
-    z -= z.mean()
-    return bz
-
-
 def cg_work(s: np.ndarray) -> np.ndarray:
-    """An uninitialised work block for ``solve_cyclic_banded`` on springs of
-    the shape of ``s``."""
+    """An uninitialised work block for ``solve_cyclic_banded`` on springs like ``s``."""
     return np.empty((6, s.shape[1]))
 
 
 def solve_cyclic_banded(s: np.ndarray, rhs: np.ndarray, rtol: float = CG_RTOL, work=None):
-    """Zero-mean x with A x = rhs - mean(rhs), for the operator A of the
-    springs s (module docstring): CG preconditioned by their NN chain,
-    stopped at max|r| <= max(rtol, CG_RTOL) max|b|, or the sparse KKT
-    fallback.  Every vector of the iteration lives in ``work``, a block from
-    :func:`cg_work` that a caller may reuse across solves; a new one is made
-    when it is None."""
+    """The x with sum(x) = 0 and J x = rhs - c for one constant c, for the
+    operator J of the springs s on stretches (module docstring): CG
+    preconditioned by their NN chain, stopped at max r - min r <=
+    max(rtol, CG_RTOL) (max b - min b), or the sparse KKT fallback.  Every
+    vector of the iteration lives in ``work``, a block from :func:`cg_work`
+    that a caller may reuse across solves (a new one is made when it is
+    None), and the CG solution is returned as its row, which the next solve
+    with that block overwrites."""
     n = s.shape[1]
-    rhs = np.asarray(rhs, dtype=float)
     if work is None:
         work = cg_work(s)
     p, x, r, q, z, kinv = work
+    np.subtract(rhs, np.mean(rhs), out=r)
     if not _chain_stiffness(s, kinv, z, q).min() > 0.0:
-        return _solve_kkt_sparse(s, rhs - rhs.mean())
+        return _solve_kkt_sparse(s, rhs)
     np.reciprocal(kinv, out=kinv)
     ksum = kinv.sum()
-    np.subtract(rhs, rhs.mean(), out=r)
-    tol = max(rtol, CG_RTOL) * max(r.max(), -r.min())
+    tol = max(rtol, CG_RTOL) * (r.max() - r.min())
     x.fill(0.0)
     p.fill(0.0)
     rz = np.inf  # the first direction is the preconditioned residual
     for _ in range(min(4 * n + 20, CG_MAX_ITER)):
-        if max(r.max(), -r.min()) <= tol:
-            return x - x.mean()
-        rz_new = _chain_solve(kinv, ksum, r, z, q)
+        if r.max() - r.min() <= tol:
+            x -= x.mean()
+            return x
+        # einsum, not a BLAS dot, whose threads waited up to 8 ms a call on a busy machine
+        np.subtract(r, np.einsum("i,i", r, kinv) / ksum, out=z)
+        z *= kinv
+        z -= z.mean()  # the roundoff of c would reach r through J 1, which is not 0
+        rz_new = np.einsum("i,i", r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -167,7 +166,7 @@ def solve_cyclic_banded(s: np.ndarray, rhs: np.ndarray, rtol: float = CG_RTOL, w
         x += np.multiply(p, rz / pq, out=z)
         r -= np.multiply(q, rz / pq, out=z)
         r -= r.mean()
-    return _solve_kkt_sparse(s, rhs - rhs.mean())
+    return _solve_kkt_sparse(s, rhs)
 
 
 def _offset_sum(near: np.ndarray, n: int, length: int) -> np.ndarray:

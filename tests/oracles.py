@@ -83,6 +83,22 @@ def springs_to_dense(s: np.ndarray) -> np.ndarray:
     return A
 
 
+def stretch_springs_to_dense(s: np.ndarray) -> np.ndarray:
+    """Dense n x n matrix J of the springs s[r - 1, i] on nearest-neighbour
+    stretches, assembled bond by bond as the sum of s e e^T, where e marks
+    the stretches i, i + 1, ... that bond (i, i + r) spans, mod n, less its
+    whole turns around the ring, which stretch a zero-sum field by nothing."""
+    R, n = s.shape
+    J = np.zeros((n, n))
+    for r in range(1, R + 1):
+        for i in range(n):
+            e = np.zeros(n)
+            for j in range(r % n):
+                e[(i + j) % n] = 1.0
+            J += s[r - 1, i] * np.outer(e, e)
+    return J
+
+
 def central_diff(fun, x: float, step: float) -> float:
     return (fun(x + step) - fun(x - step)) / (2.0 * step)
 
@@ -140,8 +156,9 @@ def probe_matrix(apply, shape) -> np.ndarray:
 
 
 def zero_mean_dense_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Zero-mean x with A x = rhs - mean(rhs), from the dense system
-    bordered by the mean constraint (a Lagrange multiplier)."""
+    """Zero-mean x with A x = rhs - c for one constant c, from the dense
+    system bordered by the mean constraint (c is the Lagrange multiplier
+    plus mean(rhs), and 0 when the constants are in the kernel of A)."""
     n = rhs.size
     K = np.zeros((n + 1, n + 1))
     K[:n, :n] = A

@@ -218,11 +218,11 @@ class TestSolveAtomistic:
         assert ratios and max(ratios) >= 1.8
 
     def test_shipped_chain_never_leaves_the_cg_path(self, lj, micro):
-        # every Newton Hessian of the reference solve, at the sizes of lj_1d
-        # and lj_1d_fine, is positive definite on the zero-mean space, and
+        # every Newton Jacobian of the reference solve, at the sizes of lj_1d
+        # and lj_1d_fine, is positive definite on the zero-sum strains, and
         # its nearest-neighbour chain preconditions CG to at most 10
         # iterations, each one spring product; with the forcing term a cold
-        # solve takes at most 16 in all (27-29 at full accuracy)
+        # solve takes at most 16 in all (26 at full accuracy)
         product = mock.Mock(wraps=linsolve.spring_matvec)
         iters = []
 
@@ -246,6 +246,16 @@ class TestSolveAtomistic:
             assert sol.residual_dual <= 1e-10
             assert iters and 0 < min(iters) and max(iters) <= 10
             assert sum(iters) <= 16
+
+    def test_converges_at_524288_sites(self, lj, micro):
+        # no evaluation sums over the chain, so the residual reaches the
+        # roundoff of the stresses (about 1e-13) at every N; strains taken
+        # as differences of displacements lose digits in proportion to N
+        # and stall above 1e-10 at this size
+        grid = LatticeGrid(524288, 2)
+        prob = AtomisticProblem(grid, lj, sin_force(grid, 50.0, 1.0))
+        sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
+        assert sol.residual_dual <= 1e-10
 
     def test_zero_mean_iterates(self, lj, micro):
         grid = LatticeGrid(128, 2)
@@ -324,27 +334,27 @@ class TestInexactNewton:
         diff = LatticeFn(grid, sol.u.values - full.u.values)
         assert seminorm(diff, 1, np.inf) <= 1e-9 * seminorm(full.u, 1, np.inf)
 
-    def test_one_cg_solve_per_newton_step(self, lj, micro):
-        # amplitude 170 takes damped steps, so some trials are rejected and
-        # evaluated without a solve
+    def test_one_cg_solve_per_newton_step(self, lj):
+        # amplitude 70 from u = 0 has a stable equilibrium and takes damped
+        # steps, so some trials are rejected and evaluated without a solve
         grid = LatticeGrid(1024, 2)
-        prob = AtomisticProblem(grid, lj, sin_force(grid, 170.0, 1.0))
+        prob = AtomisticProblem(grid, lj, sin_force(grid, 70.0, 1.0))
         solve = mock.Mock(wraps=linsolve.solve_cyclic_banded)
-        evals = mock.Mock(wraps=atomistic._grad_d2)
+        evals = mock.Mock(wraps=atomistic._stress_d2)
         with mock.patch.object(atomistic, "solve_cyclic_banded", solve), mock.patch.object(
-            atomistic, "_grad_d2", evals
+            atomistic, "_stress_d2", evals
         ):
-            sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
+            sol = solve_atomistic(prob)
         assert any(t < 1.0 for _, _, t in sol.trace[1:])
         assert solve.call_count == sol.iterations < evals.call_count - 1
         assert len({id(c.kwargs["work"]) for c in solve.call_args_list}) == 1
 
     def test_memory_peak_at_65536_sites(self, lj, micro):
-        # the peak of traced allocations, in vectors of N doubles, is 15.05
-        # with one gradient, one curvature (spring) stack and one CG work
-        # block per solve and the bond law evaluated by blocks; a Hessian
-        # band built for every step took 22.05; the bound leaves about one
-        # vector of margin
+        # the peak of traced allocations, in vectors of N doubles, is 15.02
+        # with one stress, one spring stack, one force primitive and one CG
+        # work block of 6 rows per solve and the bond law evaluated by
+        # blocks; a Hessian band built for every step took 22.05; the bound
+        # leaves about one vector of margin
         N = 65536
         grid = LatticeGrid(N, 2)
         prob = AtomisticProblem(grid, lj, sin_force(grid, 50.0, 1.0))

@@ -9,55 +9,64 @@ from hqc.exceptions import SolverFailure
 from hqc.lattice2d import SpringModel2D, p1_bonds
 from hqc.linsolve import bond_matvec, solve_cyclic_banded, solve_periodic_2d, spring_matvec
 
-from oracles import p1_stiffness_dense, probe_matrix, springs_to_dense, zero_mean_dense_solve
+from oracles import (
+    p1_stiffness_dense,
+    probe_matrix,
+    stretch_springs_to_dense,
+    zero_mean_dense_solve,
+)
 
 
 class TestCyclicBanded:
+    """The atomistic Newton step: springs acting on nearest-neighbour
+    stretches through their window sums, solved on the zero-sum space."""
+
     def test_matvec_matches_dense(self):
         # signed springs, also on rings of n <= R sites, where bonds alias
         rng = np.random.default_rng(41)
         for n, R in ((1, 2), (2, 3), (3, 3), (4, 4), (6, 1), (12, 2), (31, 4)):
             s = rng.standard_normal((R, n))
             x = rng.standard_normal(n)
-            assert np.allclose(spring_matvec(s, x), springs_to_dense(s) @ x)
+            assert np.allclose(spring_matvec(s, x), stretch_springs_to_dense(s) @ x)
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), R=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_zero_mean_solve_matches_dense_oracle(self, data, R, seed):
-        # n <= 2R aliases bonds onto each other, and a bond from a site to
-        # its own image (r a multiple of n) stretches by nothing, though the
-        # NN chain counts it.  The sparse fallback would hide a wrong or
-        # stalled CG solve, so it must not be reached.
+        # n <= 2R aliases bonds onto each other, and a bond whose range r is
+        # a multiple of n spans the whole ring, so it stretches by nothing
+        # on the zero-sum space, though the NN chain counts it.  The sparse
+        # fallback would hide a wrong or stalled CG solve, so it must not be
+        # reached.
         n = data.draw(st.integers(2, 4 * R + 8) | st.sampled_from([64, 129, 256]), label="n")
         rng = np.random.default_rng(seed)
         k = 10.0 ** rng.uniform(-3.0, 3.0, (R, n))
         rhs = rng.standard_normal(n) + rng.uniform(-5.0, 5.0)
         with mock.patch("hqc.linsolve._solve_kkt_sparse", side_effect=AssertionError("fallback")):
             x = solve_cyclic_banded(k, rhs)
-        A = springs_to_dense(k)
-        x_ref = zero_mean_dense_solve(A, rhs)
+        J = stretch_springs_to_dense(k)
+        x_ref = zero_mean_dense_solve(J, rhs)
         assert abs(x.mean()) <= 1e-14 * np.abs(x_ref).max()
-        assert np.abs(x - x_ref).max() <= 1e-13 * condition_number(A) * np.abs(x_ref).max()
+        assert np.abs(x - x_ref).max() <= 1e-13 * condition_number(J) * np.abs(x_ref).max()
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), R=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_one_negative_bond_matches_dense_oracle(self, data, R, seed):
-        # Depending on its size, one negative bond, never one from a site to
-        # its own image, leaves the springs positive definite on the
-        # zero-mean space or makes them indefinite; CG or its sparse
-        # fallback must find the solution either way.  Springs singular
-        # there have no solution to compare.
+        # Depending on its size, one negative bond, never one that spans
+        # the whole ring, leaves the springs positive definite on the
+        # zero-sum space or makes them indefinite; CG or its sparse
+        # fallback on displacements must find the solution either way.
+        # Springs singular there have no solution to compare.
         n = data.draw(st.integers(2, 4 * R + 8) | st.sampled_from([64, 129, 256]), label="n")
         rng = np.random.default_rng(seed)
         k = 10.0 ** rng.uniform(-3.0, 3.0, (R, n))
         r = rng.choice(np.flatnonzero(np.arange(1, R + 1) % n))
         k[r, rng.integers(n)] *= -1.0
-        A = springs_to_dense(k)
-        cond = condition_number(A)
+        J = stretch_springs_to_dense(k)
+        cond = condition_number(J)
         assume(cond <= 1e8)
         rhs = rng.standard_normal(n) + rng.uniform(-5.0, 5.0)
         x = solve_cyclic_banded(k, rhs)
-        x_ref = zero_mean_dense_solve(A, rhs)
+        x_ref = zero_mean_dense_solve(J, rhs)
         assert abs(x.mean()) <= 1e-14 * np.abs(x_ref).max()
         assert np.abs(x - x_ref).max() <= 1e-13 * cond * np.abs(x_ref).max()
 
@@ -67,9 +76,10 @@ even_size = st.integers(1, 6).map(lambda n: 2 * n)
 
 
 def condition_number(A):
-    """Largest over smallest |eigenvalue| on the zero-mean space, of a
-    symmetric matrix whose kernel is the constants."""
-    ev = np.sort(np.abs(np.linalg.eigvalsh(A)))
+    """Largest over smallest |eigenvalue| of the symmetric A on the
+    zero-mean space."""
+    P = np.eye(A.shape[0]) - 1.0 / A.shape[0]
+    ev = np.sort(np.abs(np.linalg.eigvalsh(P @ A @ P)))
     return ev[-1] / ev[1]
 
 

@@ -1,7 +1,7 @@
 """hqc runs on numpy alone: importing it loads no scipy module, a study
 loads no module that the import did not, and the atomistic Newton step
 solves with scipy blocked.  scipy is imported only by the sparse fallback
-for springs that are not positive definite.  Each check runs in a fresh
+for springs that are not positive definite on the zero-sum stretches.  Each check runs in a fresh
 interpreter, since this one has scipy loaded (``tests/oracles.py``)."""
 
 import json
@@ -15,7 +15,7 @@ import numpy as np
 
 from hqc import linsolve
 
-from oracles import springs_to_dense, zero_mean_dense_solve
+from oracles import stretch_springs_to_dense, zero_mean_dense_solve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -85,23 +85,25 @@ def test_positive_definite_band_solves_with_scipy_blocked():
         SOLVE.format(block='sys.modules["scipy"] = None'),
         json.dumps([k.tolist(), rhs.tolist()]),
     )
-    A = springs_to_dense(k)
-    x_ref = zero_mean_dense_solve(A, rhs)
-    ev = np.sort(np.abs(np.linalg.eigvalsh(A)))
+    J = stretch_springs_to_dense(k)
+    x_ref = zero_mean_dense_solve(J, rhs)
+    P = np.eye(64) - 1.0 / 64  # the spectrum on the zero-sum space
+    ev = np.sort(np.abs(np.linalg.eigvalsh(P @ J @ P)))
     assert np.abs(np.array(out["x"]) - x_ref).max() <= 1e-13 * ev[-1] / ev[1] * np.abs(x_ref).max()
 
 
 def test_indefinite_band_reaches_the_sparse_fallback():
     # a negative nearest-neighbour bond larger than the series of the
-    # others around the ring makes the springs indefinite on the zero-mean
+    # others around the ring makes the springs indefinite on the zero-sum
     # space; the fallback imports scipy on first use
     rng = np.random.default_rng(72)
     k = rng.uniform(1.0, 2.0, (2, 16))
     k[0, 5] = -40.0
-    A = springs_to_dense(k)
-    assert np.linalg.eigvalsh(A)[0] < 0.0
+    J = stretch_springs_to_dense(k)
+    P = np.eye(16) - 1.0 / 16
+    assert np.linalg.eigvalsh(P @ J @ P)[0] < 0.0
     rhs = rng.standard_normal(16)
-    x_ref = zero_mean_dense_solve(A, rhs)
+    x_ref = zero_mean_dense_solve(J, rhs)
 
     with mock.patch("hqc.linsolve._solve_kkt_sparse", wraps=linsolve._solve_kkt_sparse) as kkt:
         x = linsolve.solve_cyclic_banded(k, rhs)
