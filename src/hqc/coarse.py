@@ -4,7 +4,9 @@ A mesh is a set of atom sites chosen as nodes; element T = [xi, eta)
 collects the sites from one node up to (excluding) the next, with the last
 element wrapping around the period.  Coarse functions are affine in each
 element, which is equivalent to D u(xi - eps) = D u(xi) at every non-node
-site.
+site.  Per-element data meets the lattice in one layout, element order
+(the sites from node 0 on, element by element): ``np.repeat`` over the
+site counts fills it, and one roll by nodes[0] - 1 takes it to the sites.
 
 ``istar`` is the adjoint of the nodal interpolant under the mean-scaled
 pairing: <istar(w), v> = <w, interpolate(v)> for all v.  Its action
@@ -34,7 +36,6 @@ full lattice, -D[dphi0(D u)] = f, scaled by eps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -83,31 +84,10 @@ class Mesh1D:
         h = self.element_sizes()
         return 0.5 * (h + np.roll(h, 1))
 
-    def site_maps(self):
-        """(element index, offset within element) for every 0-based site,
-        computed once per mesh and returned read-only."""
-        return self._site_maps
-
-    @cached_property
-    def _site_maps(self):
-        counts = self.site_counts()
-        N = self.grid.N
-        order = (self.nodes[0] - 1 + np.arange(N)) % N
-        elem_in_order = np.repeat(np.arange(self.n_elements), counts)
-        starts = np.repeat(np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        offs_in_order = np.arange(N) - starts
-        site_elem = np.empty(N, dtype=int)
-        site_offs = np.empty(N, dtype=int)
-        site_elem[order] = elem_in_order
-        site_offs[order] = offs_in_order
-        site_elem.flags.writeable = False
-        site_offs.flags.writeable = False
-        return site_elem, site_offs
-
     def h_fn(self) -> LatticeFn:
         """Element-size function h(x) = h_T for x in T."""
-        site_elem, _ = self.site_maps()
-        return LatticeFn(self.grid, self.element_sizes()[site_elem])
+        h = np.repeat(self.element_sizes(), self.site_counts())
+        return LatticeFn(self.grid, _to_sites(self, h))
 
     def is_node(self) -> np.ndarray:
         mask = np.zeros(self.grid.N, dtype=bool)
@@ -141,16 +121,8 @@ class CoarseFn:
         U = self.nodal_values
         return np.diff(U, append=U[:1]) / self.mesh.element_sizes()
 
-    def _at(self, elem, offs) -> np.ndarray:
-        """Values at the sites offs (0-based) into the elements elem."""
-        U = self.nodal_values
-        left = U[elem]
-        right = U[(elem + 1) % self.mesh.n_elements]
-        frac = offs / self.mesh.site_counts()[elem]
-        return left + frac * (right - left)
-
     def to_lattice(self) -> LatticeFn:
-        return LatticeFn(self.mesh.grid, self._at(*self.mesh.site_maps()))
+        return LatticeFn(self.mesh.grid, _to_sites(self.mesh, _element_order_values(self)))
 
     def lattice_mean(self) -> float:
         return float(self.mesh.mean_weights() @ self.nodal_values)
@@ -172,16 +144,37 @@ def prolong(u: CoarseFn, mesh: Mesh1D) -> tuple[CoarseFn, np.ndarray]:
     # sites before the first old node lie in the last, wrapping element
     parent = (np.searchsorted(old, mesh.nodes, side="right") - 1) % old.size
     offs = (mesh.nodes - old[parent]) % mesh.grid.N
-    return CoarseFn(mesh, u._at(parent, offs)), parent
+    U = u.nodal_values
+    left, right = U[parent], U[(parent + 1) % old.size]
+    return CoarseFn(mesh, left + offs / u.mesh.site_counts()[parent] * (right - left)), parent
+
+
+def _element_offsets(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Site counts, element starts and, in element order, each site's offset in its element."""
+    counts = mesh.site_counts()
+    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    return counts, starts, np.arange(mesh.grid.N) - np.repeat(starts, counts)
+
+
+def _to_sites(mesh: Mesh1D, f: np.ndarray) -> np.ndarray:
+    """Site-order copy of the element-ordered lattice array f."""
+    return np.roll(f, mesh.nodes[0] - 1)
+
+
+def _element_order_values(u: CoarseFn) -> np.ndarray:
+    """u at every site, in element order."""
+    counts, _, offs = _element_offsets(u.mesh)
+    U = u.nodal_values
+    left = np.repeat(U, counts)
+    frac = offs / np.repeat(counts, counts)
+    return left + frac * (np.repeat(np.roll(U, -1), counts) - left)
 
 
 def _istar_nodes(mesh: Mesh1D, w: np.ndarray) -> np.ndarray:
     """Node values of istar(w), one element-ordered sum per element: element
     j gives each site's right share off / n to node j + 1, the rest to node j."""
-    counts = mesh.site_counts()
-    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
-    f = np.roll(w, 1 - mesh.nodes[0])  # element order, from node 0
-    off = np.arange(f.size) - np.repeat(starts, counts)
+    counts, starts, off = _element_offsets(mesh)
+    f = np.roll(w, 1 - mesh.nodes[0])  # element order
     right = np.add.reduceat(f * off, starts) / counts
     left = np.add.reduceat(f, starts) - right
     return left + np.roll(right, 1)
@@ -367,9 +360,13 @@ def corrector(law: HomogenizedLaw, u0h) -> LatticeFn:
         chi = law.eval_strains(u0h.strains())[3]
     else:
         raise TypeError("corrector expects a CoarseSolution or CoarseFn")
-    grid = u0h.mesh.grid
-    site_elem, _ = u0h.mesh.site_maps()
-    vals = u0h.to_lattice().values + grid.eps * chi[site_elem, grid.species()]
+    mesh, grid = u0h.mesh, u0h.mesh.grid
+    counts, p = mesh.site_counts(), grid.p
+    vals = _element_order_values(u0h)
+    for s in range(p):  # element-order entry k holds site nodes[0] - 1 + k
+        k = (s - mesh.nodes[0] + 1) % p
+        vals[k::p] += grid.eps * np.repeat(chi[:, s], counts)[k::p]
+    vals = _to_sites(mesh, vals)
     return LatticeFn(grid, vals - vals.mean())
 
 

@@ -4,8 +4,8 @@ These deliberately avoid the code paths they check: dual norms come from a
 linear program over the constraint polytope, derivatives from central
 finite differences, micro ground states from scalar minimization, cell
 gradients and Hessians from the shell-by-shell loop assembly, bond values
-from the closed-form laws written out per shell and species, and the 2D
-coarse field on the atoms from an atom-by-atom loop.
+from the closed-form laws written out per shell and species, and the 1D
+and 2D coarse fields on the sites from a site-by-site loop.
 """
 
 import numpy as np
@@ -142,6 +142,34 @@ def interpolation_matrix(nodes: np.ndarray, N: int) -> np.ndarray:
             A[(a + o) % N, a] += 1.0 - o / n
             A[(a + o) % N, b] += o / n
     return A
+
+
+def site_elements(nodes: np.ndarray, N: int) -> np.ndarray:
+    """Element of every 0-based site on the periodic mesh with 1-based node
+    labels ``nodes``, one site at a time: element j holds the sites from
+    node j up to, not including, node j + 1, and the last one wraps."""
+    elem = np.full(N, -1)
+    first = nodes - 1
+    for j, a in enumerate(first):
+        n = (first[(j + 1) % first.size] - a) % N or N
+        for o in range(n):
+            elem[(a + o) % N] = j
+    return elem
+
+
+def corrected_on_sites(nodes: np.ndarray, U: np.ndarray, chi: np.ndarray, N: int, p: int):
+    """Coarse function of the nodal values U plus its corrector on the N
+    sites, one site at a time, zero-meaned: site i = a + o of the element
+    j = [a, b) of n sites takes U_j + (o / n)(U_{j+1} - U_j) + eps chi[j, i mod p]."""
+    out = np.zeros(N)
+    first = nodes - 1
+    M = first.size
+    for j, a in enumerate(first):
+        n = (first[(j + 1) % M] - a) % N or N
+        for o in range(n):
+            i = (a + o) % N
+            out[i] = U[j] + (o / n) * (U[(j + 1) % M] - U[j]) + (1.0 / N) * chi[j, i % p]
+    return out - out.mean()
 
 
 def probe_matrix(apply, shape) -> np.ndarray:
