@@ -148,6 +148,11 @@ def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
 
 #: step halvings ``damped_newton`` tries before giving up on a Newton step
 DAMPING_MAX = 30
+#: residual tolerance of the atomistic and coarse Newton solves, in the
+#: (-1, inf) dual seminorm
+NEWTON_TOL = 1e-10
+#: Newton steps of every ``damped_newton`` solve before it gives up
+MAX_ITER = 60
 
 
 def damped_newton(evaluate, step, x, tol, max_iter, name):
@@ -162,7 +167,8 @@ def damped_newton(evaluate, step, x, tol, max_iter, name):
     that follows its evaluation, before the next evaluation, and the one
     returned is the last evaluated, so evaluations may reuse the buffers of
     earlier states.  A DomainError from evaluating the start is
-    re-raised as ``"{name} Newton: inadmissible start: ..."``.
+    re-raised as ``"{name} Newton: inadmissible start: ..."``, and a start
+    whose norm is not finite raises SolverFailure.
     A trial point is accepted when its norm drops below the current one;
     otherwise, or when evaluating it raises DomainError or SolverFailure,
     the step is halved, at most ``DAMPING_MAX`` times.  When no halving is
@@ -176,6 +182,8 @@ def damped_newton(evaluate, step, x, tol, max_iter, name):
     except DomainError as exc:
         raise DomainError(f"{name} Newton: inadmissible start: {exc}") from exc
     trace = [(0, res, 0.0)]
+    if not np.isfinite(res):  # a nan norm would pass as converged
+        raise SolverFailure(f"{name} Newton: residual {res:.3e} at the start", trace)
     it = 0
     while res > tol:
         if it >= max_iter:
@@ -231,8 +239,8 @@ def forcing_term(res: float, res_prev: float | None, tol: float) -> float:
 def solve_atomistic(
     prob: AtomisticProblem,
     u_init: LatticeFn | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 60,
+    tol: float = NEWTON_TOL,
+    max_iter: int = MAX_ITER,
 ) -> EquilibriumSolution:
     """Damped Newton on the zero-sum strains z for the problem's force,
     from the strains of ``u_init`` (zero by default); returns the zero-mean

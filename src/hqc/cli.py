@@ -42,10 +42,7 @@ def cmd_solve_atomistic(cfg, args) -> int:
     grid, family, micro, margin, _law, f = setup_1d(cfg)
     require_dominance(margin)
     prob = AtomisticProblem(grid, family, f)
-    sol = solve_atomistic(
-        prob, u_init=microstructure_start(grid, micro),
-        tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
-    )
+    sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
     out = _out_dir(args)
     hio.save_lattice_fn(out / "atomistic.txt", sol.u)
     hio.save_trace_csv(out / "atomistic_trace.csv", sol.trace)
@@ -69,7 +66,7 @@ def cmd_solve_hqc(cfg, args) -> int:
     require_dominance(margin)
     mesh = _first_mesh(cfg, grid)
     F = ForceFunctional(cfg.functional_kind, f)
-    cs = solve_coarse(law, mesh, F, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    cs = solve_coarse(law, mesh, F)
     uc = corrector(law, cs)
     out = _out_dir(args)
     hio.save_coarse_fn(out / "hqc_nodal.txt", cs.u)
@@ -101,7 +98,7 @@ def cmd_estimate(cfg, args) -> int:
     c0_inv = cfg.c0_inv if cfg.c0_inv is not None else 1.0 / margin
     mesh = _first_mesh(cfg, grid)
     F = ForceFunctional(cfg.functional_kind, f)
-    cs = solve_coarse(law, mesh, F, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    cs = solve_coarse(law, mesh, F)
     report = indicator_terms(cs.u, f, F, cfg.calibration, c0_inv)
     out = _out_dir(args)
     text = report.CSV_HEADER + "\n" + report.csv_row(mesh.h_max) + "\n"

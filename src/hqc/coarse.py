@@ -41,8 +41,15 @@ import numpy as np
 
 from .exceptions import SolverFailure, StabilityError
 from .lattice import LatticeFn, LatticeGrid
-from .atomistic import damped_newton
-from .microhom import HomogenizedLaw, condense_cells, newton_cells, require_stable_cells, warm_start
+from .atomistic import MAX_ITER, NEWTON_TOL, damped_newton
+from .microhom import (
+    CELL_TOL,
+    HomogenizedLaw,
+    condense_cells,
+    newton_cells,
+    require_stable_cells,
+    warm_start,
+)
 
 
 @dataclass(frozen=True)
@@ -83,11 +90,6 @@ class Mesh1D:
         """Per-node weights of the lattice mean of a coarse function."""
         h = self.element_sizes()
         return 0.5 * (h + np.roll(h, 1))
-
-    def h_fn(self) -> LatticeFn:
-        """Element-size function h(x) = h_T for x in T."""
-        h = np.repeat(self.element_sizes(), self.site_counts())
-        return LatticeFn(self.grid, _to_sites(self, h))
 
     def is_node(self) -> np.ndarray:
         mask = np.zeros(self.grid.N, dtype=bool)
@@ -151,8 +153,7 @@ def prolong(u: CoarseFn, mesh: Mesh1D) -> tuple[CoarseFn, np.ndarray]:
 
 def _element_offsets(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Site counts, element starts and, in element order, each site's offset in its element."""
-    counts = mesh.site_counts()
-    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    counts, starts = mesh.site_counts(), mesh.nodes - mesh.nodes[0]
     return counts, starts, np.arange(mesh.grid.N) - np.repeat(starts, counts)
 
 
@@ -178,6 +179,11 @@ def _istar_nodes(mesh: Mesh1D, w: np.ndarray) -> np.ndarray:
     right = np.add.reduceat(f * off, starts) / counts
     left = np.add.reduceat(f, starts) - right
     return left + np.roll(right, 1)
+
+
+def element_max(mesh: Mesh1D, w: np.ndarray) -> np.ndarray:
+    """Largest entry of the lattice array w on each element."""
+    return np.maximum.reduceat(np.roll(w, 1 - mesh.nodes[0]), mesh.nodes - mesh.nodes[0])
 
 
 def istar(mesh: Mesh1D, w: LatticeFn) -> LatticeFn:
@@ -265,8 +271,6 @@ def solve_coarse(
     mesh: Mesh1D,
     F: ForceFunctional,
     init: CoarseSolution | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 60,
 ) -> CoarseSolution:
     """Newton solve of the coarse-grained homogenized problem.
 
@@ -279,10 +283,12 @@ def solve_coarse(
     :func:`coarse_newton_step` with the condensed stiffnesses K, which are
     W'' = d2phi0 at converged cells, and then each cell's own part.  The
     solve stops when the coarse dual norm of the nodal residual is at most
-    ``tol`` and every cell residual at most ``law.tol``: trace rows and
-    step acceptance use the larger of the dual norm and the worst cell
-    residual times ``tol / law.tol``.  ``residual_dual`` is the coarse dual
-    norm.
+    :data:`~hqc.atomistic.NEWTON_TOL` and every cell residual at most
+    :data:`~hqc.microhom.CELL_TOL`: trace rows and step acceptance use the
+    larger of the dual norm and the worst cell residual times
+    NEWTON_TOL / CELL_TOL = 100.  It gives up after
+    :data:`~hqc.atomistic.MAX_ITER` steps.  ``residual_dual`` is the coarse
+    dual norm.
 
     The estimates hold at stable equilibria only: W''(D u) > 0 on every
     element and every cell a minimum.  A converged solution with W'' <= 0
@@ -304,13 +310,12 @@ def solve_coarse(
     """
     h = mesh.element_sizes()
     B = np.cumsum(F.node_values(mesh))
-    scale = tol / law.tol  # a cell residual in units of the coarse tolerance
+    scale = NEWTON_TOL / CELL_TOL  # a cell residual in units of the coarse tolerance
 
     if init is None:
         z = np.zeros(mesh.n_elements)
         # every strain is 0: each element starts from that one cell's solution
-        chi = newton_cells(law.family, np.zeros(1), np.zeros((1, law.family.p)), law.tol,
-                           law.max_iter)[0]
+        chi = newton_cells(law.family, np.zeros(1), np.zeros((1, law.family.p)), law.max_iter)[0]
         chi = np.repeat(chi, mesh.n_elements, axis=0)
     else:
         u0, parent = prolong(init.u, mesh)
@@ -331,7 +336,7 @@ def solve_coarse(
         return np.column_stack([dz, cells.relax + cells.sensitivity * dz[:, None]])
 
     x, (_w, dual, cells), trace = damped_newton(
-        evaluate, step, np.column_stack([z, chi]), tol, max_iter, "coarse"
+        evaluate, step, np.column_stack([z, chi]), NEWTON_TOL, MAX_ITER, "coarse"
     )
     z, chi = x[:, 0], x[:, 1:]
     j = int(np.argmin(cells.stiffness))

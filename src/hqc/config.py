@@ -7,26 +7,11 @@ documented in the README.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .exceptions import ConfigError
-
-_DEFAULTS = {
-    "problem.kind": "1d",
-    "force.functional": "exact_summation",
-    "micro.tol": "1e-12",
-    "micro.max_iter": "60",
-    "micro.z_lo": "-0.05",
-    "micro.z_hi": "0.05",
-    "micro.z_count": "21",
-    "solver.tol": "1e-10",
-    "solver.max_iter": "60",
-    "estimator.calibration": "1.0",
-    "mesh.theta": "0.5",
-    "mesh.steps": "6",
-    "mesh.initial": "4",
-}
 
 
 def parse_config_text(text: str) -> dict:
@@ -46,8 +31,15 @@ def parse_config(path) -> dict:
     return parse_config_text(Path(path).read_text())
 
 
+def _float(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ConfigError(f"expected a finite number, got {s!r}")
+    return v
+
+
 def _floats(s: str):
-    return [float(tok) for tok in s.replace(",", " ").split()]
+    return [_float(tok) for tok in s.replace(",", " ").split()]
 
 
 def _ints(s: str):
@@ -57,10 +49,17 @@ def _ints(s: str):
     return [int(v) for v in vals]
 
 
+def _get(m: dict, key: str, default, read=_float):
+    """``read(m[key])``, or ``default`` when the key is absent."""
+    return read(m[key]) if key in m else default
+
+
 @dataclass
 class ExperimentConfig:
-    kind: str
+    """A validated config; every field default is the default of its key."""
+
     raw: dict = field(repr=False)
+    kind: str = "1d"
 
     # 1d
     N: int = 0
@@ -85,13 +84,9 @@ class ExperimentConfig:
     k3: float = 0.25
     t_schedule: list = field(default_factory=list)
     # shared
-    micro_tol: float = 1e-12
-    micro_max_iter: int = 60
     micro_z_lo: float = -0.05
     micro_z_hi: float = 0.05
     micro_z_count: int = 21
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 60
     calibration: float = 1.0
     c0_inv: float | None = None
 
@@ -104,33 +99,24 @@ class ExperimentConfig:
 
 def build_config(mapping: dict) -> ExperimentConfig:
     """Validate a raw key-value mapping against the schema."""
-    m = dict(_DEFAULTS)
-    m.update(mapping)
     try:
-        kind = m["problem.kind"]
-        if kind not in ("1d", "2d"):
-            raise ConfigError(f"problem.kind must be 1d or 2d, got {kind!r}")
-        cfg = ExperimentConfig(kind=kind, raw=dict(mapping))
-        cfg.micro_tol = float(m["micro.tol"])
-        cfg.micro_max_iter = int(m["micro.max_iter"])
-        cfg.micro_z_lo = float(m["micro.z_lo"])
-        cfg.micro_z_hi = float(m["micro.z_hi"])
-        cfg.micro_z_count = int(m["micro.z_count"])
-        cfg.solver_tol = float(m["solver.tol"])
-        cfg.solver_max_iter = int(m["solver.max_iter"])
-        if not (cfg.micro_tol > 0 and cfg.solver_tol > 0):
-            raise ConfigError("micro.tol and solver.tol must be positive")
-        if min(cfg.micro_max_iter, cfg.solver_max_iter) < 0:
-            raise ConfigError("micro.max_iter and solver.max_iter must be >= 0")
+        cfg = ExperimentConfig(raw=dict(mapping))
+        cfg.kind = mapping.get("problem.kind", cfg.kind)
+        if cfg.kind not in ("1d", "2d"):
+            raise ConfigError(f"problem.kind must be 1d or 2d, got {cfg.kind!r}")
+        cfg.micro_z_lo = _get(mapping, "micro.z_lo", cfg.micro_z_lo)
+        cfg.micro_z_hi = _get(mapping, "micro.z_hi", cfg.micro_z_hi)
+        cfg.micro_z_count = _get(mapping, "micro.z_count", cfg.micro_z_count, int)
         if cfg.micro_z_count < 1:
             raise ConfigError(f"micro.z_count must be >= 1, got {cfg.micro_z_count}")
-        cfg.calibration = float(m["estimator.calibration"])
-        if "estimator.c0_inv" in m:
-            cfg.c0_inv = float(m["estimator.c0_inv"])
-        if kind == "1d":
-            _build_1d(cfg, m)
+        cfg.calibration = _get(mapping, "estimator.calibration", cfg.calibration)
+        cfg.c0_inv = _get(mapping, "estimator.c0_inv", cfg.c0_inv)
+        if cfg.calibration < 0 or (cfg.c0_inv is not None and cfg.c0_inv < 0):
+            raise ConfigError("estimator.calibration and estimator.c0_inv must be >= 0")
+        if cfg.kind == "1d":
+            _build_1d(cfg, mapping)
         else:
-            _build_2d(cfg, m)
+            _build_2d(cfg, mapping)
         return cfg
     except ConfigError:
         raise
@@ -140,8 +126,8 @@ def build_config(mapping: dict) -> ExperimentConfig:
 
 def _build_1d(cfg: ExperimentConfig, m: dict) -> None:
     cfg.N = int(m["grid.N"])
-    cfg.potential_kind = m.get("potential.kind", "lj")
-    cfg.R = int(m.get("potential.R", "1"))
+    cfg.potential_kind = m.get("potential.kind", cfg.potential_kind)
+    cfg.R = _get(m, "potential.R", cfg.R, int)
     if cfg.R < 1:
         raise ConfigError(f"potential.R must be >= 1, got {cfg.R}")
     if cfg.potential_kind == "lj":
@@ -150,7 +136,7 @@ def _build_1d(cfg: ExperimentConfig, m: dict) -> None:
             raise ConfigError("potential.l entries must be positive")
     elif cfg.potential_kind == "quadratic":
         cfg.k = _floats(m["potential.k"])
-        cfg.a = _floats(m.get("potential.a", ",".join("0" for _ in cfg.k)))
+        cfg.a = _get(m, "potential.a", [0.0] * len(cfg.k), _floats)
         if len(cfg.a) != len(cfg.k):
             raise ConfigError("potential.k and potential.a lengths differ")
         if any(v <= 0 for v in cfg.k):
@@ -160,19 +146,19 @@ def _build_1d(cfg: ExperimentConfig, m: dict) -> None:
     preset = m.get("force.preset", "sin_1d")
     if preset != "sin_1d":
         raise ConfigError(f"unknown 1d force preset {preset!r}")
-    cfg.force_amplitude = float(m.get("force.amplitude", "50"))
-    cfg.force_phase = float(m.get("force.phase", "1"))
-    cfg.functional_kind = m["force.functional"]
+    cfg.force_amplitude = _get(m, "force.amplitude", cfg.force_amplitude)
+    cfg.force_phase = _get(m, "force.phase", cfg.force_phase)
+    cfg.functional_kind = m.get("force.functional", cfg.functional_kind)
     if cfg.functional_kind not in ("exact_summation", "node_lumped"):
         raise ConfigError(f"unknown force.functional {cfg.functional_kind!r}")
     if cfg.p < 1 or cfg.N < 2 or cfg.N % cfg.p != 0:
         raise ConfigError(f"grid.N={cfg.N} must be a multiple >= 2 of the period p={cfg.p}")
-    cfg.adapt_initial = int(m["mesh.initial"])
+    cfg.adapt_initial = _get(m, "mesh.initial", cfg.adapt_initial, int)
     sched = m.get("mesh.schedule", "")
     if sched == "adaptive":
         cfg.adaptive = True
-        cfg.theta = float(m["mesh.theta"])
-        cfg.adapt_steps = int(m["mesh.steps"])
+        cfg.theta = _get(m, "mesh.theta", cfg.theta)
+        cfg.adapt_steps = _get(m, "mesh.steps", cfg.adapt_steps, int)
         if not 0.0 < cfg.theta <= 1.0:
             raise ConfigError("mesh.theta must be in (0, 1]")
         if cfg.adapt_steps < 1:
@@ -193,15 +179,15 @@ def _build_2d(cfg: ExperimentConfig, m: dict) -> None:
         raise ConfigError("the 2d study expects a square grid (grid.N1 == grid.N2)")
     if cfg.N1 % 2:
         raise ConfigError("grid sizes must be even (microstructure period (2,2))")
-    cfg.k1 = float(m.get("potential.k1", "1"))
-    cfg.k2 = float(m.get("potential.k2", "2"))
-    cfg.k3 = float(m.get("potential.k3", "0.25"))
+    cfg.k1 = _get(m, "potential.k1", cfg.k1)
+    cfg.k2 = _get(m, "potential.k2", cfg.k2)
+    cfg.k3 = _get(m, "potential.k3", cfg.k3)
     if min(cfg.k1, cfg.k2, cfg.k3) <= 0:
         raise ConfigError("spring stiffnesses must be positive")
     preset = m.get("force.preset", "exp_sin_2d")
     if preset not in ("exp_sin_2d",):
         raise ConfigError(f"unknown 2d force preset {preset!r}")
-    cfg.force_amplitude = float(m.get("force.amplitude", "10"))
+    cfg.force_amplitude = _get(m, "force.amplitude", 10.0)
     cfg.t_schedule = _ints(m["mesh.t"])
     for t in cfg.t_schedule:
         if t < 2 or cfg.N1 % t != 0:

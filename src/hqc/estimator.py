@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coarse import CoarseFn, ForceFunctional, Mesh1D
+from .coarse import CoarseFn, ForceFunctional, Mesh1D, element_max
 from .lattice import LatticeFn, primitive_dual_norm
 from .potentials import Microstructure, PotentialFamily
 
@@ -67,8 +67,9 @@ def indicator_terms(
     node_jumps = np.abs(z - np.roll(z, 1))  # jump at node j: elements j-1 | j
     jump = float(node_jumps.max())
     per_element = np.maximum(node_jumps, np.roll(node_jumps, -1))
-    h = mesh.h_fn().values
-    force = float(np.abs((h - mesh.grid.eps) * f.values).max())
+    # h - eps >= 0 is constant on an element, so |(h - eps) f| peaks where |f| does
+    f_max = element_max(mesh, np.abs(f.values))
+    force = float(((mesh.element_sizes() - mesh.grid.eps) * f_max).max())
     quad = primitive_dual_norm(F.quadrature_gap(mesh))
     total = assemble_total(jump, force, quad, calibration_constant, c0_inv)
     return ErrorReport(jump, force, quad, calibration_constant, c0_inv, total, per_element)

@@ -30,9 +30,6 @@ import numpy as np
 from .exceptions import DomainError, StabilityError
 from .lattice import MicroFn
 
-#: default residual tolerance of the unloaded micro solve
-GROUND_TOL = 1e-12
-
 
 class PotentialFamily:
     """Base class: R-neighbor, p-periodic bond laws with two derivatives,
@@ -168,15 +165,11 @@ def validate_microstructure(chi: np.ndarray, where: str = "microstructure") -> N
         )
 
 
-def ground_microstructure(
-    family: PotentialFamily,
-    tol: float = GROUND_TOL,
-    max_iter: int = 60,
-) -> Microstructure:
+def ground_microstructure(family: PotentialFamily) -> Microstructure:
     """Solve the unloaded micro system for the zero-mean ground field chi_*.
 
     Newton iteration on the (p-1)-dimensional zero-mean space, started from
-    zero.
+    zero, to the cell tolerance :data:`~hqc.microhom.CELL_TOL`.
     The result is validated: the cell energy must be a minimum there (a
     positive definite reduced cell Hessian, not a saddle), the micro
     deformation strictly increasing and ||chi_*||_inf <= (p-1)/2;
@@ -185,7 +178,7 @@ def ground_microstructure(
     from .microhom import newton_cells, require_stable_cells
 
     z = np.zeros(1)
-    chi, cells, _iters = newton_cells(family, z, np.zeros((1, family.p)), tol, max_iter)
+    chi, cells, _iters = newton_cells(family, z, np.zeros((1, family.p)))
     require_stable_cells(cells, z)
     validate_microstructure(chi[0], "ground microstructure")
     return Microstructure(MicroFn(family.p, chi[0]))

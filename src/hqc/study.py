@@ -142,8 +142,8 @@ def setup_1d(cfg: ExperimentConfig):
     :func:`require_dominance`)."""
     grid = LatticeGrid(cfg.N, cfg.p)
     family = build_family(cfg)
-    micro = ground_microstructure(family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter)
-    law = HomogenizedLaw(family, tol=cfg.micro_tol, max_iter=cfg.micro_max_iter)
+    micro = ground_microstructure(family)
+    law = HomogenizedLaw(family)
     f = sin_force(grid, cfg.force_amplitude, cfg.force_phase)
     return grid, family, micro, nn_dominance_margin(family, micro), law, f
 
@@ -176,9 +176,7 @@ def _reference_solution(cfg, family, f, u_init, out_dir, use_cache):
             log.info("reference loaded from %s", path)
             return load_lattice_fn(path)
     prob = AtomisticProblem(f.grid, family, f)
-    sol = solve_atomistic(
-        prob, u_init=u_init, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
-    )
+    sol = solve_atomistic(prob, u_init=u_init)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_lattice_fn(path, sol.u)
@@ -190,9 +188,7 @@ def _study_row(law, mesh, F, f, cfg, c0_inv, clock, prev):
     indicator report and coarse solution; the solve starts nested from the
     previous row's solution ``prev``."""
     t0 = clock() if clock else 0.0
-    cs = solve_coarse(
-        law, mesh, F, init=prev, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
-    )
+    cs = solve_coarse(law, mesh, F, init=prev)
     uc = corrector(law, cs)
     report = indicator_terms(cs.u, f, F, cfg.calibration, c0_inv)
     wall = (clock() - t0) * 1e3 if clock else 0.0

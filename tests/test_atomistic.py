@@ -169,6 +169,12 @@ class TestDampedNewton:
         with pytest.raises(DomainError, match="^stub Newton: inadmissible start: g <= 0$"):
             damped_newton(evaluate, lambda x, _s: -x, 1.0, 1e-12, 60, "stub")
 
+    @pytest.mark.parametrize("start", [np.nan, np.inf])
+    def test_non_finite_start_raises(self, start):
+        # a nan norm fails every comparison, so it must not end the loop as converged
+        with pytest.raises(SolverFailure, match=r"^stub Newton: residual (nan|inf) at the start$"):
+            damped_newton(abs_norm, lambda x, _s: -x, start, 1e-12, 60, "stub")
+
     def test_step_failure_is_not_damped(self):
         failure = SolverFailure("singular Jacobian")
 

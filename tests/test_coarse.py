@@ -58,6 +58,12 @@ def one_site_mesh(rng, grid, m):
     return Mesh1D(grid, np.union1d(nodes, nodes[0] % grid.N + 1))
 
 
+def site_h(mesh):
+    """h(x) = h_T at every site x of T, from the site loop."""
+    elem = site_elements(mesh.nodes, mesh.grid.N)
+    return np.bincount(elem)[elem] * mesh.grid.eps
+
+
 def rand_zero_mean(rng, grid):
     v = rng.standard_normal(grid.N)
     return LatticeFn(grid, v - v.mean())
@@ -85,14 +91,6 @@ class TestMesh:
         with pytest.raises(ValueError):
             uniform_mesh(grid, 5)
 
-    def test_h_fn_piecewise_constant(self):
-        grid = LatticeGrid(8)
-        mesh = Mesh1D(grid, np.array([2, 5]))
-        h = mesh.h_fn().values
-        # element [2, 5) holds sites 2,3,4; element [5, 2+8) holds 5,...,8,1
-        assert np.allclose(h[[1, 2, 3]], 3 / 8)
-        assert np.allclose(h[[4, 5, 6, 7, 0]], 5 / 8)
-
     def test_mean_weights_are_exact_mean(self):
         rng = np.random.default_rng(62)
         grid = LatticeGrid(36)
@@ -114,7 +112,7 @@ class TestMesh:
         ref = interpolation_matrix(mesh.nodes, n) @ v
         assert np.abs(CoarseFn(mesh, U).to_lattice().values - ref).max() <= 1e-14 * np.abs(U).max()
         elem = site_elements(mesh.nodes, n)
-        assert np.array_equal(mesh.h_fn().values, np.bincount(elem)[elem] * grid.eps)
+        assert np.array_equal(mesh.element_sizes()[elem], site_h(mesh))
 
 
 class TestInterpolate:
@@ -265,7 +263,7 @@ class TestIstar:
             mesh = rand_mesh(rng, grid, int(rng.integers(2, 13)))
             f = rand_zero_mean(rng, grid)
             lhs = np.abs(istar(mesh, f).values).max()
-            rhs = grid.N * np.abs(mesh.h_fn().values * f.values).max()
+            rhs = grid.N * np.abs(site_h(mesh) * f.values).max()
             assert lhs <= rhs + 1e-12
 
     def test_interpolation_error_pairing_bound(self):
@@ -279,7 +277,7 @@ class TestIstar:
             gap = LatticeFn(grid, v.values - interpolate(mesh, v).to_lattice().values)
             lhs = inner(f, gap)
             bound = (
-                np.abs((mesh.h_fn().values - grid.eps) * f.values).max()
+                np.abs((site_h(mesh) - grid.eps) * f.values).max()
                 * seminorm(v, 1, np.inf)
             )
             assert lhs <= bound + 1e-12
@@ -438,7 +436,7 @@ class TestNestedStart:
         # a nearest-neighbour bond of this field is z - 1.4 < -1 at every strain
         chi = np.tile([0.7, -0.7], (8, 1))
         with pytest.raises(DomainError):
-            newton_cells(law.family, cs.u.strains(), chi, law.tol, law.max_iter)
+            newton_cells(law.family, cs.u.strains(), chi, law.max_iter)
         init = CoarseSolution(cs.u, cs.residual_dual, cs.iterations, chi)
         self.solve_both(law, uniform_mesh(grid, 16), F, init)
 
@@ -580,13 +578,13 @@ class TestStabilityCheck:
     @pytest.fixture(scope="class")
     def shipped(self):
         cfg = load_experiment_config(Path(__file__).parents[1] / "configs" / "lj_1d.cfg")
-        law = HomogenizedLaw(build_family(cfg), tol=cfg.micro_tol)
+        law = HomogenizedLaw(build_family(cfg))
         return cfg, LatticeGrid(cfg.N, cfg.p), law
 
     def solve(self, shipped, amplitude):
         cfg, grid, law = shipped
         F = ForceFunctional(cfg.functional_kind, sin_force(grid, amplitude, cfg.force_phase))
-        return solve_coarse(law, uniform_mesh(grid, 4), F, tol=cfg.solver_tol)
+        return solve_coarse(law, uniform_mesh(grid, 4), F)
 
     def test_stable_load_solves(self, shipped):
         cs = self.solve(shipped, 150.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqc import (
     CoarseFn,
@@ -23,7 +25,7 @@ from hqc import (
 from hqc.atomistic import AtomisticProblem, solve_atomistic
 from hqc.study import microstructure_start, sin_force
 
-from oracles import coarse_dual_lp
+from oracles import coarse_dual_lp, site_elements
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,26 @@ class TestIndicatorTerms:
             2.0 * rep.jump_term + 0.25 * rep.force_term + rep.quadrature_term, rel=1e-14
         )
         assert min(rep.jump_term, rep.force_term, rep.quadrature_term) >= 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 700),
+        m=st.integers(2, 40),
+        log_scale=st.floats(-5.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_force_term_matches_site_formula(self, n, m, log_scale, seed):
+        # max over sites of |(h(x) - eps) f(x)|, exactly: the per-element
+        # maximum of |f| rounds the same, as (h_T - eps) >= 0 is constant on T
+        rng = np.random.default_rng(seed)
+        grid = LatticeGrid(n)
+        mesh = Mesh1D(grid, np.sort(rng.choice(np.arange(1, n + 1), min(m, n), replace=False)))
+        f = LatticeFn(grid, 10.0**log_scale * rng.standard_normal(n))
+        elem = site_elements(mesh.nodes, n)
+        h = np.bincount(elem)[elem] * grid.eps
+        u = CoarseFn(mesh, rng.standard_normal(mesh.n_elements))
+        rep = indicator_terms(u, f, ForceFunctional("exact_summation", f))
+        assert rep.force_term == np.abs((h - grid.eps) * f.values).max()
 
     def test_quadrature_term_matches_lp_oracle(self):
         rng = np.random.default_rng(81)

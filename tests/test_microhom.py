@@ -13,6 +13,7 @@ from hqc import (
 )
 from hqc.exceptions import SolverFailure, StabilityError
 from hqc.microhom import (
+    CELL_TOL,
     _bond_args,
     _cell_maps,
     _flat,
@@ -33,7 +34,7 @@ def lj_law():
 
 def solve_cells(law, z, chi0):
     """Batched cell solve with the law's settings: (chi, residual, iterations)."""
-    chi, cells, iters = newton_cells(law.family, np.atleast_1d(z), chi0, law.tol, law.max_iter)
+    chi, cells, iters = newton_cells(law.family, np.atleast_1d(z), chi0, law.max_iter)
     return chi, cells.residual, iters
 
 
@@ -54,7 +55,7 @@ class TestSolveCell:
         d = (k2 - k1) * z / (k1 + k2)
         assert np.allclose(np.roll(chi[0], -1) - chi[0], [d, -d], atol=1e-13)
         assert abs(chi[0].mean()) < 1e-13
-        assert res[0] <= law.tol
+        assert res[0] <= CELL_TOL
         assert np.abs(law.eval_strains(z)[3] - chi).max() <= 1e-13
 
     def test_ground_state_is_fixed_point(self, lj_law):
@@ -67,7 +68,7 @@ class TestSolveCell:
         z = np.array([-0.05, 0.0, 0.08])
         chi = lj_law.eval_strains(z)[3]
         g = cell_gradient(lj_law.family, cell_bond_arguments(lj_law.family, z, chi), np.arange(2))
-        assert np.abs(g).max() <= lj_law.tol
+        assert np.abs(g).max() <= CELL_TOL
 
     def test_inadmissible_strain(self, lj_law):
         with pytest.raises(DomainError, match="^cell at strain -1.2 Newton: inadmissible start"):
@@ -93,7 +94,7 @@ class TestJointBatch:
             solve_cells(law, zi, np.zeros((1, family.p)))[0] for zi in z
         ])
         assert np.abs(chi - single).max() <= 1e-13 * max(1.0, np.abs(single).max())
-        assert res.max() <= law.tol
+        assert res.max() <= CELL_TOL
         assert (iters == iters[0]).all()
 
     @settings(max_examples=40, deadline=None)

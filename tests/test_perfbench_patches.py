@@ -47,7 +47,7 @@ class TestMicrohomCounters:
 
     def test_newton_cells_counts_iterations(self):
         law, z = self.law, self.z
-        args = (law.family, z, np.zeros((z.size, 2)), law.tol, law.max_iter)
+        args = (law.family, z, np.zeros((z.size, 2)), law.max_iter)
         out = newton_cells(*args)
         iters = out[2]
         assert iters.dtype.kind == "i" and iters.shape == z.shape

@@ -87,11 +87,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config(parse_config_text(BASE_1D.replace("grid.N = 256", "grid.N = 255")))
 
-    @pytest.mark.parametrize("key", ["micro.tol", "solver.tol"])
-    def test_tolerances_must_be_positive(self, key):
-        # the coarse solve measures cell residuals in units of solver.tol / micro.tol
-        with pytest.raises(ConfigError, match="must be positive"):
-            cfg_1d(f"{key} = 0\n")
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            ("1d", "force.amplitude = nan"),
+            ("1d", "force.phase = inf"),
+            ("1d", "micro.z_lo = -inf"),
+            ("1d", "potential.l = 1, nan"),
+            ("1d", "mesh.schedule = 4, inf"),
+            ("1d", "estimator.calibration = nan"),
+            ("1d", "estimator.c0_inv = inf"),
+            ("1d", "estimator.calibration = -1"),
+            ("1d", "estimator.c0_inv = -1"),
+            ("2d", "potential.k1 = nan"),
+            ("2d", "force.amplitude = inf"),
+        ],
+    )
+    def test_non_finite_or_negative_value(self, kind, line):
+        base = BASE_1D if kind == "1d" else BASE_2D
+        with pytest.raises(ConfigError, match="finite|must be >= 0"):
+            build_config(parse_config_text(base + line + "\n"))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -242,8 +257,9 @@ class TestRunStudy:
 
         reference = mock.Mock(side_effect=solve_atomistic)
         monkeypatch.setattr(hqc.study, "solve_atomistic", reference)
+        # at this load the coarse Newton spends all its steps on the first mesh
         with pytest.raises(SolverFailure, match="coarse Newton"):
-            run_study(cfg_1d("solver.max_iter = 1\n"), out_dir=tmp_path)
+            run_study(cfg_1d("force.amplitude = 150\n"), out_dir=tmp_path)
         reference.assert_not_called()
         assert not (tmp_path / "cache").exists()
 
@@ -307,17 +323,15 @@ class TestReferenceStart:
 
     def test_agrees_with_cold_start(self, lj_1d_reference, N, phase):
         cfg, _corrected, (prob, _kw, sol) = lj_1d_reference(N, phase)
-        micro = ground_microstructure(prob.family, tol=cfg.micro_tol)
-        cold = solve_atomistic(
-            prob, u_init=microstructure_start(prob.grid, micro), tol=cfg.solver_tol
-        )
+        micro = ground_microstructure(prob.family)
+        cold = solve_atomistic(prob, u_init=microstructure_start(prob.grid, micro))
         assert max_rel_diff(sol.u, cold.u) <= 1e-12
         assert sol.iterations <= cold.iterations
         # the worst start: the corrected solution of one cold 4-node row
-        law = HomogenizedLaw(build_family(cfg), tol=cfg.micro_tol)
+        law = HomogenizedLaw(build_family(cfg))
         F = ForceFunctional(cfg.functional_kind, prob.force)
-        cs = solve_coarse(law, uniform_mesh(prob.grid, 4), F, tol=cfg.solver_tol)
-        rough = solve_atomistic(prob, u_init=corrector(law, cs), tol=cfg.solver_tol)
+        cs = solve_coarse(law, uniform_mesh(prob.grid, 4), F)
+        rough = solve_atomistic(prob, u_init=corrector(law, cs))
         assert max_rel_diff(rough.u, cold.u) <= 1e-12
         assert rough.iterations <= cold.iterations
 
@@ -361,14 +375,11 @@ class TestCli:
             ("study", SCHEDULE, ""),
             ("micro", "", "micro.z_count = 0"),
             ("micro", "", "micro.z_count = -1"),
-            ("micro", "", "micro.max_iter = -1"),
-            ("solve-atomistic", "", "solver.max_iter = -1"),
         ],
         ids=[
             "grid_N0", "adaptive_initial0", "adaptive_initial1", "adaptive_steps0",
             "fallback_initial1", "fallback_initial_not_divisor", "study_without_schedule",
-            "z_count0", "z_count_negative", "micro_max_iter_negative",
-            "solver_max_iter_negative",
+            "z_count0", "z_count_negative",
         ],
     )
     def test_out_of_range_count_exit_2(self, tmp_path, capsys, command, drop, add):
@@ -433,9 +444,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "indefinite reduced cell Hessian: cell 20 has strain 0.05 " in err
 
-    def test_solver_failure_exit_3(self, tmp_path):
-        cfgfile = self.write_cfg(tmp_path, BASE_1D + "solver.max_iter = 1\n")
+    def test_solver_failure_exit_3(self, tmp_path, capsys):
+        # no equilibrium the atomistic Newton reaches from the microstructure
+        cfgfile = self.write_cfg(tmp_path, BASE_1D + "force.amplitude = 200\n")
         assert main(["solve-atomistic", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 3
+        assert "atomistic Newton stalled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["solve-atomistic", "solve-hqc", "micro", "estimate", "study", "check"]
+    )
+    def test_non_finite_force_exit_2(self, tmp_path, capsys, command):
+        # a nan force made every residual nan, which no Newton loop rejected
+        cfgfile = self.write_cfg(tmp_path, BASE_1D + "force.amplitude = nan\n")
+        assert main([command, "--config", cfgfile, "--out", str(tmp_path / "out")]) == 2
+        assert "expected a finite number, got 'nan'" in capsys.readouterr().err
 
     def test_study_writes_artifacts(self, tmp_path):
         cfgfile = self.write_cfg(tmp_path, BASE_1D)
