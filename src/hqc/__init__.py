@@ -46,6 +46,7 @@ from .coarse import (
     ForceFunctional,
     Mesh1D,
     corrector,
+    equilibrated_corrector,
     equivalence_check,
     interpolate,
     istar,

@@ -83,7 +83,10 @@ def _bond_args(z, start: int, stop: int, R: int) -> np.ndarray:
     """(R, stop - start) stack of the bond arguments (1/r) sum_{j<r} z(x + j)
     = D_{x,r} u of the sites start <= x < stop, indices taken cyclically."""
     n = stop - start
-    zw = np.take(z, np.arange(start, stop + R - 1), mode="wrap")
+    if 0 <= start and stop + R - 1 <= z.size:
+        zw = z[start : stop + R - 1]
+    else:  # the block wraps past an end of the chain
+        zw = np.take(z, np.arange(start, stop + R - 1), mode="wrap")
     Z = np.empty((R, n))
     Z[0] = zw[:n]
     for r in range(1, R):
@@ -100,7 +103,9 @@ def _stress_d2(prob: AtomisticProblem, z, energy=False, out=None):
     when it is given; phi is evaluated only for the energy.  The law is
     evaluated over blocks of whole cells, in the stacked (cells, R, p)
     layout of :class:`~hqc.potentials.PotentialFamily`, each with the
-    ceil((R - 1) / p) cells before it, whose bonds span its sites.
+    ceil((R - 1) / p) cells before it, whose bonds span its sites.  A
+    DomainError from the law is re-raised naming the first inadmissible
+    site and shell of the chain.
     """
     family = prob.family
     N, R, p = prob.grid.N, family.R, family.p
@@ -114,12 +119,14 @@ def _stress_d2(prob: AtomisticProblem, z, energy=False, out=None):
         b = min(a + size, N)
         n = b - a + ghost
         cells = _bond_args(z, a - ghost, b, R).reshape(R, n // p, p).transpose(1, 0, 2)
-        if not family.admissible(cells).all():
+        try:
+            bonds = family.bonds(cells, *orders)
+        except DomainError as exc:
             Z = _bond_args(z, 0, N, R).reshape(R, N // p, p).transpose(1, 0, 2)
             bad = ~family.admissible(Z).transpose(1, 0, 2).reshape(R, N)
             shell, site = np.argwhere(bad)[0]
-            raise DomainError(f"inadmissible bond at site {site + 1}, shell r={shell + 1}")
-        stacks = [st.transpose(1, 0, 2).reshape(R, n) for st in family.bonds(cells, *orders)]
+            raise DomainError(f"inadmissible bond at site {site + 1}, shell r={shell + 1}") from exc
+        stacks = [st.transpose(1, 0, 2).reshape(R, n) for st in bonds]
         if energy:
             E += float(stacks.pop(0)[:, ghost:].sum()) / N
         w, c = stacks  # bond forces phi_r' and curvatures phi_r''
@@ -279,6 +286,7 @@ def solve_atomistic(
         return solve_cyclic_banded(s, np.negative(w, out=w), rtol=eta, work=work)
 
     z0 = np.zeros(N) if u_init is None else np.diff(u_init.values, append=u_init.values[:1]) / eps
+    del u_init  # its strains are all the solve reads; a start built for the call is freed
     z, _, trace = damped_newton(evaluate, step, z0, tol, max_iter, "atomistic")
     u = eps * np.roll(np.cumsum(z), 1)  # u(x) = eps times the sum of z below x
     u -= u.mean()

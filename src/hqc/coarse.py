@@ -44,6 +44,7 @@ from .lattice import LatticeFn, LatticeGrid
 from .atomistic import MAX_ITER, NEWTON_TOL, damped_newton
 from .microhom import (
     CELL_TOL,
+    CondensedCells,
     HomogenizedLaw,
     condense_cells,
     newton_cells,
@@ -250,6 +251,9 @@ class CoarseSolution:
     #: the element strains of ``u``
     chi: np.ndarray = field(repr=False)
     trace: tuple = field(default=(), repr=False)
+    #: the cells condensed at that evaluation: their stiffnesses K = W''
+    #: and sensitivities chi' at the element strains of ``u``
+    cells: CondensedCells | None = field(default=None, repr=False)
 
 
 def coarse_newton_step(K, h, ws):
@@ -347,7 +351,7 @@ def solve_coarse(
     U = np.concatenate([[0.0], np.cumsum(h[:-1] * z[:-1])])
     U -= mesh.mean_weights() @ U
     chi = chi - chi.mean(axis=1, keepdims=True)
-    return CoarseSolution(CoarseFn(mesh, U), dual, trace[-1][0], chi, tuple(trace))
+    return CoarseSolution(CoarseFn(mesh, U), dual, trace[-1][0], chi, tuple(trace), cells)
 
 
 def corrector(law: HomogenizedLaw, u0h) -> LatticeFn:
@@ -371,6 +375,47 @@ def corrector(law: HomogenizedLaw, u0h) -> LatticeFn:
     for s in range(p):  # element-order entry k holds site nodes[0] - 1 + k
         k = (s - mesh.nodes[0] + 1) % p
         vals[k::p] += grid.eps * np.repeat(chi[:, s], counts)[k::p]
+    vals = _to_sites(mesh, vals)
+    return LatticeFn(grid, vals - vals.mean())
+
+
+def equilibrated_corrector(cs: CoarseSolution, f: LatticeFn) -> LatticeFn:
+    """The corrected solution of ``cs`` moved to local equilibrium under the
+    lattice force f: the zero-mean start of an atomistic Newton solve.
+
+    At equilibrium w = sigma + P is one constant, for the force primitive
+    P = eps cumsum(f - <f>).  The corrected solution has one stress on each
+    element T, so P's variation across T is its residual.  Through T's
+    linearized law, in which a strain change dz moves the stress by K_T dz
+    and the cell field by chi'_T dz, each site x of T takes the strain
+    z_T + dz(x) with dz(x) = (Pbar_T - P(x)) / K_T, Pbar_T the mean of P
+    over T's sites, which sets its stress to the constant minus P(x) that
+    equilibrium requires.  dz sums to 0 on every element, so the coarse
+    part keeps every nodal value.  K_T = W''(z_T) and chi'_T come from the
+    cells that ``solve_coarse`` condensed at convergence: no cell problem
+    is solved and no linear system, and the cost is O(N), in element order.
+    """
+    mesh, grid = cs.u.mesh, cs.u.mesh.grid
+    counts, starts, eps, p = mesh.site_counts(), mesh.nodes - mesh.nodes[0], grid.eps, grid.p
+    vals = _element_order_values(cs.u)
+    # P / eps in element order, up to a constant, which dz does not see
+    P = np.roll(f.values, 1 - mesh.nodes[0])
+    P -= P.mean()
+    np.cumsum(P, out=P)
+    dz = np.repeat(np.add.reduceat(P, starts) / counts, counts)
+    dz -= P
+    del P
+    dz *= np.repeat(eps / cs.cells.stiffness, counts)
+    # eps times the exclusive cumsum of dz, which restarts at 0 on every element
+    vals += eps * (np.cumsum(dz) - dz)
+    chi, sensitivity = cs.chi, cs.cells.sensitivity
+    for s in range(p):  # element-order entry k holds site nodes[0] - 1 + k
+        k = (s - mesh.nodes[0] + 1) % p
+        cell = np.repeat(sensitivity[:, s], counts)[k::p]
+        cell *= dz[k::p]
+        cell += np.repeat(chi[:, s], counts)[k::p]
+        cell *= eps
+        vals[k::p] += cell
     vals = _to_sites(mesh, vals)
     return LatticeFn(grid, vals - vals.mean())
 

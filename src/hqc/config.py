@@ -2,12 +2,14 @@
 
 Config files hold one ``section.key = value`` assignment per line; ``#``
 starts a comment.  Lists are comma separated.  The full key schema is
-documented in the README.
+documented in the README; a key that the schema does not read is named in
+a warning on standard error.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +49,22 @@ def _ints(s: str):
     if any(v != int(v) for v in vals):
         raise ConfigError(f"expected integers, got {s!r}")
     return [int(v) for v in vals]
+
+
+class _ReadKeys(dict):
+    """A raw key-value mapping that records every key looked up in it."""
+
+    def __init__(self, mapping):
+        super().__init__(mapping)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 def _get(m: dict, key: str, default, read=_float):
@@ -98,7 +116,9 @@ class ExperimentConfig:
 
 
 def build_config(mapping: dict) -> ExperimentConfig:
-    """Validate a raw key-value mapping against the schema."""
+    """Validate a raw key-value mapping against the schema; each key that
+    the schema does not read is named in a warning on standard error."""
+    mapping = _ReadKeys(mapping)
     try:
         cfg = ExperimentConfig(raw=dict(mapping))
         cfg.kind = mapping.get("problem.kind", cfg.kind)
@@ -117,6 +137,8 @@ def build_config(mapping: dict) -> ExperimentConfig:
             _build_1d(cfg, mapping)
         else:
             _build_2d(cfg, mapping)
+        for key in sorted(mapping.keys() - mapping.read):
+            print(f"config warning: key {key!r} is not read", file=sys.stderr)
         return cfg
     except ConfigError:
         raise

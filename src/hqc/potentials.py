@@ -23,6 +23,7 @@ reference positions so that u = 0 is an admissible configuration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ class LennardJonesFamily(PotentialFamily):
         g = 1.0 + a
         if not (g > 0).all():
             raise DomainError("deformation gradient g = 1 + z must be positive")
-        s6 = self.k * g
+        s6 = _in_layout(self.k, g) * g
         s6 *= s6 * s6
         s6 *= s6
         np.reciprocal(s6, out=s6)
@@ -94,6 +95,31 @@ class LennardJonesFamily(PotentialFamily):
             lambda: s6 * (12.0 - 12.0 * s6) / g,
             lambda: s6 * (156.0 * s6 - 84.0) / g / g,
         )
+
+
+def _in_layout(const, a):
+    """The constant ``const`` broadcast to the shape of the array a, tiled
+    in a's memory layout unless a is C-contiguous.  Over a transposed view,
+    such as the (cells, R, p) view of the lattice's (R, N) strain stack, a
+    broadcast (R, p) constant makes numpy run inner loops of length p; a
+    tile of the same layout runs one contiguous loop."""
+    if a.flags.c_contiguous:
+        return const
+    return _tile(const.tobytes(), const.shape, a.shape, a.strides)
+
+
+@functools.lru_cache(maxsize=16)
+def _tile(const: bytes, const_shape: tuple, shape: tuple, strides: tuple) -> np.ndarray:
+    """Read-only tile of the float constant with bytes ``const`` over
+    ``shape``, its axes laid out in memory in the order of ``strides``."""
+    # axes sorted in Python: a study's first np.argsort pages in numpy's
+    # sort code, 0.2 MB of resident memory
+    axes = range(len(shape))
+    order = sorted(axes, key=lambda i: -strides[i])
+    tile = np.empty([shape[i] for i in order]).transpose([order.index(i) for i in axes])
+    tile[...] = np.frombuffer(const).reshape(const_shape)
+    tile.flags.writeable = False
+    return tile
 
 
 class QuadraticFamily(PotentialFamily):

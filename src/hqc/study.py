@@ -18,8 +18,12 @@ from it.
 No coarse row needs the reference, so every row is solved first and only
 its corrected solution kept.  The reference is then solved once, by Newton
 from the corrected solution of the last row (the finest uniform mesh or the
-last adaptive step), which the a priori estimate puts within O(h) of it;
-the error columns are filled in last.  A study that fails in a coarse row
+last adaptive step), which the a priori estimate puts within O(h) of it,
+moved to local equilibrium (:func:`~hqc.coarse.equilibrated_corrector`):
+with one stress per element, the corrected solution leaves the force
+primitive's variation across each element as its residual, which moving
+every site's strain through its element's linearized law removes in O(N).
+The error columns are filled in last.  A study that fails in a coarse row
 stops before it solves or caches the reference.  Rows are written in
 schedule order; all scientific columns are deterministic, and wall-clock
 timing is off by default so that reruns with the same config produce
@@ -37,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomistic import AtomisticProblem, solve_atomistic
-from .coarse import ForceFunctional, corrector, solve_coarse, uniform_mesh
+from .coarse import ForceFunctional, corrector, equilibrated_corrector, solve_coarse, uniform_mesh
 from .config import ExperimentConfig
 from .estimator import adapt_mesh, indicator_terms
 from .exceptions import ConfigError, StabilityError
@@ -157,18 +161,20 @@ def require_dominance(margin: float) -> None:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Key of a config's cached reference.  The ``mesh.*`` keys count: the
-    reference's Newton start is the last row's corrected solution, so its
+    reference's Newton start is built from the last row's solution, so its
     last digits depend on the schedule."""
     keys = sorted(cfg.raw.items())
     blob = "\n".join(f"{k}={v}" for k, v in keys if not k.startswith("output."))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _reference_solution(cfg, family, f, u_init, out_dir, use_cache):
+def _reference_solution(cfg, family, f, cs, out_dir, use_cache):
     """Atomistic reference displacement under the force ``f`` of
-    :func:`setup_1d`, solved by Newton from the lattice function ``u_init``;
-    with an output directory and ``use_cache``, read from and written to a
-    cache file keyed by :func:`config_hash`."""
+    :func:`setup_1d`, solved by Newton from the corrected solution of the
+    coarse solution ``cs`` moved to local equilibrium
+    (:func:`~hqc.coarse.equilibrated_corrector`); with an output directory
+    and ``use_cache``, read from and written to a cache file keyed by
+    :func:`config_hash`."""
     path = None
     if out_dir is not None and use_cache:
         path = Path(out_dir) / "cache" / f"ref_{config_hash(cfg)}.txt"
@@ -176,7 +182,7 @@ def _reference_solution(cfg, family, f, u_init, out_dir, use_cache):
             log.info("reference loaded from %s", path)
             return load_lattice_fn(path)
     prob = AtomisticProblem(f.grid, family, f)
-    sol = solve_atomistic(prob, u_init=u_init)
+    sol = solve_atomistic(prob, u_init=equilibrated_corrector(cs, f))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_lattice_fn(path, sol.u)
@@ -208,7 +214,8 @@ def _study_row(law, mesh, F, f, cfg, c0_inv, clock, prev):
 
 def _coarse_rows(cfg, grid, law, F, f, c0_inv, clock):
     """(row without its error columns, corrected solution) of every mesh of
-    the schedule, each solve nested in the previous one."""
+    the schedule, each solve nested in the previous one, and the last
+    coarse solution."""
     done, cs = [], None
     if cfg.adaptive:
         mesh = uniform_mesh(grid, cfg.adapt_initial)
@@ -221,7 +228,7 @@ def _coarse_rows(cfg, grid, law, F, f, c0_inv, clock):
             mesh = uniform_mesh(grid, m)
             row, uc, _report, cs = _study_row(law, mesh, F, f, cfg, c0_inv, clock, cs)
             done.append((row, uc))
-    return done
+    return done, cs
 
 
 def run_study(
@@ -233,8 +240,8 @@ def run_study(
     """Run the 1D convergence study of a config; returns the StudyRow list.
 
     Solves every coarse row first, then the atomistic reference from the
-    last row's corrected solution, then measures each row's error against
-    it; a failure in a coarse row raises before the reference is solved or
+    last row's corrected solution moved to local equilibrium, then measures
+    each row's error against it; a failure in a coarse row raises before the reference is solved or
     cached.  With an output directory, writes study.csv and study.svg; with
     ``use_cache`` too, it loads the reference from ``cache/`` there when a
     run of the same config left it, and writes it there otherwise.  With
@@ -251,8 +258,8 @@ def run_study(
     F = ForceFunctional(cfg.functional_kind, f)
     clock = time.perf_counter if timing else None
 
-    done = _coarse_rows(cfg, grid, law, F, f, c0_inv, clock)
-    u_ref = _reference_solution(cfg, family, f, done[-1][1], out_dir, use_cache)
+    done, cs = _coarse_rows(cfg, grid, law, F, f, c0_inv, clock)
+    u_ref = _reference_solution(cfg, family, f, cs, out_dir, use_cache)
     rows = []
     for row, uc in done:
         diff = LatticeFn(grid, uc.values - u_ref.values)

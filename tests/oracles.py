@@ -172,6 +172,32 @@ def corrected_on_sites(nodes: np.ndarray, U: np.ndarray, chi: np.ndarray, N: int
     return out - out.mean()
 
 
+def equilibrated_on_sites(nodes, U, chi, K, sens, f, p: int):
+    """The corrected solution of the nodal values U and cell fields chi
+    moved to local equilibrium under the force f, one site at a time,
+    zero-meaned.  With P = eps cumsum(f - <f>) from site 1 and Pbar_j its
+    mean over the sites of element j = [a, b) of n sites, site i = a + o
+    takes the strain step dz(i) = (Pbar_j - P(i)) / K[j] and the value
+    U_j + (o / n)(U_{j+1} - U_j) + eps (sum_{o' < o} dz(a + o')
+    + chi[j, i mod p] + sens[j, i mod p] dz(i))."""
+    N = f.size
+    P = np.cumsum(f - f.mean()) / N
+    out = np.zeros(N)
+    first = nodes - 1
+    M = first.size
+    for j, a in enumerate(first):
+        n = (first[(j + 1) % M] - a) % N or N
+        sites = [(a + o) % N for o in range(n)]
+        Pbar = sum(P[i] for i in sites) / n
+        acc = 0.0
+        for o, i in enumerate(sites):
+            dz = (Pbar - P[i]) / K[j]
+            coarse = U[j] + (o / n) * (U[(j + 1) % M] - U[j])
+            out[i] = coarse + (acc + chi[j, i % p] + sens[j, i % p] * dz) / N
+            acc += dz
+    return out - out.mean()
+
+
 def probe_matrix(apply, shape) -> np.ndarray:
     """Dense matrix of a linear grid operator, probed column by column."""
     n = int(np.prod(shape))

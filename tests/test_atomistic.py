@@ -105,6 +105,50 @@ class TestEnergyGradHess:
         with pytest.raises(DomainError, match=r"site \d+, shell r=\d"):
             energy_grad_hess(prob, LatticeFn(grid, bad))
 
+    @staticmethod
+    def blocked_chain(l, R):
+        """A problem whose chain _stress_d2 evaluates in three blocks, the
+        first wrapping past site 1 and the last ragged."""
+        family = lj_family(l, R)
+        size = max(1, atomistic.EVAL_BLOCK // (R * family.p)) * family.p
+        grid = LatticeGrid(2 * size + 5 * family.p, family.p)
+        return AtomisticProblem(grid, family, zero_force(grid))
+
+    @pytest.mark.parametrize("l, R", [([1.0, 9.0 / 8.0], 3), ([1.0, 1.1, 1.05], 2)])
+    def test_blocks_match_one_full_evaluation(self, l, R):
+        # bit for bit: the stress and springs of one family.bonds call on
+        # the full (N/p, R, p) view of the chain's strain stack
+        prob = self.blocked_chain(l, R)
+        N, p = prob.grid.N, prob.grid.p
+        z = np.random.default_rng(R).uniform(-0.05, 0.05, N)
+        Z = np.empty((R, N))
+        Z[0] = z
+        for r in range(1, R):
+            Z[r] = Z[r - 1] + np.roll(z, -r)
+        Z /= np.arange(1, R + 1)[:, None]
+        view = Z.reshape(R, N // p, p).transpose(1, 0, 2)
+        d1, d2 = (b.transpose(1, 0, 2).reshape(R, N) for b in prob.family.bonds(view, 1, 2))
+        inv_r = 1.0 / np.arange(1, R + 1)[:, None]
+        w = d1 * inv_r
+        sigma = w[0].copy()
+        for r in range(2, R + 1):
+            for j in range(r):
+                sigma += np.roll(w[r - 1], j)  # w_r(y - j)
+        _, stress, springs = atomistic._stress_d2(prob, z)
+        assert np.array_equal(stress, sigma)
+        assert np.array_equal(springs, d2 * (inv_r * inv_r))
+
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_domain_error_names_the_site_in_any_block(self, block):
+        prob = self.blocked_chain([1.0, 9.0 / 8.0], 3)
+        N = prob.grid.N
+        site = [1, N // 2, N - 2][block]
+        z = np.zeros(N)
+        z[site] = -1.5  # g = -0.5 in the shell-1 bond of 0-based site `site`
+        message = rf"^inadmissible bond at site {site + 1}, shell r=1$"
+        with pytest.raises(DomainError, match=message):
+            atomistic._stress_d2(prob, z)
+
     def test_force_projection_reported(self):
         grid = LatticeGrid(8)
         prob = AtomisticProblem(

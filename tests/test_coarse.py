@@ -18,6 +18,8 @@ from hqc import (
     Mesh1D,
     adapt_mesh,
     corrector,
+    energy_grad_hess,
+    equilibrated_corrector,
     equivalence_check,
     indicator_terms,
     inner,
@@ -32,7 +34,8 @@ from hqc import (
     uniform_mesh,
 )
 from hqc.coarse import coarse_newton_step
-from hqc.lattice import primitive_dual_norm
+from hqc.atomistic import AtomisticProblem
+from hqc.lattice import dual_seminorm_neg1, primitive_dual_norm
 from hqc.microhom import newton_cells
 from hqc.potentials import PotentialFamily
 from hqc.study import build_family, sin_force
@@ -41,6 +44,7 @@ from oracles import (
     coarse_dual_lp,
     coarse_step_dense,
     corrected_on_sites,
+    equilibrated_on_sites,
     interpolation_matrix,
     site_elements,
 )
@@ -677,6 +681,68 @@ class TestCorrector:
         law, _, _ = lj_setup
         with pytest.raises(TypeError):
             corrector(law, np.zeros(8))
+
+
+def atomistic_residual(family, f, u):
+    """(-1, inf) dual norm of the atomistic residual functional dE(u) - f."""
+    prob = AtomisticProblem(f.grid, family, f)
+    g = energy_grad_hess(prob, u)[1]
+    return dual_seminorm_neg1(g.with_values(g.values - prob.force.values))
+
+
+def nested_solves(law, f, schedule):
+    """The coarse solutions of a nested schedule, as a study solves it."""
+    F = ForceFunctional("exact_summation", f)
+    cs = None
+    for m in schedule:
+        cs = solve_coarse(law, uniform_mesh(f.grid, m), F, init=cs)
+    return cs
+
+
+class TestEquilibratedCorrector:
+    @pytest.mark.parametrize("l, R", [([1.0], 2), ([1.0, 1.125], 3), ([1.0, 1.1, 1.05], 2)])
+    def test_matches_site_loop(self, l, R):
+        rng = np.random.default_rng(len(l) + R)
+        law = HomogenizedLaw(lj_family(l, R))
+        grid = LatticeGrid(60 * len(l), len(l))
+        f = sin_force(grid, 20.0, 1.0)
+        F = ForceFunctional("exact_summation", f)
+        for mesh in (uniform_mesh(grid, 6), rand_mesh(rng, grid, 7), one_site_mesh(rng, grid, 9)):
+            cs = solve_coarse(law, mesh, F)
+            ref = equilibrated_on_sites(mesh.nodes, cs.u.nodal_values, cs.chi,
+                                        cs.cells.stiffness, cs.cells.sensitivity, f.values, grid.p)
+            start = equilibrated_corrector(cs, f).values
+            assert np.abs(start - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert abs(start.mean()) <= 1e-16
+
+    def test_keeps_nodal_values(self):
+        # one species has no cell field, so the start differs from the
+        # corrected solution at the nodes only by the zero-mean constant
+        law = HomogenizedLaw(lj_family([1.0], R=3))
+        grid = LatticeGrid(1024)
+        f = sin_force(grid, 20.0, 1.0)
+        F = ForceFunctional("exact_summation", f)
+        coarse = nested_solves(law, f, (8, 32))
+        adapted = adapt_mesh(coarse.u.mesh, indicator_terms(coarse.u, f, F), 0.5)
+        for cs in (coarse, solve_coarse(law, adapted, F, init=coarse)):
+            mesh, uc = cs.u.mesh, corrector(law, cs)
+            start = equilibrated_corrector(cs, f)
+            assert np.abs(start.values - uc.values).max() >= 1e-9  # it moved
+            d = interpolate(mesh, start).nodal_values - interpolate(mesh, uc).nodal_values
+            assert np.ptp(d) <= 1e-15 * np.abs(uc.values).max()
+
+    @pytest.mark.parametrize(
+        "l, R, N", [([1.0, 1.125], 3, 65536), ([1.0, 1.1, 1.05], 2, 49152)], ids=["p2R3", "p3R2"]
+    )
+    def test_residual_100_times_smaller(self, l, R, N):
+        # the lj_1d chain on the benchmark's meshes 16, 64, 256 reads 436x
+        # smaller at N = 65536, and 320x on the three-species chain
+        law = HomogenizedLaw(lj_family(l, R))
+        f = sin_force(LatticeGrid(N, len(l)), 50.0, 1.0)
+        cs = nested_solves(law, f, (16, 64, 256))
+        corrected = atomistic_residual(law.family, f, corrector(law, cs))
+        start = atomistic_residual(law.family, f, equilibrated_corrector(cs, f))
+        assert start <= corrected / 100
 
 
 class TestEquivalence:

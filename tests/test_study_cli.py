@@ -15,6 +15,7 @@ from hqc import (
     StudyRow,
     build_config,
     corrector,
+    equilibrated_corrector,
     fit_slope,
     ground_microstructure,
     read_rows_csv,
@@ -130,6 +131,25 @@ class TestConfig:
     def test_2d_t_must_divide(self):
         with pytest.raises(ConfigError):
             build_config(parse_config_text(BASE_2D.replace("mesh.t = 4, 8", "mesh.t = 5")))
+
+    def test_unread_keys_warn(self, tmp_path, capsys):
+        # a misspelt key runs at the default amplitude, but not silently
+        assert cfg_1d("force.amplitud = 120\nmesh.theta = 0.4\n").force_amplitude == 50.0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "config warning: key 'force.amplitud' is not read",
+            "config warning: key 'mesh.theta' is not read",  # read by adaptive schedules only
+        ]
+        for base in (BASE_1D, BASE_2D, LJ_1D.read_text()):
+            build_config(parse_config_text(base))
+            assert capsys.readouterr().err == ""
+        # the command's exit code and artifacts do not change
+        for name, extra in (("plain", ""), ("typo", "force.amplitud = 120\n")):
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text(BASE_1D + extra)
+            assert main(["study", "--config", str(cfgfile), "--out", str(tmp_path / name)]) == 0
+        assert "'force.amplitud'" in capsys.readouterr().err
+        assert (tmp_path / "plain/study.csv").read_text() == (tmp_path / "typo/study.csv").read_text()
 
 
 class TestRows:
@@ -270,8 +290,8 @@ LJ_1D = Path(__file__).parents[1] / "configs" / "lj_1d.cfg"
 def solve_lj_1d_study(N, phase):
     """The lj_1d chain at N sites and force phase ``phase``, on the shipped
     mesh schedule or, at N = 65536, on the benchmark's 16, 64, 256: the
-    config, every corrected solution of the study, and the arguments and
-    result of its one reference solve."""
+    config, every (coarse solution, corrected solution) pair of the study,
+    and the arguments and result of its one reference solve."""
     import hqc.study
 
     mapping = parse_config(LJ_1D)
@@ -281,9 +301,9 @@ def solve_lj_1d_study(N, phase):
     cfg = build_config(mapping)
     corrected, solves = [], []
 
-    def recording_corrector(*args):
-        corrected.append(corrector(*args))
-        return corrected[-1]
+    def recording_corrector(law, cs):
+        corrected.append((cs, corrector(law, cs)))
+        return corrected[-1][1]
 
     def recording_solve(prob, **kw):
         solves.append((prob, kw, solve_atomistic(prob, **kw)))
@@ -310,13 +330,17 @@ def max_rel_diff(u, v):
 @pytest.mark.parametrize("phase", [1.0, 2.3, 4.7])
 @pytest.mark.parametrize("N", [1024, 4096, 65536])
 class TestReferenceStart:
-    """The reference is solved from the last row's corrected solution; it
-    must reach the equilibrium that the cold start reaches."""
+    """The reference is solved from the last row's corrected solution moved
+    to local equilibrium; it must reach the equilibrium that the cold start
+    reaches."""
 
     def test_starts_from_last_corrector_in_at_most_3_steps(self, lj_1d_reference, N, phase):
+        # the start is equilibrated, and takes at most 2 steps; the last
+        # corrected solution itself took 3 at N = 65536
         cfg, corrected, (prob, kw, sol) = lj_1d_reference(N, phase)
-        assert np.array_equal(kw["u_init"].values, corrected[-1].values)
-        assert sol.iterations <= 3
+        start = equilibrated_corrector(corrected[-1][0], prob.force)
+        assert np.array_equal(kw["u_init"].values, start.values)
+        assert sol.iterations <= 2
         # the reference takes the study's own force, which is the config's
         f = sin_force(prob.grid, cfg.force_amplitude, cfg.force_phase)
         assert np.array_equal(prob.force.values, f.values)
