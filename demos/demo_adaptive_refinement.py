@@ -52,7 +52,7 @@ def main() -> None:
     mesh = uniform_mesh(grid, 4)
     for step in range(8):
         cs = solve_coarse(law, mesh, F)
-        uc = corrector(law, cs)
+        uc = corrector(cs)
         err = seminorm(LatticeFn(grid, uc.values - ref.u.values), 1, np.inf)
         rep = indicator_terms(cs.u, f, F, c0_inv=c0_inv)
         print(f"{step:>4} {mesh.n_elements:>6} {mesh.h_max:>9.5f} "

@@ -47,7 +47,7 @@ def main() -> int:
     )
     hom = solve_coarse(law, uniform_mesh(grid, grid.N), ForceFunctional("exact_summation", f))
     hom_u = hom.u.to_lattice()
-    uc = corrector(law, hom)
+    uc = corrector(hom)
 
     print("strain D u on ten consecutive atoms (oscillation = microstructure):")
     Dref = diff_r(ref.u, 1).values[:10]

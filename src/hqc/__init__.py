@@ -46,7 +46,6 @@ from .coarse import (
     ForceFunctional,
     Mesh1D,
     corrector,
-    equilibrated_corrector,
     equivalence_check,
     interpolate,
     istar,

@@ -243,15 +243,11 @@ def forcing_term(res: float, res_prev: float | None, tol: float) -> float:
     return max(min(ETA_MAX, max(eta, 0.5 * tol / res)), CG_RTOL)
 
 
-def solve_atomistic(
-    prob: AtomisticProblem,
-    u_init: LatticeFn | None = None,
-    tol: float = NEWTON_TOL,
-    max_iter: int = MAX_ITER,
-) -> EquilibriumSolution:
+def solve_atomistic(prob: AtomisticProblem, u_init: LatticeFn | None = None) -> EquilibriumSolution:
     """Damped Newton on the zero-sum strains z for the problem's force,
-    from the strains of ``u_init`` (zero by default); returns the zero-mean
-    u = eps cumsum(z).
+    from the strains of ``u_init`` (zero by default), to residual
+    :data:`NEWTON_TOL` in at most :data:`MAX_ITER` steps; returns the
+    zero-mean u = eps cumsum(z).
 
     Each step is the zero-sum dz with J dz = c - w for the springs J and
     the stress plus force primitive w that the evaluation wrote, by
@@ -281,13 +277,13 @@ def solve_atomistic(
     def step(_z, state):
         nonlocal res_prev
         w, s, res = state
-        eta = forcing_term(res, res_prev, tol)
+        eta = forcing_term(res, res_prev, NEWTON_TOL)
         res_prev = res
         return solve_cyclic_banded(s, np.negative(w, out=w), rtol=eta, work=work)
 
     z0 = np.zeros(N) if u_init is None else np.diff(u_init.values, append=u_init.values[:1]) / eps
     del u_init  # its strains are all the solve reads; a start built for the call is freed
-    z, _, trace = damped_newton(evaluate, step, z0, tol, max_iter, "atomistic")
+    z, _, trace = damped_newton(evaluate, step, z0, NEWTON_TOL, MAX_ITER, "atomistic")
     u = eps * np.roll(np.cumsum(z), 1)  # u(x) = eps times the sum of z below x
     u -= u.mean()
     it, res, _ = trace[-1]

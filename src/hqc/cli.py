@@ -67,7 +67,7 @@ def cmd_solve_hqc(cfg, args) -> int:
     mesh = _first_mesh(cfg, grid)
     F = ForceFunctional(cfg.functional_kind, f)
     cs = solve_coarse(law, mesh, F)
-    uc = corrector(law, cs)
+    uc = corrector(cs)
     out = _out_dir(args)
     hio.save_coarse_fn(out / "hqc_nodal.txt", cs.u)
     hio.save_lattice_fn(out / "hqc_corrected.txt", uc)

@@ -8,6 +8,11 @@ site.  Per-element data meets the lattice in one layout, element order
 (the sites from node 0 on, element by element): ``np.repeat`` over the
 site counts fills it, and one roll by nodes[0] - 1 takes it to the sites.
 
+``corrector`` is the one reconstruction of a lattice field from a coarse
+solution: u + eps chi(D u; x/eps), from the cell fields the solution
+carries, and, given the lattice force, the same field moved to local
+equilibrium, the start of an atomistic solve.
+
 ``istar`` is the adjoint of the nodal interpolant under the mean-scaled
 pairing: <istar(w), v> = <w, interpolate(v)> for all v.  Its action
 distributes interior values of w to the two element endpoints with
@@ -319,7 +324,7 @@ def solve_coarse(
     if init is None:
         z = np.zeros(mesh.n_elements)
         # every strain is 0: each element starts from that one cell's solution
-        chi = newton_cells(law.family, np.zeros(1), np.zeros((1, law.family.p)), law.max_iter)[0]
+        chi = newton_cells(law.family, np.zeros(1), np.zeros((1, law.family.p)))[0]
         chi = np.repeat(chi, mesh.n_elements, axis=0)
     else:
         u0, parent = prolong(init.u, mesh)
@@ -354,36 +359,15 @@ def solve_coarse(
     return CoarseSolution(CoarseFn(mesh, U), dual, trace[-1][0], chi, tuple(trace), cells)
 
 
-def corrector(law: HomogenizedLaw, u0h) -> LatticeFn:
-    """Zero-mean reconstruction u + eps * chi(D u; x/eps) of a coarse
-    homogenized solution.
+def corrector(cs: CoarseSolution, f: LatticeFn | None = None) -> LatticeFn:
+    """Zero-mean reconstruction u + eps * chi(D u; x/eps) of the coarse
+    solution ``cs``, from the cell fields it carries at its element strains:
+    no cell problem is solved.  A full-lattice field u is passed as a
+    solution on ``uniform_mesh(grid, grid.N)``.
 
-    A :class:`CoarseSolution` carries the cell fields at its element
-    strains, so no cell problem is solved for it; a bare ``CoarseFn`` has
-    its cell problems solved from cold.  A full-lattice field u is passed
-    as ``interpolate(uniform_mesh(grid, grid.N), u)``.
-    """
-    if isinstance(u0h, CoarseSolution):
-        u0h, chi = u0h.u, u0h.chi
-    elif isinstance(u0h, CoarseFn):
-        chi = law.eval_strains(u0h.strains())[3]
-    else:
-        raise TypeError("corrector expects a CoarseSolution or CoarseFn")
-    mesh, grid = u0h.mesh, u0h.mesh.grid
-    counts, p = mesh.site_counts(), grid.p
-    vals = _element_order_values(u0h)
-    for s in range(p):  # element-order entry k holds site nodes[0] - 1 + k
-        k = (s - mesh.nodes[0] + 1) % p
-        vals[k::p] += grid.eps * np.repeat(chi[:, s], counts)[k::p]
-    vals = _to_sites(mesh, vals)
-    return LatticeFn(grid, vals - vals.mean())
-
-
-def equilibrated_corrector(cs: CoarseSolution, f: LatticeFn) -> LatticeFn:
-    """The corrected solution of ``cs`` moved to local equilibrium under the
-    lattice force f: the zero-mean start of an atomistic Newton solve.
-
-    At equilibrium w = sigma + P is one constant, for the force primitive
+    With the lattice force f the corrected solution is moved to local
+    equilibrium, the zero-mean start of an atomistic Newton solve.  At
+    equilibrium w = sigma + P is one constant, for the force primitive
     P = eps cumsum(f - <f>).  The corrected solution has one stress on each
     element T, so P's variation across T is its residual.  Through T's
     linearized law, in which a strain change dz moves the stress by K_T dz
@@ -392,28 +376,30 @@ def equilibrated_corrector(cs: CoarseSolution, f: LatticeFn) -> LatticeFn:
     over T's sites, which sets its stress to the constant minus P(x) that
     equilibrium requires.  dz sums to 0 on every element, so the coarse
     part keeps every nodal value.  K_T = W''(z_T) and chi'_T come from the
-    cells that ``solve_coarse`` condensed at convergence: no cell problem
-    is solved and no linear system, and the cost is O(N), in element order.
+    cells that ``solve_coarse`` condensed at convergence: no linear system
+    is solved either.  Either way the cost is O(N), in element order.
     """
     mesh, grid = cs.u.mesh, cs.u.mesh.grid
-    counts, starts, eps, p = mesh.site_counts(), mesh.nodes - mesh.nodes[0], grid.eps, grid.p
+    counts, eps, p = mesh.site_counts(), grid.eps, grid.p
     vals = _element_order_values(cs.u)
-    # P / eps in element order, up to a constant, which dz does not see
-    P = np.roll(f.values, 1 - mesh.nodes[0])
-    P -= P.mean()
-    np.cumsum(P, out=P)
-    dz = np.repeat(np.add.reduceat(P, starts) / counts, counts)
-    dz -= P
-    del P
-    dz *= np.repeat(eps / cs.cells.stiffness, counts)
-    # eps times the exclusive cumsum of dz, which restarts at 0 on every element
-    vals += eps * (np.cumsum(dz) - dz)
-    chi, sensitivity = cs.chi, cs.cells.sensitivity
+    if f is not None:
+        # P / eps in element order, up to a constant, which dz does not see
+        P = np.roll(f.values, 1 - mesh.nodes[0])
+        P -= P.mean()
+        np.cumsum(P, out=P)
+        dz = np.repeat(np.add.reduceat(P, mesh.nodes - mesh.nodes[0]) / counts, counts)
+        dz -= P
+        del P
+        dz *= np.repeat(eps / cs.cells.stiffness, counts)
+        # eps times the exclusive cumsum of dz, which restarts at 0 on every element
+        vals += eps * (np.cumsum(dz) - dz)
     for s in range(p):  # element-order entry k holds site nodes[0] - 1 + k
         k = (s - mesh.nodes[0] + 1) % p
-        cell = np.repeat(sensitivity[:, s], counts)[k::p]
-        cell *= dz[k::p]
-        cell += np.repeat(chi[:, s], counts)[k::p]
+        cell = np.repeat(cs.chi[:, s], counts)[k::p]
+        if f is not None:
+            moved = np.repeat(cs.cells.sensitivity[:, s], counts)[k::p]
+            moved *= dz[k::p]
+            cell += moved
         cell *= eps
         vals[k::p] += cell
     vals = _to_sites(mesh, vals)

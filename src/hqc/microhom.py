@@ -229,11 +229,12 @@ def warm_start(family, z, warm):
     return chi0
 
 
-def newton_cells(family, z, chi0, max_iter=MAX_ITER):
+def newton_cells(family, z, chi0):
     """Damped Newton on a batch of cell problems: one :func:`damped_newton`
     iteration over all rows, each evaluation one :func:`condense_cells`,
     its norm the largest row residual and its step ``relax``, with one step
-    length for all rows, until that norm is at most ``CELL_TOL``.
+    length for all rows, until that norm is at most ``CELL_TOL``, in at most
+    :data:`~hqc.atomistic.MAX_ITER` steps.
 
     z: (m,) strains; chi0: (m, p) zero-mean starting fields.  Returns
     (chi, cells, iterations): the fields, the cells condensed at them and
@@ -254,20 +255,19 @@ def newton_cells(family, z, chi0, max_iter=MAX_ITER):
         name = f"cells at strains {z.min(initial=np.inf):.6g} to {z.max(initial=-np.inf):.6g}"
     chi0 = np.array(chi0, dtype=float).reshape(z.size, family.p)
     chi, cells, trace = damped_newton(
-        evaluate, lambda _chi, cells: cells.relax, chi0, CELL_TOL, max_iter, name
+        evaluate, lambda _chi, cells: cells.relax, chi0, CELL_TOL, MAX_ITER, name
     )
     return chi - chi.mean(axis=1, keepdims=True), cells, np.full(z.size, trace[-1][0])
 
 
 @dataclass
 class HomogenizedLaw:
-    """Potential family plus the Newton step cap of its cell problems.
+    """The homogenized law of a potential family.
 
     Every evaluation solves its cell problems afresh, from the zero field.
     """
 
     family: PotentialFamily
-    max_iter: int = MAX_ITER
 
     def eval_strains(self, z):
         """Vectorized law evaluation at a batch of strains.
@@ -278,7 +278,7 @@ class HomogenizedLaw:
         """
         z = np.atleast_1d(np.asarray(z, dtype=float))
         family = self.family
-        chi, cells, _iters = newton_cells(family, z, np.zeros((z.size, family.p)), self.max_iter)
+        chi, cells, _iters = newton_cells(family, z, np.zeros((z.size, family.p)))
         require_stable_cells(cells, z)
         phi = family.bonds(_bond_args(_cell_maps(family.p, family.R), z, chi), 0)
         return _flat(phi).sum(axis=1) / family.p, cells.stress, cells.stiffness, chi

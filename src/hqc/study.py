@@ -15,19 +15,22 @@ Uniform schedules and ``adapt_mesh`` both refine, so the start is the
 previous solution itself; ``newton_iters`` counts the outer iterations
 from it.
 
-No coarse row needs the reference, so every row is solved first and only
-its corrected solution kept.  The reference is then solved once, by Newton
-from the corrected solution of the last row (the finest uniform mesh or the
-last adaptive step), which the a priori estimate puts within O(h) of it,
-moved to local equilibrium (:func:`~hqc.coarse.equilibrated_corrector`):
-with one stress per element, the corrected solution leaves the force
-primitive's variation across each element as its residual, which moving
-every site's strain through its element's linearized law removes in O(N).
-The error columns are filled in last.  A study that fails in a coarse row
-stops before it solves or caches the reference.  Rows are written in
-schedule order; all scientific columns are deterministic, and wall-clock
-timing is off by default so that reruns with the same config produce
-byte-identical CSV files (opt in with ``timing=True``).
+No coarse row needs the reference, so every mesh is solved first and only
+its coarse solution and indicator report kept: no lattice-sized field per
+row.  The reference is then solved once, by Newton from the corrected
+solution of the last row (the finest uniform mesh or the last adaptive
+step), which the a priori estimate puts within O(h) of it, moved to local
+equilibrium (``corrector(cs, f)``): with one stress per element, the
+corrected solution leaves the force primitive's variation across each
+element as its residual, which moving every site's strain through its
+element's linearized law removes in O(N).  Each row is then built once,
+from its corrected solution (``corrector(cs)``) and that field's two error
+seminorms.  A study that fails in a coarse row stops before it solves or
+caches the reference.  Rows are written in schedule order; all scientific
+columns are deterministic, and wall-clock timing is off by default so that
+reruns with the same config produce byte-identical CSV files (opt in with
+``timing=True``; ``wall_ms`` covers a row's coarse solve, indicators and
+corrector).
 """
 
 from __future__ import annotations
@@ -35,13 +38,13 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .atomistic import AtomisticProblem, solve_atomistic
-from .coarse import ForceFunctional, corrector, equilibrated_corrector, solve_coarse, uniform_mesh
+from .coarse import ForceFunctional, corrector, solve_coarse, uniform_mesh
 from .config import ExperimentConfig
 from .estimator import adapt_mesh, indicator_terms
 from .exceptions import ConfigError, StabilityError
@@ -171,10 +174,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def _reference_solution(cfg, family, f, cs, out_dir, use_cache):
     """Atomistic reference displacement under the force ``f`` of
     :func:`setup_1d`, solved by Newton from the corrected solution of the
-    coarse solution ``cs`` moved to local equilibrium
-    (:func:`~hqc.coarse.equilibrated_corrector`); with an output directory
-    and ``use_cache``, read from and written to a cache file keyed by
-    :func:`config_hash`."""
+    coarse solution ``cs`` moved to local equilibrium (``corrector(cs, f)``);
+    with an output directory and ``use_cache``, read from and written to a
+    cache file keyed by :func:`config_hash`."""
     path = None
     if out_dir is not None and use_cache:
         path = Path(out_dir) / "cache" / f"ref_{config_hash(cfg)}.txt"
@@ -182,53 +184,30 @@ def _reference_solution(cfg, family, f, cs, out_dir, use_cache):
             log.info("reference loaded from %s", path)
             return load_lattice_fn(path)
     prob = AtomisticProblem(f.grid, family, f)
-    sol = solve_atomistic(prob, u_init=equilibrated_corrector(cs, f))
+    sol = solve_atomistic(prob, u_init=corrector(cs, f))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_lattice_fn(path, sol.u)
     return sol.u
 
 
-def _study_row(law, mesh, F, f, cfg, c0_inv, clock, prev):
-    """Row of one mesh without its error columns, its corrected solution,
-    indicator report and coarse solution; the solve starts nested from the
-    previous row's solution ``prev``."""
-    t0 = clock() if clock else 0.0
-    cs = solve_coarse(law, mesh, F, init=prev)
-    uc = corrector(law, cs)
-    report = indicator_terms(cs.u, f, F, cfg.calibration, c0_inv)
-    wall = (clock() - t0) * 1e3 if clock else 0.0
-    return StudyRow(
-        h_max=mesh.h_max,
-        dof=mesh.n_elements,
-        err_1inf=np.nan,
-        err_0inf=np.nan,
-        eta_jump=report.jump_term,
-        eta_force=report.force_term,
-        eta_quad=report.quadrature_term,
-        eta_total=report.total,
-        newton_iters=cs.iterations,
-        wall_ms=wall,
-    ), uc, report, cs
-
-
-def _coarse_rows(cfg, grid, law, F, f, c0_inv, clock):
-    """(row without its error columns, corrected solution) of every mesh of
-    the schedule, each solve nested in the previous one, and the last
-    coarse solution."""
-    done, cs = [], None
-    if cfg.adaptive:
-        mesh = uniform_mesh(grid, cfg.adapt_initial)
-        for _ in range(cfg.adapt_steps):
-            row, uc, report, cs = _study_row(law, mesh, F, f, cfg, c0_inv, clock, cs)
-            done.append((row, uc))
+def _coarse_solves(cfg, grid, law, F, f, c0_inv, clock):
+    """(coarse solution, indicator report, wall ms) of every mesh of the
+    schedule, each solve nested in the previous one; an adaptive schedule
+    refines each mesh by its own report."""
+    solved, cs = [], None
+    for i in range(cfg.adapt_steps if cfg.adaptive else len(cfg.mesh_schedule)):
+        if not cfg.adaptive:
+            mesh = uniform_mesh(grid, cfg.mesh_schedule[i])
+        elif i == 0:
+            mesh = uniform_mesh(grid, cfg.adapt_initial)
+        else:
             mesh = adapt_mesh(mesh, report, cfg.theta)
-    else:
-        for m in cfg.mesh_schedule:
-            mesh = uniform_mesh(grid, m)
-            row, uc, _report, cs = _study_row(law, mesh, F, f, cfg, c0_inv, clock, cs)
-            done.append((row, uc))
-    return done, cs
+        t0 = clock() if clock else 0.0
+        cs = solve_coarse(law, mesh, F, init=cs)
+        report = indicator_terms(cs.u, f, F, cfg.calibration, c0_inv)
+        solved.append((cs, report, (clock() - t0) * 1e3 if clock else 0.0))
+    return solved
 
 
 def run_study(
@@ -240,11 +219,12 @@ def run_study(
     """Run the 1D convergence study of a config; returns the StudyRow list.
 
     Solves every coarse row first, then the atomistic reference from the
-    last row's corrected solution moved to local equilibrium, then measures
-    each row's error against it; a failure in a coarse row raises before the reference is solved or
-    cached.  With an output directory, writes study.csv and study.svg; with
-    ``use_cache`` too, it loads the reference from ``cache/`` there when a
-    run of the same config left it, and writes it there otherwise.  With
+    last row's corrected solution moved to local equilibrium, then builds
+    each row from its corrected solution's error against it; a failure in
+    a coarse row raises before the reference is solved or cached.  With an
+    output directory, writes study.csv and study.svg; with ``use_cache``
+    too, it loads the reference from ``cache/`` there when a run of the
+    same config left it, and writes it there otherwise.  With
     ``use_cache=False`` the cache is neither read nor written.  Raises
     ConfigError for a config without ``mesh.schedule``, StabilityError when
     the nearest-neighbor dominance margin of the configured family is not
@@ -258,13 +238,27 @@ def run_study(
     F = ForceFunctional(cfg.functional_kind, f)
     clock = time.perf_counter if timing else None
 
-    done, cs = _coarse_rows(cfg, grid, law, F, f, c0_inv, clock)
-    u_ref = _reference_solution(cfg, family, f, cs, out_dir, use_cache)
+    solved = _coarse_solves(cfg, grid, law, F, f, c0_inv, clock)
+    u_ref = _reference_solution(cfg, family, f, solved[-1][0], out_dir, use_cache)
     rows = []
-    for row, uc in done:
+    for cs, report, wall in solved:
+        t0 = clock() if clock else 0.0
+        uc = corrector(cs)
+        wall += (clock() - t0) * 1e3 if clock else 0.0
         diff = LatticeFn(grid, uc.values - u_ref.values)
         rows.append(
-            replace(row, err_1inf=seminorm(diff, 1, np.inf), err_0inf=seminorm(diff, 0, np.inf))
+            StudyRow(
+                h_max=cs.u.mesh.h_max,
+                dof=cs.u.mesh.n_elements,
+                err_1inf=seminorm(diff, 1, np.inf),
+                err_0inf=seminorm(diff, 0, np.inf),
+                eta_jump=report.jump_term,
+                eta_force=report.force_term,
+                eta_quad=report.quadrature_term,
+                eta_total=report.total,
+                newton_iters=cs.iterations,
+                wall_ms=wall,
+            )
         )
 
     if out_dir is not None:

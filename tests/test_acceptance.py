@@ -101,7 +101,7 @@ def test_criterion_2_homogenization_error_halves(family_51):
             AtomisticProblem(grid, fam, f), u_init=microstructure_start(grid, micro)
         )
         hom = solve_coarse(law, uniform_mesh(grid, N), ForceFunctional("exact_summation", f))
-        uc = corrector(law, hom)
+        uc = corrector(hom)
         errs[N] = seminorm(LatticeFn(grid, uc.values - ref.u.values), 1, np.inf)
     ratios = [errs[N] / errs[2 * N] for N in (512, 1024, 2048)]
     report(

@@ -253,11 +253,13 @@ class TestSolveAtomistic:
         assert np.abs(sol.u.values - expected.values).max() < 1e-12
         assert sol.residual_dual <= 1e-10
 
-    def test_terminal_quadratic_convergence(self, lj, micro):
+    def test_terminal_quadratic_convergence(self, lj, micro, monkeypatch):
         grid = LatticeGrid(1024, 2)
         f = sin_force(grid, 50.0, 1.0)
         prob = AtomisticProblem(grid, lj, f)
-        sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro), tol=1e-12)
+        monkeypatch.setattr(atomistic, "NEWTON_TOL", 1e-12)
+        sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
+        assert sol.residual_dual <= 1e-12
         rs = np.array([r for _, r, _ in sol.trace])
         rs = rs / rs[0]
         ratios = [
@@ -338,11 +340,12 @@ class TestSolveAtomistic:
         rho = g.values - rhs
         assert primitive_dual_norm(rho - rho.mean(), grid.eps) <= 1e-10
 
-    def test_nonconvergence_raises_with_trace(self, lj):
+    def test_nonconvergence_raises_with_trace(self, lj, monkeypatch):
         grid = LatticeGrid(64, 2)
         prob = AtomisticProblem(grid, lj, sin_force(grid, 50.0, 1.0))
-        with pytest.raises(SolverFailure) as err:
-            solve_atomistic(prob, max_iter=1)
+        monkeypatch.setattr(atomistic, "MAX_ITER", 1)
+        with pytest.raises(SolverFailure, match="after 1 iterations") as err:
+            solve_atomistic(prob)
         assert len(err.value.trace) >= 1
 
     def test_curvature_bound_stable_under_force_scaling(self, lj, micro):
@@ -479,5 +482,5 @@ class TestSolveHomogenizedFull:
         F = ForceFunctional("exact_summation", zero_force(grid))
         sol = solve_coarse(law, uniform_mesh(grid, grid.N), F)
         assert np.abs(sol.u.nodal_values).max() < 1e-12
-        uc = corrector(law, sol)
+        uc = corrector(sol)
         assert np.abs(uc.values - microstructure_start(grid, micro).values).max() < 1e-12

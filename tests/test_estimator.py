@@ -217,7 +217,7 @@ class TestEstimatorDecay:
         for m in (4, 8, 16, 32, 64):
             mesh = uniform_mesh(grid, m)
             cs = solve_coarse(law, mesh, F)
-            uc = corrector(law, cs.u)
+            uc = corrector(cs)
             errors.append(seminorm(LatticeFn(grid, uc.values - ref.u.values), 1, np.inf))
             reports.append(indicator_terms(cs.u, f, F))
         cal = calibrate_constant(reports[0], errors[0])

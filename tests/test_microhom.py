@@ -11,6 +11,7 @@ from hqc import (
     nn_dominance_margin,
     quadratic_family,
 )
+from hqc import microhom
 from hqc.exceptions import SolverFailure, StabilityError
 from hqc.microhom import (
     CELL_TOL,
@@ -33,8 +34,8 @@ def lj_law():
 
 
 def solve_cells(law, z, chi0):
-    """Batched cell solve with the law's settings: (chi, residual, iterations)."""
-    chi, cells, iters = newton_cells(law.family, np.atleast_1d(z), chi0, law.max_iter)
+    """Batched cell solve of the law's family: (chi, residual, iterations)."""
+    chi, cells, iters = newton_cells(law.family, np.atleast_1d(z), chi0)
     return chi, cells.residual, iters
 
 
@@ -74,8 +75,9 @@ class TestSolveCell:
         with pytest.raises(DomainError, match="^cell at strain -1.2 Newton: inadmissible start"):
             lj_law.eval_strains(-1.2)
 
-    def test_nonconvergence_reported(self):
-        law = HomogenizedLaw(lj_family([1.0, 9.0 / 8.0], R=3), max_iter=1)
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(microhom, "MAX_ITER", 1)
+        law = HomogenizedLaw(lj_family([1.0, 9.0 / 8.0], R=3))
         with pytest.raises(SolverFailure, match="strain 0.3 "):
             law.eval_strains(0.3)
         with pytest.raises(SolverFailure, match="strains 0.2 to 0.3 "):

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -13,9 +15,9 @@ from hqc import (
     LatticeFn,
     LatticeGrid,
     StudyRow,
+    adapt_mesh,
     build_config,
     corrector,
-    equilibrated_corrector,
     fit_slope,
     ground_microstructure,
     read_rows_csv,
@@ -49,6 +51,7 @@ force.functional = exact_summation
 mesh.schedule = 4, 8, 16, 32
 """
 SCHEDULE = "mesh.schedule = 4, 8, 16, 32\n"
+ADAPTIVE_4 = "mesh.schedule = adaptive\nmesh.steps = 4\nmesh.initial = 4\n"
 
 BASE_2D = """
 problem.kind = 2d
@@ -245,9 +248,42 @@ class TestRunStudy:
         assert all(a.h_max >= b.h_max for a, b in zip(rows, rows[1:]))
         assert rows[-1].eta_jump < rows[0].eta_jump
 
-    @pytest.mark.parametrize(
-        "extra", ["", "mesh.schedule = adaptive\nmesh.steps = 4\nmesh.initial = 4\n"]
-    )
+    def test_adaptive_study_adapts_between_its_steps(self, monkeypatch):
+        # the mesh adapted after the last step would be read by nothing
+        import hqc.study
+
+        adapt = mock.Mock(side_effect=adapt_mesh)
+        monkeypatch.setattr(hqc.study, "adapt_mesh", adapt)
+        assert len(run_study(cfg_1d(ADAPTIVE_4))) == 4
+        assert adapt.call_count == 3
+
+    @pytest.mark.parametrize("extra", ["", ADAPTIVE_4])
+    def test_timing_fills_only_wall_ms(self, extra):
+        cfg = cfg_1d(extra)
+        timed = run_study(cfg, timing=True)
+        assert all(np.isfinite(row.wall_ms) and row.wall_ms > 0 for row in timed)
+        assert [dataclasses.replace(row, wall_ms=0.0) for row in timed] == run_study(cfg)
+
+    def test_rows_keep_no_lattice_field(self):
+        # rows keep their coarse solutions, not their corrected fields,
+        # through the reference solve: four more rows raise the peak by
+        # less than half a lattice vector
+        N = 65536
+        mapping = parse_config(LJ_1D)
+        mapping["grid.N"] = str(N)
+        peaks = []
+        for schedule in ("16, 32, 64, 128, 256", "256"):
+            mapping["mesh.schedule"] = schedule
+            cfg = build_config(mapping)
+            tracemalloc.start()
+            try:
+                run_study(cfg, use_cache=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] + 0.5 * 8 * N
+
+    @pytest.mark.parametrize("extra", ["", ADAPTIVE_4])
     def test_each_row_starts_from_the_previous_solution(self, monkeypatch, extra):
         import hqc.study
 
@@ -290,8 +326,8 @@ LJ_1D = Path(__file__).parents[1] / "configs" / "lj_1d.cfg"
 def solve_lj_1d_study(N, phase):
     """The lj_1d chain at N sites and force phase ``phase``, on the shipped
     mesh schedule or, at N = 65536, on the benchmark's 16, 64, 256: the
-    config, every (coarse solution, corrected solution) pair of the study,
-    and the arguments and result of its one reference solve."""
+    config, the (coarse solution, force, result) of every ``corrector`` call
+    of the study, and the arguments and result of its one reference solve."""
     import hqc.study
 
     mapping = parse_config(LJ_1D)
@@ -301,9 +337,9 @@ def solve_lj_1d_study(N, phase):
     cfg = build_config(mapping)
     corrected, solves = [], []
 
-    def recording_corrector(law, cs):
-        corrected.append((cs, corrector(law, cs)))
-        return corrected[-1][1]
+    def recording_corrector(cs, f=None):
+        corrected.append((cs, f, corrector(cs, f)))
+        return corrected[-1][2]
 
     def recording_solve(prob, **kw):
         solves.append((prob, kw, solve_atomistic(prob, **kw)))
@@ -313,7 +349,10 @@ def solve_lj_1d_study(N, phase):
         hqc.study, "solve_atomistic", recording_solve
     ):
         rows = run_study(cfg)
-    assert len(corrected) == len(rows) and len(solves) == 1
+    # the reference start, with the force, then one call per row
+    assert len(corrected) == len(rows) + 1 and len(solves) == 1
+    assert corrected[0][1] is not None
+    assert all(f is None for _cs, f, _uc in corrected[1:])
     return cfg, corrected, solves[0]
 
 
@@ -338,7 +377,8 @@ class TestReferenceStart:
         # the start is equilibrated, and takes at most 2 steps; the last
         # corrected solution itself took 3 at N = 65536
         cfg, corrected, (prob, kw, sol) = lj_1d_reference(N, phase)
-        start = equilibrated_corrector(corrected[-1][0], prob.force)
+        assert kw["u_init"] is corrected[0][2]
+        start = corrector(corrected[-1][0], prob.force)
         assert np.array_equal(kw["u_init"].values, start.values)
         assert sol.iterations <= 2
         # the reference takes the study's own force, which is the config's
@@ -355,7 +395,7 @@ class TestReferenceStart:
         law = HomogenizedLaw(build_family(cfg))
         F = ForceFunctional(cfg.functional_kind, prob.force)
         cs = solve_coarse(law, uniform_mesh(prob.grid, 4), F)
-        rough = solve_atomistic(prob, u_init=corrector(law, cs))
+        rough = solve_atomistic(prob, u_init=corrector(cs))
         assert max_rel_diff(rough.u, cold.u) <= 1e-12
         assert rough.iterations <= cold.iterations
 
