@@ -35,7 +35,7 @@ from hqc.study import microstructure_start
 def main() -> None:
     family = lj_family([1.0, 9.0 / 8.0], R=3)
     law = HomogenizedLaw(family)
-    micro = ground_microstructure(family)
+    micro = ground_microstructure(law)
     grid = LatticeGrid(1024, 2)
 
     # a force with a sharp bump: most of the solution curvature sits near x = 0.5

@@ -24,7 +24,8 @@ from hqc import (
 
 def main() -> None:
     family = lj_family([1.0, 9.0 / 8.0], R=3)
-    micro = ground_microstructure(family)
+    law = HomogenizedLaw(family)
+    micro = ground_microstructure(law)
     print("ground microstructure chi_*:", micro.chi_star.values)
     print("micro deformation increments 1 + D chi_*:",
           1.0 + np.roll(micro.chi_star.values, -1) - micro.chi_star.values)
@@ -32,7 +33,6 @@ def main() -> None:
     margin = nn_dominance_margin(family, micro)
     print(f"nearest-neighbor dominance margin: {margin:.4f} (> 0: stable)")
 
-    law = HomogenizedLaw(family)
     c11, c0 = estimate_constants(family, micro)
     print(f"sampled curvature surrogate C11 = {c11:.2f}, coercivity lower bound c0 = {c0:.2f}")
 

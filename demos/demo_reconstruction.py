@@ -38,7 +38,7 @@ from hqc.study import microstructure_start, sin_force
 def main() -> int:
     family = lj_family([1.0, 9.0 / 8.0], R=3)
     law = HomogenizedLaw(family)
-    micro = ground_microstructure(family)
+    micro = ground_microstructure(law)
     grid = LatticeGrid(512, 2)
     f = sin_force(grid, 50.0, 1.0)
 

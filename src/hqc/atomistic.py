@@ -162,7 +162,7 @@ NEWTON_TOL = 1e-10
 MAX_ITER = 60
 
 
-def damped_newton(evaluate, step, x, tol, max_iter, name):
+def damped_newton(evaluate, step, x, tol, max_iter, name, start=None):
     """Newton iteration with residual backtracking, shared by three solvers:
     :func:`solve_atomistic`, :func:`hqc.coarse.solve_coarse` and
     :func:`hqc.microhom.newton_cells`.
@@ -173,9 +173,11 @@ def damped_newton(evaluate, step, x, tol, max_iter, name):
     the Newton direction.  A state is read only by the call of ``step``
     that follows its evaluation, before the next evaluation, and the one
     returned is the last evaluated, so evaluations may reuse the buffers of
-    earlier states.  A DomainError from evaluating the start is
-    re-raised as ``"{name} Newton: inadmissible start: ..."``, and a start
-    whose norm is not finite raises SolverFailure.
+    earlier states.  ``start``, if given, is the ``(state, norm)`` that
+    ``evaluate`` would return at x, which is then not evaluated.  A
+    DomainError from evaluating the start is re-raised as
+    ``"{name} Newton: inadmissible start: ..."``, and a start whose norm is
+    not finite raises SolverFailure.
     A trial point is accepted when its norm drops below the current one;
     otherwise, or when evaluating it raises DomainError or SolverFailure,
     the step is halved, at most ``DAMPING_MAX`` times.  When no halving is
@@ -184,10 +186,13 @@ def damped_newton(evaluate, step, x, tol, max_iter, name):
     ``(x, state, trace)`` with trace rows (iteration, norm, step_damping);
     every SolverFailure raised here carries the trace so far.
     """
-    try:
-        x, state, res = evaluate(x)
-    except DomainError as exc:
-        raise DomainError(f"{name} Newton: inadmissible start: {exc}") from exc
+    if start is not None:
+        state, res = start
+    else:
+        try:
+            x, state, res = evaluate(x)
+        except DomainError as exc:
+            raise DomainError(f"{name} Newton: inadmissible start: {exc}") from exc
     trace = [(0, res, 0.0)]
     if not np.isfinite(res):  # a nan norm would pass as converged
         raise SolverFailure(f"{name} Newton: residual {res:.3e} at the start", trace)

@@ -47,15 +47,7 @@ import numpy as np
 from .exceptions import SolverFailure, StabilityError
 from .lattice import LatticeFn, LatticeGrid
 from .atomistic import MAX_ITER, NEWTON_TOL, damped_newton
-from .microhom import (
-    CELL_TOL,
-    CondensedCells,
-    HomogenizedLaw,
-    condense_cells,
-    newton_cells,
-    require_stable_cells,
-    warm_start,
-)
+from .microhom import CELL_TOL, CondensedCells, HomogenizedLaw, condense_cells, require_stable_cells
 
 
 @dataclass(frozen=True)
@@ -149,12 +141,17 @@ def prolong(u: CoarseFn, mesh: Mesh1D) -> tuple[CoarseFn, np.ndarray]:
     interpolant is u itself and every element lies inside that parent.
     """
     old = u.mesh.nodes
-    # sites before the first old node lie in the last, wrapping element
-    parent = (np.searchsorted(old, mesh.nodes, side="right") - 1) % old.size
+    parent = _element_of(u.mesh, mesh.nodes)
     offs = (mesh.nodes - old[parent]) % mesh.grid.N
     U = u.nodal_values
     left, right = U[parent], U[(parent + 1) % old.size]
     return CoarseFn(mesh, left + offs / u.mesh.site_counts()[parent] * (right - left)), parent
+
+
+def _element_of(mesh: Mesh1D, sites: np.ndarray) -> np.ndarray:
+    """The element of ``mesh`` containing each of the 1-based site labels ``sites``."""
+    # sites before the first node lie in the last, wrapping element
+    return (np.searchsorted(mesh.nodes, sites, side="right") - 1) % mesh.n_elements
 
 
 def _element_offsets(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,46 +303,60 @@ def solve_coarse(
     cell, its strain and its smallest Hessian eigenvalue.  A singular cell
     Hessian on the way raises :class:`StabilityError` as well.
 
-    Without ``init`` the solve starts from z = 0, with every cell field at
-    the solution of the cell problem at strain 0: a start far from cell
-    equilibrium can lead the joint iteration to stall where a start on it
-    converges.
-    ``init``, a solution on any mesh of the same grid, gives a nested start
-    (nested iteration): z starts at the strains of the interpolant of
-    ``init.u`` and each element's cell field at the ``init.chi`` row of its
-    parent element (see :func:`prolong`); rows whose prolonged field is
-    inadmissible at their new element strain start from the zero field
-    instead.
+    Without ``init`` every element starts at strain 0 from the law's
+    ``ground_cell``: a start far from cell equilibrium can lead the joint
+    iteration to stall where a start on it converges.  ``init``, a solution
+    on any mesh of the same grid, gives a nested start: each element takes
+    the strain, cell field and condensed cell of its parent, the element of
+    ``init`` containing its middle site.  Cold or on a refinement of
+    ``init.u.mesh``, those cells are converged at exactly those strains and
+    are the evaluated start, so no cell is evaluated before the first
+    Newton step.  On another mesh the parents' strains need not satisfy
+    sum(h z) = 0, and the start is evaluated, which projects them.
+    ValueError if ``init`` is on another grid or carries no condensed
+    cells, or if the mesh's species count is not the law's.
     """
+    if mesh.grid.p != law.family.p:
+        raise ValueError(f"the mesh has p = {mesh.grid.p} species, the law p = {law.family.p}")
     h = mesh.element_sizes()
     B = np.cumsum(F.node_values(mesh))
     scale = NEWTON_TOL / CELL_TOL  # a cell residual in units of the coarse tolerance
 
     if init is None:
-        z = np.zeros(mesh.n_elements)
-        # every strain is 0: each element starts from that one cell's solution
-        chi = newton_cells(law.family, np.zeros(1), np.zeros((1, law.family.p)))[0]
-        chi = np.repeat(chi, mesh.n_elements, axis=0)
+        z, (chi, cells) = np.zeros(1), law.ground_cell
+        parent, refines = np.zeros(mesh.n_elements, dtype=int), True
     else:
-        u0, parent = prolong(init.u, mesh)
-        z = u0.strains()
-        chi = warm_start(law.family, z, init.chi[parent])
+        if init.u.mesh.grid != mesh.grid:
+            raise ValueError(f"init is on {init.u.mesh.grid}, the mesh on {mesh.grid}")
+        if init.cells is None:
+            raise ValueError("init carries no condensed cells (init.cells is None)")
+        z, chi, cells = init.u.strains(), init.chi, init.cells
+        # >> 1 halves: a first integer floor division would page in numpy code
+        middle = (mesh.nodes + (mesh.site_counts() >> 1) - 1) % mesh.grid.N + 1
+        parent = _element_of(init.u.mesh, middle)
+        old = init.u.mesh.nodes
+        refines = bool((mesh.nodes[_element_of(mesh, old)] == old).all())
+
+    def evaluated(cells):
+        w = cells.stress + B
+        dual = 0.5 * float(w.max() - w.min())
+        return (w, dual, cells), max(dual, scale * cells.residual.max())
 
     # an iterate x holds z in column 0 and the cell fields in the others
     def evaluate(x):
         x[:, 0] -= h @ x[:, 0]  # keeps sum(h z) = 0, as sum(h) = 1; x is a new array
-        cells = condense_cells(law.family, x[:, 0], x[:, 1:])
-        w = cells.stress + B
-        dual = 0.5 * float(w.max() - w.min())
-        return x, (w, dual, cells), max(dual, scale * cells.residual.max())
+        return (x, *evaluated(condense_cells(law.family, x[:, 0], x[:, 1:])))
 
     def step(_x, state):
         w, _dual, cells = state
         dz = coarse_newton_step(cells.stiffness, h, w + cells.shift)
         return np.column_stack([dz, cells.relax + cells.sensitivity * dz[:, None]])
 
+    x = np.column_stack([z[parent], chi[parent]])
+    # off a refinement the parents' strains need not sum to 0: evaluate projects them
+    start = evaluated(cells.rows(parent)) if refines else None
     x, (_w, dual, cells), trace = damped_newton(
-        evaluate, step, np.column_stack([z, chi]), NEWTON_TOL, MAX_ITER, "coarse"
+        evaluate, step, x, NEWTON_TOL, MAX_ITER, "coarse", start
     )
     z, chi = x[:, 0], x[:, 1:]
     j = int(np.argmin(cells.stiffness))

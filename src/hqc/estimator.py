@@ -126,18 +126,18 @@ def adapt_mesh(mesh: Mesh1D, report: ErrorReport, theta: float) -> Mesh1D:
     if total <= 0.0 or not splittable.any():
         return mesh
     order = np.argsort(-eta)
-    marked = []
-    acc = 0.0
-    for j in order:
-        if not splittable[j]:
-            continue
-        marked.append(j)
-        acc += eta[j]
-        if acc >= theta * total - 1e-15 * total:
-            break
-    new_nodes = set(int(n) for n in mesh.nodes)
-    for j in marked:
-        left = int(mesh.nodes[j])
-        mid = left + int(counts[j]) // 2
-        new_nodes.add((mid - 1) % mesh.grid.N + 1)
-    return Mesh1D(mesh.grid, np.array(sorted(new_nodes)))
+    order = order[splittable[order]]
+    # a left-to-right cumulative sum; eta >= 0, so the first element that
+    # reaches the bulk is the count of those short of it
+    short = np.cumsum(eta[order]) < theta * total - 1e-15 * total
+    marked = np.zeros(eta.size, dtype=bool)
+    marked[order[: np.count_nonzero(short) + 1]] = True
+    # every element's left node, then its midpoint if marked: ascending,
+    # but for the wrapping last element's midpoint past site N (>> 1 halves,
+    # as in solve_coarse)
+    nodes = np.column_stack([mesh.nodes, mesh.nodes + (counts >> 1)])
+    nodes = nodes[np.column_stack([np.ones_like(marked), marked])]
+    if nodes[-1] > mesh.grid.N:
+        nodes = np.roll(nodes, 1)
+        nodes[0] -= mesh.grid.N
+    return Mesh1D(mesh.grid, nodes)

@@ -58,8 +58,9 @@ and its step the cells' ``relax``, so all rows share one step length and
 one iteration count, and the cells condensed at the last evaluation are
 returned with the fields.  An inadmissible trial raises DomainError from
 ``bonds``, which ``damped_newton`` halves like a residual increase.  A
-study solves single cells only (the ground state and the cold start of
-``solve_coarse``); batches come from ``HomogenizedLaw.eval_strains``.
+study solves one cell only, at strain 0, once: ``HomogenizedLaw.ground_cell``
+serves both the ground microstructure and the cold start of
+``solve_coarse``; batches come from ``HomogenizedLaw.eval_strains``.
 """
 
 from __future__ import annotations
@@ -186,6 +187,10 @@ class CondensedCells:
     hessian: np.ndarray  # (m, p-1, p-1) reduced cell Hessians H
     pivots: np.ndarray  # (m, p-1) LDL^T pivots of H
 
+    def rows(self, index) -> CondensedCells:
+        """The cells ``index`` selects, as a new batch."""
+        return CondensedCells(**{name: v[index] for name, v in vars(self).items()})
+
 
 def condense_cells(family, z, chi) -> CondensedCells:
     """The cells with fields chi (m, p) at strains z (m,), condensed by one
@@ -217,16 +222,6 @@ def require_stable_cells(cells: CondensedCells, z) -> None:
     positive; ``cells`` are condensed at converged fields and strains z."""
     if not (cells.pivots > 0).all():
         raise _cell_instability("indefinite", cells.hessian, z)
-
-
-def warm_start(family, z, warm):
-    """Starting fields (m, p) of the cells at strains z: the rows of warm,
-    except that a row inadmissible at its strain starts from the zero field."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    maps = _cell_maps(family.p, family.R)
-    chi0 = np.array(warm, dtype=float).reshape(z.size, family.p)
-    chi0[~family.admissible(_bond_args(maps, z, chi0)).all(axis=(1, 2))] = 0.0
-    return chi0
 
 
 def newton_cells(family, z, chi0):
@@ -264,10 +259,22 @@ def newton_cells(family, z, chi0):
 class HomogenizedLaw:
     """The homogenized law of a potential family.
 
-    Every evaluation solves its cell problems afresh, from the zero field.
+    Every evaluation solves its cell problems afresh, from the zero field;
+    the cell at strain 0 is solved once, on first use of ``ground_cell``.
     """
 
     family: PotentialFamily
+
+    @functools.cached_property
+    def ground_cell(self) -> tuple[np.ndarray, CondensedCells]:
+        """(chi, cells): the (1, p) field of the cell problem at strain 0,
+        solved from the zero field, and the cell condensed at it; the ground
+        microstructure validates them, and a cold coarse solve starts every
+        element from them."""
+        chi, cells, _iters = newton_cells(self.family, np.zeros(1), np.zeros((1, self.family.p)))
+        for a in (chi, *vars(cells).values()):
+            a.flags.writeable = False  # every caller shares them
+        return chi, cells
 
     def eval_strains(self, z):
         """Vectorized law evaluation at a batch of strains.

@@ -191,23 +191,22 @@ def validate_microstructure(chi: np.ndarray, where: str = "microstructure") -> N
         )
 
 
-def ground_microstructure(family: PotentialFamily) -> Microstructure:
-    """Solve the unloaded micro system for the zero-mean ground field chi_*.
-
-    Newton iteration on the (p-1)-dimensional zero-mean space, started from
-    zero, to the cell tolerance :data:`~hqc.microhom.CELL_TOL`.
+def ground_microstructure(law) -> Microstructure:
+    """The zero-mean ground field chi_* of the homogenized law ``law``'s
+    family: the unloaded cell problem, solved once per law by Newton from
+    zero to the cell tolerance :data:`~hqc.microhom.CELL_TOL`
+    (``law.ground_cell``, which a cold coarse solve of the law reuses).
     The result is validated: the cell energy must be a minimum there (a
     positive definite reduced cell Hessian, not a saddle), the micro
     deformation strictly increasing and ||chi_*||_inf <= (p-1)/2;
     violations raise :class:`StabilityError`.
     """
-    from .microhom import newton_cells, require_stable_cells
+    from .microhom import require_stable_cells
 
-    z = np.zeros(1)
-    chi, cells, _iters = newton_cells(family, z, np.zeros((1, family.p)))
-    require_stable_cells(cells, z)
+    chi, cells = law.ground_cell
+    require_stable_cells(cells, np.zeros(1))
     validate_microstructure(chi[0], "ground microstructure")
-    return Microstructure(MicroFn(family.p, chi[0]))
+    return Microstructure(MicroFn(law.family.p, chi[0]))
 
 
 def nn_dominance_margin(family: PotentialFamily, micro: Microstructure) -> float:

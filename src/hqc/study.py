@@ -7,13 +7,14 @@ atomistic reference.  With an output directory the reference is cached on
 disk, keyed by the config hash, unless the cache is switched off; then it
 is neither read nor written.  The meshes are solved in order by nested
 iteration: each coarse solve after the first starts from the previous
-row's solution, its nodal values interpolated onto the new mesh and each
-element's cell problem started from the cell field of the old element
-containing it, or cold where that field is inadmissible at the new strain
-(``solve_coarse(init=...)``).
-Uniform schedules and ``adapt_mesh`` both refine, so the start is the
-previous solution itself; ``newton_iters`` counts the outer iterations
-from it.
+row's solution, every element at the strain, cell field and condensed
+cell of the old element containing its middle site
+(``solve_coarse(init=...)``).  Uniform schedules and ``adapt_mesh`` both
+refine, so the start is the previous solution itself and no cell is
+evaluated before the first Newton step; ``newton_iters`` counts the
+outer iterations from it.  The first solve starts every element from the
+cell at strain 0, which the ground microstructure solved: a study solves
+that cell once.
 
 No coarse row needs the reference, so every mesh is solved first and only
 its coarse solution and indicator report kept: no lattice-sized field per
@@ -149,8 +150,8 @@ def setup_1d(cfg: ExperimentConfig):
     :func:`require_dominance`)."""
     grid = LatticeGrid(cfg.N, cfg.p)
     family = build_family(cfg)
-    micro = ground_microstructure(family)
     law = HomogenizedLaw(family)
+    micro = ground_microstructure(law)  # the cell at strain 0, which cold coarse solves reuse
     f = sin_force(grid, cfg.force_amplitude, cfg.force_phase)
     return grid, family, micro, nn_dominance_margin(family, micro), law, f
 

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: dual norms come from a
 linear program over the constraint polytope, derivatives from central
 finite differences, micro ground states from scalar minimization, cell
 gradients and Hessians from the shell-by-shell loop assembly, bond values
-from the closed-form laws written out per shell and species, and the 1D
-and 2D coarse fields on the sites from a site-by-site loop.
+from the closed-form laws written out per shell and species, the 1D
+and 2D coarse fields on the sites from a site-by-site loop, and bulk
+marking from an element-by-element loop over a set of node labels.
 """
 
 import numpy as np
@@ -142,6 +143,33 @@ def interpolation_matrix(nodes: np.ndarray, N: int) -> np.ndarray:
             A[(a + o) % N, a] += 1.0 - o / n
             A[(a + o) % N, b] += o / n
     return A
+
+
+def bulk_refined_nodes(nodes: np.ndarray, N: int, eta: np.ndarray, theta: float) -> np.ndarray:
+    """Node labels after bulk marking of the periodic mesh with 1-based node
+    labels ``nodes`` and per-element indicators ``eta``, one element at a
+    time: in descending order of eta, the elements of at least 2 sites are
+    marked until their running sum reaches theta times their total, and
+    each is bisected at site left + n // 2, wrapped into 1..N."""
+    counts = np.diff(nodes, append=nodes[0] + N)
+    splittable = counts >= 2
+    total = eta[splittable].sum()
+    if total <= 0.0 or not splittable.any():
+        return nodes
+    marked = []
+    acc = 0.0
+    for j in np.argsort(-eta):
+        if not splittable[j]:
+            continue
+        marked.append(j)
+        acc += eta[j]
+        if acc >= theta * total - 1e-15 * total:
+            break
+    new_nodes = set(int(n) for n in nodes)
+    for j in marked:
+        mid = int(nodes[j]) + int(counts[j]) // 2
+        new_nodes.add((mid - 1) % N + 1)
+    return np.array(sorted(new_nodes))
 
 
 def site_elements(nodes: np.ndarray, N: int) -> np.ndarray:

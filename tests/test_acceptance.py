@@ -54,7 +54,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def family_51():
     fam = lj_family([1.0, 9.0 / 8.0], R=3)
-    return fam, HomogenizedLaw(fam), ground_microstructure(fam)
+    law = HomogenizedLaw(fam)
+    return fam, law, ground_microstructure(law)
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +234,7 @@ def test_criterion_7_structural_properties(family_51):
         p = int(rng.integers(2, 7))
         qfam = quadratic_family(rng.uniform(0.5, 3.0, size=p), rng.uniform(-0.2, 0.2, size=p))
         try:
-            m = ground_microstructure(qfam)
+            m = ground_microstructure(HomogenizedLaw(qfam))
         except StabilityError:
             continue
         if np.abs(m.chi_star.values).max() > 0.5 * (p - 1) + 1e-12:

@@ -39,7 +39,7 @@ def lj():
 
 @pytest.fixture(scope="module")
 def micro(lj):
-    return ground_microstructure(lj)
+    return ground_microstructure(HomogenizedLaw(lj))
 
 
 def zero_force(grid):

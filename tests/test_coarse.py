@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hqc import (
     CoarseFn,
     CoarseSolution,
-    DomainError,
     ForceFunctional,
     SolverFailure,
     StabilityError,
@@ -32,10 +31,11 @@ from hqc import (
     solve_coarse,
     uniform_mesh,
 )
+import hqc.coarse
 from hqc.coarse import coarse_newton_step
 from hqc.atomistic import AtomisticProblem
 from hqc.lattice import dual_seminorm_neg1, primitive_dual_norm
-from hqc.microhom import newton_cells
+from hqc.microhom import condense_cells
 from hqc.potentials import PotentialFamily
 from hqc.study import build_family, sin_force
 
@@ -432,16 +432,106 @@ class TestNestedStart:
         init = solve_coarse(law, uniform_mesh(grid, 6), F)
         self.solve_both(law, uniform_mesh(grid, 8), F, init)
 
-    def test_inadmissible_cell_field_starts_cold(self, lj_setup):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.integers(1, 3),
+        k=st.integers(4, 24),
+        m=st.integers(2, 8),
+        kind=st.sampled_from(["uniform", "adapt", "other"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_meshes(self, p, k, m, kind, seed):
+        # nested starts on refinements (uniform, adaptive) and on meshes that
+        # do not refine the old one, one-site elements included
+        rng = np.random.default_rng(seed)
+        grid = LatticeGrid(2 * m * k * p, p)
+        # the shipped chain's spread of distances, 1 to 1.125, puts |chi| near
+        # 0.03, to which the bounds on chi are relative
+        l = rng.uniform(1.0, 1.125, p)
+        l[[np.argmin(l), np.argmax(l)]] = 1.0, 1.125
+        law = HomogenizedLaw(lj_family(l, R=2))
+        F = ForceFunctional("exact_summation", sin_force(grid, 20.0, rng.uniform(0, 2 * np.pi)))
+        old = uniform_mesh(grid, m) if kind == "uniform" else one_site_mesh(rng, grid, m)
+        init = solve_coarse(law, old, F)
+        if kind == "uniform":
+            mesh = uniform_mesh(grid, 2 * m)
+        elif kind == "adapt":
+            mesh = adapt_mesh(old, indicator_terms(init.u, F.f, F), rng.uniform(0.3, 1.0))
+        else:
+            mesh = one_site_mesh(rng, grid, int(rng.integers(2, 3 * m)))
+        cold, nested = self.solve_both(law, mesh, F, init)
+        if kind != "other":
+            assert nested.iterations <= cold.iterations
+
+
+class TestStartEvaluations:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return condense_cells(*args)
+
+        monkeypatch.setattr(hqc.coarse, "condense_cells", counting)
+        return calls
+
+    def test_one_cell_evaluation_per_trial(self, counted):
+        # the shipped chain: each solve, cold or nested, evaluates its trial
+        # points and nothing else; no step is halved
+        cfg = load_experiment_config(Path(__file__).parents[1] / "configs" / "lj_1d.cfg")
+        grid = LatticeGrid(cfg.N, cfg.p)
+        law = HomogenizedLaw(build_family(cfg))
+        F = ForceFunctional(cfg.functional_kind, sin_force(grid, cfg.force_amplitude,
+                                                         cfg.force_phase))
+        cs = None
+        for m in cfg.mesh_schedule:
+            counted.clear()
+            cs = solve_coarse(law, uniform_mesh(grid, m), F, init=cs)
+            assert all(t == 1.0 for _it, _res, t in cs.trace[1:])
+            assert len(counted) == len(cs.trace) - 1
+
+    def test_non_nested_start_is_evaluated(self, lj_setup, counted):
+        # the parents' strains of a mesh that does not refine init's need
+        # not sum to 0; the start's one evaluation projects them
+        law, _, _ = lj_setup
+        grid = LatticeGrid(240, 2)
+        F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
+        init = solve_coarse(law, uniform_mesh(grid, 6), F)
+        mesh = uniform_mesh(grid, 8)
+        counted.clear()
+        cs = solve_coarse(law, mesh, F, init=init)
+        assert all(t == 1.0 for _it, _res, t in cs.trace[1:])
+        assert len(counted) == len(cs.trace)
+        assert abs(mesh.element_sizes() @ counted[0][1]) <= 1e-17
+
+
+class TestSolveCoarseContract:
+    def test_init_on_another_grid(self, lj_setup):
+        law, grid, f = lj_setup
+        F = ForceFunctional("exact_summation", f)
+        init = solve_coarse(law, uniform_mesh(grid, 8), F)
+        fine = LatticeGrid(2 * grid.N, 2)
+        F2 = ForceFunctional("exact_summation", sin_force(fine, 50.0, 1.0))
+        with pytest.raises(ValueError, match=r"init is on LatticeGrid\(N=256, p=2\), the mesh "
+                           r"on LatticeGrid\(N=512, p=2\)"):
+            solve_coarse(law, uniform_mesh(fine, 16), F2, init=init)
+
+    def test_species_count_of_the_law(self, lj_setup):
+        law, _, _ = lj_setup
+        grid = LatticeGrid(96, 3)
+        F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
+        with pytest.raises(ValueError, match="the mesh has p = 3 species, the law p = 2"):
+            solve_coarse(law, uniform_mesh(grid, 8), F)
+
+    def test_init_without_cells(self, lj_setup):
+        # a hand-built solution carries fields but no condensed cells
         law, grid, f = lj_setup
         F = ForceFunctional("exact_summation", f)
         cs = solve_coarse(law, uniform_mesh(grid, 8), F)
-        # a nearest-neighbour bond of this field is z - 1.4 < -1 at every strain
-        chi = np.tile([0.7, -0.7], (8, 1))
-        with pytest.raises(DomainError):
-            newton_cells(law.family, cs.u.strains(), chi)
-        init = CoarseSolution(cs.u, cs.residual_dual, cs.iterations, chi)
-        self.solve_both(law, uniform_mesh(grid, 16), F, init)
+        init = CoarseSolution(cs.u, cs.residual_dual, cs.iterations, cs.chi)
+        with pytest.raises(ValueError, match=r"init carries no condensed cells"):
+            solve_coarse(law, uniform_mesh(grid, 16), F, init=init)
 
 
 def graded_mesh(rng, m, ratio):
@@ -600,31 +690,37 @@ class TestStabilityCheck:
 
 
 class FailingOnceFamily(PotentialFamily):
-    """Wraps a family; its second ``bonds(a, 1, 2)`` call, the first trial
-    point of the first coarse Newton step, raises SolverFailure."""
+    """Wraps a family; once ``armed``, its next ``bonds(a, 1, 2)`` call
+    raises SolverFailure."""
 
     def __init__(self, family):
         super().__init__(family.R, family.p)
         self.family = family
-        self.calls = 0
+        self.armed = False
 
     def admissible(self, a):
         return self.family.admissible(a)
 
     def bonds(self, a, *orders):
-        if orders == (1, 2):
-            self.calls += 1
-            if self.calls == 2:
-                raise SolverFailure("cell evaluation failed")
+        if orders == (1, 2) and self.armed:
+            self.armed = False
+            raise SolverFailure("cell evaluation failed")
         return self.family.bonds(a, *orders)
 
 
 class TestCellFailureAtTrialPoint:
     def test_step_is_halved(self, lj_setup):
+        # the cold start evaluates no cell, so the first call after the
+        # strain-0 cell is the first trial point of the first Newton step
         law, grid, f = lj_setup
         mesh = uniform_mesh(grid, 16)
         F = ForceFunctional("exact_summation", f)
-        cs = solve_coarse(HomogenizedLaw(FailingOnceFamily(law.family)), mesh, F)
+        failing = FailingOnceFamily(law.family)
+        failing_law = HomogenizedLaw(failing)
+        failing_law.ground_cell  # solved before the failure is armed
+        failing.armed = True
+        cs = solve_coarse(failing_law, mesh, F)
+        assert not failing.armed
         assert cs.trace[1][2] == 0.5
         assert cs.residual_dual <= 1e-10
         ref = solve_coarse(law, mesh, F)

@@ -25,7 +25,7 @@ from hqc import (
 from hqc.atomistic import AtomisticProblem, solve_atomistic
 from hqc.study import microstructure_start, sin_force
 
-from oracles import coarse_dual_lp, site_elements
+from oracles import bulk_refined_nodes, coarse_dual_lp, site_elements
 
 
 @pytest.fixture(scope="module")
@@ -116,19 +116,19 @@ class TestEstimateConstants:
         for _ in range(10):
             k1, k2 = rng.uniform(0.2, 4.0, size=2)
             fam = quadratic_family([k1, k2], [0.0, 0.0])
-            micro = ground_microstructure(fam)
+            micro = ground_microstructure(HomogenizedLaw(fam))
             c11, c0 = estimate_constants(fam, micro)
             assert c11 == pytest.approx(max(k1, k2), rel=1e-13)
             assert c0 == pytest.approx(0.5 * min(k1, k2), rel=1e-13)
 
     def test_single_species_harmonic(self):
         fam = quadratic_family([1.0], [0.0])
-        c11, c0 = estimate_constants(fam, ground_microstructure(fam))
+        c11, c0 = estimate_constants(fam, ground_microstructure(HomogenizedLaw(fam)))
         assert (c11, c0) == (1.0, 0.5)
 
     def test_lj_positive_finite(self, lj_setup):
         lj, _, _, _ = lj_setup
-        c11, c0 = estimate_constants(lj, ground_microstructure(lj))
+        c11, c0 = estimate_constants(lj, ground_microstructure(HomogenizedLaw(lj)))
         assert 0 < c0 < c11 < np.inf
 
 
@@ -175,6 +175,26 @@ class TestAdaptMesh:
         out = adapt_mesh(mesh, self._report(mesh, [1.0, 0.0]), theta=0.9)
         assert list(out.nodes) == [5, 7, 10]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 200),
+        m=st.integers(2, 40),
+        theta=st.floats(0.0, 1.0, exclude_min=True),
+        levels=st.integers(1, 4),
+        zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_element_loop(self, n, m, theta, levels, zeros, seed):
+        # few indicator levels give ties; the first node is random, so the
+        # last element mostly wraps past site N, and its midpoint may too
+        rng = np.random.default_rng(seed)
+        grid = LatticeGrid(n)
+        nodes = np.sort(rng.choice(np.arange(1, n + 1), size=min(m, n), replace=False))
+        mesh = Mesh1D(grid, nodes)
+        eta = rng.integers(0 if zeros else 1, levels + 1, nodes.size) * rng.uniform(0.1, 2.0)
+        out = adapt_mesh(mesh, self._report(mesh, eta), theta)
+        assert np.array_equal(out.nodes, bulk_refined_nodes(nodes, n, eta, theta))
+
     def test_jump_term_decreases_under_adaptation(self, lj_setup):
         _, law, grid, f = lj_setup
         F = ForceFunctional("exact_summation", f)
@@ -194,7 +214,7 @@ class TestEstimatorDecay:
         lj, law, grid, f = lj_setup
         from hqc import nn_dominance_margin
 
-        micro = ground_microstructure(lj)
+        micro = ground_microstructure(HomogenizedLaw(lj))
         c0_inv = 1.0 / nn_dominance_margin(lj, micro)
         F = ForceFunctional("exact_summation", f)
         hs, totals = [], []
@@ -209,7 +229,7 @@ class TestEstimatorDecay:
 
     def test_calibrated_total_bounds_error(self, lj_setup):
         lj, law, grid, f = lj_setup
-        micro = ground_microstructure(lj)
+        micro = ground_microstructure(HomogenizedLaw(lj))
         prob = AtomisticProblem(grid, lj, f)
         ref = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
         F = ForceFunctional("exact_summation", f)

@@ -22,7 +22,6 @@ from hqc.microhom import (
     _reduced_hessian,
     _reduced_solve,
     newton_cells,
-    warm_start,
 )
 
 from oracles import cell_bond_arguments, cell_gradient, cell_hessian, reduce_mat, shell_law
@@ -60,7 +59,7 @@ class TestSolveCell:
         assert np.abs(law.eval_strains(z)[3] - chi).max() <= 1e-13
 
     def test_ground_state_is_fixed_point(self, lj_law):
-        chi_star = ground_microstructure(lj_law.family).chi_star.values
+        chi_star = ground_microstructure(lj_law).chi_star.values
         chi, _, iters = solve_cells(lj_law, 0.0, chi_star[None, :])
         assert np.abs(chi[0] - chi_star).max() < 1e-12
         assert iters[0] <= 2
@@ -113,7 +112,7 @@ class TestJointBatch:
         # inflection point up to strain 0.1, so each cell is stable
         rng = np.random.default_rng(seed)
         family = lj_family(rng.uniform(1.0, 1.25, size=p), R)
-        assume(nn_dominance_margin(family, ground_microstructure(family)) > 0)
+        assume(nn_dominance_margin(family, ground_microstructure(HomogenizedLaw(family))) > 0)
         self.check_batch(family, rng.uniform(-0.1, 0.1, size=m))
 
 
@@ -281,7 +280,7 @@ class TestHomogenizedEval:
     def test_modulus_positive_under_dominance(self, lj_law):
         from hqc import nn_dominance_margin
 
-        micro = ground_microstructure(lj_law.family)
+        micro = ground_microstructure(lj_law)
         assert nn_dominance_margin(lj_law.family, micro) > 0
         assert lj_law.eval(0.0)[2] > 0
 
@@ -323,16 +322,4 @@ class TestGroundStateStability:
         family = lj_family([0.8127438520154584, 0.8559274744248038], R=3)
         with pytest.raises(StabilityError, match=r"^indefinite reduced cell Hessian: cell 0 has "
                            r"strain 0 and smallest Hessian eigenvalue -42\.34\d*$"):
-            ground_microstructure(family)
-
-
-class TestWarmStartInterface:
-    def test_inadmissible_rows_start_cold(self, lj_law):
-        family = lj_law.family
-        z = np.array([-0.02, 0.01, 0.03, -1.0])
-        warm = lj_law.eval_strains(np.array([-0.02, 0.01, 0.03, 0.05]))[3]
-        warm[1] = [0.7, -0.7]  # nearest-neighbour bond z - 1.4 < -1
-        # at z = -1 every field has a bond <= -1
-        chi0 = warm_start(family, z, warm)
-        assert np.array_equal(chi0[[0, 2]], warm[[0, 2]])
-        assert not chi0[[1, 3]].any()
+            ground_microstructure(HomogenizedLaw(family))

@@ -191,7 +191,7 @@ class TestStackedLaw:
 
 class TestGroundMicrostructure:
     def test_single_species_is_zero(self):
-        m = ground_microstructure(quadratic_family([2.0], [0.3]))
+        m = ground_microstructure(HomogenizedLaw(quadratic_family([2.0], [0.3])))
         assert m.chi_star.values.shape == (1,)
         assert m.chi_star.values[0] == 0.0
 
@@ -207,7 +207,7 @@ class TestGroundMicrostructure:
 
         res = minimize_scalar(cell_energy, bounds=(-0.4, 0.4), method="bounded",
                               options={"xatol": 1e-12})
-        m = ground_microstructure(fam)
+        m = ground_microstructure(HomogenizedLaw(fam))
         assert m.chi_star.values[0] == pytest.approx(res.x, abs=1e-9)
         assert abs(m.chi_star.values.mean()) < 1e-14
 
@@ -223,13 +223,13 @@ class TestGroundMicrostructure:
 
         res = minimize_scalar(cell_energy, bracket=(-0.2, 0.0, 0.2), method="golden",
                               options={"xtol": 1e-13})
-        m = ground_microstructure(lj)
+        m = ground_microstructure(HomogenizedLaw(lj))
         assert m.chi_star.values[0] == pytest.approx(res.x, abs=1e-9)
 
     def test_residual_tolerance(self, lj):
         from oracles import cell_bond_arguments, cell_gradient
 
-        chi = ground_microstructure(lj).chi_star.values[None, :]
+        chi = ground_microstructure(HomogenizedLaw(lj)).chi_star.values[None, :]
         g = cell_gradient(lj, cell_bond_arguments(lj, np.zeros(1), chi), np.arange(2))
         assert np.abs(g).max() <= 1e-12
 
@@ -241,7 +241,7 @@ class TestGroundMicrostructure:
             p = int(rng.integers(2, 7))
             fam = quadratic_family(rng.uniform(0.5, 3.0, size=p), rng.uniform(-0.2, 0.2, size=p))
             try:
-                m = ground_microstructure(fam)
+                m = ground_microstructure(HomogenizedLaw(fam))
             except StabilityError:
                 continue
             assert np.abs(m.chi_star.values).max() <= 0.5 * (p - 1) + 1e-12
@@ -251,8 +251,9 @@ class TestGroundMicrostructure:
 
     @pytest.mark.parametrize("family", [lj_family([1.0, 9.0 / 8.0], R=3)], ids=["lj"])
     def test_cold_start_agrees_with_cold_cell_solve(self, family):
-        chi_star = ground_microstructure(family).chi_star.values
-        chi = HomogenizedLaw(family).eval_strains(0.0)[3][0]
+        law = HomogenizedLaw(family)
+        chi_star = ground_microstructure(law).chi_star.values
+        chi = law.eval_strains(0.0)[3][0]
         assert np.abs(chi - chi_star).max() <= 1e-14
 
     def test_assumption_violation_detected(self):
@@ -263,17 +264,17 @@ class TestGroundMicrostructure:
 class TestDominanceMargin:
     def test_single_species_harmonic(self):
         fam = quadratic_family([1.0], [0.0])
-        m = ground_microstructure(fam)
+        m = ground_microstructure(HomogenizedLaw(fam))
         assert nn_dominance_margin(fam, m) == pytest.approx(0.5)
 
     def test_lj_margin_positive(self, lj):
-        m = ground_microstructure(lj)
+        m = ground_microstructure(HomogenizedLaw(lj))
         assert nn_dominance_margin(lj, m) > 0.0
 
     def test_p1_reduction_formula(self, lj):
         # for p = 1 the margin is 0.5 d2phi_1(0) - sum_{r>=2} |d2phi_r(0)|
         fam = lj_family([1.0], R=3)
-        m = ground_microstructure(fam)
+        m = ground_microstructure(HomogenizedLaw(fam))
         assert m.chi_star.values[0] == 0.0
         expected = 0.5 * shell_law(fam, 2, 1, 0.0, 0) - sum(
             abs(shell_law(fam, 2, r, 0.0, 0)) for r in (2, 3)
@@ -282,5 +283,5 @@ class TestDominanceMargin:
 
     def test_strong_second_shell_breaks_dominance(self):
         fam = SecondShellFamily(k=1.0, kappa=0.6)
-        m = ground_microstructure(fam)
+        m = ground_microstructure(HomogenizedLaw(fam))
         assert nn_dominance_margin(fam, m) <= 0.0

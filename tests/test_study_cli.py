@@ -300,6 +300,30 @@ class TestRunStudy:
         assert all(init is prev for (init, _), (_, prev) in zip(calls[1:], calls))
         assert [row.newton_iters for row in rows] == [cs.iterations for _, cs in calls]
 
+    def test_one_strain_0_cell_solve(self, monkeypatch):
+        # the ground microstructure and the first row's cold start share one
+        # cell solve, and no row evaluates a cell before its first step
+        import hqc.coarse
+        import hqc.microhom
+        from hqc.microhom import condense_cells, newton_cells
+
+        solves, evaluations = [], []
+
+        def solving(family, z, chi0):
+            solves.append(np.array(z))
+            return newton_cells(family, z, chi0)
+
+        def condensing(*args):
+            evaluations.append(args)
+            return condense_cells(*args)
+
+        monkeypatch.setattr(hqc.microhom, "newton_cells", solving)
+        monkeypatch.setattr(hqc.coarse, "condense_cells", condensing)
+        rows = run_study(build_config(parse_config(LJ_1D)), use_cache=False)
+        assert len(solves) == 1 and np.array_equal(solves[0], [0.0])
+        # no step of the shipped chain is halved: one evaluation per step
+        assert len(evaluations) == sum(row.newton_iters for row in rows)
+
     def test_stability_gate(self):
         from hqc.exceptions import StabilityError
 
@@ -387,7 +411,7 @@ class TestReferenceStart:
 
     def test_agrees_with_cold_start(self, lj_1d_reference, N, phase):
         cfg, _corrected, (prob, _kw, sol) = lj_1d_reference(N, phase)
-        micro = ground_microstructure(prob.family)
+        micro = ground_microstructure(HomogenizedLaw(prob.family))
         cold = solve_atomistic(prob, u_init=microstructure_start(prob.grid, micro))
         assert max_rel_diff(sol.u, cold.u) <= 1e-12
         assert sol.iterations <= cold.iterations
