@@ -49,8 +49,8 @@ from .coarse import (
     equivalence_check,
     interpolate,
     istar,
-    prolong,
     solve_coarse,
+    solve_coarse_meshes,
     uniform_mesh,
 )
 from .estimator import (

@@ -29,7 +29,9 @@ the nodal residual is a constant minus w, its dual norm over zero-mean
 coarse functions with |v|_{1,1} = 1 is (max w - min w) / 2, as on the
 lattice (:func:`hqc.lattice.primitive_dual_norm`), and a Newton step moves
 every element's stress to one constant: a division per element and one
-scalar.  The nodal values are formed only for the output.
+scalar.  The nodal values are formed only for the output.  The meshes of
+a schedule do not depend on one another: ``solve_coarse_meshes`` stacks
+their elements into one iteration, with one constant per mesh.
 
 On the mesh whose nodes are all N sites (``uniform_mesh(grid, grid.N)``)
 every element is one bond, h = eps, the mean weights are eps, ``istar``
@@ -131,21 +133,6 @@ class CoarseFn:
 def interpolate(mesh: Mesh1D, v: LatticeFn) -> CoarseFn:
     """Nodal interpolant onto the coarse space (idempotent on coarse data)."""
     return CoarseFn(mesh, v.values[mesh.nodes - 1])
-
-
-def prolong(u: CoarseFn, mesh: Mesh1D) -> tuple[CoarseFn, np.ndarray]:
-    """Nodal interpolant of u on another mesh of its grid, and for each
-    element of that mesh the element of ``u.mesh`` containing its first node.
-
-    When ``mesh`` refines ``u.mesh`` (a superset of its nodes) the
-    interpolant is u itself and every element lies inside that parent.
-    """
-    old = u.mesh.nodes
-    parent = _element_of(u.mesh, mesh.nodes)
-    offs = (mesh.nodes - old[parent]) % mesh.grid.N
-    U = u.nodal_values
-    left, right = U[parent], U[(parent + 1) % old.size]
-    return CoarseFn(mesh, left + offs / u.mesh.site_counts()[parent] * (right - left)), parent
 
 
 def _element_of(mesh: Mesh1D, sites: np.ndarray) -> np.ndarray:
@@ -258,18 +245,27 @@ class CoarseSolution:
     cells: CondensedCells | None = field(default=None, repr=False)
 
 
-def coarse_newton_step(K, h, ws):
+def coarse_newton_step(K, h, ws, starts=None):
     """Newton strain step dz = (c - ws) / K in O(M): every element's
     linearized stress ws + K dz moves to one constant c, which periodicity,
     sum(h dz) = 0, fixes as the mean of ws weighted by the compliances h / K.
-    This needs K != 0 and a finite, nonzero sum(h / K), not positive
-    definiteness; else SolverFailure.
+    With ``starts``, the first indices of several stacked meshes, each mesh
+    takes its own c.  This needs K != 0 and a finite, nonzero sum(h / K) on
+    every mesh, not positive definiteness; else SolverFailure.
     """
     compliance = h / np.where(K == 0, np.nan, K)  # K = 0 fails the test below
-    total = compliance.sum()
-    if not (np.isfinite(total) and total != 0):
+    if starts is None:
+        total, weighted = compliance.sum(), compliance @ ws
+        regular = np.isfinite(total) and total != 0
+    else:
+        total, weighted = (np.add.reduceat(a, starts) for a in (compliance, compliance * ws))
+        regular = (np.isfinite(total) & (total != 0)).all()
+    if not regular:
         raise SolverFailure("singular coarse Jacobian")
-    return ((compliance @ ws) / total - ws) / K
+    c = weighted / total
+    if starts is not None:
+        c = np.repeat(c, np.diff(starts, append=K.size))
+    return (c - ws) / K
 
 
 def solve_coarse(
@@ -301,73 +297,121 @@ def solve_coarse(
     on some element raises :class:`StabilityError` naming the element of
     smallest W'', its strain and W''; one with a saddle cell names the
     cell, its strain and its smallest Hessian eigenvalue.  A singular cell
-    Hessian on the way raises :class:`StabilityError` as well.
+    Hessian on the way raises :class:`StabilityError` as well.  Every such
+    error, and every :class:`SolverFailure`, names the mesh by its node
+    count first.
 
     Without ``init`` every element starts at strain 0 from the law's
-    ``ground_cell``: a start far from cell equilibrium can lead the joint
-    iteration to stall where a start on it converges.  ``init``, a solution
-    on any mesh of the same grid, gives a nested start: each element takes
-    the strain, cell field and condensed cell of its parent, the element of
-    ``init`` containing its middle site.  Cold or on a refinement of
-    ``init.u.mesh``, those cells are converged at exactly those strains and
-    are the evaluated start, so no cell is evaluated before the first
-    Newton step.  On another mesh the parents' strains need not satisfy
-    sum(h z) = 0, and the start is evaluated, which projects them.
-    ValueError if ``init`` is on another grid or carries no condensed
-    cells, or if the mesh's species count is not the law's.
+    ``ground_cell`` (:func:`solve_coarse_meshes` on the one mesh): a start
+    far from cell equilibrium can lead the joint iteration to stall where a
+    start on it converges.  ``init``, a solution on any mesh of the same
+    grid, gives a nested start: each element takes the strain, cell field
+    and condensed cell of its parent, the element of ``init`` containing
+    its middle site.  On a refinement of ``init.u.mesh`` those cells are
+    converged at exactly those strains and are the evaluated start, so no
+    cell is evaluated before the first Newton step.  On another mesh the
+    parents' strains need not satisfy sum(h z) = 0, and the start is
+    evaluated, which projects them.  ValueError if ``init`` is on another
+    grid or carries no condensed cells, or if the mesh's species count is
+    not the law's.
     """
-    if mesh.grid.p != law.family.p:
-        raise ValueError(f"the mesh has p = {mesh.grid.p} species, the law p = {law.family.p}")
-    h = mesh.element_sizes()
-    B = np.cumsum(F.node_values(mesh))
-    scale = NEWTON_TOL / CELL_TOL  # a cell residual in units of the coarse tolerance
-
     if init is None:
-        z, (chi, cells) = np.zeros(1), law.ground_cell
-        parent, refines = np.zeros(mesh.n_elements, dtype=int), True
-    else:
-        if init.u.mesh.grid != mesh.grid:
-            raise ValueError(f"init is on {init.u.mesh.grid}, the mesh on {mesh.grid}")
-        if init.cells is None:
-            raise ValueError("init carries no condensed cells (init.cells is None)")
-        z, chi, cells = init.u.strains(), init.chi, init.cells
-        # >> 1 halves: a first integer floor division would page in numpy code
-        middle = (mesh.nodes + (mesh.site_counts() >> 1) - 1) % mesh.grid.N + 1
-        parent = _element_of(init.u.mesh, middle)
-        old = init.u.mesh.nodes
-        refines = bool((mesh.nodes[_element_of(mesh, old)] == old).all())
+        return solve_coarse_meshes(law, [mesh], F)[0]
+    if init.u.mesh.grid != mesh.grid:
+        raise ValueError(f"init is on {init.u.mesh.grid}, the mesh on {mesh.grid}")
+    if init.cells is None:
+        raise ValueError("init carries no condensed cells (init.cells is None)")
+    # >> 1 halves: a first integer floor division would page in numpy code
+    middle = (mesh.nodes + (mesh.site_counts() >> 1) - 1) % mesh.grid.N + 1
+    parent = _element_of(init.u.mesh, middle)
+    old = init.u.mesh.nodes
+    refines = bool((mesh.nodes[_element_of(mesh, old)] == old).all())
+    x = np.column_stack([init.u.strains()[parent], init.chi[parent]])
+    return _newton(law, [mesh], F, x, init.cells.rows(parent) if refines else None)[0]
+
+
+def solve_coarse_meshes(law: HomogenizedLaw, meshes, F: ForceFunctional) -> list[CoarseSolution]:
+    """:func:`solve_coarse` on every mesh, each from the law's ``ground_cell``,
+    by one Newton iteration over their stacked elements: the projection, the
+    dual norm and the step's constant are per mesh, the merit is the largest
+    mesh merit and the step length is shared.  A solution's ``iterations``
+    is the step at which its mesh's merit first reached the tolerance, and
+    its trace holds that merit at every step.  A failure of the iteration
+    names the mesh of largest merit at the start of the last step."""
+    chi, cells = law.ground_cell
+    ground = np.zeros(sum(mesh.n_elements for mesh in meshes), dtype=int)
+    x = np.column_stack([np.zeros(ground.size), chi[ground]])
+    return _newton(law, meshes, F, x, cells.rows(ground))
+
+
+def _newton(law, meshes, F, x, start_cells):
+    """Solutions on ``meshes`` by one damped Newton iteration from the stacked
+    iterate x, evaluated there unless its condensed cells ``start_cells`` are given."""
+    for mesh in meshes:
+        if mesh.grid.p != law.family.p:
+            raise ValueError(f"the mesh has p = {mesh.grid.p} species, "
+                             f"the law p = {law.family.p}")
+    counts = np.array([mesh.n_elements for mesh in meshes])
+    starts = np.cumsum(counts) - counts
+    h = np.concatenate([mesh.element_sizes() for mesh in meshes])
+    B = np.concatenate([np.cumsum(F.node_values(mesh)) for mesh in meshes])
+    scale = NEWTON_TOL / CELL_TOL  # a cell residual in units of the coarse tolerance
+    merits = []  # of every mesh, at each accepted iterate
+    # a lone mesh takes whole-array reductions (h @ z, w.max()): they cost a
+    # nested solve less than reduceat over one segment and its small arrays
+    one = len(meshes) == 1
 
     def evaluated(cells):
         w = cells.stress + B
-        dual = 0.5 * float(w.max() - w.min())
-        return (w, dual, cells), max(dual, scale * cells.residual.max())
+        if one:
+            dual = (0.5 * float(w.max() - w.min()),)
+            merit = (max(dual[0], scale * cells.residual.max()),)
+        else:
+            dual = 0.5 * (np.maximum.reduceat(w, starts) - np.minimum.reduceat(w, starts))
+            merit = np.maximum(dual, scale * np.maximum.reduceat(cells.residual, starts))
+        return (w, dual, merit, cells), float(max(merit))
 
     # an iterate x holds z in column 0 and the cell fields in the others
     def evaluate(x):
-        x[:, 0] -= h @ x[:, 0]  # keeps sum(h z) = 0, as sum(h) = 1; x is a new array
-        return (x, *evaluated(condense_cells(law.family, x[:, 0], x[:, 1:])))
+        # keeps sum(h z) = 0 on every mesh, whose h sum to 1; x is a new array
+        z = x[:, 0]
+        z -= h @ z if one else np.repeat(np.add.reduceat(h * z, starts), counts)
+        return (x, *evaluated(condense_cells(law.family, z, x[:, 1:])))
 
     def step(_x, state):
-        w, _dual, cells = state
-        dz = coarse_newton_step(cells.stiffness, h, w + cells.shift)
+        w, _dual, merit, cells = state
+        merits.append(merit)
+        dz = coarse_newton_step(cells.stiffness, h, w + cells.shift, None if one else starts)
         return np.column_stack([dz, cells.relax + cells.sensitivity * dz[:, None]])
 
-    x = np.column_stack([z[parent], chi[parent]])
-    # off a refinement the parents' strains need not sum to 0: evaluate projects them
-    start = evaluated(cells.rows(parent)) if refines else None
-    x, (_w, dual, cells), trace = damped_newton(
-        evaluate, step, x, NEWTON_TOL, MAX_ITER, "coarse", start
-    )
-    z, chi = x[:, 0], x[:, 1:]
-    j = int(np.argmin(cells.stiffness))
-    if not cells.stiffness[j] > 0:
-        raise StabilityError(f"unstable coarse equilibrium: element {j} has strain "
-                             f"{z[j]:.6g} and W'' = {cells.stiffness[j]:.6g} <= 0")
-    require_stable_cells(cells, z)
-    U = np.concatenate([[0.0], np.cumsum(h[:-1] * z[:-1])])
-    U -= mesh.mean_weights() @ U
-    chi = chi - chi.mean(axis=1, keepdims=True)
-    return CoarseSolution(CoarseFn(mesh, U), dual, trace[-1][0], chi, tuple(trace), cells)
+    start = None if start_cells is None else evaluated(start_cells)
+    i = None  # the mesh whose solution is being built
+    try:
+        x, (_w, dual, merit, cells), trace = damped_newton(
+            evaluate, step, x, NEWTON_TOL, MAX_ITER, "coarse", start
+        )
+        merits.append(merit)
+        solutions = []
+        for i, (mesh, a, n) in enumerate(zip(meshes, starts, counts)):
+            z, chi, mesh_cells = x[a : a + n, 0], x[a : a + n, 1:], cells.rows(slice(a, a + n))
+            j = int(np.argmin(mesh_cells.stiffness))
+            if not mesh_cells.stiffness[j] > 0:
+                raise StabilityError(f"unstable coarse equilibrium: element {j} has strain "
+                                     f"{z[j]:.6g} and W'' = {mesh_cells.stiffness[j]:.6g} <= 0")
+            require_stable_cells(mesh_cells, z)
+            U = np.concatenate([[0.0], np.cumsum(h[a : a + n - 1] * z[:-1])])
+            U -= mesh.mean_weights() @ U
+            chi = chi - chi.mean(axis=1, keepdims=True)
+            mesh_trace = tuple((it, float(m[i]), t) for (it, _res, t), m in zip(trace, merits))
+            reached = next(it for it, res, _t in mesh_trace if res <= NEWTON_TOL)
+            solutions.append(CoarseSolution(CoarseFn(mesh, U), float(dual[i]), reached, chi,
+                                            mesh_trace, mesh_cells))
+    except (SolverFailure, StabilityError) as exc:
+        if i is None:  # the iteration failed: name the mesh of largest merit
+            i = int(np.argmax(merits[-1])) if merits else 0
+        exc.args = (f"{meshes[i].n_elements}-node mesh: {exc}",)
+        raise
+    return solutions
 
 
 def corrector(cs: CoarseSolution, f: LatticeFn | None = None) -> LatticeFn:

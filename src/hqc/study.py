@@ -5,16 +5,18 @@ A study solves the coarse problem on every mesh of the schedule, applies
 the corrector, and measures the post-processed solution against a single
 atomistic reference.  With an output directory the reference is cached on
 disk, keyed by the config hash, unless the cache is switched off; then it
-is neither read nor written.  The meshes are solved in order by nested
-iteration: each coarse solve after the first starts from the previous
-row's solution, every element at the strain, cell field and condensed
-cell of the old element containing its middle site
-(``solve_coarse(init=...)``).  Uniform schedules and ``adapt_mesh`` both
-refine, so the start is the previous solution itself and no cell is
-evaluated before the first Newton step; ``newton_iters`` counts the
-outer iterations from it.  The first solve starts every element from the
-cell at strain 0, which the ground microstructure solved: a study solves
-that cell once.
+is neither read nor written.  The meshes of a uniform schedule do not
+depend on one another, so one Newton iteration solves them all over their
+stacked elements (:func:`~hqc.coarse.solve_coarse_meshes`), every element
+starting from the cell at strain 0, which the ground microstructure
+solved: a study solves that cell once.  A row's ``newton_iters`` is the
+step at which its mesh's merit first reached the tolerance.  An adaptive
+schedule refines each mesh by its own indicators, so its meshes are
+solved in order by nested iteration: each coarse solve after the first
+starts from the previous row's solution, every element at the strain,
+cell field and condensed cell of the old element containing its middle
+site (``solve_coarse(init=...)``), and ``newton_iters`` counts the outer
+iterations from that start.
 
 No coarse row needs the reference, so every mesh is solved first and only
 its coarse solution and indicator report kept: no lattice-sized field per
@@ -31,7 +33,8 @@ caches the reference.  Rows are written in schedule order; all scientific
 columns are deterministic, and wall-clock timing is off by default so that
 reruns with the same config produce byte-identical CSV files (opt in with
 ``timing=True``; ``wall_ms`` covers a row's coarse solve, indicators and
-corrector).
+corrector, where a row of a uniform schedule counts the share of the
+batched solve in proportion to its element count).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomistic import AtomisticProblem, solve_atomistic
-from .coarse import ForceFunctional, corrector, solve_coarse, uniform_mesh
+from .coarse import ForceFunctional, corrector, solve_coarse, solve_coarse_meshes, uniform_mesh
 from .config import ExperimentConfig
 from .estimator import adapt_mesh, indicator_terms
 from .exceptions import ConfigError, StabilityError
@@ -194,20 +197,28 @@ def _reference_solution(cfg, family, f, cs, out_dir, use_cache):
 
 def _coarse_solves(cfg, grid, law, F, f, c0_inv, clock):
     """(coarse solution, indicator report, wall ms) of every mesh of the
-    schedule, each solve nested in the previous one; an adaptive schedule
-    refines each mesh by its own report."""
+    schedule: a uniform schedule's by one batched solve, whose time each
+    row shares in proportion to its element count; an adaptive schedule's
+    each nested in the previous one and refined by its own report."""
+    def row(cs, t0, ms=0.0):
+        report = indicator_terms(cs.u, f, F, cfg.calibration, c0_inv)
+        return cs, report, ms + (clock() - t0) * 1e3
+
+    if not cfg.adaptive:
+        meshes = [uniform_mesh(grid, m) for m in cfg.mesh_schedule]
+        t0 = clock()
+        batch = solve_coarse_meshes(law, meshes, F)
+        per_element = (clock() - t0) * 1e3 / sum(cfg.mesh_schedule)
+        return [row(cs, clock(), per_element * cs.u.mesh.n_elements) for cs in batch]
     solved, cs = [], None
-    for i in range(cfg.adapt_steps if cfg.adaptive else len(cfg.mesh_schedule)):
-        if not cfg.adaptive:
-            mesh = uniform_mesh(grid, cfg.mesh_schedule[i])
-        elif i == 0:
+    for i in range(cfg.adapt_steps):
+        if i == 0:
             mesh = uniform_mesh(grid, cfg.adapt_initial)
         else:
             mesh = adapt_mesh(mesh, report, cfg.theta)
-        t0 = clock() if clock else 0.0
-        cs = solve_coarse(law, mesh, F, init=cs)
-        report = indicator_terms(cs.u, f, F, cfg.calibration, c0_inv)
-        solved.append((cs, report, (clock() - t0) * 1e3 if clock else 0.0))
+        t0 = clock()
+        cs, report, ms = row(solve_coarse(law, mesh, F, init=cs), t0)
+        solved.append((cs, report, ms))
     return solved
 
 
@@ -237,15 +248,15 @@ def run_study(
     require_dominance(margin)
     c0_inv = cfg.c0_inv if cfg.c0_inv is not None else 1.0 / margin
     F = ForceFunctional(cfg.functional_kind, f)
-    clock = time.perf_counter if timing else None
+    clock = time.perf_counter if timing else float  # float() is 0.0: every wall_ms 0.0
 
     solved = _coarse_solves(cfg, grid, law, F, f, c0_inv, clock)
     u_ref = _reference_solution(cfg, family, f, solved[-1][0], out_dir, use_cache)
     rows = []
     for cs, report, wall in solved:
-        t0 = clock() if clock else 0.0
+        t0 = clock()
         uc = corrector(cs)
-        wall += (clock() - t0) * 1e3 if clock else 0.0
+        wall += (clock() - t0) * 1e3
         diff = LatticeFn(grid, uc.values - u_ref.values)
         rows.append(
             StudyRow(
@@ -283,13 +294,13 @@ def run_study_2d(cfg: ExperimentConfig, out_dir=None, timing: bool = False):
     """2D study: atomistic reference once, then coarse+corrector per t."""
     model = SpringModel2D(cfg.k1, cfg.k2, cfg.k3)
     f = exp_sin_force(cfg.N1, cfg.N2, cfg.force_amplitude)
-    clock = time.perf_counter if timing else None
+    clock = time.perf_counter if timing else float  # float() is 0.0: every wall_ms 0.0
     u_ref, _ = solve2d(model, f, "atomistic")
     rows = []
     for t in cfg.t_schedule:
-        t0 = clock() if clock else 0.0
+        t0 = clock()
         u, info = solve2d(model, f, ("coarse", t), reference=u_ref)
-        wall = (clock() - t0) * 1e3 if clock else 0.0
+        wall = (clock() - t0) * 1e3
         rows.append(
             StudyRow(
                 h_max=1.0 / t,

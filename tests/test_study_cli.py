@@ -24,6 +24,7 @@ from hqc import (
     run_study,
     solve_atomistic,
     solve_coarse,
+    solve_coarse_meshes,
     uniform_mesh,
 )
 from hqc.cli import main
@@ -285,29 +286,43 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("extra", ["", ADAPTIVE_4])
     def test_each_row_starts_from_the_previous_solution(self, monkeypatch, extra):
+        # an adaptive study nests each solve in the previous one; a uniform
+        # study solves all its meshes in one batched call
         import hqc.study
 
-        calls = []
+        calls, batches = [], []
 
         def recording(*args, init=None, **kw):
             cs = solve_coarse(*args, init=init, **kw)
             calls.append((init, cs))
             return cs
 
+        def batching(*args):
+            batches.append(solve_coarse_meshes(*args))
+            return batches[-1]
+
         monkeypatch.setattr(hqc.study, "solve_coarse", recording)
+        monkeypatch.setattr(hqc.study, "solve_coarse_meshes", batching)
         rows = run_study(cfg_1d(extra))
-        assert calls[0][0] is None
-        assert all(init is prev for (init, _), (_, prev) in zip(calls[1:], calls))
-        assert [row.newton_iters for row in rows] == [cs.iterations for _, cs in calls]
+        if extra:
+            assert not batches
+            assert calls[0][0] is None
+            assert all(init is prev for (init, _), (_, prev) in zip(calls[1:], calls))
+            solutions = [cs for _, cs in calls]
+        else:
+            assert not calls and len(batches) == 1
+            solutions = batches[0]
+        assert [row.newton_iters for row in rows] == [cs.iterations for cs in solutions]
 
     def test_one_strain_0_cell_solve(self, monkeypatch):
-        # the ground microstructure and the first row's cold start share one
-        # cell solve, and no row evaluates a cell before its first step
+        # the ground microstructure and the batched cold start share one
+        # cell solve, and the batch evaluates its trial points and nothing else
         import hqc.coarse
         import hqc.microhom
+        import hqc.study
         from hqc.microhom import condense_cells, newton_cells
 
-        solves, evaluations = [], []
+        solves, evaluations, batches = [], [], []
 
         def solving(family, z, chi0):
             solves.append(np.array(z))
@@ -317,12 +332,18 @@ class TestRunStudy:
             evaluations.append(args)
             return condense_cells(*args)
 
+        def batching(*args):
+            batches.append(solve_coarse_meshes(*args))
+            return batches[-1]
+
         monkeypatch.setattr(hqc.microhom, "newton_cells", solving)
         monkeypatch.setattr(hqc.coarse, "condense_cells", condensing)
-        rows = run_study(build_config(parse_config(LJ_1D)), use_cache=False)
+        monkeypatch.setattr(hqc.study, "solve_coarse_meshes", batching)
+        run_study(build_config(parse_config(LJ_1D)), use_cache=False)
         assert len(solves) == 1 and np.array_equal(solves[0], [0.0])
-        # no step of the shipped chain is halved: one evaluation per step
-        assert len(evaluations) == sum(row.newton_iters for row in rows)
+        # a step accepted at damping t evaluated 1 + log2(1 / t) trial points
+        trials = sum(1 + round(-np.log2(t)) for _it, _res, t in batches[0][0].trace[1:])
+        assert len(evaluations) == trials == 7
 
     def test_stability_gate(self):
         from hqc.exceptions import StabilityError
