@@ -36,7 +36,6 @@ from .microhom import HomogenizedLaw
 from .atomistic import (
     AtomisticProblem,
     EquilibriumSolution,
-    energy_grad_hess,
     solve_atomistic,
 )
 from .coarse import (

@@ -74,14 +74,16 @@ class EquilibriumSolution:
     trace: tuple = field(default=(), repr=False)
 
 
-#: bond arguments per block of ``_stress_d2``, whose temporaries then stay
-#: small enough (64 KiB each) for malloc to reuse their pages
+#: bond arguments per block of ``_stress_d2``: the law's temporaries, (R, n)
+#: arrays of 64 KiB, then stay small enough for malloc to reuse their pages
+#: (blocks of 12288 were no faster at N = 65536 and raised a study's peak
+#: RSS by 0.5 MB)
 EVAL_BLOCK = 8192
 
 
-def _bond_args(z, start: int, stop: int, R: int) -> np.ndarray:
-    """(R, stop - start) stack of the bond arguments (1/r) sum_{j<r} z(x + j)
-    = D_{x,r} u of the sites start <= x < stop, indices taken cyclically."""
+def _window_sums(z, start: int, stop: int, R: int) -> np.ndarray:
+    """(R, stop - start) stack of the window sums sum_{j<r} z(x + j) =
+    r D_{x,r} u of the sites start <= x < stop, indices taken cyclically."""
     n = stop - start
     if 0 <= start and stop + R - 1 <= z.size:
         zw = z[start : stop + R - 1]
@@ -91,66 +93,51 @@ def _bond_args(z, start: int, stop: int, R: int) -> np.ndarray:
     Z[0] = zw[:n]
     for r in range(1, R):
         np.add(Z[r - 1], zw[r : r + n], out=Z[r])
-    Z /= np.arange(1, R + 1)[:, None]
     return Z
 
 
-def _stress_d2(prob: AtomisticProblem, z, energy=False, out=None):
-    """(energy or None, stress, springs) at the strains z: the stress
+def _stress_d2(prob: AtomisticProblem, z, out=None):
+    """(stress, springs) at the strains z: the stress
     sigma(y) = sum_r (1/r) sum_{j<r} phi_r'(y - j), the derivative of N E in
     z(y), and the springs s[r - 1, x] = phi_r''(D_{x,r} u) / r^2 on the
-    window sums of z (:mod:`hqc.linsolve`), written into ``out`` = (sigma, s)
-    when it is given; phi is evaluated only for the energy.  The law is
-    evaluated over blocks of whole cells, in the stacked (cells, R, p)
-    layout of :class:`~hqc.potentials.PotentialFamily`, each with the
+    window sums of z (:mod:`hqc.linsolve`), written into ``out`` =
+    (sigma, s) when it is given.  The law is evaluated at the window sums
+    r D_{x,r} u with the shell factors r (:mod:`hqc.potentials`), so that
+    it returns the bond stresses phi_r' / r and the springs themselves.  It
+    is evaluated over blocks of whole cells, in the stacked (cells, R, p)
+    view of each block's (R, n) stack, each block with the
     ceil((R - 1) / p) cells before it, whose bonds span its sites.  A
     DomainError from the law is re-raised naming the first inadmissible
     site and shell of the chain.
     """
     family = prob.family
     N, R, p = prob.grid.N, family.R, family.p
-    inv_r = 1.0 / np.arange(1, R + 1)[:, None]
+    shells = np.arange(1.0, R + 1)[:, None]
     ghost = -(-(R - 1) // p) * p
     size = max(1, EVAL_BLOCK // (R * p)) * p
-    orders = (0, 1, 2) if energy else (1, 2)
-    E = 0.0 if energy else None
     sigma, s = (np.empty(N), np.empty((R, N))) if out is None else out
     for a in range(0, N, size):
         b = min(a + size, N)
         n = b - a + ghost
-        cells = _bond_args(z, a - ghost, b, R).reshape(R, n // p, p).transpose(1, 0, 2)
+        cells = _window_sums(z, a - ghost, b, R).reshape(R, n // p, p).transpose(1, 0, 2)
         try:
-            bonds = family.bonds(cells, *orders)
+            bonds = family.bonds(cells, 1, 2, shells=shells)
         except DomainError as exc:
-            Z = _bond_args(z, 0, N, R).reshape(R, N // p, p).transpose(1, 0, 2)
+            Z = (_window_sums(z, 0, N, R) / shells).reshape(R, N // p, p).transpose(1, 0, 2)
             bad = ~family.admissible(Z).transpose(1, 0, 2).reshape(R, N)
             shell, site = np.argwhere(bad)[0]
             raise DomainError(f"inadmissible bond at site {site + 1}, shell r={shell + 1}") from exc
-        stacks = [st.transpose(1, 0, 2).reshape(R, n) for st in bonds]
-        if energy:
-            E += float(stacks.pop(0)[:, ghost:].sum()) / N
-        w, c = stacks  # bond forces phi_r' and curvatures phi_r''
-        w *= inv_r
-        # sigma(y) = sum_r sum_{j<r} w_r(y - j) over the block's sites
+        # bond stresses phi_r' / r and springs phi_r'' / r^2
+        w, c = (st.transpose(1, 0, 2).reshape(R, n) for st in bonds)
+        # sigma(y) = sum_j t_j(y - j) with t_j = sum_{r>j} w_r, over the block's sites
+        for r in range(R - 1, 0, -1):
+            w[r - 1] += w[r]
         sb = sigma[a:b]
         np.copyto(sb, w[0, ghost:])
-        for r in range(2, R + 1):
-            for j in range(r):
-                sb += w[r - 1, ghost - j : n - j]
-        np.multiply(c[:, ghost:], inv_r * inv_r, out=s[:, a:b])
-    return E, sigma, s
-
-
-def energy_grad_hess(prob: AtomisticProblem, u: LatticeFn):
-    """Energy, gradient (as a LatticeFn), and Hessian springs at the
-    displacements u: g(x) = (sigma(x - eps) - sigma(x)) / eps represents the
-    first variation through <g, v>_L, and the Hessian is its (R, N) spring
-    stack d2, phi_r'' / (r eps)^2 for bond (x, x + r) in d2[r - 1, x]
-    (:mod:`hqc.linsolve`).
-    """
-    eps, u_vals = prob.grid.eps, u.values
-    E, sigma, s = _stress_d2(prob, np.diff(u_vals, append=u_vals[:1]) / eps, energy=True)
-    return E, u.with_values((np.roll(sigma, 1) - sigma) / eps), s / (eps * eps)
+        for j in range(1, R):
+            sb += w[j, ghost - j : n - j]
+        np.copyto(s[:, a:b], c[:, ghost:])
+    return sigma, s
 
 
 #: step halvings ``damped_newton`` tries before giving up on a Newton step
@@ -274,7 +261,7 @@ def solve_atomistic(prob: AtomisticProblem, u_init: LatticeFn | None = None) -> 
 
     def evaluate(z):
         z -= z.mean()  # every iterate is a new array (damped_newton)
-        _, w, s = _stress_d2(prob, z, out=evaluated)
+        w, s = _stress_d2(prob, z, out=evaluated)
         w += P
         res = 0.5 * float(w.max() - w.min())
         return z, (w, s, res), res

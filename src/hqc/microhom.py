@@ -108,6 +108,19 @@ def _flat(b):
     return b.reshape(len(b), b.shape[1] * b.shape[2])
 
 
+def _by_columns(ufunc, x):
+    """``ufunc`` reduced over each row of the (m, k) array x by a left-to-
+    right pass over its k columns: for add and k < 8 bit for bit numpy's
+    x.sum(axis=1), whose per-row reduction loop costs more than the k - 1
+    column passes on rows this short."""
+    if x.shape[1] == 0:  # p = 1 leaves no reduced field
+        return ufunc.reduce(x, axis=1)
+    out = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        ufunc(out, x[:, j], out=out)
+    return out
+
+
 def _bond_args(maps, z, chi):
     """Stacked (m, R, p) bond arguments of the fields chi (m, p) at strains z."""
     return (z[:, None] + chi @ maps.DT).reshape(z.size, *maps.layout)
@@ -205,10 +218,10 @@ def condense_cells(family, z, chi) -> CondensedCells:
     x, pivots = _reduced_solve(H, np.stack([b, grad @ maps.E], axis=-1), z)
     hb, hg = x[..., 0], x[..., 1]
     return CondensedCells(
-        stress=d1.sum(axis=1) / family.p,
-        residual=np.abs(grad).max(axis=1),
-        stiffness=d2.sum(axis=1) / family.p - (b * hb).sum(axis=1),
-        shift=-(b * hg).sum(axis=1),
+        stress=_by_columns(np.add, d1) / family.p,
+        residual=_by_columns(np.maximum, np.abs(grad)),
+        stiffness=_by_columns(np.add, d2) / family.p - _by_columns(np.add, b * hb),
+        shift=-_by_columns(np.add, b * hg),
         relax=-hg @ maps.E.T,
         sensitivity=-hb @ maps.E.T,
         hessian=H,
@@ -288,7 +301,7 @@ class HomogenizedLaw:
         chi, cells, _iters = newton_cells(family, z, np.zeros((z.size, family.p)))
         require_stable_cells(cells, z)
         phi = family.bonds(_bond_args(_cell_maps(family.p, family.R), z, chi), 0)
-        return _flat(phi).sum(axis=1) / family.p, cells.stress, cells.stiffness, chi
+        return _by_columns(np.add, _flat(phi)) / family.p, cells.stress, cells.stiffness, chi
 
     def eval(self, z: float):
         """(phi0, dphi0, d2phi0) at one strain, from a cold cell solve."""

@@ -12,9 +12,19 @@ species y, and
 one array per requested order, each of a's shape (a single array when one
 order is asked for).  Leading axes are free: a batch of m cells passes
 (m, R, p), the lattice of N sites the (N/p, R, p) view of its (R, N)
-strain stack.  ``bonds`` raises :class:`DomainError` when any entry is
-inadmissible.  The per-column constants of a law are built once, at
-construction.
+stack of window sums.  ``bonds`` raises :class:`DomainError` when any
+entry is inadmissible.
+
+Shell factors.  ``family.bonds(x, *orders, shells=m)``, for positive
+factors m that broadcast over the (R, p) layout, evaluates the laws of
+x -> phi(x / m), whose derivatives in x are phi^(k)(x / m) / m^k.  The
+lattice passes the window sums x = r D_{x,r} u of its r consecutive
+strains with m = r, so the law returns the bond stress phi' / r and the
+spring phi'' / r^2 that it sums, and the shell factors cost no pass of
+their own: the law folds them into the per-column constants it multiplies
+by anyway.  The cells pass none (m = 1), which leaves every constant, and
+every result, as it is.  A law's constants are built once per family,
+shell factors and layout of the argument, and cached.
 
 The bond argument is the deformation gradient g = 1 + z, where z is the
 discrete strain D_{x,r} u; the identity part is absorbed into the
@@ -36,8 +46,10 @@ class PotentialFamily:
     """Base class: R-neighbor, p-periodic bond laws with two derivatives,
     evaluated over the stacked (R, p) layout (see module docstring).
 
-    Subclasses implement ``admissible`` and ``_laws(a)``, which checks the
-    float array a and returns the three orders as deferred callables.
+    Subclasses implement ``admissible``, ``_constants(m)``, the constants
+    of the laws of x -> phi(x / m) for shell factors m, each broadcasting
+    over the (R, p) layout, and ``_laws(x, *constants)``, which checks the
+    float array x and returns the three orders as deferred callables.
     """
 
     def __init__(self, R: int, p: int):
@@ -49,11 +61,55 @@ class PotentialFamily:
     def admissible(self, a) -> np.ndarray:
         raise NotImplementedError
 
-    def bonds(self, a, *orders):
-        """phi, phi', phi'' (orders 0, 1, 2) at bond arguments a, as asked."""
-        laws = self._laws(np.asarray(a, dtype=float))
-        out = [laws[order]() for order in orders]
+    def _constants(self, m) -> tuple:
+        """The constants that ``_laws`` takes after x, for shell factors m."""
+        return ()
+
+    def bonds(self, a, *orders, shells=1.0):
+        """phi, phi', phi'' (orders 0, 1, 2) at bond arguments a, as asked;
+        with shell factors m, the derivatives in a of phi(a / m).  The law
+        runs on a's axes in their memory order, where a transposed view
+        such as the lattice's is one contiguous array."""
+        a = np.asarray(a, dtype=float)
+        m = np.asarray(shells, dtype=float)
+        order = _memory_order(a)
+        frame = None if order is None else (a.shape, order)
+        constants = _law_constants(self, m.tobytes(), m.shape, frame)
+        laws = self._laws(a if order is None else a.transpose(order), *constants)
+        out = [laws[k]() for k in orders]
+        if order is not None:
+            back = [order.index(i) for i in range(a.ndim)]
+            out = [v.transpose(back) for v in out]
         return out[0] if len(out) == 1 else tuple(out)
+
+
+def _memory_order(a) -> tuple | None:
+    """The axes of the array a from the largest stride down, or None when a
+    is C-contiguous: a transposed to them is C-contiguous when a is a
+    transpose of a contiguous array."""
+    if a.flags.c_contiguous:
+        return None
+    # sorted in Python: a study's first np.argsort pages in numpy's sort
+    # code, 0.2 MB of resident memory
+    return tuple(sorted(range(a.ndim), key=lambda i: -a.strides[i]))
+
+
+@functools.lru_cache(maxsize=16)
+def _law_constants(family, m: bytes, m_shape: tuple, frame) -> tuple:
+    """The read-only constants of ``family``'s laws for the shell factors
+    with bytes m, as built, or tiled over the frame (shape, order) of an
+    argument of that shape transposed to that order: numpy runs a
+    broadcast constant over a transposed frame in short inner loops, and a
+    contiguous tile with it in one loop."""
+    framed = []
+    for c in family._constants(np.frombuffer(m).reshape(m_shape)):
+        c = np.array(c, dtype=float)  # a copy, which the cache freezes
+        if frame is not None:
+            shape, order = frame
+            c = np.ascontiguousarray(np.broadcast_to(c, shape).transpose(order))
+        c.flags.writeable = False
+        framed.append(c)
+    return tuple(framed)
 
 
 class LennardJonesFamily(PotentialFamily):
@@ -65,7 +121,11 @@ class LennardJonesFamily(PotentialFamily):
     same law (which is what keeps the nearest-neighbor bonds dominant).
     With k = r / l_y (an (R, p) constant) and s6 = (k g)^-6 the derivatives
     in z are phi' = 12 s6 (1 - s6) / g and phi'' = 12 s6 (13 s6 - 7) / g^2.
-    Evaluation with g <= 0 raises :class:`DomainError`.
+    With shell factors m the law is evaluated at G = m + x = m g, in one
+    expression for both: s6 = ((k / m) G)^-6, and the divisions by G give
+    the derivatives in x, phi' / m and phi'' / m^2, as the divisions by g
+    give phi' and phi'' at m = 1.  Evaluation with g <= 0 raises
+    :class:`DomainError`.
     """
 
     def __init__(self, l, R: int):
@@ -81,45 +141,31 @@ class LennardJonesFamily(PotentialFamily):
     def admissible(self, a):
         return 1.0 + np.asarray(a, dtype=float) > 0
 
-    def _laws(self, a):
-        g = 1.0 + a
-        if not (g > 0).all():
+    def _constants(self, m):
+        return m, self.k / m
+
+    def _laws(self, x, m, k):
+        g = m + x  # m times the deformation gradient
+        if not g.min(initial=np.inf) > 0:  # a nan fails too
             raise DomainError("deformation gradient g = 1 + z must be positive")
-        s6 = _in_layout(self.k, g) * g
+        s6 = k * g
         s6 *= s6 * s6
         s6 *= s6
         np.reciprocal(s6, out=s6)
-        # one temporary per order; numpy elides the others in place
-        return (
-            lambda: s6 * (s6 - 2.0),
-            lambda: s6 * (12.0 - 12.0 * s6) / g,
-            lambda: s6 * (156.0 * s6 - 84.0) / g / g,
-        )
 
+        def law(c0, c1, divisions):
+            # s6 (c0 + c1 s6) / g^divisions, one temporary: numpy elides
+            # temporaries only of arrays above 256 KiB, and the lattice
+            # evaluates blocks of 64 KiB
+            out = np.multiply(s6, c1)
+            out += c0
+            out *= s6
+            for _ in range(divisions):
+                out /= g
+            return out
 
-def _in_layout(const, a):
-    """The constant ``const`` broadcast to the shape of the array a, tiled
-    in a's memory layout unless a is C-contiguous.  Over a transposed view,
-    such as the (cells, R, p) view of the lattice's (R, N) strain stack, a
-    broadcast (R, p) constant makes numpy run inner loops of length p; a
-    tile of the same layout runs one contiguous loop."""
-    if a.flags.c_contiguous:
-        return const
-    return _tile(const.tobytes(), const.shape, a.shape, a.strides)
-
-
-@functools.lru_cache(maxsize=16)
-def _tile(const: bytes, const_shape: tuple, shape: tuple, strides: tuple) -> np.ndarray:
-    """Read-only tile of the float constant with bytes ``const`` over
-    ``shape``, its axes laid out in memory in the order of ``strides``."""
-    # axes sorted in Python: a study's first np.argsort pages in numpy's
-    # sort code, 0.2 MB of resident memory
-    axes = range(len(shape))
-    order = sorted(axes, key=lambda i: -strides[i])
-    tile = np.empty([shape[i] for i in order]).transpose([order.index(i) for i in axes])
-    tile[...] = np.frombuffer(const).reshape(const_shape)
-    tile.flags.writeable = False
-    return tile
+        return (lambda: law(-2.0, 1.0, 0), lambda: law(12.0, -12.0, 1),
+                lambda: law(-84.0, 156.0, 2))
 
 
 class QuadraticFamily(PotentialFamily):
@@ -127,7 +173,7 @@ class QuadraticFamily(PotentialFamily):
 
     ``k`` and ``a`` are (R, p) columns: k_y and a_y in row r = 1, zeros
     below.  Everywhere admissible; an analytic fixture for the nonlinear
-    machinery.
+    machinery.  With shell factors m it is 0.5 (k / m^2) (x - m a)^2.
     """
 
     def __init__(self, k, a, R: int = 1):
@@ -145,12 +191,15 @@ class QuadraticFamily(PotentialFamily):
     def admissible(self, a):
         return np.ones(np.shape(a), dtype=bool)
 
-    def _laws(self, a):
-        d = a - self.a
+    def _constants(self, m):
+        return self.k / (m * m), m * self.a
+
+    def _laws(self, x, k, a):
+        d = x - a
         return (
-            lambda: 0.5 * self.k * d ** 2,
-            lambda: self.k * d,
-            lambda: self.k * np.ones_like(d),
+            lambda: 0.5 * k * d ** 2,
+            lambda: k * d,
+            lambda: k * np.ones_like(d),
         )
 
 

@@ -10,7 +10,10 @@ depend on one another, so one Newton iteration solves them all over their
 stacked elements (:func:`~hqc.coarse.solve_coarse_meshes`), every element
 starting from the cell at strain 0, which the ground microstructure
 solved: a study solves that cell once.  A row's ``newton_iters`` is the
-step at which its mesh's merit first reached the tolerance.  An adaptive
+step at which its mesh's merit first reached the tolerance.  When that
+iteration fails, each mesh is solved alone in schedule order
+(``solve_coarse``), so a study fails with the error of its first failing
+mesh, as a study that solves its meshes one by one would.  An adaptive
 schedule refines each mesh by its own indicators, so its meshes are
 solved in order by nested iteration: each coarse solve after the first
 starts from the previous row's solution, every element at the strain,
@@ -51,7 +54,7 @@ from .atomistic import AtomisticProblem, solve_atomistic
 from .coarse import ForceFunctional, corrector, solve_coarse, solve_coarse_meshes, uniform_mesh
 from .config import ExperimentConfig
 from .estimator import adapt_mesh, indicator_terms
-from .exceptions import ConfigError, StabilityError
+from .exceptions import ConfigError, SolverFailure, StabilityError
 from .io import load_lattice_fn, save_lattice_fn
 from .lattice import LatticeFn, LatticeGrid, seminorm
 from .lattice2d import SpringModel2D, exp_sin_force, solve2d
@@ -207,7 +210,13 @@ def _coarse_solves(cfg, grid, law, F, f, c0_inv, clock):
     if not cfg.adaptive:
         meshes = [uniform_mesh(grid, m) for m in cfg.mesh_schedule]
         t0 = clock()
-        batch = solve_coarse_meshes(law, meshes, F)
+        try:
+            batch = solve_coarse_meshes(law, meshes, F)
+        except SolverFailure:
+            # meshes without an equilibrium can stall the shared step before
+            # a coarser one converges onto an unstable one: solved alone, in
+            # schedule order, the first failing mesh raises its own error
+            batch = [solve_coarse(law, mesh, F) for mesh in meshes]
         per_element = (clock() - t0) * 1e3 / sum(cfg.mesh_schedule)
         return [row(cs, clock(), per_element * cs.u.mesh.n_elements) for cs in batch]
     solved, cs = [], None

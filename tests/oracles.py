@@ -69,6 +69,27 @@ def coarse_dual_lp(q: np.ndarray) -> float:
     return -res.fun
 
 
+def energy_grad_hess(prob, u):
+    """Energy, gradient (as a LatticeFn) and Hessian springs of the atomistic
+    problem at the displacements u.  The energy is one ``family.bonds`` call
+    on the (N/p, R, p) view of the chain's bond arguments, the window means
+    of the strains built shell by shell.  The gradient
+    g(x) = (sigma(x - eps) - sigma(x)) / eps, which represents the first
+    variation through <g, v>_L, and the (R, N) springs phi_r'' / (r eps)^2
+    of bond (x, x + r) (:mod:`hqc.linsolve`) come from the stress and
+    springs of ``hqc.atomistic._stress_d2``, which names the site and shell
+    of an inadmissible bond."""
+    from hqc.atomistic import _stress_d2
+
+    family, eps, N = prob.family, prob.grid.eps, prob.grid.N
+    R, p = family.R, family.p
+    z = np.diff(u.values, append=u.values[:1]) / eps
+    sigma, s = _stress_d2(prob, z)
+    Z = np.array([sum(np.roll(z, -j) for j in range(r)) / r for r in range(1, R + 1)])
+    E = float(family.bonds(Z.reshape(R, N // p, p).transpose(1, 0, 2), 0).sum()) / N
+    return E, u.with_values((np.roll(sigma, 1) - sigma) / eps), s / (eps * eps)
+
+
 def springs_to_dense(s: np.ndarray) -> np.ndarray:
     """Dense n x n matrix of the springs s[r - 1, i] between sites i and
     (i + r) % n, assembled bond by bond as the sum of s e e^T with

@@ -43,7 +43,7 @@ from hqc.exceptions import StabilityError
 from hqc.lattice import primitive_dual_norm
 from hqc.study import microstructure_start, sin_force
 
-from oracles import dual_norm_lp
+from oracles import dual_norm_lp, energy_grad_hess
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -218,8 +218,6 @@ def test_criterion_7_structural_properties(family_51):
     prob = AtomisticProblem(grid, fam, LatticeFn(grid, np.zeros(1024)))
     sol = solve_atomistic(prob)
     expected = microstructure_start(grid, micro)
-    from hqc.atomistic import energy_grad_hess
-
     _, g, _ = energy_grad_hess(prob, expected)
     fixed_point = (
         primitive_dual_norm(g.values - g.values.mean(), grid.eps) <= 1e-10

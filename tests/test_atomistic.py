@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqc import (
     AtomisticProblem,
@@ -11,7 +13,6 @@ from hqc import (
     LatticeFn,
     LatticeGrid,
     corrector,
-    energy_grad_hess,
     ground_microstructure,
     lj_family,
     quadratic_family,
@@ -29,7 +30,7 @@ from hqc.exceptions import SolverFailure
 from hqc.lattice import primitive_dual_norm
 from hqc.study import microstructure_start, sin_force
 
-from oracles import springs_to_dense
+from oracles import energy_grad_hess, shell_terms, springs_to_dense
 
 
 @pytest.fixture(scope="module")
@@ -116,27 +117,49 @@ class TestEnergyGradHess:
 
     @pytest.mark.parametrize("l, R", [([1.0, 9.0 / 8.0], 3), ([1.0, 1.1, 1.05], 2)])
     def test_blocks_match_one_full_evaluation(self, l, R):
-        # bit for bit: the stress and springs of one family.bonds call on
-        # the full (N/p, R, p) view of the chain's strain stack
+        # bit for bit: the three blocks, the first wrapping past site 1 and
+        # the last ragged, against one block over the whole chain
         prob = self.blocked_chain(l, R)
-        N, p = prob.grid.N, prob.grid.p
+        N = prob.grid.N
         z = np.random.default_rng(R).uniform(-0.05, 0.05, N)
-        Z = np.empty((R, N))
-        Z[0] = z
-        for r in range(1, R):
-            Z[r] = Z[r - 1] + np.roll(z, -r)
-        Z /= np.arange(1, R + 1)[:, None]
-        view = Z.reshape(R, N // p, p).transpose(1, 0, 2)
-        d1, d2 = (b.transpose(1, 0, 2).reshape(R, N) for b in prob.family.bonds(view, 1, 2))
-        inv_r = 1.0 / np.arange(1, R + 1)[:, None]
-        w = d1 * inv_r
-        sigma = w[0].copy()
-        for r in range(2, R + 1):
-            for j in range(r):
-                sigma += np.roll(w[r - 1], j)  # w_r(y - j)
-        _, stress, springs = atomistic._stress_d2(prob, z)
-        assert np.array_equal(stress, sigma)
-        assert np.array_equal(springs, d2 * (inv_r * inv_r))
+        stress, springs = atomistic._stress_d2(prob, z)
+        with mock.patch.object(atomistic, "EVAL_BLOCK", R * N):
+            whole_stress, whole_springs = atomistic._stress_d2(prob, z)
+        assert np.array_equal(stress, whole_stress)
+        assert np.array_equal(springs, whole_springs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(1, 3), R=st.integers(1, 4), lj=st.booleans(),
+           per_block=st.integers(1, 4), blocks=st.integers(1, 3), extra=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_shell_laws(self, p, R, lj, per_block, blocks, extra, seed):
+        # blocks of per_block cells, the first wrapping past site 1 for
+        # R >= 2 and the last ragged unless per_block divides extra, against
+        # the closed-form law of each bond, summed site by site
+        rng = np.random.default_rng(seed)
+        if lj:
+            family = lj_family(rng.uniform(0.9, 1.25, size=p), R)
+        else:
+            family = quadratic_family(rng.uniform(0.5, 3.0, size=p),
+                                      rng.uniform(-0.2, 0.2, size=p), R)
+        N = p * (per_block * blocks + extra)
+        grid = LatticeGrid(N, p)
+        prob = AtomisticProblem(grid, family, zero_force(grid))
+        z = rng.uniform(-0.1, 0.1, N)
+        with mock.patch.object(atomistic, "EVAL_BLOCK", per_block * R * p):
+            stress, springs = atomistic._stress_d2(prob, z)
+        sites = np.arange(N)
+        sigma, sigma_scale = np.zeros(N), np.zeros(N)
+        for r in range(1, R + 1):
+            a = sum(np.roll(z, -j) for j in range(r)) / r  # D_{x,r} u of bond x
+            terms = np.array(shell_terms(family, 1, r, a, sites)) / r
+            for j in range(r):  # the bond x = y - j holds site y
+                sigma += np.roll(terms.sum(axis=0), j)
+                sigma_scale += np.roll(np.abs(terms).max(axis=0), j)
+            terms = np.array(shell_terms(family, 2, r, a, sites)) / (r * r)
+            scale = np.abs(terms).max(axis=0)
+            assert np.all(np.abs(springs[r - 1] - terms.sum(axis=0)) <= 1e-12 * scale)
+        assert np.all(np.abs(stress - sigma) <= 1e-12 * sigma_scale)
 
     @pytest.mark.parametrize("block", [0, 1, 2])
     def test_domain_error_names_the_site_in_any_block(self, block):

@@ -17,7 +17,6 @@ from hqc import (
     Mesh1D,
     adapt_mesh,
     corrector,
-    energy_grad_hess,
     equivalence_check,
     indicator_terms,
     inner,
@@ -43,6 +42,7 @@ from oracles import (
     coarse_dual_lp,
     coarse_step_dense,
     corrected_on_sites,
+    energy_grad_hess,
     equilibrated_on_sites,
     interpolation_matrix,
     site_elements,
@@ -704,8 +704,8 @@ class FlatFamily(PotentialFamily):
     def admissible(self, a):
         return np.ones(np.shape(a), dtype=bool)
 
-    def _laws(self, a):
-        return (lambda: np.zeros_like(a),) * 3
+    def _laws(self, x):
+        return (lambda: np.zeros_like(x),) * 3
 
 
 class TestSingularJacobian:

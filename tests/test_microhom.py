@@ -16,11 +16,13 @@ from hqc.exceptions import SolverFailure, StabilityError
 from hqc.microhom import (
     CELL_TOL,
     _bond_args,
+    _by_columns,
     _cell_maps,
     _flat,
     _ldl,
     _reduced_hessian,
     _reduced_solve,
+    condense_cells,
     newton_cells,
 )
 
@@ -173,6 +175,38 @@ class TestCellKernel:
             fd = (reduced_gradient(chi + step * maps.E[:, k])
                   - reduced_gradient(chi - step * maps.E[:, k])) / (2 * step)
             assert np.abs(fd - H[:, :, k]).max() <= 1e-6 * np.abs(H).max()
+
+
+class TestColumnReductions:
+    """Row reductions by column passes, bit for bit numpy's on rows of the
+    cell kernel's lengths, R p < 8."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, 7), m=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_sums_are_numpys(self, k, m, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-12, 12, (m, k))
+        x[rng.random((m, k)) < 0.1] = -0.0
+        assert np.array_equal(_by_columns(np.add, x), x.sum(axis=1))
+        if k:
+            assert np.array_equal(_by_columns(np.maximum, np.abs(x)), np.abs(x).max(axis=1))
+            x[rng.random((m, k)) < 0.1] = np.nan
+            assert np.array_equal(_by_columns(np.maximum, x), x.max(axis=1), equal_nan=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(1, 3), R=st.integers(1, 3), lj=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_condensed_sums_are_numpys(self, p, R, lj, seed):
+        assume(R * p < 8)
+        family, z, chi = TestCellKernel.cells(p, R, lj, seed)
+        maps = _cell_maps(p, R)
+        d1, d2 = (_flat(b) for b in family.bonds(_bond_args(maps, z, chi), 1, 2))
+        cells = condense_cells(family, z, chi)
+        assert np.array_equal(cells.stress, d1.sum(axis=1) / p)
+        assert np.array_equal(cells.residual, np.abs(d1 @ maps.Dp).max(axis=1))
+        b = d2 @ maps.Gp
+        hb = -cells.sensitivity[:, :-1]  # the first p - 1 entries of -E H^-1 b
+        assert np.array_equal(cells.stiffness, d2.sum(axis=1) / p - (b * hb).sum(axis=1))
 
 
 def random_ldl_stack(rng, m, q, definite):

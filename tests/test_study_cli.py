@@ -29,7 +29,7 @@ from hqc import (
 )
 from hqc.cli import main
 from hqc.config import parse_config, parse_config_text
-from hqc.exceptions import SolverFailure
+from hqc.exceptions import StabilityError
 from hqc.io import save_lattice_fn
 from hqc.study import (
     build_family,
@@ -346,8 +346,6 @@ class TestRunStudy:
         assert len(evaluations) == trials == 7
 
     def test_stability_gate(self):
-        from hqc.exceptions import StabilityError
-
         bad = BASE_1D.replace("potential.kind = lj", "potential.kind = quadratic")
         bad = bad.replace("potential.l = 1, 1.125", "potential.k = 1, 1\npotential.a = 1.1, -1.1")
         with pytest.raises(StabilityError):
@@ -358,8 +356,9 @@ class TestRunStudy:
 
         reference = mock.Mock(side_effect=solve_atomistic)
         monkeypatch.setattr(hqc.study, "solve_atomistic", reference)
-        # at this load the coarse Newton spends all its steps on the first mesh
-        with pytest.raises(SolverFailure, match="coarse Newton"):
+        # at this load the batched coarse Newton stalls, and the 8-node mesh
+        # solved alone converges onto an unstable equilibrium
+        with pytest.raises(StabilityError, match="^8-node mesh: unstable coarse equilibrium"):
             run_study(cfg_1d("force.amplitude = 150\n"), out_dir=tmp_path)
         reference.assert_not_called()
         assert not (tmp_path / "cache").exists()
@@ -542,6 +541,15 @@ class TestCli:
         cfgfile = self.write_cfg(tmp_path, text.replace("amplitude = 50", "amplitude = 170"))
         assert main(["solve-hqc", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 4
         assert "stability check failed" in capsys.readouterr().err
+
+    def test_unstable_coarse_mesh_stops_the_study_exit_4(self, tmp_path, capsys):
+        # the finer meshes, which have no equilibrium, stall the batched
+        # iteration before the 4-node mesh converges onto its unstable branch
+        text = (Path(__file__).parents[1] / "configs" / "lj_1d.cfg").read_text()
+        cfgfile = self.write_cfg(tmp_path, text.replace("amplitude = 50", "amplitude = 170"))
+        assert main(["study", "--config", cfgfile, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "stability check failed: 4-node mesh: unstable coarse equilibrium" in err
 
     def test_saddle_cell_exit_4(self, tmp_path, capsys):
         # this family passes the dominance check, but at strain 0.05, the top
