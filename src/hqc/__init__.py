@@ -20,7 +20,6 @@ from .lattice import (
     dual_seminorm_neg1,
     inner,
     norm,
-    project_zero_mean,
     seminorm,
     translate,
 )
@@ -55,7 +54,6 @@ from .coarse import (
 from .estimator import (
     ErrorReport,
     adapt_mesh,
-    calibrate_constant,
     estimate_constants,
     indicator_terms,
 )

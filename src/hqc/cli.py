@@ -71,7 +71,7 @@ def cmd_solve_hqc(cfg, args) -> int:
     out = _out_dir(args)
     hio.save_coarse_fn(out / "hqc_nodal.txt", cs.u)
     hio.save_lattice_fn(out / "hqc_corrected.txt", uc)
-    hio.save_trace_csv(out / "hqc_trace.csv", cs.trace)
+    hio.save_trace_csv(out / "hqc_trace.csv", cs.trace, "merit")  # not the dual norm
     print(f"hqc solve on {mesh.n_elements} nodes: {cs.iterations} iterations, "
           f"residual {cs.residual_dual:.3e}")
     print(f"wrote {out / 'hqc_corrected.txt'}")

@@ -4,9 +4,11 @@ A mesh is a set of atom sites chosen as nodes; element T = [xi, eta)
 collects the sites from one node up to (excluding) the next, with the last
 element wrapping around the period.  Coarse functions are affine in each
 element, which is equivalent to D u(xi - eps) = D u(xi) at every non-node
-site.  Per-element data meets the lattice in one layout, element order
-(the sites from node 0 on, element by element): ``np.repeat`` over the
-site counts fills it, and one roll by nodes[0] - 1 takes it to the sites.
+site.  Data meets the lattice in site order, in runs of sites: those
+before node 0, of the last element, then each element from its node on.
+``np.repeat`` over the runs takes per-element data to the sites, and
+``element_reduce``, one ``ufunc.reduceat`` at the nodes, takes lattice
+arrays to the elements: the node loads and the force maxima, O(M) after it.
 
 ``corrector`` is the one reconstruction of a lattice field from a coarse
 solution: u + eps chi(D u; x/eps), from the cell fields the solution
@@ -124,10 +126,7 @@ class CoarseFn:
         return np.diff(U, append=U[:1]) / self.mesh.element_sizes()
 
     def to_lattice(self) -> LatticeFn:
-        return LatticeFn(self.mesh.grid, _to_sites(self.mesh, _element_order_values(self)))
-
-    def lattice_mean(self) -> float:
-        return float(self.mesh.mean_weights() @ self.nodal_values)
+        return LatticeFn(self.mesh.grid, _site_values(self, *_site_runs(self.mesh)))
 
 
 def interpolate(mesh: Mesh1D, v: LatticeFn) -> CoarseFn:
@@ -141,39 +140,56 @@ def _element_of(mesh: Mesh1D, sites: np.ndarray) -> np.ndarray:
     return (np.searchsorted(mesh.nodes, sites, side="right") - 1) % mesh.n_elements
 
 
-def _element_offsets(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Site counts, element starts and, in element order, each site's offset in its element."""
-    counts, starts = mesh.site_counts(), mesh.nodes - mesh.nodes[0]
-    return counts, starts, np.arange(mesh.grid.N) - np.repeat(starts, counts)
+def element_reduce(ufunc, mesh: Mesh1D, w: np.ndarray) -> np.ndarray:
+    """``ufunc`` (np.add, np.maximum, ...) reduced over each element of the
+    lattice array w in site order, the sites before node 0 into the last."""
+    out, head = ufunc.reduceat(w, mesh.nodes - 1), mesh.nodes[0] - 1
+    if head:
+        out[-1] = ufunc.reduce(w[:head], initial=out[-1])
+    return out
 
 
-def _to_sites(mesh: Mesh1D, f: np.ndarray) -> np.ndarray:
-    """Site-order copy of the element-ordered lattice array f."""
-    return np.roll(f, mesh.nodes[0] - 1)
+def _site_runs(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The site counts, and the element and length of each run of sites in
+    site order: the sites before node 0 (maybe none), then every element from
+    its node on."""
+    counts, head = mesh.site_counts(), mesh.nodes[0] - 1
+    element = np.arange(-1, mesh.n_elements)
+    element[0] = mesh.n_elements - 1
+    runs = np.append(head, counts)
+    runs[-1] -= head
+    return counts, element, runs
 
 
-def _element_order_values(u: CoarseFn) -> np.ndarray:
-    """u at every site, in element order."""
-    counts, _, offs = _element_offsets(u.mesh)
-    U = u.nodal_values
-    left = np.repeat(U, counts)
-    frac = offs / np.repeat(counts, counts)
-    return left + frac * (np.repeat(np.roll(U, -1), counts) - left)
+def _site_values(u: CoarseFn, counts, element, runs, out=None) -> np.ndarray:
+    """u at every site from the ``_site_runs`` of its mesh, into ``out`` if
+    given, beside one lattice-sized temporary at a time: U_T + (o / n_T)
+    (U_{T+1} - U_T) at the site's offset o in its element T, its index less
+    T's first (the indices before node 0 taken past N)."""
+    mesh, U, N = u.mesh, u.nodal_values, u.mesh.grid.N
+    out = np.empty(N) if out is None else out
+    out[...] = np.arange(N)
+    out -= np.repeat(np.append(mesh.nodes[-1] - 1.0 - N, mesh.nodes - 1.0), runs)
+    out /= np.repeat(counts[element].astype(float), runs)
+    out *= np.repeat(np.diff(U, append=U[:1])[element], runs)
+    out += np.repeat(U[element], runs)
+    return out
 
 
 def _istar_nodes(mesh: Mesh1D, w: np.ndarray) -> np.ndarray:
-    """Node values of istar(w), one element-ordered sum per element: element
-    j gives each site's right share off / n to node j + 1, the rest to node j."""
-    counts, starts, off = _element_offsets(mesh)
-    f = np.roll(w, 1 - mesh.nodes[0])  # element order
-    right = np.add.reduceat(f * off, starts) / counts
-    left = np.add.reduceat(f, starts) - right
-    return left + np.roll(right, 1)
-
-
-def element_max(mesh: Mesh1D, w: np.ndarray) -> np.ndarray:
-    """Largest entry of the lattice array w on each element."""
-    return np.maximum.reduceat(np.roll(w, 1 - mesh.nodes[0]), mesh.nodes - mesh.nodes[0])
+    """Node values of istar(w): element T = [a, b) gives each site x its share
+    (x - a) / (b - a) to its right node and the rest to its left one, from its
+    sums of w and of w i over the site indices i, one ``element_reduce``
+    each; the sites before node 0 count their indices past N."""
+    N, head = mesh.grid.N, mesh.nodes[0] - 1
+    wi = np.arange(N, dtype=float)
+    wi *= w
+    total, right = element_reduce(np.add, mesh, w), element_reduce(np.add, mesh, wi)
+    if head:
+        right[-1] += N * w[:head].sum()
+    right -= (mesh.nodes - 1) * total  # the sums of w (i - a)
+    right /= mesh.site_counts()
+    return total - right + np.concatenate((right[-1:], right[:-1]))
 
 
 def istar(mesh: Mesh1D, w: LatticeFn) -> LatticeFn:
@@ -414,7 +430,9 @@ def _newton(law, meshes, F, x, start_cells):
     return solutions
 
 
-def corrector(cs: CoarseSolution, f: LatticeFn | None = None) -> LatticeFn:
+def corrector(
+    cs: CoarseSolution, f: LatticeFn | None = None, out: np.ndarray | None = None
+) -> LatticeFn:
     """Zero-mean reconstruction u + eps * chi(D u; x/eps) of the coarse
     solution ``cs``, from the cell fields it carries at its element strains:
     no cell problem is solved.  A full-lattice field u is passed as a
@@ -432,33 +450,37 @@ def corrector(cs: CoarseSolution, f: LatticeFn | None = None) -> LatticeFn:
     equilibrium requires.  dz sums to 0 on every element, so the coarse
     part keeps every nodal value.  K_T = W''(z_T) and chi'_T come from the
     cells that ``solve_coarse`` condensed at convergence: no linear system
-    is solved either.  Either way the cost is O(N), in element order.
+    is solved either.  Either way the cost is O(N), in site order, into
+    ``out`` (N floats) if given, beside one ``np.repeat`` at a time and, with
+    f, one more lattice array, dz, in which P's and dz's cumulative sums run.
     """
     mesh, grid = cs.u.mesh, cs.u.mesh.grid
-    counts, eps, p = mesh.site_counts(), grid.eps, grid.p
-    vals = _element_order_values(cs.u)
+    eps, p = grid.eps, grid.p
+    counts, element, runs = _site_runs(mesh)
+    out = _site_values(cs.u, counts, element, runs, out)
     if f is not None:
-        # P / eps in element order, up to a constant, which dz does not see
-        P = np.roll(f.values, 1 - mesh.nodes[0])
-        P -= P.mean()
-        np.cumsum(P, out=P)
-        dz = np.repeat(np.add.reduceat(P, mesh.nodes - mesh.nodes[0]) / counts, counts)
-        dz -= P
-        del P
-        dz *= np.repeat(eps / cs.cells.stiffness, counts)
-        # eps times the exclusive cumsum of dz, which restarts at 0 on every element
-        vals += eps * (np.cumsum(dz) - dz)
-    for s in range(p):  # element-order entry k holds site nodes[0] - 1 + k
-        k = (s - mesh.nodes[0] + 1) % p
-        cell = np.repeat(cs.chi[:, s], counts)[k::p]
-        if f is not None:
-            moved = np.repeat(cs.cells.sensitivity[:, s], counts)[k::p]
-            moved *= dz[k::p]
-            cell += moved
+        # P / eps up to a constant, which dz does not see, summed from site 1:
+        # it passes from site N to site 1 without a jump, as f - <f> sums to
+        # 0, so the element that wraps around sees one primitive too
+        dz = f.values - f.values.mean()
+        np.cumsum(dz, out=dz)
+        dz -= np.repeat((element_reduce(np.add, mesh, dz) / counts)[element], runs)
+        dz *= np.repeat((-eps * eps / cs.cells.stiffness)[element], runs)  # eps dz
+        for s in range(p):  # the cell fields' change eps chi'_T dz
+            moved = np.repeat(cs.cells.sensitivity[element, s], runs)[s::p]
+            moved *= dz[s::p]
+            out[s::p] += moved
+            del moved
+        # eps times the exclusive cumulative sum of dz, which restarts at 0 on
+        # every element, as dz sums to 0 on each, up to a constant
+        out[1:] += np.cumsum(dz, out=dz)[:-1]
+    for s in range(p):  # site index i is of species i mod p
+        cell = np.repeat(cs.chi[element, s], runs)[s::p]
         cell *= eps
-        vals[k::p] += cell
-    vals = _to_sites(mesh, vals)
-    return LatticeFn(grid, vals - vals.mean())
+        out[s::p] += cell
+        del cell  # before the next species' repeat
+    out -= out.mean()
+    return LatticeFn(grid, out)
 
 
 @dataclass(frozen=True)

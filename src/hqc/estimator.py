@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coarse import CoarseFn, ForceFunctional, Mesh1D, element_max
+from .coarse import CoarseFn, ForceFunctional, Mesh1D, element_reduce
 from .lattice import LatticeFn, primitive_dual_norm
 from .potentials import Microstructure, PotentialFamily
 
@@ -68,18 +68,12 @@ def indicator_terms(
     jump = float(node_jumps.max())
     per_element = np.maximum(node_jumps, np.roll(node_jumps, -1))
     # h - eps >= 0 is constant on an element, so |(h - eps) f| peaks where |f| does
-    f_max = element_max(mesh, np.abs(f.values))
+    f_max = np.maximum(element_reduce(np.maximum, mesh, f.values),
+                       -element_reduce(np.minimum, mesh, f.values))
     force = float(((mesh.element_sizes() - mesh.grid.eps) * f_max).max())
     quad = primitive_dual_norm(F.quadrature_gap(mesh))
     total = assemble_total(jump, force, quad, calibration_constant, c0_inv)
     return ErrorReport(jump, force, quad, calibration_constant, c0_inv, total, per_element)
-
-
-def calibrate_constant(report: ErrorReport, reference_error: float) -> float:
-    """Fit the jump-term prefactor so the total bounds a reference error."""
-    if report.jump_term <= 0:
-        raise ValueError("cannot calibrate with a vanishing jump term")
-    return reference_error / report.jump_term
 
 
 def estimate_constants(family: PotentialFamily, micro: Microstructure):

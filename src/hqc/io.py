@@ -55,7 +55,8 @@ def load_coarse_fn(path, p: int = 1) -> CoarseFn:
     return CoarseFn(Mesh1D(LatticeGrid(head["N"], p), nodes), values)
 
 
-def save_trace_csv(path, trace) -> None:
-    lines = ["iter,residual_dual,step_damping"]
+def save_trace_csv(path, trace, column: str = "residual_dual") -> None:
+    """Newton trace rows (iteration, value, step damping), the value under ``column``."""
+    lines = [f"iter,{column},step_damping"]
     lines += [f"{int(i)},{_fmt(res)},{_fmt(t)}" for i, res, t in trace]
     Path(path).write_text("\n".join(lines) + "\n")

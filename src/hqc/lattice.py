@@ -123,11 +123,6 @@ def translate(u: LatticeFn, k: int) -> LatticeFn:
     return u.with_values(np.roll(u.values, -k))
 
 
-def project_zero_mean(u: LatticeFn) -> LatticeFn:
-    """Remove the mean: u - <u>."""
-    return u.with_values(u.values - u.values.mean())
-
-
 def inner(u: LatticeFn, v: LatticeFn) -> float:
     """Mean-scaled scalar product (1/N) sum u(x) v(x)."""
     if u.grid != v.grid:

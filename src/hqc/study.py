@@ -31,13 +31,14 @@ corrected solution leaves the force primitive's variation across each
 element as its residual, which moving every site's strain through its
 element's linearized law removes in O(N).  Each row is then built once,
 from its corrected solution (``corrector(cs)``) and that field's two error
-seminorms.  A study that fails in a coarse row stops before it solves or
-caches the reference.  Rows are written in schedule order; all scientific
-columns are deterministic, and wall-clock timing is off by default so that
-reruns with the same config produce byte-identical CSV files (opt in with
-``timing=True``; ``wall_ms`` covers a row's coarse solve, indicators and
-corrector, where a row of a uniform schedule counts the share of the
-batched solve in proportion to its element count).
+seminorms, in two buffers that every row reuses, so that no row allocates
+a lattice-sized array.  A study that fails in a coarse row stops before it
+solves or caches the reference.  Rows are written in schedule order; all
+scientific columns are deterministic, and wall-clock timing is off by
+default so that reruns with the same config produce byte-identical CSV
+files (opt in with ``timing=True``; ``wall_ms`` covers a row's coarse
+solve, indicators and corrector, where a row of a uniform schedule counts
+the share of the batched solve in proportion to its element count).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .config import ExperimentConfig
 from .estimator import adapt_mesh, indicator_terms
 from .exceptions import ConfigError, SolverFailure, StabilityError
 from .io import load_lattice_fn, save_lattice_fn
-from .lattice import LatticeFn, LatticeGrid, seminorm
+from .lattice import LatticeFn, LatticeGrid
 from .lattice2d import SpringModel2D, exp_sin_force, solve2d
 from .microhom import HomogenizedLaw
 from .potentials import (
@@ -140,8 +141,13 @@ def build_family(cfg: ExperimentConfig):
 
 
 def sin_force(grid: LatticeGrid, amplitude: float, phase: float) -> LatticeFn:
-    vals = amplitude * np.sin(phase + 2.0 * np.pi * grid.sites())
-    return LatticeFn(grid, vals - vals.mean())
+    vals = grid.sites()
+    vals *= 2.0 * np.pi
+    vals += phase
+    np.sin(vals, out=vals)
+    vals *= amplitude
+    vals -= vals.mean()
+    return LatticeFn(grid, vals)
 
 
 def microstructure_start(grid: LatticeGrid, micro) -> LatticeFn:
@@ -231,6 +237,15 @@ def _coarse_solves(cfg, grid, law, F, f, c0_inv, clock):
     return solved
 
 
+def _row_errors(field, u_ref, steps, eps):
+    """(|d|_{1,inf}, |d|_{0,inf}) for d = field - u_ref, formed in ``field``,
+    its steps but the wrapping one in ``steps``: maxima and minima, no abs."""
+    field -= u_ref
+    np.subtract(field[1:], field[:-1], out=steps)
+    step = max(steps.max(), -steps.min(), abs(field[0] - field[-1]))
+    return float(step / eps), float(max(field.max(), -field.min()))
+
+
 def run_study(
     cfg: ExperimentConfig,
     out_dir=None,
@@ -261,18 +276,19 @@ def run_study(
 
     solved = _coarse_solves(cfg, grid, law, F, f, c0_inv, clock)
     u_ref = _reference_solution(cfg, family, f, solved[-1][0], out_dir, use_cache)
+    field, steps = np.empty(grid.N), np.empty(grid.N - 1)  # every row's buffers
     rows = []
     for cs, report, wall in solved:
         t0 = clock()
-        uc = corrector(cs)
+        corrector(cs, out=field)
         wall += (clock() - t0) * 1e3
-        diff = LatticeFn(grid, uc.values - u_ref.values)
+        err_1inf, err_0inf = _row_errors(field, u_ref.values, steps, grid.eps)
         rows.append(
             StudyRow(
                 h_max=cs.u.mesh.h_max,
                 dof=cs.u.mesh.n_elements,
-                err_1inf=seminorm(diff, 1, np.inf),
-                err_0inf=seminorm(diff, 0, np.inf),
+                err_1inf=err_1inf,
+                err_0inf=err_0inf,
                 eta_jump=report.jump_term,
                 eta_force=report.force_term,
                 eta_quad=report.quadrature_term,

@@ -5,8 +5,10 @@ linear program over the constraint polytope, derivatives from central
 finite differences, micro ground states from scalar minimization, cell
 gradients and Hessians from the shell-by-shell loop assembly, bond values
 from the closed-form laws written out per shell and species, the 1D
-and 2D coarse fields on the sites from a site-by-site loop, and bulk
-marking from an element-by-element loop over a set of node labels.
+and 2D coarse fields on the sites from a site-by-site loop, bulk
+marking from an element-by-element loop over a set of node labels, and
+node loads and element maxima from the lattice rolled into element order.
+A few small helpers that only tests call live here as well.
 """
 
 import numpy as np
@@ -164,6 +166,48 @@ def interpolation_matrix(nodes: np.ndarray, N: int) -> np.ndarray:
             A[(a + o) % N, a] += 1.0 - o / n
             A[(a + o) % N, b] += o / n
     return A
+
+
+def rolled_element_order(nodes: np.ndarray, w: np.ndarray):
+    """(site counts, element starts, each site's offset in its element, w) in
+    element order, the sites from node 0 on, by one roll of w."""
+    N = w.size
+    counts = np.diff(nodes, append=nodes[0] + N)
+    starts = nodes - nodes[0]
+    return counts, starts, np.arange(N) - np.repeat(starts, counts), np.roll(w, 1 - nodes[0])
+
+
+def istar_nodes_rolled(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Node values of istar(w) from w rolled into element order: element j
+    gives each site's right share off / n to node j + 1, the rest to node j."""
+    counts, starts, off, f = rolled_element_order(nodes, w)
+    right = np.add.reduceat(f * off, starts) / counts
+    left = np.add.reduceat(f, starts) - right
+    return left + np.roll(right, 1)
+
+
+def element_max_rolled(nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Largest entry of w on each element, from w rolled into element order."""
+    _counts, starts, _off, f = rolled_element_order(nodes, w)
+    return np.maximum.reduceat(f, starts)
+
+
+def lattice_mean(u) -> float:
+    """Lattice mean of the coarse function u from its nodal values and the
+    mesh's mean weights."""
+    return float(u.mesh.mean_weights() @ u.nodal_values)
+
+
+def project_zero_mean(u):
+    """The lattice function u less its mean."""
+    return u.with_values(u.values - u.values.mean())
+
+
+def calibrate_constant(report, reference_error: float) -> float:
+    """The jump-term prefactor for which the total bounds a reference error."""
+    if report.jump_term <= 0:
+        raise ValueError("cannot calibrate with a vanishing jump term")
+    return reference_error / report.jump_term
 
 
 def bulk_refined_nodes(nodes: np.ndarray, N: int, eta: np.ndarray, theta: float) -> np.ndarray:

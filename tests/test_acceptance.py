@@ -28,7 +28,6 @@ from hqc import (
     interpolate,
     lj_family,
     nn_dominance_margin,
-    project_zero_mean,
     quadratic_family,
     run_study,
     seminorm,
@@ -43,7 +42,7 @@ from hqc.exceptions import StabilityError
 from hqc.lattice import primitive_dual_norm
 from hqc.study import microstructure_start, sin_force
 
-from oracles import dual_norm_lp, energy_grad_hess
+from oracles import dual_norm_lp, energy_grad_hess, project_zero_mean
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

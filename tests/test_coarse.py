@@ -1,8 +1,9 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hqc import (
@@ -31,7 +32,7 @@ from hqc import (
     uniform_mesh,
 )
 import hqc.coarse
-from hqc.coarse import _element_of, coarse_newton_step
+from hqc.coarse import _element_of, _istar_nodes, coarse_newton_step, element_reduce
 from hqc.atomistic import NEWTON_TOL, AtomisticProblem
 from hqc.lattice import dual_seminorm_neg1, primitive_dual_norm
 from hqc.microhom import CELL_TOL, condense_cells
@@ -42,9 +43,13 @@ from oracles import (
     coarse_dual_lp,
     coarse_step_dense,
     corrected_on_sites,
+    element_max_rolled,
     energy_grad_hess,
     equilibrated_on_sites,
     interpolation_matrix,
+    istar_nodes_rolled,
+    lattice_mean,
+    project_zero_mean,
     site_elements,
 )
 
@@ -56,7 +61,7 @@ def rand_mesh(rng, grid, m):
 
 def one_site_mesh(rng, grid, m):
     """Random mesh with a 1-site element; its first node is random, so the
-    last element mostly wraps past site N and element order is a roll."""
+    last element mostly wraps past site N and has sites before node 0."""
     nodes = rng.choice(np.arange(1, grid.N + 1), size=m, replace=False)
     return Mesh1D(grid, np.union1d(nodes, nodes[0] % grid.N + 1))
 
@@ -107,7 +112,7 @@ class TestMesh:
             mesh = rand_mesh(rng, grid, m)
             U = rng.standard_normal(m)
             u = CoarseFn(mesh, U)
-            assert u.lattice_mean() == pytest.approx(u.to_lattice().values.mean(), abs=1e-14)
+            assert lattice_mean(u) == pytest.approx(u.to_lattice().values.mean(), abs=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 120), m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
@@ -184,21 +189,32 @@ class TestElementOf:
         assert np.array_equal(site_elements(coarse.nodes, n), parent[site_elements(fine.nodes, n)])
 
 
+def node_load_bound(mesh, w):
+    """Roundoff bound on the node values of istar(w): an element of n sites
+    weights its sites by their indices i < 2 N and subtracts its first index
+    times its sum, so its right share may lose about log10(N / n) digits.
+    Bounded by 4 roundoffs of (N / n + n) times the element's sum of |w|,
+    gathered at each node from its two elements; random meshes with N <= 512
+    reach 1.5 of the 4, and the oracles' own roundoff is in the n term."""
+    n = mesh.site_counts()
+    per_element = (mesh.grid.N / n + n) * element_reduce(np.add, mesh, np.abs(w))
+    return 4 * np.finfo(float).eps * (per_element + np.roll(per_element, 1))
+
+
 class TestIstar:
     @given(n=st.integers(2, 300), m=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_matches_dense_transpose(self, n, m, seed):
-        # istar is the transpose of the interpolation matrix; its left share
-        # of an element is the element sum minus the right share, so an
-        # entry may differ by a few roundoffs of the |w| it gathers
+        # istar is the transpose of the interpolation matrix, within the
+        # roundoff bound of TestSiteOrderReductions on its node values
         rng = np.random.default_rng(seed)
         grid = LatticeGrid(n)
         mesh = rand_mesh(rng, grid, min(m, n))
         w = rng.standard_normal(n)
         A = interpolation_matrix(mesh.nodes, n)
-        gathered = (A != 0).T @ np.abs(w)
-        bound = 4 * mesh.site_counts().max() * np.finfo(float).eps * gathered
         err = np.abs(istar(mesh, LatticeFn(grid, w)).values - A.T @ w)
+        bound = np.zeros(n)
+        bound[mesh.nodes - 1] = node_load_bound(mesh, w)
         assert (err <= bound).all()
 
     def test_interior_indicator_split(self):
@@ -251,8 +267,6 @@ class TestIstar:
 
     def test_dual_norm_stability(self):
         # |istar f|_{-1,inf} <= |f|_{-1,inf}
-        from hqc import dual_seminorm_neg1, project_zero_mean
-
         rng = np.random.default_rng(69)
         grid = LatticeGrid(48)
         for _ in range(25):
@@ -287,6 +301,61 @@ class TestIstar:
                 * seminorm(v, 1, np.inf)
             )
             assert lhs <= bound + 1e-12
+
+
+@st.composite
+def oracle_meshes(draw):
+    """Meshes of N <= 512 sites, p = 1..3: 2-node meshes, the all-node mesh,
+    and meshes with and without sites 1 and N as nodes."""
+    p = draw(st.integers(1, 3))
+    grid = LatticeGrid(p * draw(st.integers(2 if p == 1 else 1, 512 // p)), p)
+    N = grid.N
+    kind = draw(st.sampled_from(["two", "all", "some"]))
+    if kind == "all":
+        return Mesh1D(grid, np.arange(1, N + 1))
+    ends = [site for site in (1, N) if draw(st.booleans())]
+    m = 2 if kind == "two" else draw(st.integers(2, N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner_sites = np.arange(2, N)  # neither site 1 nor site N
+    extra = min(max(m - len(ends), 0), inner_sites.size)
+    nodes = np.union1d(ends, rng.choice(inner_sites, size=extra, replace=False)).astype(int)
+    assume(nodes.size >= 2)
+    return Mesh1D(grid, nodes)
+
+
+class TestSiteOrderReductions:
+    """The node loads and the element maxima reduce the lattice in site
+    order; the oracles roll it into element order first."""
+
+    @given(mesh=oracle_meshes(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_match_the_rolled_oracles(self, mesh, seed):
+        w = np.random.default_rng(seed).standard_normal(mesh.grid.N)
+        new, old = _istar_nodes(mesh, w), istar_nodes_rolled(mesh.nodes, w)
+        assert (np.abs(new - old) <= node_load_bound(mesh, w)).all()
+        if mesh.n_elements == mesh.grid.N:  # the all-node mesh: istar is the identity
+            assert np.array_equal(new, w) and np.array_equal(old, w)
+        # maxima have no roundoff: bit for bit, and so are those of |w|
+        assert np.array_equal(element_reduce(np.maximum, mesh, w),
+                              element_max_rolled(mesh.nodes, w))
+        absmax = np.maximum(element_reduce(np.maximum, mesh, w),
+                            -element_reduce(np.minimum, mesh, w))
+        assert np.array_equal(absmax, element_max_rolled(mesh.nodes, np.abs(w)))
+
+    @pytest.mark.parametrize("m", [16, 256])
+    def test_node_loads_peak_at_65536_sites(self, m):
+        # one lattice-sized temporary, the weights by site index formed in
+        # place, plus per-element arrays
+        grid = LatticeGrid(65536, 2)
+        F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
+        mesh = uniform_mesh(grid, m)
+        tracemalloc.start()
+        try:
+            F.node_values(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * grid.N + 64 * m
 
 
 class TestForceFunctional:
@@ -395,7 +464,7 @@ class TestSolveCoarse:
     def test_zero_lattice_mean(self, lj_setup):
         law, grid, f = lj_setup
         cs = solve_coarse(law, uniform_mesh(grid, 8), ForceFunctional("node_lumped", f))
-        assert abs(cs.u.lattice_mean()) < 1e-13
+        assert abs(lattice_mean(cs.u)) < 1e-13
 
 
 class TestNestedStart:
@@ -835,6 +904,10 @@ class TestCorrector:
         cs = CoarseSolution(u, 0.0, 0, chi)
         ref = corrected_on_sites(mesh.nodes, u.nodal_values, chi, grid.N, p)
         assert np.array_equal(corrector(cs).values, ref)
+        # into a buffer: the same field, in the buffer, whatever it held
+        buf = np.full(grid.N, np.nan)
+        assert corrector(cs, out=buf).values is buf
+        assert np.array_equal(buf, ref)
 
 
 def atomistic_residual(family, f, u):

@@ -11,7 +11,6 @@ from hqc import (
     LatticeGrid,
     Mesh1D,
     adapt_mesh,
-    calibrate_constant,
     corrector,
     estimate_constants,
     ground_microstructure,
@@ -25,7 +24,7 @@ from hqc import (
 from hqc.atomistic import AtomisticProblem, solve_atomistic
 from hqc.study import microstructure_start, sin_force
 
-from oracles import bulk_refined_nodes, coarse_dual_lp, site_elements
+from oracles import bulk_refined_nodes, calibrate_constant, coarse_dual_lp, site_elements
 
 
 @pytest.fixture(scope="module")

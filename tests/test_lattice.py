@@ -8,12 +8,11 @@ from hqc import (
     diff_r,
     dual_seminorm_neg1,
     inner,
-    project_zero_mean,
     seminorm,
     translate,
 )
 
-from oracles import dual_norm_lp
+from oracles import dual_norm_lp, project_zero_mean
 
 
 def fn(values, p=1):

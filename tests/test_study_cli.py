@@ -22,6 +22,7 @@ from hqc import (
     ground_microstructure,
     read_rows_csv,
     run_study,
+    seminorm,
     solve_atomistic,
     solve_coarse,
     solve_coarse_meshes,
@@ -182,6 +183,16 @@ class TestRows:
             fit_slope(rows, "err_1inf")
 
 
+def traced_peak(fn) -> int:
+    """Peak traced memory, in bytes, of the call fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRunStudy:
     def test_deterministic_rerun_byte_identical(self, tmp_path):
         cfg = cfg_1d()
@@ -284,6 +295,69 @@ class TestRunStudy:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1] + 0.5 * 8 * N
 
+    def test_row_peak_at_65536_sites(self):
+        # a row, the corrector into the row buffer and both errors, takes at
+        # most 2 lattice vectors beyond the buffers, and the reference's
+        # start, corrector(cs, f), its field and at most 2 temporaries
+        from hqc.study import _row_errors, setup_1d
+
+        N = 65536
+        mapping = parse_config(LJ_1D)
+        mapping.update({"grid.N": str(N), "mesh.schedule": "256"})
+        cfg = build_config(mapping)
+        grid, _family, _micro, _margin, law, f = setup_1d(cfg)
+        F = ForceFunctional(cfg.functional_kind, f)
+        (cs,) = solve_coarse_meshes(law, [uniform_mesh(grid, 256)], F)
+        start = []
+        assert traced_peak(lambda: start.append(corrector(cs, f))) <= 3 * 8 * N + 2**14
+        field, steps = np.empty(N), np.empty(N - 1)
+
+        def row():
+            corrector(cs, out=field)
+            _row_errors(field, start[0].values, steps, grid.eps)
+
+        assert traced_peak(row) <= 2 * 8 * N
+
+    def test_study_peak_at_65536_sites(self):
+        # the benchmark's lj_1d_fine sizes: the atomistic reference sets the
+        # peak, 16.38 lattice vectors, and no row may raise it.  The study is
+        # traced the second time, so that the first one's imports, caches and
+        # compiled code, some 0.02 vectors, do not count
+        N = 65536
+        mapping = parse_config(LJ_1D)
+        mapping.update({"grid.N": str(N), "mesh.schedule": "16, 64, 256"})
+        cfg = build_config(mapping)
+        run_study(cfg, use_cache=False)
+        assert traced_peak(lambda: run_study(cfg, use_cache=False)) / (8 * N) <= 16.39
+
+    @pytest.mark.parametrize("extra", ["", ADAPTIVE_4])
+    def test_row_errors_are_the_seminorms(self, monkeypatch, extra):
+        # a row's errors, formed in its reused buffers, are seminorm's on a
+        # fresh difference bit for bit: at N = 256 the division by eps is
+        # exact, and it commutes with the max anyway
+        import hqc.study
+
+        rowed, refs = [], []
+
+        def recording_corrector(cs, f=None, out=None):
+            if f is None:
+                rowed.append(cs)
+            return corrector(cs, f, out)
+
+        def recording_solve(prob, **kw):
+            refs.append(solve_atomistic(prob, **kw))
+            return refs[-1]
+
+        monkeypatch.setattr(hqc.study, "corrector", recording_corrector)
+        monkeypatch.setattr(hqc.study, "solve_atomistic", recording_solve)
+        rows = run_study(cfg_1d(extra), use_cache=False)
+        (ref,) = refs
+        assert len(rowed) == len(rows)
+        for row, cs in zip(rows, rowed):
+            diff = LatticeFn(ref.u.grid, corrector(cs).values - ref.u.values)
+            assert row.err_1inf == seminorm(diff, 1, np.inf)
+            assert row.err_0inf == seminorm(diff, 0, np.inf)
+
     @pytest.mark.parametrize("extra", ["", ADAPTIVE_4])
     def test_each_row_starts_from_the_previous_solution(self, monkeypatch, extra):
         # an adaptive study nests each solve in the previous one; a uniform
@@ -381,8 +455,8 @@ def solve_lj_1d_study(N, phase):
     cfg = build_config(mapping)
     corrected, solves = [], []
 
-    def recording_corrector(cs, f=None):
-        corrected.append((cs, f, corrector(cs, f)))
+    def recording_corrector(cs, f=None, out=None):
+        corrected.append((cs, f, corrector(cs, f, out)))
         return corrected[-1][2]
 
     def recording_solve(prob, **kw):
@@ -622,6 +696,19 @@ class TestCli:
         assert (out / "micro.csv").read_text().startswith("z,phi0,dphi0,d2phi0")
         assert main(["estimate", "--config", cfgfile, "--out", str(out)]) == 0
         assert (out / "estimate.csv").read_text().startswith("h_max,")
+
+    def test_trace_headers(self, tmp_path):
+        # the coarse trace holds the merit, the larger of the dual norm and
+        # the scaled worst cell residual; the atomistic one the dual norm
+        cfgfile = self.write_cfg(tmp_path, BASE_1D)
+        out = tmp_path / "out"
+        assert main(["solve-atomistic", "--config", cfgfile, "--out", str(out)]) == 0
+        assert main(["solve-hqc", "--config", cfgfile, "--out", str(out)]) == 0
+        atomistic = (out / "atomistic_trace.csv").read_text().splitlines()
+        coarse = (out / "hqc_trace.csv").read_text().splitlines()
+        assert atomistic[0] == "iter,residual_dual,step_damping"
+        assert coarse[0] == "iter,merit,step_damping"
+        assert float(coarse[-1].split(",")[1]) <= 1e-10
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfgfile = self.write_cfg(tmp_path, BASE_1D)
