@@ -35,7 +35,7 @@ from hqc.study import microstructure_start
 def main() -> None:
     family = lj_family([1.0, 9.0 / 8.0], R=3)
     law = HomogenizedLaw(family)
-    micro = ground_microstructure(law)
+    chi_star = ground_microstructure(law)
     grid = LatticeGrid(1024, 2)
 
     # a force with a sharp bump: most of the solution curvature sits near x = 0.5
@@ -44,9 +44,9 @@ def main() -> None:
     f = LatticeFn(grid, fv - fv.mean())
     F = ForceFunctional("exact_summation", f)
     ref = solve_atomistic(
-        AtomisticProblem(grid, family, f), u_init=microstructure_start(grid, micro)
+        AtomisticProblem(grid, family, f), u_init=microstructure_start(grid, chi_star)
     )
-    c0_inv = 1.0 / nn_dominance_margin(family, micro)
+    c0_inv = 1.0 / nn_dominance_margin(family, chi_star)
 
     print(f"{'step':>4} {'nodes':>6} {'h_max':>9} {'jump':>11} {'total':>11} {'err_1inf':>11}")
     mesh = uniform_mesh(grid, 4)

@@ -25,15 +25,14 @@ from hqc import (
 def main() -> None:
     family = lj_family([1.0, 9.0 / 8.0], R=3)
     law = HomogenizedLaw(family)
-    micro = ground_microstructure(law)
-    print("ground microstructure chi_*:", micro.chi_star.values)
-    print("micro deformation increments 1 + D chi_*:",
-          1.0 + np.roll(micro.chi_star.values, -1) - micro.chi_star.values)
+    chi_star = ground_microstructure(law)
+    print("ground microstructure chi_*:", chi_star)
+    print("micro deformation increments 1 + D chi_*:", 1.0 + np.roll(chi_star, -1) - chi_star)
 
-    margin = nn_dominance_margin(family, micro)
+    margin = nn_dominance_margin(family, chi_star)
     print(f"nearest-neighbor dominance margin: {margin:.4f} (> 0: stable)")
 
-    c11, c0 = estimate_constants(family, micro)
+    c11, c0 = estimate_constants(family, chi_star)
     print(f"sampled curvature surrogate C11 = {c11:.2f}, coercivity lower bound c0 = {c0:.2f}")
 
     zs = np.linspace(-0.06, 0.06, 13)

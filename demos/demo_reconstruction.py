@@ -38,12 +38,12 @@ from hqc.study import microstructure_start, sin_force
 def main() -> int:
     family = lj_family([1.0, 9.0 / 8.0], R=3)
     law = HomogenizedLaw(family)
-    micro = ground_microstructure(law)
+    chi_star = ground_microstructure(law)
     grid = LatticeGrid(512, 2)
     f = sin_force(grid, 50.0, 1.0)
 
     ref = solve_atomistic(
-        AtomisticProblem(grid, family, f), u_init=microstructure_start(grid, micro)
+        AtomisticProblem(grid, family, f), u_init=microstructure_start(grid, chi_star)
     )
     hom = solve_coarse(law, uniform_mesh(grid, grid.N), ForceFunctional("exact_summation", f))
     hom_u = hom.u.to_lattice()

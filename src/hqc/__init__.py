@@ -11,20 +11,8 @@ dimensions.
 """
 
 from .exceptions import ConfigError, DomainError, SolverFailure, StabilityError
-from .lattice import (
-    LatticeFn,
-    LatticeGrid,
-    MicroFn,
-    average_r,
-    diff_r,
-    dual_seminorm_neg1,
-    inner,
-    norm,
-    seminorm,
-    translate,
-)
+from .lattice import LatticeFn, LatticeGrid, diff_r, seminorm
 from .potentials import (
-    Microstructure,
     PotentialFamily,
     ground_microstructure,
     lj_family,
@@ -45,7 +33,6 @@ from .coarse import (
     Mesh1D,
     corrector,
     equivalence_check,
-    interpolate,
     istar,
     solve_coarse,
     solve_coarse_meshes,
@@ -62,13 +49,12 @@ from .lattice2d import (
     Homogenized2D,
     SpringModel2D,
     chi_analytic,
-    energy2d,
     exp_sin_force,
     gradient_error,
     homogenize2d,
     solve2d,
 )
 from .config import ExperimentConfig, build_config, load_experiment_config, parse_config
-from .study import StudyRow, fit_slope, read_rows_csv, run_study, run_study_2d, write_rows_csv
+from .study import StudyRow, fit_slope, run_study, run_study_2d, write_rows_csv
 
 __version__ = "0.1.0"

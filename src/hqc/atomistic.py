@@ -46,14 +46,13 @@ log = logging.getLogger(__name__)
 class AtomisticProblem:
     """Grid, interaction family, and a zero-mean external force.
 
-    A force with nonzero mean is projected at construction; the subtracted
-    constant is recorded in ``subtracted_mean`` and logged.
+    A force with nonzero mean is projected at construction, and the
+    subtracted constant logged.
     """
 
     grid: LatticeGrid
     family: PotentialFamily
     force: LatticeFn
-    subtracted_mean: float = 0.0
 
     def __post_init__(self):
         if self.grid.p != self.family.p:
@@ -62,7 +61,6 @@ class AtomisticProblem:
         if abs(m) > 1e-12:
             log.info("projecting force to zero mean (subtracted constant %.3e)", m)
             object.__setattr__(self, "force", self.force.with_values(self.force.values - m))
-            object.__setattr__(self, "subtracted_mean", float(m))
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,10 @@ def _out_dir(args) -> Path:
 
 
 def cmd_solve_atomistic(cfg, args) -> int:
-    grid, family, micro, margin, _law, f = setup_1d(cfg)
+    grid, family, chi, margin, _law, f = setup_1d(cfg)
     require_dominance(margin)
     prob = AtomisticProblem(grid, family, f)
-    sol = solve_atomistic(prob, u_init=microstructure_start(grid, micro))
+    sol = solve_atomistic(prob, u_init=microstructure_start(grid, chi))
     out = _out_dir(args)
     hio.save_lattice_fn(out / "atomistic.txt", sol.u)
     hio.save_trace_csv(out / "atomistic_trace.csv", sol.trace)
@@ -62,7 +62,7 @@ def _first_mesh(cfg, grid):
 
 
 def cmd_solve_hqc(cfg, args) -> int:
-    grid, _family, _micro, margin, law, f = setup_1d(cfg)
+    grid, _family, _chi, margin, law, f = setup_1d(cfg)
     require_dominance(margin)
     mesh = _first_mesh(cfg, grid)
     F = ForceFunctional(cfg.functional_kind, f)
@@ -79,7 +79,7 @@ def cmd_solve_hqc(cfg, args) -> int:
 
 
 def cmd_micro(cfg, args) -> int:
-    _grid, _family, _micro, margin, law, _f = setup_1d(cfg)
+    _grid, _family, _chi, margin, law, _f = setup_1d(cfg)
     require_dominance(margin)
     z_lo, z_hi, count = cfg.micro_z_lo, cfg.micro_z_hi, cfg.micro_z_count
     table = law.tabulate(np.linspace(z_lo, z_hi, count))
@@ -93,7 +93,7 @@ def cmd_micro(cfg, args) -> int:
 
 
 def cmd_estimate(cfg, args) -> int:
-    grid, _family, _micro, margin, law, f = setup_1d(cfg)
+    grid, _family, _chi, margin, law, f = setup_1d(cfg)
     require_dominance(margin)
     c0_inv = cfg.c0_inv if cfg.c0_inv is not None else 1.0 / margin
     mesh = _first_mesh(cfg, grid)
@@ -125,13 +125,12 @@ def cmd_study2d(cfg, args) -> int:
 
 
 def cmd_check(cfg, args) -> int:
-    _grid, family, micro, margin, _law, _f = setup_1d(cfg)
-    chi = micro.chi_star.values
+    _grid, family, chi, margin, _law, _f = setup_1d(cfg)
     print(f"ground microstructure: chi_* = {np.array2string(chi, precision=8)}")
     print(f"  micro deformation strictly increasing: min(1 + D chi) = "
           f"{float((1 + np.roll(chi, -1) - chi).min()):.6g}")
     print(f"  ||chi_*||_inf = {np.abs(chi).max():.6g} <= (p-1)/2 = {(family.p - 1) / 2}")
-    c11, c0_lower = estimate_constants(family, micro)
+    c11, c0_lower = estimate_constants(family, chi)
     print(f"nearest-neighbor dominance margin: {margin:.6g}")
     print(f"sampled Lipschitz surrogate C11 = {c11:.6g}, c0 lower bound = {c0_lower:.6g}")
     require_dominance(margin)

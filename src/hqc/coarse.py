@@ -15,8 +15,9 @@ solution: u + eps chi(D u; x/eps), from the cell fields the solution
 carries, and, given the lattice force, the same field moved to local
 equilibrium, the start of an atomistic solve.
 
-``istar`` is the adjoint of the nodal interpolant under the mean-scaled
-pairing: <istar(w), v> = <w, interpolate(v)> for all v.  Its action
+``istar`` is the adjoint of the nodal interpolant I_h under the
+mean-scaled pairing: <istar(w), v> = <w, I_h v> for all v, where I_h v is
+the coarse function with v's values at the nodes.  Its action
 distributes interior values of w to the two element endpoints with
 barycentric weights, so a unit value at an interior site xi of [a, b)
 contributes (b - xi)/(b - a) at a and the rest at b.
@@ -129,11 +130,6 @@ class CoarseFn:
         return LatticeFn(self.mesh.grid, _site_values(self, *_site_runs(self.mesh)))
 
 
-def interpolate(mesh: Mesh1D, v: LatticeFn) -> CoarseFn:
-    """Nodal interpolant onto the coarse space (idempotent on coarse data)."""
-    return CoarseFn(mesh, v.values[mesh.nodes - 1])
-
-
 def _element_of(mesh: Mesh1D, sites: np.ndarray) -> np.ndarray:
     """The element of ``mesh`` containing each of the 1-based site labels ``sites``."""
     # sites before the first node lie in the last, wrapping element
@@ -193,7 +189,7 @@ def _istar_nodes(mesh: Mesh1D, w: np.ndarray) -> np.ndarray:
 
 
 def istar(mesh: Mesh1D, w: LatticeFn) -> LatticeFn:
-    """Adjoint of the interpolant: <istar(w), v> = <w, interpolate(v).to_lattice()>."""
+    """Adjoint of the nodal interpolant I_h: <istar(w), v> = <w, I_h v>."""
     out = np.zeros(mesh.grid.N)
     out[mesh.nodes - 1] = _istar_nodes(mesh, w.values)
     return LatticeFn(mesh.grid, out)
@@ -239,7 +235,7 @@ class ForceFunctional:
         return self.node_values(mesh) - self._exact_node_values(mesh)
 
     def rhs_lattice(self, mesh: Mesh1D) -> LatticeFn:
-        """Node-supported lattice function W with <W, v>_L = <F^h, interpolate(v)>_h."""
+        """Node-supported lattice function W with <W, v>_L = <F^h, I_h v>_h."""
         if self.kind == "exact_summation":
             return istar(mesh, self.f)
         out = np.zeros(mesh.grid.N)
@@ -255,10 +251,10 @@ class CoarseSolution:
     #: (M, p) cell fields of the last accepted residual evaluation, i.e. at
     #: the element strains of ``u``
     chi: np.ndarray = field(repr=False)
-    trace: tuple = field(default=(), repr=False)
+    trace: tuple = field(repr=False)
     #: the cells condensed at that evaluation: their stiffnesses K = W''
     #: and sensitivities chi' at the element strains of ``u``
-    cells: CondensedCells | None = field(default=None, repr=False)
+    cells: CondensedCells = field(repr=False)
 
 
 def coarse_newton_step(K, h, ws, starts=None):
@@ -320,30 +316,28 @@ def solve_coarse(
     Without ``init`` every element starts at strain 0 from the law's
     ``ground_cell`` (:func:`solve_coarse_meshes` on the one mesh): a start
     far from cell equilibrium can lead the joint iteration to stall where a
-    start on it converges.  ``init``, a solution on any mesh of the same
-    grid, gives a nested start: each element takes the strain, cell field
-    and condensed cell of its parent, the element of ``init`` containing
-    its middle site.  On a refinement of ``init.u.mesh`` those cells are
-    converged at exactly those strains and are the evaluated start, so no
-    cell is evaluated before the first Newton step.  On another mesh the
-    parents' strains need not satisfy sum(h z) = 0, and the start is
-    evaluated, which projects them.  ValueError if ``init`` is on another
-    grid or carries no condensed cells, or if the mesh's species count is
+    start on it converges.  ``init``, a solution on a mesh that ``mesh``
+    refines, gives a nested start: each element takes the strain, cell
+    field and condensed cell of its parent, the element of ``init``
+    containing its middle site.  Those cells are converged at exactly those
+    strains and are the evaluated start, so no cell is evaluated before the
+    first Newton step.  ValueError if ``init`` is on another grid or on a
+    mesh that ``mesh`` does not refine, or if the mesh's species count is
     not the law's.
     """
     if init is None:
         return solve_coarse_meshes(law, [mesh], F)[0]
-    if init.u.mesh.grid != mesh.grid:
-        raise ValueError(f"init is on {init.u.mesh.grid}, the mesh on {mesh.grid}")
-    if init.cells is None:
-        raise ValueError("init carries no condensed cells (init.cells is None)")
+    old = init.u.mesh
+    if old.grid != mesh.grid:
+        raise ValueError(f"init is on {old.grid}, the mesh on {mesh.grid}")
+    if not (mesh.nodes[_element_of(mesh, old.nodes)] == old.nodes).all():
+        raise ValueError(f"the {mesh.n_elements}-node mesh does not refine the "
+                         f"{old.n_elements}-node mesh of init")
     # >> 1 halves: a first integer floor division would page in numpy code
     middle = (mesh.nodes + (mesh.site_counts() >> 1) - 1) % mesh.grid.N + 1
-    parent = _element_of(init.u.mesh, middle)
-    old = init.u.mesh.nodes
-    refines = bool((mesh.nodes[_element_of(mesh, old)] == old).all())
+    parent = _element_of(old, middle)
     x = np.column_stack([init.u.strains()[parent], init.chi[parent]])
-    return _newton(law, [mesh], F, x, init.cells.rows(parent) if refines else None)[0]
+    return _newton(law, [mesh], F, x, init.cells.rows(parent))[0]
 
 
 def solve_coarse_meshes(law: HomogenizedLaw, meshes, F: ForceFunctional) -> list[CoarseSolution]:
@@ -362,7 +356,7 @@ def solve_coarse_meshes(law: HomogenizedLaw, meshes, F: ForceFunctional) -> list
 
 def _newton(law, meshes, F, x, start_cells):
     """Solutions on ``meshes`` by one damped Newton iteration from the stacked
-    iterate x, evaluated there unless its condensed cells ``start_cells`` are given."""
+    iterate x, whose cells ``start_cells`` are condensed: x is not evaluated."""
     for mesh in meshes:
         if mesh.grid.p != law.family.p:
             raise ValueError(f"the mesh has p = {mesh.grid.p} species, "
@@ -400,11 +394,10 @@ def _newton(law, meshes, F, x, start_cells):
         dz = coarse_newton_step(cells.stiffness, h, w + cells.shift, None if one else starts)
         return np.column_stack([dz, cells.relax + cells.sensitivity * dz[:, None]])
 
-    start = None if start_cells is None else evaluated(start_cells)
     i = None  # the mesh whose solution is being built
     try:
         x, (_w, dual, merit, cells), trace = damped_newton(
-            evaluate, step, x, NEWTON_TOL, MAX_ITER, "coarse", start
+            evaluate, step, x, NEWTON_TOL, MAX_ITER, "coarse", evaluated(start_cells)
         )
         merits.append(merit)
         solutions = []

@@ -76,7 +76,6 @@ def _get(m: dict, key: str, default, read=_float):
 class ExperimentConfig:
     """A validated config; every field default is the default of its key."""
 
-    raw: dict = field(repr=False)
     kind: str = "1d"
 
     # 1d
@@ -120,7 +119,7 @@ def build_config(mapping: dict) -> ExperimentConfig:
     the schema does not read is named in a warning on standard error."""
     mapping = _ReadKeys(mapping)
     try:
-        cfg = ExperimentConfig(raw=dict(mapping))
+        cfg = ExperimentConfig()
         cfg.kind = mapping.get("problem.kind", cfg.kind)
         if cfg.kind not in ("1d", "2d"):
             raise ConfigError(f"problem.kind must be 1d or 2d, got {cfg.kind!r}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coarse import CoarseFn, ForceFunctional, Mesh1D, element_reduce
 from .lattice import LatticeFn, primitive_dual_norm
-from .potentials import Microstructure, PotentialFamily
+from .potentials import PotentialFamily
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def indicator_terms(
     return ErrorReport(jump, force, quad, calibration_constant, c0_inv, total, per_element)
 
 
-def estimate_constants(family: PotentialFamily, micro: Microstructure):
+def estimate_constants(family: PotentialFamily, chi_star: np.ndarray):
     """Sampled surrogate (C11, c0_lower) for the analytic constants.
 
     C11 = max_y sum_r r * max_z |d2 phi_r| with the curvature sampled at
@@ -88,7 +88,7 @@ def estimate_constants(family: PotentialFamily, micro: Microstructure):
     from .potentials import nn_dominance_margin
 
     R, p = family.R, family.p
-    d = (micro.chi_star.values @ _cell_maps(p, R).DT).reshape(R, p)
+    d = (chi_star @ _cell_maps(p, R).DT).reshape(R, p)
     args = np.linspace(-0.1, 0.1, 101)[:, None, None] + d
     ok = family.admissible(args)
     empty = ~ok.any(axis=0)
@@ -103,7 +103,7 @@ def estimate_constants(family: PotentialFamily, micro: Microstructure):
     for r, worst_r in enumerate(worst, 1):
         per_y += r * worst_r
     c11 = float(per_y.max())
-    return c11, nn_dominance_margin(family, micro)
+    return c11, nn_dominance_margin(family, chi_star)
 
 
 def adapt_mesh(mesh: Mesh1D, report: ErrorReport, theta: float) -> Mesh1D:

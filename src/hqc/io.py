@@ -12,18 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .coarse import CoarseFn, Mesh1D
+from .coarse import CoarseFn
 from .lattice import LatticeFn, LatticeGrid
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _header_fields(line: str) -> dict:
-    if not line.startswith("#"):
-        raise ValueError(f"missing header line, got {line!r}")
-    return {k: int(v) for k, v in re.findall(r"(\w+)=(-?\d+)", line)}
 
 
 def save_lattice_fn(path, u: LatticeFn) -> None:
@@ -34,7 +28,9 @@ def save_lattice_fn(path, u: LatticeFn) -> None:
 
 def load_lattice_fn(path) -> LatticeFn:
     lines = Path(path).read_text().strip().splitlines()
-    head = _header_fields(lines[0])
+    if not lines[0].startswith("#"):
+        raise ValueError(f"missing header line, got {lines[0]!r}")
+    head = {k: int(v) for k, v in re.findall(r"(\w+)=(-?\d+)", lines[0])}
     grid = LatticeGrid(head["N"], head.get("p", 1))
     values = np.array([float(s) for s in lines[1:]])
     return LatticeFn(grid, values)
@@ -44,15 +40,6 @@ def save_coarse_fn(path, u: CoarseFn) -> None:
     lines = [f"# N={u.mesh.grid.N}"]
     lines += [f"{int(n)} {_fmt(v)}" for n, v in zip(u.mesh.nodes, u.nodal_values)]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_coarse_fn(path, p: int = 1) -> CoarseFn:
-    lines = Path(path).read_text().strip().splitlines()
-    head = _header_fields(lines[0])
-    pairs = [line.split() for line in lines[1:]]
-    nodes = np.array([int(a) for a, _ in pairs])
-    values = np.array([float(b) for _, b in pairs])
-    return CoarseFn(Mesh1D(LatticeGrid(head["N"], p), nodes), values)
 
 
 def save_trace_csv(path, trace, column: str = "residual_dual") -> None:

@@ -6,13 +6,11 @@ corresponds to site k = i + 1.  A site k belongs to species (k-1) mod p,
 which is also the index into the p-periodic parameter lists of a potential
 family and into micro-cell fields.
 
-Discrete operators (all wrap periodically):
+The r-step difference wraps periodically:
 
-    diff_r(u, r)(x)    = (u(x + r eps) - u(x)) / (r eps)
-    average_r(u, r)    = (1/r) * sum_{k=0..r-1} u(. + k eps)
-    translate(u, k)(x) = u(x + k eps)
+    diff_r(u, r)(x) = (u(x + r eps) - u(x)) / (r eps),
 
-so that diff_r(u, r) == average_r(diff_r(u, 1), r).
+the average of the r forward translates of diff_r(u, 1).
 
 Norms use the mean-scaled convention ||u||_q = ((1/N) sum |u|^q)^(1/q)
 (max for q = inf), and |u|_{m,q} = ||D^m u||_q for m >= 0.  The negative
@@ -21,7 +19,8 @@ seminorm
     |u|_{-1,inf} = sup { <u, v> : <v> = 0, |v|_{1,1} = 1 }
 
 has the closed form (max w - min w) / 2 where w is any discrete primitive
-with D w(x) = u(x + eps); the additive constant of w cancels.
+with D w(x) = u(x + eps); the additive constant of w cancels
+(:func:`primitive_dual_norm`).
 """
 
 from __future__ import annotations
@@ -72,31 +71,8 @@ class LatticeFn:
             raise ValueError(f"expected {self.grid.N} values, got shape {vals.shape}")
         object.__setattr__(self, "values", vals)
 
-    def mean(self) -> float:
-        return float(self.values.mean())
-
     def with_values(self, values: np.ndarray) -> "LatticeFn":
         return LatticeFn(self.grid, values)
-
-
-@dataclass(frozen=True)
-class MicroFn:
-    """p-periodic function on the micro lattice {1, .., p} (unit spacing).
-
-    Entry j of ``values`` is the value at micro site y = j + 1.
-    """
-
-    p: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.p,):
-            raise ValueError(f"expected {self.p} values, got shape {vals.shape}")
-        object.__setattr__(self, "values", vals)
-
-    def mean(self) -> float:
-        return float(self.values.mean())
 
 
 def diff_r(u: LatticeFn, r: int) -> LatticeFn:
@@ -107,50 +83,19 @@ def diff_r(u: LatticeFn, r: int) -> LatticeFn:
     return u.with_values((np.roll(v, -r) - v) / (r * u.grid.eps))
 
 
-def average_r(u: LatticeFn, r: int) -> LatticeFn:
-    """Average of the r forward translates u, u(.+eps), ..., u(.+(r-1) eps)."""
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    v = u.values
-    acc = v.copy()
-    for k in range(1, r):
-        acc += np.roll(v, -k)
-    return u.with_values(acc / r)
-
-
-def translate(u: LatticeFn, k: int) -> LatticeFn:
-    """k-step translation x -> u(x + k eps)."""
-    return u.with_values(np.roll(u.values, -k))
-
-
-def inner(u: LatticeFn, v: LatticeFn) -> float:
-    """Mean-scaled scalar product (1/N) sum u(x) v(x)."""
-    if u.grid != v.grid:
-        raise ValueError("grid mismatch in inner product")
-    return float(u.values @ v.values) / u.grid.N
-
-
-def _qnorm(values: np.ndarray, q) -> float:
-    if q == np.inf:
-        return float(np.abs(values).max())
-    if q < 1:
-        raise ValueError(f"q must be in [1, inf], got {q}")
-    n = values.size
-    return float((np.abs(values) ** q).sum() / n) ** (1.0 / q)
-
-
-def norm(u: LatticeFn, q=2) -> float:
-    return _qnorm(u.values, q)
-
-
 def seminorm(u: LatticeFn, m: int = 0, q=2) -> float:
     """|u|_{m,q} = ||D^m u||_q for m >= 0 (m = 0 is the plain norm)."""
     if m < 0:
-        raise ValueError("negative-order seminorms: use dual_seminorm_neg1")
+        raise ValueError("negative-order seminorms: use primitive_dual_norm")
     v = u
     for _ in range(m):
         v = diff_r(v, 1)
-    return _qnorm(v.values, q)
+    a = np.abs(v.values)
+    if q == np.inf:
+        return float(a.max())
+    if q < 1:
+        raise ValueError(f"q must be in [1, inf], got {q}")
+    return float((a ** q).sum() / a.size) ** (1.0 / q)
 
 
 def primitive_dual_norm(values, eps: float = 1.0) -> float:
@@ -163,15 +108,3 @@ def primitive_dual_norm(values, eps: float = 1.0) -> float:
     """
     w = eps * np.cumsum(values)
     return 0.5 * float(w.max() - w.min())
-
-
-def dual_seminorm_neg1(u: LatticeFn) -> float:
-    """|u|_{-1,inf} of a zero-mean u, by the primitive closed form.
-
-    Equals sup{ <u, v> : v zero mean, |v|_{1,1} = 1 }.  Computed as
-    (max w - min w) / 2 for the primitive w = eps * cumsum(u), which
-    satisfies D w(x) = u(x + eps).
-    """
-    if abs(u.values.mean()) > 1e-12:
-        raise ValueError(f"dual seminorm needs zero mean, got mean {u.values.mean():.3e}")
-    return primitive_dual_norm(u.values, u.grid.eps)

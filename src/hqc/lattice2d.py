@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linsolve import bond_matvec, solve_periodic_2d
+from .linsolve import solve_periodic_2d
 
 #: neighbor directions; reflections are implied
 DIRECTIONS = ((1, 0), (1, 1), (0, 1), (-1, 1))
@@ -88,28 +88,10 @@ class Displacement2D:
             raise ValueError(f"expected shape (2, {self.N1}, {self.N2}), got {vals.shape}")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def zeros(cls, N1, N2):
-        return cls(N1, N2, np.zeros((2, N1, N2)))
-
-    def projected(self) -> "Displacement2D":
-        v = self.values - self.values.mean(axis=(1, 2), keepdims=True)
-        return Displacement2D(self.N1, self.N2, v)
-
 
 def _check_even(N1, N2):
     if N1 % 2 or N2 % 2:
         raise ValueError("grid sizes must be even (microstructure period (2,2))")
-
-
-def energy2d(model: SpringModel2D, u: Displacement2D):
-    """Energy and gradient; the gradient is the plain-sum derivative dE/du."""
-    _check_even(u.N1, u.N2)
-    E = 0.0
-    for r, C in model.bonds:
-        dv = np.roll(u.values, (-r[0], -r[1]), (-2, -1)) - u.values
-        E += 0.5 * float((np.tile(C, (u.N1 // 2, u.N2 // 2)) * dv * dv).sum())
-    return E, Displacement2D(u.N1, u.N2, bond_matvec(model.bonds, u.values))
 
 
 def solve_atomistic_2d(model: SpringModel2D, f: Displacement2D):
@@ -146,10 +128,6 @@ class Homogenized2D:
     pattern_deviation: float
     #: |numeric scale - closed-form scale|
     analytic_gap: float
-
-    @property
-    def corrector_matrix(self) -> np.ndarray:
-        return self.corrector_scale * np.eye(2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,10 +225,6 @@ def gradient_error(u: Displacement2D, ref: Displacement2D) -> float:
     return worst
 
 
-def value_error(u: Displacement2D, ref: Displacement2D) -> float:
-    return float(np.abs(u.values - ref.values).max())
-
-
 def exp_sin_force(N1: int, N2: int, amplitude: float = 10.0) -> Displacement2D:
     """Smooth zero-mean test force
     A exp(-cos^2(pi x1) - cos^2(pi x2)) (sin 2 pi x1, sin 2 pi x2)."""
@@ -288,5 +262,5 @@ def solve2d(
         info = {"mode": "coarse", "t": int(t)}
     if reference is not None:
         info["err_1inf"] = gradient_error(u, reference)
-        info["err_0inf"] = value_error(u, reference)
+        info["err_0inf"] = float(np.abs(u.values - reference.values).max())
     return u, info

@@ -37,13 +37,12 @@ hqc's only use of scipy, imported on first use.
 A 2D operator is a bond list: bonds ``((r1, r2), C)`` whose (c1, c2)
 array C holds, per site s of the cell, the stiffness of the bond from s to
 s + r, which adds 0.5 C (x(s + r) - x(s))^2 to the energy, of either sign.
-``bond_matvec`` applies it on any grid of whole cells, and
-``solve_periodic_2d`` inverts it when no bond reaches beyond one cell:
-each bond adds +C to two diagonal and -C to two off-diagonal entries of
-the blocks at cell offsets -1, 0, 1, and two sums with the Fourier phases
-of those offsets give the block symbol on the half spectrum of
-``np.fft.rfft2``: one small dense system per frequency, or one division
-for a one-site cell.
+``solve_periodic_2d`` inverts it on any grid of whole cells when no bond
+reaches beyond one cell: each bond adds +C to two diagonal and -C to two
+off-diagonal entries of the blocks at cell offsets -1, 0, 1, and two sums
+with the Fourier phases of those offsets give the block symbol on the
+half spectrum of ``np.fft.rfft2``: one small dense system per frequency,
+or one division for a one-site cell.
 """
 
 from __future__ import annotations
@@ -177,30 +176,6 @@ def _offset_sum(near: np.ndarray, n: int, length: int) -> np.ndarray:
     return near[1] + w * near[2] + w.conj() * near[0]
 
 
-def _cells(bonds, N1: int, N2: int):
-    """The cell (c1, c2), which is the shape of every C of ``bonds``, and
-    the numbers of cells (n1, n2) along the axes of the N1 x N2 grid."""
-    shapes = {np.shape(C) for _, C in bonds}
-    if len(shapes) != 1:
-        raise ValueError(f"the bonds must share one cell shape, got {sorted(shapes)}")
-    ((c1, c2),) = shapes
-    if N1 % c1 or N2 % c2:
-        raise ValueError(f"grid {N1}x{N2} is not a multiple of the cell {c1}x{c2}")
-    return (c1, c2), N1 // c1, N2 // c2
-
-
-def bond_matvec(bonds, v: np.ndarray) -> np.ndarray:
-    """A v for the operator A of ``bonds`` on the last two axes of v, a
-    periodic grid of whole cells; leading axes are a stack of fields."""
-    _, n1, n2 = _cells(bonds, *v.shape[-2:])
-    out = np.zeros_like(v)
-    for r, C in bonds:
-        # tension of bond r by tail site; roll(dv, r) indexes it by head site
-        dv = np.tile(C, (n1, n2)) * (np.roll(v, (-r[0], -r[1]), (-2, -1)) - v)
-        out -= dv - np.roll(dv, r, (-2, -1))
-    return out
-
-
 def solve_periodic_2d(bonds, rhs: np.ndarray) -> np.ndarray:
     """Zero-mean x with A x = rhs - mean(rhs) on a periodic N1 x N2 grid,
     for the operator A of ``bonds``.
@@ -215,7 +190,13 @@ def solve_periodic_2d(bonds, rhs: np.ndarray) -> np.ndarray:
     """
     rhs = np.asarray(rhs, dtype=float)
     N1, N2 = rhs.shape[-2:]
-    (c1, c2), n1, n2 = _cells(bonds, N1, N2)
+    shapes = {np.shape(C) for _, C in bonds}  # the cell's shape, shared by every C
+    if len(shapes) != 1:
+        raise ValueError(f"the bonds must share one cell shape, got {sorted(shapes)}")
+    ((c1, c2),) = shapes
+    if N1 % c1 or N2 % c2:
+        raise ValueError(f"grid {N1}x{N2} is not a multiple of the cell {c1}x{c2}")
+    n1, n2 = N1 // c1, N2 // c2
     m = c1 * c2
     s = np.arange(m)  # site s of a cell sits at (s // c2, s % c2)
     # near[d1 + 1, d2 + 1, i, s] = A[site i of cell d, site s of cell 0]

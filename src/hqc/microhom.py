@@ -303,11 +303,6 @@ class HomogenizedLaw:
         phi = family.bonds(_bond_args(_cell_maps(family.p, family.R), z, chi), 0)
         return _by_columns(np.add, _flat(phi)) / family.p, cells.stress, cells.stiffness, chi
 
-    def eval(self, z: float):
-        """(phi0, dphi0, d2phi0) at one strain, from a cold cell solve."""
-        phi0, dphi0, d2phi0, _chi = self.eval_strains(float(z))
-        return float(phi0[0]), float(dphi0[0]), float(d2phi0[0])
-
     def tabulate(self, z_grid):
         """Array of rows (z, phi0, dphi0, d2phi0) over a strain grid."""
         z = np.asarray(z_grid, dtype=float)

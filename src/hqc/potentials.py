@@ -34,12 +34,10 @@ reference positions so that u = 0 is an admissible configuration.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError, StabilityError
-from .lattice import MicroFn
 
 
 class PotentialFamily:
@@ -213,17 +211,6 @@ def quadratic_family(k, a, R: int = 1) -> QuadraticFamily:
     return QuadraticFamily(k, a, R)
 
 
-@dataclass(frozen=True)
-class Microstructure:
-    """Ground microstructure chi_* of the unloaded chain (zero mean)."""
-
-    chi_star: MicroFn
-
-    @property
-    def p(self) -> int:
-        return self.chi_star.p
-
-
 def validate_microstructure(chi: np.ndarray, where: str = "microstructure") -> None:
     """Check that y + chi(y) is strictly increasing and |chi| <= (p-1)/2."""
     p = chi.size
@@ -240,32 +227,32 @@ def validate_microstructure(chi: np.ndarray, where: str = "microstructure") -> N
         )
 
 
-def ground_microstructure(law) -> Microstructure:
+def ground_microstructure(law) -> np.ndarray:
     """The zero-mean ground field chi_* of the homogenized law ``law``'s
-    family: the unloaded cell problem, solved once per law by Newton from
-    zero to the cell tolerance :data:`~hqc.microhom.CELL_TOL`
-    (``law.ground_cell``, which a cold coarse solve of the law reuses).
-    The result is validated: the cell energy must be a minimum there (a
-    positive definite reduced cell Hessian, not a saddle), the micro
-    deformation strictly increasing and ||chi_*||_inf <= (p-1)/2;
-    violations raise :class:`StabilityError`.
+    family, a read-only (p,) array: the unloaded cell problem, solved once
+    per law by Newton from zero to the cell tolerance
+    :data:`~hqc.microhom.CELL_TOL` (the row of ``law.ground_cell``, which a
+    cold coarse solve of the law reuses).  It is validated: the cell energy
+    must be a minimum there (a positive definite reduced cell Hessian, not
+    a saddle), the micro deformation strictly increasing and
+    ||chi_*||_inf <= (p-1)/2; violations raise :class:`StabilityError`.
     """
     from .microhom import require_stable_cells
 
     chi, cells = law.ground_cell
     require_stable_cells(cells, np.zeros(1))
     validate_microstructure(chi[0], "ground microstructure")
-    return Microstructure(MicroFn(law.family.p, chi[0]))
+    return chi[0]
 
 
-def nn_dominance_margin(family: PotentialFamily, micro: Microstructure) -> float:
+def nn_dominance_margin(family: PotentialFamily, chi_star: np.ndarray) -> float:
     """Stability margin: half the least nearest-neighbor curvature minus the
     summed worst-case curvature magnitudes of all farther shells, evaluated
-    at the ground microstructure.  A positive value certifies dominance of
-    the nearest-neighbor interaction."""
+    at the ground microstructure chi_*.  A positive value certifies
+    dominance of the nearest-neighbor interaction."""
     from .microhom import _cell_maps
 
-    a = (micro.chi_star.values @ _cell_maps(family.p, family.R).DT).reshape(family.R, -1)
+    a = (chi_star @ _cell_maps(family.p, family.R).DT).reshape(family.R, -1)
     bad = ~family.admissible(a)
     if bad.any():
         r = int(np.flatnonzero(bad.any(axis=1))[0]) + 1

@@ -109,20 +109,6 @@ def write_rows_csv(path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_rows_csv(path) -> list[StudyRow]:
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != ",".join(ROW_FIELDS):
-        raise ValueError(f"unexpected CSV header {lines[0]!r}")
-    rows = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        kw = {}
-        for name, tok in zip(ROW_FIELDS, vals):
-            kw[name] = int(tok) if name in ("dof", "newton_iters") else float(tok)
-        rows.append(StudyRow(**kw))
-    return rows
-
-
 def fit_slope(rows, column: str) -> float:
     """Least-squares slope of log(column) against log(h_max)."""
     if len(rows) < 3:
@@ -150,9 +136,9 @@ def sin_force(grid: LatticeGrid, amplitude: float, phase: float) -> LatticeFn:
     return LatticeFn(grid, vals)
 
 
-def microstructure_start(grid: LatticeGrid, micro) -> LatticeFn:
+def microstructure_start(grid: LatticeGrid, chi_star: np.ndarray) -> LatticeFn:
     """Relaxed-microstructure displacement eps * chi_*(x/eps), zero-meaned."""
-    vals = grid.eps * micro.chi_star.values[grid.species()]
+    vals = grid.eps * chi_star[grid.species()]
     return LatticeFn(grid, vals - vals.mean())
 
 
@@ -163,9 +149,9 @@ def setup_1d(cfg: ExperimentConfig):
     grid = LatticeGrid(cfg.N, cfg.p)
     family = build_family(cfg)
     law = HomogenizedLaw(family)
-    micro = ground_microstructure(law)  # the cell at strain 0, which cold coarse solves reuse
+    chi_star = ground_microstructure(law)  # the cell at strain 0, which cold coarse solves reuse
     f = sin_force(grid, cfg.force_amplitude, cfg.force_phase)
-    return grid, family, micro, nn_dominance_margin(family, micro), law, f
+    return grid, family, chi_star, nn_dominance_margin(family, chi_star), law, f
 
 
 def require_dominance(margin: float) -> None:
@@ -176,11 +162,11 @@ def require_dominance(margin: float) -> None:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Key of a config's cached reference.  The ``mesh.*`` keys count: the
-    reference's Newton start is built from the last row's solution, so its
-    last digits depend on the schedule."""
-    keys = sorted(cfg.raw.items())
-    blob = "\n".join(f"{k}={v}" for k, v in keys if not k.startswith("output."))
+    """Key of a config's cached reference, from its validated values: a key
+    that the schema does not read, or a default written out, keys the same
+    reference.  The mesh schedule counts: the reference's Newton start is
+    built from the last row's solution, so its last digits depend on it."""
+    blob = "\n".join(f"{k}={v!r}" for k, v in vars(cfg).items())
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -268,7 +254,7 @@ def run_study(
     """
     if not (cfg.adaptive or cfg.mesh_schedule):
         raise ConfigError("a 1D study needs mesh.schedule (node counts or adaptive)")
-    grid, family, _micro, margin, law, f = setup_1d(cfg)
+    grid, family, _chi_star, margin, law, f = setup_1d(cfg)
     require_dominance(margin)
     c0_inv = cfg.c0_inv if cfg.c0_inv is not None else 1.0 / margin
     F = ForceFunctional(cfg.functional_kind, f)
@@ -302,17 +288,11 @@ def run_study(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_rows_csv(out / "study.csv", rows)
-        _write_study_svg(out / "study.svg", rows, "1D convergence study")
+        series = {name: [getattr(r, name) for r in rows]
+                  for name in ROW_FIELDS[2:8]}  # the errors and the indicators
+        write_loglog_svg(out / "study.svg", [r.h_max for r in rows], series, "h_max",
+                         "1D convergence study")
     return rows
-
-
-def _write_study_svg(path, rows, title):
-    h = [row.h_max for row in rows]
-    series = {
-        name: [getattr(row, name) for row in rows]
-        for name in ("err_1inf", "err_0inf", "eta_jump", "eta_force", "eta_quad", "eta_total")
-    }
-    write_loglog_svg(path, h, series, "h_max", title)
 
 
 def run_study_2d(cfg: ExperimentConfig, out_dir=None, timing: bool = False):

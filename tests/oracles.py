@@ -11,8 +11,16 @@ node loads and element maxima from the lattice rolled into element order.
 A few small helpers that only tests call live here as well.
 """
 
+from pathlib import Path
+
 import numpy as np
 from scipy.optimize import linprog
+
+from hqc.atomistic import _stress_d2
+from hqc.coarse import CoarseFn
+from hqc.lattice import primitive_dual_norm
+from hqc.lattice2d import Displacement2D
+from hqc.study import ROW_FIELDS, StudyRow
 
 
 def dual_norm_lp(values: np.ndarray) -> float:
@@ -81,8 +89,6 @@ def energy_grad_hess(prob, u):
     of bond (x, x + r) (:mod:`hqc.linsolve`) come from the stress and
     springs of ``hqc.atomistic._stress_d2``, which names the site and shell
     of an inadmissible bond."""
-    from hqc.atomistic import _stress_d2
-
     family, eps, N = prob.family, prob.grid.eps, prob.grid.N
     R, p = family.R, family.p
     z = np.diff(u.values, append=u.values[:1]) / eps
@@ -121,10 +127,6 @@ def stretch_springs_to_dense(s: np.ndarray) -> np.ndarray:
                 e[(i + j) % n] = 1.0
             J += s[r - 1, i] * np.outer(e, e)
     return J
-
-
-def central_diff(fun, x: float, step: float) -> float:
-    return (fun(x + step) - fun(x - step)) / (2.0 * step)
 
 
 def coarse_step_dense(d2: np.ndarray, h: np.ndarray, mw: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -208,6 +210,68 @@ def calibrate_constant(report, reference_error: float) -> float:
     if report.jump_term <= 0:
         raise ValueError("cannot calibrate with a vanishing jump term")
     return reference_error / report.jump_term
+
+
+def average_r(u, r: int):
+    """Average of the r forward translates u, u(.+eps), ..., u(.+(r-1) eps)."""
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+    return u.with_values(sum(np.roll(u.values, -k) for k in range(r)) / r)
+
+
+def dual_seminorm_neg1(u) -> float:
+    """|u|_{-1,inf} of a zero-mean lattice function u, by the primitive
+    closed form; ValueError for a mean above 1e-12."""
+    if abs(u.values.mean()) > 1e-12:
+        raise ValueError(f"dual seminorm needs zero mean, got mean {u.values.mean():.3e}")
+    return primitive_dual_norm(u.values, u.grid.eps)
+
+
+def interpolate(mesh, v):
+    """Nodal interpolant of the lattice function v onto the coarse space."""
+    return CoarseFn(mesh, v.values[mesh.nodes - 1])
+
+
+def law_eval(law, z: float):
+    """(phi0, dphi0, d2phi0) of the homogenized law at one strain, from a cold cell solve."""
+    phi0, dphi0, d2phi0, _chi = law.eval_strains(float(z))
+    return float(phi0[0]), float(dphi0[0]), float(d2phi0[0])
+
+
+def corrector_matrix(hom):
+    """The per-component corrector coefficient matrix of a 2D homogenization."""
+    return hom.corrector_scale * np.eye(2)
+
+
+def bond_matvec(bonds, v: np.ndarray) -> np.ndarray:
+    """A v for the operator A of the 2D bond list ``bonds`` on the last two
+    axes of v, a periodic grid of whole cells; leading axes are a stack."""
+    c1, c2 = np.shape(bonds[0][1])
+    n1, n2 = v.shape[-2] // c1, v.shape[-1] // c2
+    out = np.zeros_like(v)
+    for r, C in bonds:
+        # tension of bond r by tail site; roll(dv, r) indexes it by head site
+        dv = np.tile(C, (n1, n2)) * (np.roll(v, (-r[0], -r[1]), (-2, -1)) - v)
+        out -= dv - np.roll(dv, r, (-2, -1))
+    return out
+
+
+def energy2d(model, u):
+    """Energy and gradient of the 2D spring model at u; the gradient is the
+    plain-sum derivative dE/du."""
+    E = 0.0
+    for r, C in model.bonds:
+        dv = np.roll(u.values, (-r[0], -r[1]), (-2, -1)) - u.values
+        E += 0.5 * float((np.tile(C, (u.N1 // 2, u.N2 // 2)) * dv * dv).sum())
+    return E, Displacement2D(u.N1, u.N2, bond_matvec(model.bonds, u.values))
+
+
+def read_rows_csv(path):
+    """The StudyRow list of a study CSV file."""
+    header, *lines = Path(path).read_text().splitlines()
+    assert header == ",".join(ROW_FIELDS), header
+    return [StudyRow(*(int(t) if n in ("dof", "newton_iters") else float(t)
+                       for n, t in zip(ROW_FIELDS, line.split(",")))) for line in lines]
 
 
 def bulk_refined_nodes(nodes: np.ndarray, N: int, eta: np.ndarray, theta: float) -> np.ndarray:
@@ -452,11 +516,6 @@ def cell_hessian(family, args: dict, y: np.ndarray) -> np.ndarray:
             H[:, jr, j] -= vj
             H[:, j, jr] -= vj
     return H
-
-
-def reduce_vec(g: np.ndarray) -> np.ndarray:
-    """Gradient on the zero-mean space with the last micro value eliminated."""
-    return g[:, :-1] - g[:, -1:]
 
 
 def reduce_mat(H: np.ndarray) -> np.ndarray:

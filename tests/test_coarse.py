@@ -20,8 +20,6 @@ from hqc import (
     corrector,
     equivalence_check,
     indicator_terms,
-    inner,
-    interpolate,
     istar,
     lj_family,
     load_experiment_config,
@@ -34,7 +32,7 @@ from hqc import (
 import hqc.coarse
 from hqc.coarse import _element_of, _istar_nodes, coarse_newton_step, element_reduce
 from hqc.atomistic import NEWTON_TOL, AtomisticProblem
-from hqc.lattice import dual_seminorm_neg1, primitive_dual_norm
+from hqc.lattice import primitive_dual_norm
 from hqc.microhom import CELL_TOL, condense_cells
 from hqc.potentials import PotentialFamily
 from hqc.study import build_family, sin_force
@@ -46,10 +44,10 @@ from oracles import (
     element_max_rolled,
     energy_grad_hess,
     equilibrated_on_sites,
+    interpolate,
     interpolation_matrix,
     istar_nodes_rolled,
     lattice_mean,
-    project_zero_mean,
     site_elements,
 )
 
@@ -247,7 +245,7 @@ class TestIstar:
         for _ in range(10):
             mesh = rand_mesh(rng, grid, int(rng.integers(2, 9)))
             w = LatticeFn(grid, rng.standard_normal(30))
-            assert inner(istar(mesh, w), ones) == pytest.approx(inner(w, ones), abs=1e-14)
+            assert istar(mesh, w).values.mean() == pytest.approx(w.values.mean(), abs=1e-14)
 
     def test_adjoint_identity_on_basis(self):
         rng = np.random.default_rng(68)
@@ -261,8 +259,8 @@ class TestIstar:
                     e = np.zeros(N)
                     e[i] = 1.0
                     v = LatticeFn(grid, e)
-                    lhs = inner(W, v)
-                    rhs = inner(w, interpolate(mesh, v).to_lattice())
+                    lhs = W.values @ v.values / N
+                    rhs = w.values @ interpolate(mesh, v).to_lattice().values / N
                     assert lhs == pytest.approx(rhs, abs=1e-14)
 
     def test_dual_norm_stability(self):
@@ -272,8 +270,9 @@ class TestIstar:
         for _ in range(25):
             mesh = rand_mesh(rng, grid, int(rng.integers(2, 13)))
             f = rand_zero_mean(rng, grid)
-            lhs = dual_seminorm_neg1(project_zero_mean(istar(mesh, f)))
-            assert lhs <= dual_seminorm_neg1(f) + 1e-13
+            W = istar(mesh, f).values
+            lhs = primitive_dual_norm(W - W.mean(), grid.eps)
+            assert lhs <= primitive_dual_norm(f.values, grid.eps) + 1e-13
 
     def test_sup_norm_bound(self):
         # ||istar f||_inf <= (1/eps) ||h f||_inf
@@ -295,7 +294,7 @@ class TestIstar:
             f = rand_zero_mean(rng, grid)
             v = rand_zero_mean(rng, grid)
             gap = LatticeFn(grid, v.values - interpolate(mesh, v).to_lattice().values)
-            lhs = inner(f, gap)
+            lhs = f.values @ gap.values / grid.N
             bound = (
                 np.abs((site_h(mesh) - grid.eps) * f.values).max()
                 * seminorm(v, 1, np.inf)
@@ -396,7 +395,7 @@ class TestForceFunctional:
                 e[mesh.nodes[j] - 1] = 1.0
                 # hat-function pairing: <W, w_xi^h> over the coarse basis
                 hat = interpolate(mesh, LatticeFn(grid, e)).to_lattice()
-                assert inner(W, hat) == pytest.approx(b[j], abs=1e-13)
+                assert W.values @ hat.values / grid.N == pytest.approx(b[j], abs=1e-13)
 
 
 @pytest.fixture(scope="module")
@@ -509,24 +508,27 @@ class TestNestedStart:
         assert nested.iterations <= cold.iterations
 
     def test_non_nested_init(self, lj_setup):
+        # a nested start needs a refinement of init's mesh: a one-site mesh
+        # on other nodes does not refine 3 (8 nodes on 6: TestStartEvaluations)
         law, _, _ = lj_setup
         grid = LatticeGrid(240, 2)
         F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
-        init = solve_coarse(law, uniform_mesh(grid, 6), F)
-        self.solve_both(law, uniform_mesh(grid, 8), F, init)
+        init = solve_coarse(law, Mesh1D(grid, np.array([10, 90, 170])), F)
+        with pytest.raises(ValueError, match="the 4-node mesh does not refine the 3-node mesh"):
+            solve_coarse(law, Mesh1D(grid, np.array([10, 90, 91, 171])), F, init=init)
 
     @settings(max_examples=60, deadline=None)
     @given(
         p=st.integers(1, 3),
         k=st.integers(4, 24),
         m=st.integers(2, 8),
-        kind=st.sampled_from(["uniform", "adapt", "other"]),
+        kind=st.sampled_from(["uniform", "adapt"]),
         shipped_spread=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_meshes(self, p, k, m, kind, shipped_spread, seed):
-        # nested starts on refinements (uniform, adaptive) and on meshes that
-        # do not refine the old one, one-site elements included
+        # nested starts on uniform and adaptive refinements, one-site
+        # elements included
         rng = np.random.default_rng(seed)
         grid = LatticeGrid(2 * m * k * p, p)
         if shipped_spread:  # the shipped chain's distances are 1 and 1.125
@@ -540,12 +542,10 @@ class TestNestedStart:
         init = solve_coarse(law, old, F)
         if kind == "uniform":
             mesh = uniform_mesh(grid, 2 * m)
-        elif kind == "adapt":
-            mesh = adapt_mesh(old, indicator_terms(init.u, F.f, F), rng.uniform(0.3, 1.0))
         else:
-            mesh = one_site_mesh(rng, grid, int(rng.integers(2, 3 * m)))
+            mesh = adapt_mesh(old, indicator_terms(init.u, F.f, F), rng.uniform(0.3, 1.0))
         cold, nested = self.solve_both(law, mesh, F, init)
-        if kind != "other" and shipped_spread:
+        if shipped_spread:
             # on refinements of the shipped spread a nested start costs no
             # step; on other families it can cost one, as the first mesh's
             # stopping residual, up to NEWTON_TOL, carries over
@@ -631,18 +631,15 @@ class TestStartEvaluations:
             assert len(counted) == len(cs.trace) - 1
 
     def test_non_nested_start_is_evaluated(self, lj_setup, counted):
-        # the parents' strains of a mesh that does not refine init's need
-        # not sum to 0; the start's one evaluation projects them
+        # 8 nodes do not refine 6: refused before any cell is condensed
         law, _, _ = lj_setup
         grid = LatticeGrid(240, 2)
         F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
         init = solve_coarse(law, uniform_mesh(grid, 6), F)
-        mesh = uniform_mesh(grid, 8)
         counted.clear()
-        cs = solve_coarse(law, mesh, F, init=init)
-        assert all(t == 1.0 for _it, _res, t in cs.trace[1:])
-        assert len(counted) == len(cs.trace)
-        assert abs(mesh.element_sizes() @ counted[0][1]) <= 1e-17
+        with pytest.raises(ValueError, match="the 8-node mesh does not refine the 6-node mesh"):
+            solve_coarse(law, uniform_mesh(grid, 8), F, init=init)
+        assert counted == []
 
 
 class TestSolveCoarseContract:
@@ -662,15 +659,6 @@ class TestSolveCoarseContract:
         F = ForceFunctional("exact_summation", sin_force(grid, 50.0, 1.0))
         with pytest.raises(ValueError, match="the mesh has p = 3 species, the law p = 2"):
             solve_coarse(law, uniform_mesh(grid, 8), F)
-
-    def test_init_without_cells(self, lj_setup):
-        # a hand-built solution carries fields but no condensed cells
-        law, grid, f = lj_setup
-        F = ForceFunctional("exact_summation", f)
-        cs = solve_coarse(law, uniform_mesh(grid, 8), F)
-        init = CoarseSolution(cs.u, cs.residual_dual, cs.iterations, cs.chi)
-        with pytest.raises(ValueError, match=r"init carries no condensed cells"):
-            solve_coarse(law, uniform_mesh(grid, 16), F, init=init)
 
 
 def graded_mesh(rng, m, ratio):
@@ -872,7 +860,8 @@ class TestCorrector:
         grid = LatticeGrid(32)
         u = LatticeFn(grid, 0.01 * rng.standard_normal(32))
         u = LatticeFn(grid, u.values - u.values.mean())
-        cs = CoarseSolution(interpolate(uniform_mesh(grid, grid.N), u), 0.0, 0, np.zeros((32, 1)))
+        cs = CoarseSolution(CoarseFn(uniform_mesh(grid, grid.N), u.values), 0.0, 0,
+                            np.zeros((32, 1)), trace=(), cells=None)
         assert np.allclose(corrector(cs).values, u.values)
 
     def test_zero_mean_always(self, lj_setup):
@@ -901,7 +890,7 @@ class TestCorrector:
         mesh = one_site_mesh(rng, grid, min(m, grid.N))
         u = CoarseFn(mesh, 0.01 * rng.standard_normal(mesh.n_elements))
         chi = rng.standard_normal((mesh.n_elements, p))
-        cs = CoarseSolution(u, 0.0, 0, chi)
+        cs = CoarseSolution(u, 0.0, 0, chi, trace=(), cells=None)
         ref = corrected_on_sites(mesh.nodes, u.nodal_values, chi, grid.N, p)
         assert np.array_equal(corrector(cs).values, ref)
         # into a buffer: the same field, in the buffer, whatever it held
@@ -914,7 +903,7 @@ def atomistic_residual(family, f, u):
     """(-1, inf) dual norm of the atomistic residual functional dE(u) - f."""
     prob = AtomisticProblem(f.grid, family, f)
     g = energy_grad_hess(prob, u)[1]
-    return dual_seminorm_neg1(g.with_values(g.values - prob.force.values))
+    return primitive_dual_norm(g.values - prob.force.values, f.grid.eps)
 
 
 def nested_solves(law, f, schedule):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from hqc.exceptions import SolverFailure
 from hqc.lattice2d import SpringModel2D, p1_bonds
-from hqc.linsolve import bond_matvec, solve_cyclic_banded, solve_periodic_2d, spring_matvec
+from hqc.linsolve import solve_cyclic_banded, solve_periodic_2d, spring_matvec
 
 from oracles import (
+    bond_matvec,
     p1_stiffness_dense,
     probe_matrix,
     stretch_springs_to_dense,

@@ -26,7 +26,14 @@ from hqc.microhom import (
     newton_cells,
 )
 
-from oracles import cell_bond_arguments, cell_gradient, cell_hessian, reduce_mat, shell_law
+from oracles import (
+    cell_bond_arguments,
+    cell_gradient,
+    cell_hessian,
+    law_eval,
+    reduce_mat,
+    shell_law,
+)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +68,7 @@ class TestSolveCell:
         assert np.abs(law.eval_strains(z)[3] - chi).max() <= 1e-13
 
     def test_ground_state_is_fixed_point(self, lj_law):
-        chi_star = ground_microstructure(lj_law).chi_star.values
+        chi_star = ground_microstructure(lj_law)
         chi, _, iters = solve_cells(lj_law, 0.0, chi_star[None, :])
         assert np.abs(chi[0] - chi_star).max() < 1e-12
         assert iters[0] <= 2
@@ -283,7 +290,7 @@ class TestHomogenizedEval:
         fam = lj_family([1.0], R=3)
         law = HomogenizedLaw(fam)
         z = 0.02
-        phi0, dphi0, d2phi0 = law.eval(z)
+        phi0, dphi0, d2phi0 = law_eval(law, z)
         for value, order in ((phi0, 0), (dphi0, 1), (d2phi0, 2)):
             expected = sum(float(shell_law(fam, order, r, z, 0)) for r in (1, 2, 3))
             assert value == pytest.approx(expected, rel=1e-14)
@@ -295,7 +302,7 @@ class TestHomogenizedEval:
                 k = rng.uniform(0.2, 5.0, size=p)
                 law = HomogenizedLaw(quadratic_family(k, np.zeros(p)))
                 z = rng.uniform(-0.5, 0.5)
-                phi0, dphi0, d2phi0 = law.eval(z)
+                phi0, dphi0, d2phi0 = law_eval(law, z)
                 hm = 1.0 / np.mean(1.0 / k)
                 assert d2phi0 == pytest.approx(hm, abs=1e-10)
                 assert phi0 == pytest.approx(0.5 * hm * z * z, abs=1e-12)
@@ -305,9 +312,9 @@ class TestHomogenizedEval:
         step = 1e-6
         for _ in range(50):
             z = rng.uniform(-0.08, 0.12)
-            phi0, dphi0, d2phi0 = lj_law.eval(z)
-            fd1 = (lj_law.eval(z + step)[0] - lj_law.eval(z - step)[0]) / (2 * step)
-            fd2 = (lj_law.eval(z + step)[1] - lj_law.eval(z - step)[1]) / (2 * step)
+            phi0, dphi0, d2phi0 = law_eval(lj_law, z)
+            fd1 = (law_eval(lj_law, z + step)[0] - law_eval(lj_law, z - step)[0]) / (2 * step)
+            fd2 = (law_eval(lj_law, z + step)[1] - law_eval(lj_law, z - step)[1]) / (2 * step)
             assert fd1 == pytest.approx(dphi0, rel=1e-6)
             assert fd2 == pytest.approx(d2phi0, rel=1e-6)
 
@@ -316,7 +323,7 @@ class TestHomogenizedEval:
 
         micro = ground_microstructure(lj_law)
         assert nn_dominance_margin(lj_law.family, micro) > 0
-        assert lj_law.eval(0.0)[2] > 0
+        assert law_eval(lj_law, 0.0)[2] > 0
 
 
 class TestEvalStrains:
@@ -324,7 +331,7 @@ class TestEvalStrains:
         z = np.array([-0.03, 0.0, 0.02, 0.07])
         phi0, dphi0, d2phi0, chi = lj_law.eval_strains(z)
         for i, zi in enumerate(z):
-            a, b, c = lj_law.eval(float(zi))
+            a, b, c = law_eval(lj_law, float(zi))
             assert phi0[i] == pytest.approx(a, rel=1e-13)
             assert dphi0[i] == pytest.approx(b, rel=1e-13)
             assert d2phi0[i] == pytest.approx(c, rel=1e-12)

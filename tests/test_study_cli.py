@@ -20,7 +20,6 @@ from hqc import (
     corrector,
     fit_slope,
     ground_microstructure,
-    read_rows_csv,
     run_study,
     seminorm,
     solve_atomistic,
@@ -39,6 +38,8 @@ from hqc.study import (
     sin_force,
     write_rows_csv,
 )
+
+from oracles import read_rows_csv
 
 BASE_1D = """
 problem.kind = 1d
@@ -220,6 +221,19 @@ class TestRunStudy:
         for cfg in (cfg_1d("mesh.schedule = 4, 8, 16\n"), cfg_1d()):
             assert run_study(cfg, out_dir=tmp_path) == run_study(cfg)
         assert len(list((tmp_path / "cache").glob("ref_*.txt"))) == 2
+
+    def test_cache_key_is_the_validated_values(self, capsys):
+        # a key that the schema does not read, or a default written out, keys
+        # the shipped config's reference; a value that the study reads does not
+        text = (Path(__file__).parents[1] / "configs" / "lj_1d.cfg").read_text()
+        shipped = config_hash(build_config(parse_config_text(text)))
+        for same in (text + "output.note = rerun\n",
+                     text + "mesh.initial = 4\nestimator.calibration = 1\n",
+                     text.replace("force.amplitude = 50", "force.amplitude = 5e1")):
+            assert config_hash(build_config(parse_config_text(same))) == shipped
+        assert "'output.note' is not read" in capsys.readouterr().err
+        other = text.replace("force.phase = 1", "force.phase = 1.5")
+        assert config_hash(build_config(parse_config_text(other))) != shipped
 
     def test_no_cache_writes_only_the_study(self, tmp_path, monkeypatch):
         import hqc.study
